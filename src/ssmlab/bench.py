@@ -9,7 +9,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import infer
 from . import model as mdl
 from . import reduce as rd
 from . import train as tr
@@ -44,15 +43,15 @@ def measure_images_per_second(model, batch=16, warmup=3, iters=10,
     rng = np.random.default_rng(seed)
     images = rng.random((batch, cfg.image_size, cfg.image_size,
                          cfg.in_channels))
-    params = infer.prepare_params(model, dtype)
+    cast = model.astype(dtype)
     imgs = images.astype(dtype)
     for _ in range(warmup):
-        infer.fast_forward(model, imgs, dtype=dtype, params=params)
+        mdl.forward(cast, imgs)
     rates = []
     for _ in range(iters):
-        t0 = time.monotonic()
-        infer.fast_forward(model, imgs, dtype=dtype, params=params)
-        rates.append(batch / (time.monotonic() - t0))
+        t0 = time.perf_counter()
+        mdl.forward(cast, imgs)
+        rates.append(batch / (time.perf_counter() - t0))
     return float(np.median(rates)), warmup
 
 

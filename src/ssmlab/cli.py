@@ -6,7 +6,7 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -67,9 +67,12 @@ def _build_model(cfg: RunConfig):
         model = mdl.load_checkpoint(init)
         # weights come from the checkpoint; the reduction policy from this run
         model.cfg = replace(model.cfg, reduction=model_cfg.reduction)
-        if (model.cfg.depth, model.cfg.d_model) != (model_cfg.depth,
-                                                    model_cfg.d_model):
-            raise ConfigError("checkpoint architecture does not match config")
+        diff = [f"{f.name} {getattr(model.cfg, f.name)} != {getattr(model_cfg, f.name)}"
+                for f in fields(model_cfg)
+                if getattr(model.cfg, f.name) != getattr(model_cfg, f.name)]
+        if diff:
+            raise ConfigError("checkpoint architecture does not match config: "
+                              + ", ".join(diff))
         return model
     return mdl.init_model(model_cfg, seed=cfg.get_int("run.seed"))
 

@@ -76,6 +76,15 @@ class Model:
     def num_params(self):
         return sum(t.size for _, t in self.named_params())
 
+    def astype(self, dtype):
+        """Inference copy whose parameters are ``dtype`` arrays, with no gradients."""
+        cast = lambda t: Tensor(t.data.astype(dtype))
+        blocks = [ssm.SsmBlockParams(
+            *(ssm.ScanParams(**{k: cast(t) for k, t in side.named()})
+              for side in (blk.fwd, blk.bwd))) for blk in self.blocks]
+        return Model(self.cfg, cast(self.patch_proj), cast(self.pos_embed),
+                     blocks, cast(self.head))
+
 
 def init_model(cfg: ModelConfig, seed=0) -> Model:
     rng = np.random.default_rng(seed)
@@ -110,10 +119,12 @@ def forward(model: Model, images, rng=None):
     Returns (logits [B, num_classes], trace) where trace lists the token
     count entering every block. Reduction (shuffle, feature, grouping,
     distance, pair selection, merge/prune) runs after each site block.
+    Training runs it under a ``GradTape``; evaluation and the benchmark run
+    it with no tape, in the dtype of the model's parameters.
     """
     cfg = model.cfg
     red = cfg.reduction
-    patches = patchify(images, cfg)
+    patches = patchify(images, cfg).astype(model.patch_proj.data.dtype, copy=False)
     b = patches.shape[0]
     tokens_v = tt.add(tt.matmul(Tensor(patches), model.patch_proj), model.pos_embed)
     tokens = TokenBatch.fresh(tokens_v)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,11 +102,10 @@ class TokenBatch:
         b, t, _ = self.values.shape
         if len(self.positions) != b:
             raise ReduceError("positions/batch mismatch")
-        for pos in self.positions:
-            if len(pos) != t:
-                raise ReduceError("positions length mismatch")
-            if t > 1 and not np.all(np.diff(pos) > 0):
-                raise ReduceError("positions must be strictly increasing")
+        if any(len(pos) != t for pos in self.positions):
+            raise ReduceError("positions length mismatch")
+        if b and t > 1 and not np.all(np.diff(np.stack(self.positions), axis=1) > 0):
+            raise ReduceError("positions must be strictly increasing")
 
     @classmethod
     def fresh(cls, values: Tensor):
@@ -125,6 +124,8 @@ class MergePlan:
             raise ReduceError("overlapping pairs in plan")
         if set(used) & set(self.survivors):
             raise ReduceError("survivor listed in a pair")
+        if len(set(self.survivors)) != len(self.survivors):
+            raise ReduceError("duplicate survivor in plan")
 
     def serialize(self):
         lines = [f"pair {i} {j}" for i, j in self.pairs]
@@ -301,114 +302,98 @@ def trace_token_counts(t0, sites, r, total_blocks):
 
 def _plans_for_batch(plans, batch):
     if isinstance(plans, MergePlan):
-        return [plans] * batch
+        plans = [plans] * batch
     plans = list(plans)
     if len(plans) != batch:
         raise ReduceError("one plan per batch element required")
+    if any(len(p.pairs) != len(plans[0].pairs) for p in plans):
+        raise ReduceError("plans must remove the same number of tokens")
     return plans
+
+
+def _gather(tokens: TokenBatch, src_i, src_j, merge_op: MergeOp):
+    """Apply [B, T_out] source-index arrays to a token batch.
+
+    Output token (k, t) is x[k, src_i[k, t]], fused by merge_op with
+    x[k, src_j[k, t]] where src_j >= 0; its position is that of the earlier
+    source. Returns (out Tensor, new positions, scatter), where scatter
+    maps the output cotangent back to the input's.
+    """
+    x = tokens.values.data
+    b, t, d = x.shape
+    rows = np.broadcast_to(np.arange(b)[:, None], src_i.shape)
+    first = np.where(src_j >= 0, np.minimum(src_i, src_j), src_i)
+    positions = list(np.stack(tokens.positions)[rows, first])
+    out = x[rows, src_i]                                # one gather
+    pr, pc = np.nonzero(src_j >= 0)
+    xi, xj = out[pr, pc], x[pr, src_j[pr, pc]]          # [P, D] pair members
+    pick_i = None
+    if merge_op is MergeOp.SUM:
+        out[pr, pc] = xi + xj
+    elif merge_op is MergeOp.MEAN:
+        out[pr, pc] = 0.5 * (xi + xj)
+    elif merge_op in (MergeOp.MAX, MergeOp.MIN):
+        pick_i = xi >= xj if merge_op is MergeOp.MAX else xi <= xj
+        out[pr, pc] = np.where(pick_i, xi, xj)
+    else:
+        raise ReduceError(f"unknown merge op {merge_op}")
+    pi, pj = src_i[pr, pc], src_j[pr, pc]
+
+    def scatter(dout):
+        # a checked plan sends each input token to at most one output slot,
+        # so the scatter is an assignment
+        din = np.zeros_like(x)
+        din[rows, src_i] = dout
+        g_p = dout[pr, pc]
+        if merge_op is MergeOp.SUM:
+            din[pr, pj] = g_p
+        elif merge_op is MergeOp.MEAN:
+            din[pr, pi] = din[pr, pj] = 0.5 * g_p
+        else:  # subgradient routed to the selected element
+            din[pr, pi] = np.where(pick_i, g_p, 0.0)
+            din[pr, pj] = np.where(pick_i, 0.0, g_p)
+        return din
+
+    return Tensor(out, _check=False), positions, scatter
 
 
 def merge(tokens: TokenBatch, plans, merge_op: MergeOp) -> TokenBatch:
     """Fuse each planned pair into one token and restore position order."""
-    values = tokens.values
-    b, t, d = values.shape
+    b, t, _ = tokens.values.shape
     plans = _plans_for_batch(plans, b)
     n_pairs = len(plans[0].pairs)
-    if any(len(p.pairs) != n_pairs for p in plans):
-        raise ReduceError("plans must remove the same number of tokens")
-    t_out = t - n_pairs
-    out = np.empty((b, t_out, d))
-    new_positions = []
-    # per batch element: (out_row -> sources) for the backward scatter
-    routing = []
-    for k, plan in enumerate(plans):
-        pos = tokens.positions[k]
-        entries = []
-        for i, j in plan.pairs:
-            if not (0 <= i < t and 0 <= j < t):
-                raise ReduceError("plan index out of range")
-            entries.append((min(pos[i], pos[j]), i, j))
-        for s in plan.survivors:
-            entries.append((pos[s], s, -1))
-        if len(entries) != t_out:
-            raise ReduceError("plan does not cover the sequence")
-        entries.sort()
-        new_positions.append(np.array([e[0] for e in entries]))
-        rows = []
-        vk = values.data[k]
-        for row, (_, i, j) in enumerate(entries):
-            if j < 0:
-                out[k, row] = vk[i]
-                rows.append((i, -1, None))
-            else:
-                if merge_op is MergeOp.SUM:
-                    out[k, row] = vk[i] + vk[j]
-                    rows.append((i, j, None))
-                elif merge_op is MergeOp.MEAN:
-                    out[k, row] = 0.5 * (vk[i] + vk[j])
-                    rows.append((i, j, None))
-                elif merge_op in (MergeOp.MAX, MergeOp.MIN):
-                    pick_i = vk[i] >= vk[j] if merge_op is MergeOp.MAX else vk[i] <= vk[j]
-                    out[k, row] = np.where(pick_i, vk[i], vk[j])
-                    rows.append((i, j, pick_i))
-                else:
-                    raise ReduceError(f"unknown merge op {merge_op}")
-        routing.append(rows)
-
-    out_t = Tensor(out, _check=False)
-
-    def backward(dout):
-        din = np.zeros((b, t, d))
-        for k, rows in enumerate(routing):
-            for row, (i, j, pick_i) in enumerate(rows):
-                g = dout[k, row]
-                if j < 0:
-                    din[k, i] += g
-                elif merge_op is MergeOp.SUM:
-                    din[k, i] += g
-                    din[k, j] += g
-                elif merge_op is MergeOp.MEAN:
-                    din[k, i] += 0.5 * g
-                    din[k, j] += 0.5 * g
-                else:  # subgradient routed to the selected element
-                    din[k, i] += np.where(pick_i, g, 0.0)
-                    din[k, j] += np.where(pick_i, 0.0, g)
-        return (din,)
-
-    record(out_t, (values,), backward)
-    return TokenBatch(out_t, new_positions)
+    if any(2 * n_pairs + len(p.survivors) != t for p in plans):
+        raise ReduceError("plan does not cover the sequence")
+    pairs = np.array([p.pairs for p in plans], dtype=np.intp).reshape(b, n_pairs, 2)
+    kept = np.array([p.survivors for p in plans], dtype=np.intp).reshape(b, -1)
+    if np.any((pairs < 0) | (pairs >= t)) or np.any((kept < 0) | (kept >= t)):
+        raise ReduceError("plan index out of range")
+    # positions increase along the sequence, so index order is position order
+    order = np.argsort(np.concatenate([pairs.min(axis=2), kept], axis=1),
+                       axis=1, kind="stable")
+    src_i = np.concatenate([pairs[..., 0], kept], axis=1)
+    src_j = np.concatenate([pairs[..., 1], np.full_like(kept, -1)], axis=1)
+    out, positions, scatter = _gather(tokens, np.take_along_axis(src_i, order, 1),
+                                      np.take_along_axis(src_j, order, 1), merge_op)
+    record(out, (tokens.values,), lambda dout: (scatter(dout),))
+    return TokenBatch(out, positions)
 
 
 def prune(tokens: TokenBatch, plans) -> TokenBatch:
     """Drop the group-2 member of each planned pair; no fusion."""
-    values = tokens.values
-    b, t, d = values.shape
+    b, t, _ = tokens.values.shape
     plans = _plans_for_batch(plans, b)
-    n_pairs = len(plans[0].pairs)
-    if any(len(p.pairs) != n_pairs for p in plans):
-        raise ReduceError("plans must remove the same number of tokens")
-    t_out = t - n_pairs
-    keep_idx = []
-    new_positions = []
-    out = np.empty((b, t_out, d))
-    for k, plan in enumerate(plans):
-        dropped = {j for _, j in plan.pairs}
-        if any(not (0 <= j < t) for j in dropped):
-            raise ReduceError("plan index out of range")
-        kept = np.array([i for i in range(t) if i not in dropped])
-        keep_idx.append(kept)
-        out[k] = values.data[k][kept]
-        new_positions.append(tokens.positions[k][kept])
-    out_t = Tensor(out, _check=False)
-
-    def backward(dout):
-        din = np.zeros((b, t, d))
-        for k, kept in enumerate(keep_idx):
-            din[k, kept] = dout[k]
-        return (din,)
-
-    record(out_t, (values,), backward)
-    return TokenBatch(out_t, new_positions)
+    dropped = np.array([[j for _, j in p.pairs] for p in plans],
+                       dtype=np.intp).reshape(b, -1)
+    if np.any((dropped < 0) | (dropped >= t)):
+        raise ReduceError("plan index out of range")
+    keep = np.ones((b, t), dtype=bool)
+    keep[np.arange(b)[:, None], dropped] = False
+    src_i = np.nonzero(keep)[1].reshape(b, -1)
+    out, positions, scatter = _gather(tokens, src_i, np.full_like(src_i, -1),
+                                      MergeOp.SUM)
+    record(out, (tokens.values,), lambda dout: (scatter(dout),))
+    return TokenBatch(out, positions)
 
 
 def shuffle_permutation(t_len, shuffle_ratio, rng):

@@ -84,7 +84,7 @@ def discretize(params: ScanParams, x: Tensor):
     """Input-dependent discretization of one scan direction.
 
     x: [B, T, D] inner activations. Returns (A_bar [B,T,D,N], B_bar [B,T,D,N],
-    delta [B,T,D]); every A_bar entry lies in (0, 1).
+    delta [B,T,D], B [B,T,N]); every A_bar entry lies in (0, 1).
     """
     if not np.all(np.isfinite(x.data)):
         raise TensorError("non-finite scan input")
@@ -92,26 +92,32 @@ def discretize(params: ScanParams, x: Tensor):
     n = params.a_log.shape[1]
     delta_pre = tt.add(tt.matmul(x, params.w_delta), params.delta_bias)  # [B,T,1]
     delta1 = tt.softplus(delta_pre)
-    delta = tt.mul(delta1, Tensor(np.ones((1, 1, d)), _check=False))      # [B,T,D]
+    ones = Tensor(np.ones((1, 1, d), dtype=x.data.dtype), _check=False)
+    delta = tt.mul(delta1, ones)                                          # [B,T,D]
     a = tt.neg(tt.exp(params.a_log))                                      # [D,N]
     delta4 = tt.reshape(delta, (b, t, d, 1))
     a_bar = tt.exp(tt.mul(delta4, a))                                     # [B,T,D,N]
     b_t = tt.matmul(x, params.w_b)                                        # [B,T,N]
     b_bar = tt.mul(delta4, tt.reshape(b_t, (b, t, 1, n)))                 # [B,T,D,N]
-    return a_bar, b_bar, delta
+    return a_bar, b_bar, delta, b_t
 
 
-def scan_core(a_bar: Tensor, u: Tensor, c: Tensor) -> Tensor:
-    """Run h_t = a_bar_t * h_{t-1} + u_t, y_t[d] = sum_n c_t[n] h_t[d,n].
+def scan_core(a_bar: Tensor, u: Tensor, c: Tensor,
+              direction=ScanDirection.FORWARD) -> Tensor:
+    """Run h_t = a_bar_t * h_prev + u_t, y_t[d] = sum_n c_t[n] h_t[d,n].
 
-    a_bar, u: [B,T,D,N]; c: [B,T,N]; h_{-1} = 0. One taped primitive.
+    a_bar, u: [B,T,D,N]; c: [B,T,N]; the state starts at zero. FORWARD
+    walks t = 0 .. T-1 and BACKWARD walks t = T-1 .. 0 over the same arrays,
+    with no reversed copies. One taped primitive.
     """
     ab, ud, cd = a_bar.data, u.data, c.data
     bsz, t_len, d, n = ab.shape
+    step = 1 if direction is ScanDirection.FORWARD else -1
+    order = range(t_len)[::step]
     hs = np.empty_like(ab)
-    y = np.empty((bsz, t_len, d))
-    h = np.zeros((bsz, d, n))
-    for t in range(t_len):
+    y = np.empty((bsz, t_len, d), dtype=ab.dtype)
+    h = np.zeros((bsz, d, n), dtype=ab.dtype)
+    for t in order:
         h = ab[:, t] * h + ud[:, t]
         hs[:, t] = h
         y[:, t] = np.einsum("bdn,bn->bd", h, cd[:, t])
@@ -120,12 +126,12 @@ def scan_core(a_bar: Tensor, u: Tensor, c: Tensor) -> Tensor:
     def backward(dy):
         da = np.empty_like(ab)
         du = np.empty_like(ab)
-        dc = np.zeros((bsz, t_len, n))
-        dh = np.zeros((bsz, d, n))
-        for t in range(t_len - 1, -1, -1):
+        dc = np.zeros((bsz, t_len, n), dtype=cd.dtype)
+        dh = np.zeros((bsz, d, n), dtype=ab.dtype)
+        for t in reversed(order):
             dh = dh + cd[:, t][:, None, :] * dy[:, t][:, :, None]
             dc[:, t] = np.einsum("bdn,bd->bn", hs[:, t], dy[:, t])
-            h_prev = hs[:, t - 1] if t > 0 else 0.0
+            h_prev = hs[:, t - step] if 0 <= t - step < t_len else 0.0
             da[:, t] = dh * h_prev
             du[:, t] = dh
             dh = dh * ab[:, t]
@@ -134,60 +140,29 @@ def scan_core(a_bar: Tensor, u: Tensor, c: Tensor) -> Tensor:
     return record(out, (a_bar, u, c), backward)
 
 
-def selective_scan(params: ScanParams, x: Tensor, direction: ScanDirection) -> Tensor:
-    """Full selective scan of [B, T, D] activations in the given direction."""
+def selective_scan(params: ScanParams, x: Tensor, direction: ScanDirection):
+    """Full selective scan of [B, T, D] activations in the given direction.
+
+    Returns (y [B,T,D], intermediates): the per-token B and C projections
+    [B,T,N] and delta [B,T,D] the scan ran on, as detached ndarrays.
+    """
     if x.data.ndim != 3:
         raise TensorError("selective_scan expects [B, T, D]")
     if x.shape[1] < 1:
         raise TensorError("empty sequence")
     b, t, d = x.shape
-    a_bar, b_bar, _ = discretize(params, x)
+    a_bar, b_bar, delta, b_t = discretize(params, x)
     c = tt.matmul(x, params.w_c)                       # [B,T,N]
     u = tt.mul(b_bar, tt.reshape(x, (b, t, d, 1)))     # [B,T,D,N]
-    if direction is ScanDirection.BACKWARD:
-        y = tt.flip_time(scan_core(tt.flip_time(a_bar), tt.flip_time(u), tt.flip_time(c)))
-    else:
-        y = scan_core(a_bar, u, c)
-    return y
+    y = scan_core(a_bar, u, c, direction)
+    return y, {"b": b_t.data, "c": c.data, "delta": delta.data}
 
 
-def lti_scan(a, b, c, x):
-    """Time-invariant diagonal-A reference recurrence; tests only, no gradients.
-
-    a: [N,N] diagonal; b: [N,1]; c: [1,N]; x: [T]. Returns y: [T].
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise TensorError("A must be square")
-    if np.any(a != np.diag(np.diag(a))):
-        raise TensorError("A must be diagonal")
-    diag = np.diag(a)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
-    c = np.asarray(c, dtype=np.float64).reshape(-1)
-    x = np.asarray(x, dtype=np.float64)
-    h = np.zeros_like(diag)
-    y = np.empty_like(x)
-    for t in range(x.shape[0]):
-        h = diag * h + b * x[t]
-        y[t] = c @ h
-    return y
-
-
-def _direction_branch(p: ScanParams, normed: Tensor, direction: ScanDirection,
-                      want_inter: bool):
+def _direction_branch(p: ScanParams, normed: Tensor, direction: ScanDirection):
     x_in = tt.silu(tt.matmul(normed, p.w_in))
     gate = tt.silu(tt.matmul(normed, p.w_gate))
-    y = selective_scan(p, x_in, direction)
-    contrib = tt.matmul(tt.mul(y, gate), p.w_out)
-    inter = None
-    if want_inter:
-        _, _, delta = discretize(p, x_in.detach())
-        inter = {
-            "b": x_in.data @ p.w_b.data,
-            "c": x_in.data @ p.w_c.data,
-            "delta": delta.data,
-        }
-    return contrib, inter
+    y, inter = selective_scan(p, x_in, direction)
+    return tt.matmul(tt.mul(y, gate), p.w_out), inter
 
 
 def bidirectional_block(params: SsmBlockParams, tokens: Tensor,
@@ -198,10 +173,10 @@ def bidirectional_block(params: SsmBlockParams, tokens: Tensor,
     per-token B/C/delta projections (detached numpy) for similarity scoring.
     """
     normed = tt.layer_norm(tokens)
-    fwd_contrib, inter = _direction_branch(params.fwd, normed, ScanDirection.FORWARD,
-                                           want_intermediates)
-    bwd_contrib, _ = _direction_branch(params.bwd, normed, ScanDirection.BACKWARD, False)
+    fwd_contrib, inter = _direction_branch(params.fwd, normed, ScanDirection.FORWARD)
+    bwd_contrib, _ = _direction_branch(params.bwd, normed, ScanDirection.BACKWARD)
     out = tt.add(tokens, tt.add(fwd_contrib, bwd_contrib))
-    if want_intermediates:
-        inter["x"] = out.data  # the values a downstream reduction step merges
+    if not want_intermediates:
+        return out, None
+    inter["x"] = out.data  # the values a downstream reduction step merges
     return out, inter

@@ -1,4 +1,9 @@
-"""Dense f64 tensors with a per-pass reverse-mode gradient tape.
+"""Dense tensors with a per-pass reverse-mode gradient tape.
+
+Tensors hold float64 data, or float32 data when built from a float32 array
+(the float32 path exists for the throughput benchmark). Ops allocate their
+buffers and constants in their input's dtype, so a float32 forward stays
+float32 end to end.
 
 The tape is explicit: ops record onto the innermost active ``GradTape``
 (entered as a context manager). With no active tape, ops are plain numpy
@@ -29,7 +34,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad=False, _check=True):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data)
+        if arr.dtype != np.float32:
+            arr = arr.astype(np.float64, copy=False)
         if _check and not np.all(np.isfinite(arr)):
             raise TensorError("non-finite values in tensor")
         self.data = arr
@@ -204,12 +211,8 @@ def exp(a):
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # the tanh form is overflow-free and needs no masked indexing
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def softplus(a):
@@ -268,12 +271,6 @@ def tmean(a, axis=None):
 def reshape(a, shape):
     out = Tensor(a.data.reshape(shape), _check=False)
     return record(out, (a,), lambda d: (d.reshape(a.data.shape),))
-
-
-def flip_time(a):
-    """Reverse axis 1 (the sequence axis of [B, T, ...] tensors)."""
-    out = Tensor(a.data[:, ::-1].copy(), _check=False)
-    return record(out, (a,), lambda d: (d[:, ::-1].copy(),))
 
 
 def permute_time(a, perm):

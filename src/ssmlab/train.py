@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import data as ds
-from . import infer
 from . import model as mdl
 from . import tensor as tt
 from .tensor import GradTape, Tensor
@@ -37,6 +36,10 @@ class TrainConfig:
     def __post_init__(self):
         if not (self.lr_start >= self.lr_end > 0):
             raise ValueError("need lr_start >= lr_end > 0")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.accum_steps < 1:
             raise ValueError("accum_steps must be >= 1")
         if not 0 < self.subset_fraction <= 1:
@@ -139,13 +142,12 @@ def evaluate(model, dataset, batch_size=64) -> float:
     """Top-1 accuracy; no parameter mutation."""
     if dataset.size == 0:
         raise ValueError("empty dataset")
-    params = infer.prepare_params(model)
     correct = 0
     for lo in range(0, dataset.size, batch_size):
         imgs = dataset.images[lo:lo + batch_size]
         labels = dataset.labels[lo:lo + batch_size]
-        logits, _ = infer.fast_forward(model, imgs, params=params)
-        correct += int((logits.argmax(axis=1) == labels).sum())
+        logits, _ = mdl.forward(model, imgs)
+        correct += int((logits.data.argmax(axis=1) == labels).sum())
     return correct / dataset.size
 
 

@@ -67,7 +67,7 @@ def test_criterion_02_scan_oracle():
         n = int(rng.integers(1, 5))
         p = ssm.init_scan_params(rng, d, d, n)
         x = Tensor(rng.uniform(-1, 1, (1, t, d)))
-        y = ssm.selective_scan(p, x, ScanDirection.FORWARD)
+        y, _ = ssm.selective_scan(p, x, ScanDirection.FORWARD)
         assert np.abs(y.data - naive_scan(p, x)).max() < 1e-12
 
 

@@ -141,6 +141,16 @@ class TestExitCodes:
         rc = cli.main(["eval", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == cli.EXIT_DATA
 
+    @pytest.mark.parametrize("setting", ["train.batch_size=0", "train.epochs=-1"])
+    def test_bad_train_setting_is_config_error(self, tmp_path, capsys, setting):
+        cfg = write_cfg(tmp_path, extra=setting + "\n")
+        rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_CONFIG
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "config error" in captured.err and "Traceback" not in captured.err
+        assert "final accuracy" not in captured.out
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_numeric(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, extra="train.lr_start=1e12\n"
@@ -184,6 +194,20 @@ class TestTrainEval:
                          extra=f"run.init_checkpoint={out}/checkpoint.bin\n")
         rc = cli.main(["eval", "--config", cfg2, "--out", str(tmp_path / "o")])
         assert rc == cli.EXIT_CONFIG
+
+    def test_checkpoint_inner_width_mismatch(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 0
+        cfg2 = write_cfg(tmp_path, base=TINY.replace("model.d_inner=4",
+                                                     "model.d_inner=5"),
+                         extra=f"run.init_checkpoint={out}/checkpoint.bin\n")
+        capsys.readouterr()
+        rc = cli.main(["eval", "--config", cfg2, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_CONFIG
+        assert len(err.strip().splitlines()) == 1
+        assert "d_inner" in err and "Traceback" not in err
 
     def test_training_free_run(self, tmp_path):
         cfg = write_cfg(tmp_path, extra="train.epochs=0\n")

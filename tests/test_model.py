@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ssmlab import infer, model as mdl, reduce as rd, tensor as tt
+from ssmlab import model as mdl, reduce as rd, tensor as tt
 from ssmlab.model import Model, ModelConfig, ModelError
 from ssmlab.reduce import MergeOp, Mode, ReductionConfig
 from ssmlab.tensor import GradTape, Tensor, finite_difference_grad
@@ -110,19 +110,33 @@ class TestForward:
         cfg = small_cfg(r=1, sites=(1, 2), merge_op=op, mode=mode)
         m = mdl.init_model(cfg, seed=5)
         imgs = small_images(3, seed=9)
-        taped, trace_a = mdl.forward(m, imgs)
-        fast, trace_b = infer.fast_forward(m, imgs)
+        with GradTape() as tape:
+            taped, trace_a = mdl.forward(m, imgs)
+        plain, trace_b = mdl.forward(m, imgs)
+        assert tape.entries and not plain.requires_grad
         assert trace_a == trace_b
-        assert np.abs(taped.data - fast).max() < 1e-12
+        assert np.array_equal(taped.data, plain.data)
 
     def test_matches_tapefree_with_shuffle_and_random_grouping(self):
         cfg = small_cfg(r=1, sites=(1,), shuffle_ratio=0.5,
                         grouping=rd.Grouping.RANDOM)
         m = mdl.init_model(cfg, seed=5)
         imgs = small_images(2, seed=11)
-        taped, _ = mdl.forward(m, imgs, rng=np.random.default_rng(42))
-        fast, _ = infer.fast_forward(m, imgs, rng=np.random.default_rng(42))
-        assert np.abs(taped.data - fast).max() < 1e-12
+        with GradTape() as tape:
+            taped, trace_a = mdl.forward(m, imgs, rng=np.random.default_rng(42))
+        plain, trace_b = mdl.forward(m, imgs, rng=np.random.default_rng(42))
+        assert tape.entries and trace_a == trace_b
+        assert np.array_equal(taped.data, plain.data)
+
+    def test_float32_copy_runs_in_float32(self):
+        cfg = small_cfg(r=1, sites=(1, 2))
+        m = mdl.init_model(cfg, seed=5)
+        imgs = small_images(3, seed=9)
+        ref, trace64 = mdl.forward(m, imgs)
+        got, trace32 = mdl.forward(m.astype(np.float32), imgs.astype(np.float32))
+        assert got.data.dtype == np.float32
+        assert trace32 == trace64
+        assert np.abs(got.data - ref.data).max() < 1e-4
 
     def test_wrong_image_shape(self):
         m = mdl.init_model(small_cfg(), seed=0)

@@ -54,6 +54,79 @@ def slow_select(dists, r, pair_rank):
     return out
 
 
+def slow_merge(tokens, plans, merge_op):
+    """Per-row, per-token reference for rd.merge, with its own backward."""
+    values = tokens.values
+    b, t, d = values.shape
+    t_out = t - len(plans[0].pairs)
+    out = np.empty((b, t_out, d))
+    new_positions = []
+    routing = []  # per batch element: (out_row -> sources) for the backward
+    for k, plan in enumerate(plans):
+        pos = tokens.positions[k]
+        entries = [(min(pos[i], pos[j]), i, j) for i, j in plan.pairs]
+        entries += [(pos[s], s, -1) for s in plan.survivors]
+        entries.sort()
+        new_positions.append(np.array([e[0] for e in entries]))
+        rows = []
+        vk = values.data[k]
+        for row, (_, i, j) in enumerate(entries):
+            pick_i = None
+            if j < 0:
+                out[k, row] = vk[i]
+            elif merge_op is MergeOp.SUM:
+                out[k, row] = vk[i] + vk[j]
+            elif merge_op is MergeOp.MEAN:
+                out[k, row] = 0.5 * (vk[i] + vk[j])
+            else:
+                pick_i = vk[i] >= vk[j] if merge_op is MergeOp.MAX else vk[i] <= vk[j]
+                out[k, row] = np.where(pick_i, vk[i], vk[j])
+            rows.append((i, j, pick_i))
+        routing.append(rows)
+
+    def backward(dout):
+        din = np.zeros((b, t, d))
+        for k, rows in enumerate(routing):
+            for row, (i, j, pick_i) in enumerate(rows):
+                g = dout[k, row]
+                if j < 0:
+                    din[k, i] += g
+                elif merge_op is MergeOp.SUM:
+                    din[k, i] += g
+                    din[k, j] += g
+                elif merge_op is MergeOp.MEAN:
+                    din[k, i] += 0.5 * g
+                    din[k, j] += 0.5 * g
+                else:
+                    din[k, i] += np.where(pick_i, g, 0.0)
+                    din[k, j] += np.where(pick_i, 0.0, g)
+        return (din,)
+
+    out_t = tt.record(Tensor(out, _check=False), (values,), backward)
+    return TokenBatch(out_t, new_positions)
+
+
+def slow_prune(tokens, plans):
+    """Per-row, per-token reference for rd.prune, with its own backward."""
+    values = tokens.values
+    b, t, d = values.shape
+    keep_idx = []
+    for plan in plans:
+        dropped = {j for _, j in plan.pairs}
+        keep_idx.append(np.array([i for i in range(t) if i not in dropped]))
+    out = np.stack([values.data[k][kept] for k, kept in enumerate(keep_idx)])
+
+    def backward(dout):
+        din = np.zeros((b, t, d))
+        for k, kept in enumerate(keep_idx):
+            din[k, kept] = dout[k]
+        return (din,)
+
+    out_t = tt.record(Tensor(out, _check=False), (values,), backward)
+    return TokenBatch(out_t, [tokens.positions[k][kept]
+                              for k, kept in enumerate(keep_idx)])
+
+
 class TestGrouping:
     def test_odd_even(self):
         g1, g2 = rd.grouping(7, Grouping.ODD_EVEN)
@@ -265,6 +338,10 @@ class TestMergePlanFormat:
         with pytest.raises(ReduceError):
             MergePlan([(0, 1)], [1])
 
+    def test_duplicate_survivor_rejected(self):
+        with pytest.raises(ReduceError):
+            MergePlan([(0, 1)], [2, 2])
+
 
 def four_tokens():
     vals = np.array([[[1.0, 2.0], [10.0, 20.0], [3.0, -4.0], [5.0, 6.0]]])
@@ -385,6 +462,48 @@ class TestPrune:
         assert np.array_equal(g[1], [0.0, 0.0])
         assert np.array_equal(g[0], [1.0, 1.0])
 
+
+def random_plans(rng, b, t, n_pairs):
+    """A different valid plan per row; a pair's first index may be the later one."""
+    plans = []
+    for _ in range(b):
+        perm = [int(v) for v in rng.permutation(t)]
+        pairs = [(perm[2 * k], perm[2 * k + 1]) for k in range(n_pairs)]
+        plans.append(MergePlan(pairs, sorted(perm[2 * n_pairs:])))
+    return plans
+
+
+def reduce_with_grad(fn, vals, positions, plans, w):
+    """(values, positions, input gradient) of fn under a weighted-sum loss."""
+    x = Tensor(vals, requires_grad=True)
+    with GradTape() as tape:
+        out = fn(TokenBatch(x, positions), plans)
+        tape.backward(tt.tsum(tt.mul(out.values, Tensor(w))))
+    return out.values.data, out.positions, x.grad.data
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("op", list(MergeOp))
+def test_gather_matches_slow_reference(mode, op):
+    if mode is Mode.MERGE:
+        fast = lambda tokens, plans: rd.merge(tokens, plans, op)
+        slow = lambda tokens, plans: slow_merge(tokens, plans, op)
+    else:
+        fast, slow = rd.prune, slow_prune
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        b, t, d = int(rng.integers(1, 5)), int(rng.integers(2, 12)), int(rng.integers(1, 4))
+        n_pairs = int(rng.integers(0, t // 2 + 1))
+        vals = np.round(rng.uniform(-2, 2, (b, t, d)) * 2) / 2   # ties for max/min
+        positions = [np.sort(rng.choice(3 * t, t, replace=False)) for _ in range(b)]
+        plans = random_plans(rng, b, t, n_pairs)
+        w = rng.uniform(-1, 1, (b, t - n_pairs, d))
+        v, pos, g = reduce_with_grad(fast, vals, positions, plans, w)
+        v_ref, pos_ref, g_ref = reduce_with_grad(slow, vals, positions, plans, w)
+        assert np.array_equal(v, v_ref)
+        assert len(pos) == len(pos_ref) == b
+        assert all(np.array_equal(p, q) for p, q in zip(pos, pos_ref))
+        assert np.array_equal(g, g_ref)
 
 class TestShuffle:
     def test_zero_ratio_identity(self):

@@ -37,6 +37,28 @@ def naive_scan(params, x, reverse=False):
     return y
 
 
+def lti_scan(a, b, c, x):
+    """Time-invariant diagonal-A reference recurrence; no gradients.
+
+    a: [N,N] diagonal; b: [N,1]; c: [1,N]; x: [T]. Returns y: [T].
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise TensorError("A must be square")
+    if np.any(a != np.diag(np.diag(a))):
+        raise TensorError("A must be diagonal")
+    diag = np.diag(a)
+    b = np.asarray(b, dtype=np.float64).reshape(-1)
+    c = np.asarray(c, dtype=np.float64).reshape(-1)
+    x = np.asarray(x, dtype=np.float64)
+    h = np.zeros_like(diag)
+    y = np.empty_like(x)
+    for t in range(x.shape[0]):
+        h = diag * h + b * x[t]
+        y[t] = c @ h
+    return y
+
+
 def make_params(rng, d_model, d, n):
     return ssm.init_scan_params(rng, d_model, d, n)
 
@@ -49,7 +71,7 @@ class TestDiscretize:
         p.w_delta.data[:] = 0.0
         p.delta_bias.data[:] = -40.0
         x = Tensor(rng.uniform(-1, 1, (1, 4, 3)))
-        a_bar, b_bar, delta = ssm.discretize(p, x)
+        a_bar, b_bar, delta, _ = ssm.discretize(p, x)
         assert np.allclose(a_bar.data, 1.0, atol=1e-15)
         assert np.allclose(b_bar.data, 0.0, atol=1e-15)
         assert np.all(delta.data > 0)
@@ -62,7 +84,7 @@ class TestDiscretize:
         p.w_delta.data[:] = 0.0
         p.delta_bias.data[:] = math.log(math.expm1(math.log(2.0)))
         x = Tensor(rng.uniform(-1, 1, (1, 3, 2)))
-        a_bar, _, _ = ssm.discretize(p, x)
+        a_bar, _, _, _ = ssm.discretize(p, x)
         assert np.allclose(a_bar.data, 0.5, atol=1e-12)
 
     def test_a_bar_in_unit_interval(self):
@@ -70,7 +92,7 @@ class TestDiscretize:
         for _ in range(20):
             p = make_params(rng, 5, 3, 4)
             x = Tensor(rng.uniform(-2, 2, (2, 6, 3)))
-            a_bar, _, _ = ssm.discretize(p, x)
+            a_bar, _, _, _ = ssm.discretize(p, x)
             assert np.all(a_bar.data > 0) and np.all(a_bar.data < 1)
 
     def test_rejects_nonfinite(self):
@@ -86,8 +108,8 @@ class TestSelectiveScan:
         rng = np.random.default_rng(3)
         p = make_params(rng, 4, 3, 2)
         x = Tensor(rng.uniform(-1, 1, (2, 1, 3)))
-        y = ssm.selective_scan(p, x, ScanDirection.FORWARD)
-        _, b_bar, _ = ssm.discretize(p, x)
+        y, _ = ssm.selective_scan(p, x, ScanDirection.FORWARD)
+        _, b_bar, _, _ = ssm.discretize(p, x)
         c = x.data @ p.w_c.data
         expect = np.einsum("bdn,bn->bd", b_bar.data[:, 0] * x.data[:, 0][:, :, None], c[:, 0])
         assert np.allclose(y.data[:, 0], expect, atol=1e-14)
@@ -100,33 +122,33 @@ class TestSelectiveScan:
         p.delta_bias.data[:] = 60.0
         x = rng.uniform(-1, 1, (1, 6, 3))
         perm = rng.permutation(6)
-        y = ssm.selective_scan(p, Tensor(x), ScanDirection.FORWARD).data
-        y_perm = ssm.selective_scan(p, Tensor(x[:, perm]), ScanDirection.FORWARD).data
+        y = ssm.selective_scan(p, Tensor(x), ScanDirection.FORWARD)[0].data
+        y_perm = ssm.selective_scan(p, Tensor(x[:, perm]), ScanDirection.FORWARD)[0].data
         assert np.allclose(y_perm, y[:, perm], atol=1e-18)
 
     def test_matches_naive_reference(self):
         rng = np.random.default_rng(5)
         p = make_params(rng, 4, 3, 4)
         x = Tensor(rng.uniform(-1, 1, (2, 6, 3)))
-        y = ssm.selective_scan(p, x, ScanDirection.FORWARD)
+        y, _ = ssm.selective_scan(p, x, ScanDirection.FORWARD)
         assert np.abs(y.data - naive_scan(p, x)).max() < 1e-12
 
     def test_backward_direction_matches_reversed_naive(self):
         rng = np.random.default_rng(6)
         p = make_params(rng, 4, 3, 2)
         x = Tensor(rng.uniform(-1, 1, (1, 5, 3)))
-        y = ssm.selective_scan(p, x, ScanDirection.BACKWARD)
+        y, _ = ssm.selective_scan(p, x, ScanDirection.BACKWARD)
         assert np.abs(y.data - naive_scan(p, x, reverse=True)).max() < 1e-12
 
     def test_causality(self):
         rng = np.random.default_rng(7)
         p = make_params(rng, 4, 3, 2)
         x = rng.uniform(-1, 1, (1, 8, 3))
-        y0 = ssm.selective_scan(p, Tensor(x), ScanDirection.FORWARD).data
+        y0 = ssm.selective_scan(p, Tensor(x), ScanDirection.FORWARD)[0].data
         s = 5
         x2 = x.copy()
         x2[0, s] += 0.37
-        y1 = ssm.selective_scan(p, Tensor(x2), ScanDirection.FORWARD).data
+        y1 = ssm.selective_scan(p, Tensor(x2), ScanDirection.FORWARD)[0].data
         assert np.array_equal(y0[:, :s], y1[:, :s])
         assert not np.allclose(y0[:, s:], y1[:, s:])
 
@@ -134,11 +156,11 @@ class TestSelectiveScan:
         rng = np.random.default_rng(8)
         p = make_params(rng, 4, 3, 2)
         x = rng.uniform(-1, 1, (1, 8, 3))
-        y0 = ssm.selective_scan(p, Tensor(x), ScanDirection.BACKWARD).data
+        y0 = ssm.selective_scan(p, Tensor(x), ScanDirection.BACKWARD)[0].data
         s = 3
         x2 = x.copy()
         x2[0, s] += 0.37
-        y1 = ssm.selective_scan(p, Tensor(x2), ScanDirection.BACKWARD).data
+        y1 = ssm.selective_scan(p, Tensor(x2), ScanDirection.BACKWARD)[0].data
         assert np.array_equal(y0[:, s + 1:], y1[:, s + 1:])
 
     def test_empty_sequence_rejected(self):
@@ -153,7 +175,7 @@ class TestSelectiveScan:
         w = rng.uniform(-1, 1, (1, 5, 3))
         x = Tensor(x0, requires_grad=True)
         with GradTape() as tape:
-            y = ssm.selective_scan(p, x, ScanDirection.FORWARD)
+            y, _ = ssm.selective_scan(p, x, ScanDirection.FORWARD)
             tape.backward(tt.tsum(tt.mul(y, Tensor(w))))
         g = finite_difference_grad(
             lambda v: float((naive_scan(p, v[None] if v.ndim == 2 else v) * w).sum()),
@@ -167,12 +189,12 @@ class TestLtiScan:
         b = np.array([[1.0], [2.0]])
         c = np.array([[3.0, 4.0]])
         x = np.array([1.0, -1.0, 2.0])
-        y = ssm.lti_scan(np.zeros((2, 2)), b, c, x)
+        y = lti_scan(np.zeros((2, 2)), b, c, x)
         cb = (c @ b).item()
         assert np.allclose(y, cb * x)
 
     def test_running_sum(self):
-        y = ssm.lti_scan(np.eye(1), np.ones((1, 1)), np.ones((1, 1)), np.ones(5))
+        y = lti_scan(np.eye(1), np.ones((1, 1)), np.ones((1, 1)), np.ones(5))
         assert np.array_equal(y, [1, 2, 3, 4, 5])
 
     def test_matches_convolution(self):
@@ -181,7 +203,7 @@ class TestLtiScan:
         b = rng.uniform(-1, 1, (3, 1))
         c = rng.uniform(-1, 1, (1, 3))
         x = rng.uniform(-1, 1, 7)
-        y = ssm.lti_scan(np.diag(diag), b, c, x)
+        y = lti_scan(np.diag(diag), b, c, x)
         t_len = x.shape[0]
         kernel = np.array([(c @ np.diag(diag ** k) @ b).item() for k in range(t_len)])
         expect = np.array([sum(kernel[k] * x[t - k] for k in range(t + 1))
@@ -190,7 +212,7 @@ class TestLtiScan:
 
     def test_rejects_nondiagonal(self):
         with pytest.raises(TensorError):
-            ssm.lti_scan(np.ones((2, 2)), np.ones((2, 1)), np.ones((1, 2)), np.ones(3))
+            lti_scan(np.ones((2, 2)), np.ones((2, 1)), np.ones((1, 2)), np.ones(3))
 
 
 class TestBidirectionalBlock:
@@ -244,8 +266,8 @@ class TestBidirectionalBlock:
         rng = np.random.default_rng(15)
         p = make_params(rng, 6, 4, 3)
         x = Tensor(rng.uniform(-1, 1, (1, 64, 4)))
-        a_bar, b_bar, _ = ssm.discretize(p, x)
-        y = ssm.selective_scan(p, x, ScanDirection.FORWARD).data
+        a_bar, b_bar, _, _ = ssm.discretize(p, x)
+        y = ssm.selective_scan(p, x, ScanDirection.FORWARD)[0].data
         a_max = a_bar.data.max()
         u_max = np.abs(b_bar.data * x.data[..., None]).max()
         c_max = np.abs(x.data @ p.w_c.data).max()

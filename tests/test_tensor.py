@@ -155,10 +155,6 @@ class TestShapes:
             tape.backward(tt.tsum(tt.mul(y, y)))
         assert np.allclose(x.grad.data, 2 * x.data)
 
-    def test_flip_time(self):
-        x = Tensor(np.arange(6.0).reshape(1, 3, 2))
-        assert np.array_equal(tt.flip_time(x).data[0], x.data[0, ::-1])
-
     def test_layer_norm_moments(self):
         x = Tensor(np.random.default_rng(0).uniform(-3, 3, (2, 5, 7)))
         y = tt.layer_norm(x).data
