@@ -37,6 +37,7 @@ def worker_cap():
 
 
 def _load_datasets(cfg: RunConfig):
+    """(train, eval) datasets; a label the model has no class for is a DataError."""
     source = cfg.get("data.source")
     if source == "synth":
         image_size = cfg.get_int("model.image_size")
@@ -48,16 +49,21 @@ def _load_datasets(cfg: RunConfig):
                                  cfg.get_int("data.classes"), image_size,
                                  cfg.get_int("data.seed") + 1,
                                  cfg.get_float("data.noise_sigma"))
-        return train, evald
-    if source == "idx":
+    elif source == "idx":
         train = ds.load_idx(cfg.get("data.images"), cfg.get("data.labels"))
         if cfg.get("data.eval_images"):
             evald = ds.load_idx(cfg.get("data.eval_images"),
                                 cfg.get("data.eval_labels"))
         else:
             evald = train
-        return train, evald
-    raise ConfigError(f"unknown data.source {source!r}")
+    else:
+        raise ConfigError(f"unknown data.source {source!r}")
+    num_classes = cfg.get_int("model.num_classes")
+    for d in (train, evald):
+        if d.labels.size and d.labels.max() >= num_classes:
+            raise ds.DataError(f"label {d.labels.max()} >= model.num_classes "
+                               f"{num_classes}")
+    return train, evald
 
 
 def _build_model(cfg: RunConfig):
@@ -107,12 +113,22 @@ def cmd_eval(cfg: RunConfig, out_dir):
     return 0
 
 
+BENCH_DTYPES = {"float32": np.float32, "float64": np.float64}
+
+
 def cmd_bench(cfg: RunConfig, out_dir):
+    raw = cfg.get("bench.r_values")
+    try:
+        r_values = [int(s) for s in raw.split(",") if s]
+    except ValueError as e:
+        raise ConfigError(f"bad integer in bench.r_values: {raw!r}") from e
+    dtype = BENCH_DTYPES.get(cfg.get("bench.dtype"))
+    if dtype is None:
+        raise ConfigError(f"bench.dtype must be one of {sorted(BENCH_DTYPES)}, "
+                          f"got {cfg.get('bench.dtype')!r}")
     out = _prepare_out(cfg, out_dir)
     model = _build_model(cfg)
-    r_values = [int(s) for s in cfg.get("bench.r_values").split(",") if s]
     dataset = _load_datasets(cfg)[1] if cfg.get("bench.dataset") == "eval" else None
-    dtype = np.float32 if cfg.get("bench.dtype") == "float32" else np.float64
     results = bn.sweep(model, r_values, dataset=dataset,
                        batch=cfg.get_int("bench.batch"),
                        warmup=cfg.get_int("bench.warmup"),
@@ -289,7 +305,7 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ds.DataError, FileNotFoundError, mdl.ModelError) as e:
+    except (ds.DataError, FileNotFoundError, mdl.ModelError, rd.ReduceError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (tr.NumericError, TensorError) as e:

@@ -125,7 +125,6 @@ def forward(model: Model, images, rng=None):
     cfg = model.cfg
     red = cfg.reduction
     patches = patchify(images, cfg).astype(model.patch_proj.data.dtype, copy=False)
-    b = patches.shape[0]
     tokens_v = tt.add(tt.matmul(Tensor(patches), model.patch_proj), model.pos_embed)
     tokens = TokenBatch.fresh(tokens_v)
     if red.shuffle_ratio > 0 or red.grouping is rd.Grouping.RANDOM \
@@ -154,12 +153,9 @@ def forward(model: Model, images, rng=None):
                                 tokens.positions)
             feat = feat[:, perm]
         g1, g2 = rd.grouping(t_cur, red.grouping, rng)
-        plans = []
-        for k in range(b):
-            dists = rd.pairwise_distance(feat[k][g1], feat[k][g2], red.distance)
-            plans.append(rd.select_pairs(dists, r_eff, red.pair_rank,
-                                         red.selection, red.pairing,
-                                         rng=rng, g1=g1, g2=g2))
+        dists = rd.pairwise_distance(feat[:, g1], feat[:, g2], red.distance)
+        plans = rd.select_pairs(dists, r_eff, red.pair_rank, red.selection,
+                                red.pairing, rng=rng, g1=g1, g2=g2)
         if red.mode is Mode.MERGE:
             tokens = rd.merge(tokens, plans, red.merge_op)
         else:
@@ -172,12 +168,12 @@ def forward(model: Model, images, rng=None):
 def count_flops(model_cfg: ModelConfig):
     """Analytic multiply-add count for one image, under the reduction schedule.
 
-    Uses the same per-block token accounting as reduction_ratio so the
+    Uses the same nominal per-block token counts as reduction_ratio so the
     r-dependence of compute mirrors that ratio.
     """
     cfg = model_cfg
     red = cfg.reduction
-    counts = rd.simulate_site_counts(cfg.tokens0, red.sites, red.r, cfg.depth)
+    counts = rd.token_counts(cfg.tokens0, red.sites, red.r, cfg.depth)[1:]
     dm, d, n = cfg.d_model, cfg.d_inner, cfg.d_state
     per_token_block = 2 * (dm * d * 2      # in + gate projections
                            + d * n * 2     # B and C projections

@@ -4,14 +4,13 @@ and merge/prune application with original-order restoration.
 Selection policy: each group-1 token's candidate partner is its pair_rank-th
 closest group-2 token; the r candidates with smallest distance win, and when
 two group-1 tokens want the same partner the loser falls back to its next
-closest untaken partner. Ties on distance break toward the lower group-2
-index, then the lower group-1 index, so plans are deterministic.
+closest untaken partner. Ties on distance break toward the lower group-1
+index, then the lower group-2 index, so plans are deterministic.
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,20 +168,20 @@ def grouping(t_len, strategy: Grouping, rng=None):
 
 
 def pairwise_distance(g1, g2, metric: Distance):
-    """All cross-group distances; g1: [m, D], g2: [n, D] -> [m, n]."""
+    """All cross-group distances; g1: [..., m, D], g2: [..., n, D] -> [..., m, n]."""
     g1 = np.asarray(g1, dtype=np.float64)
     g2 = np.asarray(g2, dtype=np.float64)
     if metric is Distance.COSINE:
-        n1 = np.linalg.norm(g1, axis=1)
-        n2 = np.linalg.norm(g2, axis=1)
+        n1 = np.linalg.norm(g1, axis=-1)
+        n2 = np.linalg.norm(g2, axis=-1)
         if np.any(n1 == 0.0) or np.any(n2 == 0.0):
             raise ReduceError("zero vector under cosine distance")
-        return 1.0 - (g1 / n1[:, None]) @ (g2 / n2[:, None]).T
-    diff = g1[:, None, :] - g2[None, :, :]
+        return 1.0 - (g1 / n1[..., None]) @ np.swapaxes(g2 / n2[..., None], -1, -2)
+    diff = g1[..., :, None, :] - g2[..., None, :, :]
     if metric is Distance.L1:
-        return np.abs(diff).sum(axis=2)
+        return np.abs(diff).sum(axis=-1)
     if metric is Distance.L2:
-        return np.sqrt((diff * diff).sum(axis=2))
+        return np.sqrt((diff * diff).sum(axis=-1))
     raise ReduceError(f"unknown distance {metric}")
 
 
@@ -190,71 +189,104 @@ def select_pairs(dists, r, pair_rank=1, selection=Selection.TOP_R,
                  pairing=Pairing.NEAREST, rng=None, g1=None, g2=None):
     """Pick r disjoint cross-group pairs from a distance matrix.
 
-    Returns a MergePlan in sequence indices when g1/g2 slot arrays are given,
-    otherwise in group-local indices (g1 = rows, g2 = columns).
+    dists is one [m, n] matrix, which gives one MergePlan, or a batch
+    [B, m, n], which gives a list of B plans; an rng is drawn from row by
+    row, as if each row were selected alone in turn. Plans are in sequence
+    indices when g1/g2 slot arrays are given, otherwise in group-local
+    indices (g1 = rows, g2 = columns).
     """
     dists = np.asarray(dists, dtype=np.float64)
-    m, n = dists.shape
+    if not np.all(np.isfinite(dists)):
+        raise ReduceError("non-finite distance")
+    batch = dists[None] if dists.ndim == 2 else dists
+    bsz, m, n = batch.shape
     if r > min(m, n):
         raise ReduceError(f"r={r} exceeds available pairs min({m},{n})")
-    if pair_rank > n:
-        raise ReduceError(f"pair_rank={pair_rank} exceeds group-2 size {n}")
+    if not 1 <= pair_rank <= n:
+        raise ReduceError(f"pair_rank={pair_rank} outside [1, group-2 size {n}]")
     if g1 is None:
         g1 = np.arange(m)
     if g2 is None:
         g2 = np.arange(m, m + n)
-    order = np.argsort(dists, axis=1, kind="stable")  # ties -> lower column
-
-    local = []
-    taken = np.zeros(n, dtype=bool)
     if selection is Selection.TOP_R:
-        heap = []
-        start = pair_rank - 1
-        for i in range(m):
-            j = order[i, start]
-            heapq.heappush(heap, (dists[i, j], i, start))
-        while len(local) < r and heap:
-            _, i, ptr = heapq.heappop(heap)
-            j = int(order[i, ptr])
-            if taken[j]:
-                while ptr + 1 < n:
-                    ptr += 1
-                    j = int(order[i, ptr])
-                    if not taken[j]:
-                        heapq.heappush(heap, (dists[i, j], i, ptr))
-                        break
-                continue
-            taken[j] = True
-            local.append((i, j))
+        chosen = _top_r(batch, r, pair_rank)
+        select_row = lambda k: chosen[k]
     elif selection is Selection.RANDOM_R:
         if rng is None:
             raise ReduceError("random selection needs an rng")
-        for i in rng.permutation(m):
-            if len(local) == r:
-                break
-            for ptr in range(pair_rank - 1, n):
-                j = int(order[i, ptr])
-                if not taken[j]:
-                    taken[j] = True
-                    local.append((int(i), j))
-                    break
+        order = np.argsort(batch, axis=2, kind="stable")  # ties -> lower column
+        select_row = lambda k: _random_r(order[k], r, pair_rank, rng)
     else:
         raise ReduceError(f"unknown selection {selection}")
 
-    if pairing is Pairing.RANDOM_PAIR and len(local) > 1:
-        if rng is None:
-            raise ReduceError("random pairing needs an rng")
-        js = [j for _, j in local]
-        shuffled = [js[k] for k in rng.permutation(len(js))]
-        local = [(i, j) for (i, _), j in zip(local, shuffled)]
-    elif pairing not in (Pairing.NEAREST, Pairing.RANDOM_PAIR):
-        raise ReduceError(f"unknown pairing {pairing}")
+    g1, g2 = np.asarray(g1).tolist(), np.asarray(g2).tolist()
+    all_idx = set(g1) | set(g2)
+    plans = []
+    for k in range(bsz):
+        local = select_row(k)
+        if pairing is Pairing.RANDOM_PAIR and len(local) > 1:
+            if rng is None:
+                raise ReduceError("random pairing needs an rng")
+            js = [j for _, j in local]
+            shuffled = [js[p] for p in rng.permutation(len(js))]
+            local = [(i, j) for (i, _), j in zip(local, shuffled)]
+        elif pairing not in (Pairing.NEAREST, Pairing.RANDOM_PAIR):
+            raise ReduceError(f"unknown pairing {pairing}")
+        pairs = [(g1[i], g2[j]) for i, j in local]
+        used = {v for p in pairs for v in p}
+        plans.append(MergePlan(pairs, sorted(all_idx - used)))
+    return plans[0] if dists.ndim == 2 else plans
 
-    pairs = [(int(g1[i]), int(g2[j])) for i, j in local]
-    used = {k for p in pairs for k in p}
-    all_idx = set(int(v) for v in g1) | set(int(v) for v in g2)
-    survivors = sorted(all_idx - used)
-    return MergePlan(pairs, survivors)
+
+def _top_r(dists, r, pair_rank):
+    """Greedy disjoint pairs in every [m, n] matrix of a [B, m, n] batch at once.
+
+    An entry is open while its row and column are unpaired and its column
+    ranks >= pair_rank in its row (ties rank the lower column first). Each
+    round, every matrix pairs its open entry that comes first in
+    (distance, row, column) order, which is the first minimum argmin finds
+    in row-major order, until r pairs are chosen or none is open. Shut
+    entries hold +inf, so the distances must be finite.
+    """
+    bsz, m, n = dists.shape
+    cand = dists.copy()
+    if pair_rank > 1:
+        order = np.argsort(dists, axis=2, kind="stable")
+        np.put_along_axis(cand, order[:, :, :pair_rank - 1], np.inf, axis=2)
+    flat_cand = cand.reshape(bsz, -1)
+    rows = np.arange(bsz)
+    picks = []
+    for _ in range(r):
+        flat = flat_cand.argmin(axis=1)
+        live = flat_cand[rows, flat] < np.inf
+        if not live.any():
+            break
+        i, j = np.divmod(flat, n)
+        picks.append((i, j, live))
+        cand[rows, i, :] = np.inf
+        cand[rows, :, j] = np.inf
+    if not picks:
+        return [[] for _ in range(bsz)]
+    i, j, live = (np.stack(a, axis=1) for a in zip(*picks))   # [B, rounds]
+    return [list(zip(i[k][live[k]].tolist(), j[k][live[k]].tolist()))
+            for k in range(bsz)]
+
+
+def _random_r(order, r, pair_rank, rng):
+    """Rows in random order, each paired with its first untaken column at rank >= pair_rank."""
+    m, n = order.shape
+    local = []
+    taken = np.zeros(n, dtype=bool)
+    for i in rng.permutation(m):
+        if len(local) == r:
+            break
+        for ptr in range(pair_rank - 1, n):
+            j = int(order[i, ptr])
+            if not taken[j]:
+                taken[j] = True
+                local.append((int(i), j))
+                break
+    return local
 
 
 def effective_r(t_current, r):
@@ -267,36 +299,30 @@ def effective_r(t_current, r):
 def reduction_ratio(t0, sites, r, total_blocks):
     """1 - mean per-block token count / T0 under the capped schedule.
 
-    A block at a reduction site processes the already-reduced count, so the
-    ratio measures the average compute saved across the whole stack.
+    Uses the nominal per-block count (a site block is charged its
+    already-reduced count), so the ratio measures the average compute saved
+    across the whole stack.
     """
     if t0 < 1:
         raise ReduceError("T0 must be >= 1")
-    counts = simulate_site_counts(t0, sites, r, total_blocks)
+    counts = token_counts(t0, sites, r, total_blocks)[1:]
     return 1.0 - float(np.mean(counts)) / t0
 
 
-def simulate_site_counts(t0, sites, r, total_blocks):
-    """Per-block token counts with reduction applied at each site's block."""
+def token_counts(t0, sites, r, total_blocks):
+    """The token count entering each block, then the count the stack ends with.
+
+    Reduction runs after each site block, so ``counts[:-1]`` is the count
+    each block executes on. ``counts[1:]`` is the paper's nominal schedule,
+    which charges a site block the count it reduces to.
+    """
     sites = set(sites)
     t = t0
-    counts = []
+    counts = [t]
     for blk in range(total_blocks):
         if blk in sites and r > 0:
             t -= effective_r(t, r)
         counts.append(t)
-    return counts
-
-
-def trace_token_counts(t0, sites, r, total_blocks):
-    """Token count entering each block when reduction runs after its site block."""
-    sites = set(sites)
-    t = t0
-    counts = []
-    for blk in range(total_blocks):
-        counts.append(t)
-        if blk in sites and r > 0:
-            t -= effective_r(t, r)
     return counts
 
 
@@ -412,17 +438,6 @@ def shuffle_permutation(t_len, shuffle_ratio, rng):
     src = np.concatenate([sel[0::2], sel[1::2]])
     perm[sel] = src
     return perm
-
-
-def shuffle_tokens(tokens: TokenBatch, shuffle_ratio, rng) -> TokenBatch:
-    """Permute token values (not positions) by the partial odd-even rule."""
-    from . import tensor as tt
-    t_len = tokens.values.shape[1]
-    perm = shuffle_permutation(t_len, shuffle_ratio, rng)
-    if np.array_equal(perm, np.arange(t_len)):
-        return tokens
-    out = tt.permute_time(tokens.values, perm)
-    return TokenBatch(out, [p.copy() for p in tokens.positions])
 
 
 def extract_feature(block_state, choice: Feature):

@@ -3,8 +3,13 @@
 The discrete recurrence is h_t = A_bar_t * h_{t-1} + B_bar_t * x_t with
 readout y_t = C_t . h_t. A is parameterized as -exp(a_log) so the recurrence
 decays; A_bar = exp(delta * A) (zero-order hold) and B_bar = delta * B_t
-(Euler). The scan itself is a single taped primitive with a hand-written
-backward pass so training does not pay per-step tape overhead.
+(Euler), with one step size delta_t per token shared by all channels.
+
+The tape sees only the [B,T,*] projections (discretize) and one fused
+primitive, scan_core, which forms A_bar and B_bar * x itself, step by step,
+and returns the gradients of x, delta, a_log, B and C from one hand-written
+backward pass that recomputes A_bar, as Mamba's recompute-in-kernel scan
+does (Gu & Dao, arXiv 2312.00752). No [B,T,D,N] tensor reaches the tape.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tt
-from .tensor import Tensor, TensorError, record
+from .tensor import Tensor, TensorError, record, recording
 
 
 class ScanDirection(enum.Enum):
@@ -81,81 +86,105 @@ def init_block(rng, d_model, d, n, out_scale=1.0):
 
 
 def discretize(params: ScanParams, x: Tensor):
-    """Input-dependent discretization of one scan direction.
+    """Input-dependent step size and input projection of one scan direction.
 
-    x: [B, T, D] inner activations. Returns (A_bar [B,T,D,N], B_bar [B,T,D,N],
-    delta [B,T,D], B [B,T,N]); every A_bar entry lies in (0, 1).
+    x: [B, T, D] inner activations. Returns (delta [B,T,1], B [B,T,N]):
+    one positive step per token, shared by all D channels, and the per-token
+    B projection. scan_core turns them into A_bar and B_bar.
     """
     if not np.all(np.isfinite(x.data)):
         raise TensorError("non-finite scan input")
-    b, t, d = x.shape
-    n = params.a_log.shape[1]
-    delta_pre = tt.add(tt.matmul(x, params.w_delta), params.delta_bias)  # [B,T,1]
-    delta1 = tt.softplus(delta_pre)
-    ones = Tensor(np.ones((1, 1, d), dtype=x.data.dtype), _check=False)
-    delta = tt.mul(delta1, ones)                                          # [B,T,D]
-    a = tt.neg(tt.exp(params.a_log))                                      # [D,N]
-    delta4 = tt.reshape(delta, (b, t, d, 1))
-    a_bar = tt.exp(tt.mul(delta4, a))                                     # [B,T,D,N]
-    b_t = tt.matmul(x, params.w_b)                                        # [B,T,N]
-    b_bar = tt.mul(delta4, tt.reshape(b_t, (b, t, 1, n)))                 # [B,T,D,N]
-    return a_bar, b_bar, delta, b_t
+    delta = tt.softplus(tt.add(tt.matmul(x, params.w_delta), params.delta_bias))
+    return delta, tt.matmul(x, params.w_b)
 
 
-def scan_core(a_bar: Tensor, u: Tensor, c: Tensor,
+def scan_core(x: Tensor, delta: Tensor, a_log: Tensor, b: Tensor, c: Tensor,
               direction=ScanDirection.FORWARD) -> Tensor:
-    """Run h_t = a_bar_t * h_prev + u_t, y_t[d] = sum_n c_t[n] h_t[d,n].
+    """The whole selective scan as one taped primitive.
 
-    a_bar, u: [B,T,D,N]; c: [B,T,N]; the state starts at zero. FORWARD
-    walks t = 0 .. T-1 and BACKWARD walks t = T-1 .. 0 over the same arrays,
-    with no reversed copies. One taped primitive.
+    x: [B,T,D]; delta: [B,T,1]; a_log: [D,N]; b, c: [B,T,N]. With
+    A = -exp(a_log), A_bar_t = exp(delta_t A) and u_t = (delta_t B_t) x_t
+    (outer product over D and N), runs h_t = A_bar_t * h_prev + u_t from a
+    zero state and reads out y_t[d] = sum_n c_t[n] h_t[d,n]. FORWARD walks
+    t = 0 .. T-1 and BACKWARD walks t = T-1 .. 0 over the same arrays.
+
+    The forward pass forms A_bar_t and u_t one step at a time, in [B,D,N]
+    buffers, and keeps the states h_t only when the op is taped. The
+    backward pass rebuilds A_bar as one time-major [T,B,D,N] array and
+    returns the cotangents of all five inputs directly.
     """
-    ab, ud, cd = a_bar.data, u.data, c.data
-    bsz, t_len, d, n = ab.shape
+    inputs = (x, delta, a_log, b, c)
+    a = -np.exp(a_log.data)                                    # [D,N]
+    if not np.all(np.isfinite(a)):
+        raise TensorError("exp overflow")
+    xt, dt, bt, ct = (np.ascontiguousarray(v.data.transpose(1, 0, 2))
+                      for v in (x, delta, b, c))              # [T,B,D|1|N|N]
+    t_len, bsz, d = xt.shape
+    n = a.shape[1]
     step = 1 if direction is ScanDirection.FORWARD else -1
     order = range(t_len)[::step]
-    hs = np.empty_like(ab)
-    y = np.empty((bsz, t_len, d), dtype=ab.dtype)
-    h = np.zeros((bsz, d, n), dtype=ab.dtype)
+    db = dt * bt                                               # delta_t B_t
+    hs = np.empty((t_len, bsz, d, n), dtype=xt.dtype) if recording(inputs) else None
+    y = np.empty_like(xt)
+    h = np.zeros((bsz, d, n), dtype=xt.dtype)
+    a_bar, u = np.empty_like(h), np.empty_like(h)
     for t in order:
-        h = ab[:, t] * h + ud[:, t]
-        hs[:, t] = h
-        y[:, t] = np.einsum("bdn,bn->bd", h, cd[:, t])
-    out = Tensor(y, _check=False)
+        np.multiply(dt[t][..., None], a, out=a_bar)
+        np.exp(a_bar, out=a_bar)
+        np.multiply(db[t][:, None, :], xt[t][..., None], out=u)
+        h *= a_bar
+        h += u
+        np.einsum("bdn,bn->bd", h, ct[t], out=y[t])
+        if hs is not None:
+            hs[t] = h
+    out = Tensor(y.transpose(1, 0, 2), _check=False)
 
     def backward(dy):
-        da = np.empty_like(ab)
-        du = np.empty_like(ab)
-        dc = np.zeros((bsz, t_len, n), dtype=cd.dtype)
-        dh = np.zeros((bsz, d, n), dtype=ab.dtype)
-        for t in reversed(order):
-            dh = dh + cd[:, t][:, None, :] * dy[:, t][:, :, None]
-            dc[:, t] = np.einsum("bdn,bd->bn", hs[:, t], dy[:, t])
-            h_prev = hs[:, t - step] if 0 <= t - step < t_len else 0.0
-            da[:, t] = dh * h_prev
-            du[:, t] = dh
-            dh = dh * ab[:, t]
-        return (da, du, dc)
+        a_bar = dt[..., None] * a                              # [T,B,D,N]
+        np.exp(a_bar, out=a_bar)
+        dyt = np.ascontiguousarray(dy.transpose(1, 0, 2))
+        du = dyt[..., None] * ct[:, :, None, :]               # dL/dh_t, then dL/du_t
+        for t in order[::-1][1:]:
+            du[t] += a_bar[t + step] * du[t + step]
+        dc = np.einsum("tbdn,tbd->tbn", hs, dyt)
+        # dL/d(delta_t A) = du_t * h_prev * A_bar_t, in A_bar's buffer
+        dz = a_bar
+        dz *= du
+        if step == 1:
+            dz[1:] *= hs[:-1]
+        else:
+            dz[:-1] *= hs[1:]
+        dz[order[0]] = 0.0
+        flat = dz.reshape(-1, a.size)
+        du_b = np.einsum("tbdn,tbn->tbd", du, bt)              # sum_n du * B
+        d_delta = ((flat @ a.reshape(-1)).reshape(dt.shape)
+                   + (du_b * xt).sum(axis=-1, keepdims=True))
+        d_x = dt * du_b
+        d_b = dt * np.einsum("tbdn,tbd->tbn", du, xt)
+        d_a_log = a * (dt.reshape(-1) @ flat).reshape(a.shape)
+        batch_major = lambda g: g.transpose(1, 0, 2)
+        return (batch_major(d_x), batch_major(d_delta), d_a_log,
+                batch_major(d_b), batch_major(dc))
 
-    return record(out, (a_bar, u, c), backward)
+    return record(out, inputs, backward)
 
 
 def selective_scan(params: ScanParams, x: Tensor, direction: ScanDirection):
     """Full selective scan of [B, T, D] activations in the given direction.
 
     Returns (y [B,T,D], intermediates): the per-token B and C projections
-    [B,T,N] and delta [B,T,D] the scan ran on, as detached ndarrays.
+    [B,T,N] and delta (a read-only [B,T,D] broadcast) the scan ran on, as
+    detached ndarrays.
     """
     if x.data.ndim != 3:
         raise TensorError("selective_scan expects [B, T, D]")
     if x.shape[1] < 1:
         raise TensorError("empty sequence")
-    b, t, d = x.shape
-    a_bar, b_bar, delta, b_t = discretize(params, x)
+    delta, b_t = discretize(params, x)
     c = tt.matmul(x, params.w_c)                       # [B,T,N]
-    u = tt.mul(b_bar, tt.reshape(x, (b, t, d, 1)))     # [B,T,D,N]
-    y = scan_core(a_bar, u, c, direction)
-    return y, {"b": b_t.data, "c": c.data, "delta": delta.data}
+    y = scan_core(x, delta, params.a_log, b_t, c, direction)
+    return y, {"b": b_t.data, "c": c.data,
+               "delta": np.broadcast_to(delta.data, x.shape)}
 
 
 def _direction_branch(p: ScanParams, normed: Tensor, direction: ScanDirection):

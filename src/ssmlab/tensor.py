@@ -141,12 +141,17 @@ class GradTape:
         self._consumed = True
 
 
+def recording(inputs):
+    """Whether ``record`` would tape an op on these inputs: a primitive can
+    skip keeping what only its backward pass reads when this is False."""
+    return _active_tape() is not None and any(t.requires_grad for t in inputs)
+
+
 def record(out, inputs, backward_fn):
     """Record a primitive onto the active tape, if any input wants gradients."""
-    tape = _active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
+    if recording(inputs):
         out.requires_grad = True
-        tape.record(out, inputs, backward_fn)
+        _active_tape().record(out, inputs, backward_fn)
     return out
 
 

@@ -182,7 +182,7 @@ def retrain(model, dataset, cfg: TrainConfig, eval_dataset=None) -> TrainReport:
 
     opt_step = 0
     for epoch in range(1, epochs + 1):
-        t0 = time.monotonic()
+        t0 = time.perf_counter()
         order = rng.permutation(n)
         losses = []
         pending = 0
@@ -214,5 +214,5 @@ def retrain(model, dataset, cfg: TrainConfig, eval_dataset=None) -> TrainReport:
                                cfg.lr_start, cfg.lr_end)
         acc = evaluate(model, eval_dataset)
         report.rows.append(EpochRow(epoch, lr, float(np.mean(losses)), acc,
-                                    time.monotonic() - t0))
+                                    time.perf_counter() - t0))
     return report

@@ -114,6 +114,14 @@ class TestThreadCap:
             cli.worker_cap()
 
 
+def idx_labels_past_num_classes(tmp_path):
+    """Config lines for IDX files labelled 0..5, past TINY's 3 classes."""
+    ds.write_idx(ds.Dataset(np.zeros((6, 8, 8, 1)), np.arange(6), 6),
+                 tmp_path / "i.idx", tmp_path / "l.idx")
+    return (f"data.source=idx\ndata.images={tmp_path}/i.idx\n"
+            f"data.labels={tmp_path}/l.idx\n")
+
+
 class TestExitCodes:
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, extra="bogus.key=1\n")
@@ -149,6 +157,30 @@ class TestExitCodes:
         assert rc == cli.EXIT_CONFIG
         assert len(captured.err.strip().splitlines()) == 1
         assert "config error" in captured.err and "Traceback" not in captured.err
+        assert "final accuracy" not in captured.out
+
+    @pytest.mark.parametrize("command, extra, tokens, code", [
+        ("merge-demo", "reduce.distance=cosine\n", "0 0\n0 0\n1 0\n0 1\n",
+         cli.EXIT_DATA),
+        ("merge-demo", "", "1 0\n", cli.EXIT_DATA),
+        ("bench", "bench.r_values=0,x\n", None, cli.EXIT_CONFIG),
+        ("bench", "bench.dtype=float16\n", None, cli.EXIT_CONFIG),
+        ("train", idx_labels_past_num_classes, None, cli.EXIT_DATA),
+    ], ids=["cosine-zero-vectors", "single-token", "bench-r-values",
+            "bench-dtype", "label-past-num-classes"])
+    def test_bad_input_table(self, tmp_path, capsys, command, extra, tokens, code):
+        if callable(extra):
+            extra = extra(tmp_path)
+        argv = [command, "--config", write_cfg(tmp_path, extra=extra),
+                "--out", str(tmp_path / "o")]
+        if tokens is not None:
+            (tmp_path / "t.txt").write_text(tokens)
+            argv.append(str(tmp_path / "t.txt"))
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        assert rc == code
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "Traceback" not in captured.err
         assert "final accuracy" not in captured.out
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -85,7 +85,7 @@ class TestForward:
         m = mdl.init_model(cfg, seed=0)
         _, trace = mdl.forward(m, small_images(1, size=16))
         assert trace == [16, 16, 16, 13]
-        assert trace == rd.trace_token_counts(16, (2,), 3, 4)
+        assert trace == rd.token_counts(16, (2,), 3, 4)[:-1]
 
     def test_r_zero_identical_to_no_sites(self):
         m0 = mdl.init_model(small_cfg(r=0, sites=(1,)), seed=3)
@@ -194,7 +194,7 @@ class TestFlops:
         cfgs = {r: ModelConfig(reduction=ReductionConfig(r=r, sites=sites))
                 for r in (0, 5, 11)}
         f = {r: mdl.count_flops(c) for r, c in cfgs.items()}
-        s = {r: sum(rd.simulate_site_counts(49, sites, r, 8))
+        s = {r: sum(rd.token_counts(49, sites, r, 8)[1:])
              for r in (0, 5, 11)}
         got = (f[0] - f[5]) / (f[0] - f[11])
         want = (s[0] - s[5]) / (s[0] - s[11])

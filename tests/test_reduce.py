@@ -202,6 +202,13 @@ class TestDistance:
                             np.linalg.norm(a[i]) * np.linalg.norm(b[j]))
                     assert got[i, j] == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("metric", list(Distance))
+    def test_batch_equals_rows(self, metric):
+        rng = np.random.default_rng(7)
+        a, b = rng.normal(size=(3, 5, 4)), rng.normal(size=(3, 6, 4))
+        rows = [rd.pairwise_distance(x, y, metric) for x, y in zip(a, b)]
+        assert np.array_equal(rd.pairwise_distance(a, b, metric), np.stack(rows))
+
 
 class TestSelectPairs:
     def test_simple_nearest(self):
@@ -250,6 +257,32 @@ class TestSelectPairs:
         with pytest.raises(ReduceError):
             rd.select_pairs(np.ones((3, 2)), 1, pair_rank=3)
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_distance_rejected(self, value):
+        dists = np.ones((2, 2))
+        dists[1, 0] = value
+        with pytest.raises(ReduceError):
+            rd.select_pairs(dists, 1)
+
+    def test_pair_rank_zero_rejected(self):
+        with pytest.raises(ReduceError):
+            rd.select_pairs(np.ones((3, 2)), 1, pair_rank=0)
+
+    @pytest.mark.parametrize("selection", list(Selection))
+    @pytest.mark.parametrize("pairing", list(Pairing))
+    @pytest.mark.parametrize("pair_rank", [1, 3])
+    def test_batch_equals_rows_in_turn(self, selection, pairing, pair_rank):
+        dists = np.random.default_rng(6).integers(0, 3, (5, 6, 7)).astype(float)
+        got = rd.select_pairs(dists, 4, pair_rank, selection, pairing,
+                              rng=np.random.default_rng(1), g1=np.arange(0, 12, 2),
+                              g2=np.arange(1, 14, 2))
+        rng = np.random.default_rng(1)
+        want = [rd.select_pairs(d, 4, pair_rank, selection, pairing, rng=rng,
+                                g1=np.arange(0, 12, 2), g2=np.arange(1, 14, 2))
+                for d in dists]
+        assert [(p.pairs, p.survivors) for p in got] == \
+            [(p.pairs, p.survivors) for p in want]
+
     def test_random_selection_disjoint(self):
         rng = np.random.default_rng(4)
         dists = rng.uniform(0, 1, (6, 6))
@@ -290,24 +323,24 @@ class TestSchedules:
             rd.effective_r(0, 1)
 
     def test_trace_counts_reduce_after_site_block(self):
-        assert rd.trace_token_counts(16, (2,), 3, 4) == [16, 16, 16, 13]
+        assert rd.token_counts(16, (2,), 3, 4)[:-1] == [16, 16, 16, 13]
 
     def test_site_counts_reduce_at_site_block(self):
-        assert rd.simulate_site_counts(16, (2,), 3, 4) == [16, 16, 13, 13]
+        assert rd.token_counts(16, (2,), 3, 4)[1:] == [16, 16, 13, 13]
 
     def test_capped_trajectory(self):
         sites = tuple(range(2, 24, 2))
-        counts = rd.simulate_site_counts(197, sites, 20, 24)
+        counts = rd.token_counts(197, sites, 20, 24)[1:]
         assert counts[0] == 197 and counts[-1] == 5
         assert counts[18:] == [19, 19, 10, 10, 5, 5]
 
     def test_final_counts_eleven_sites(self):
         sites = tuple(range(2, 24, 2))
-        assert rd.simulate_site_counts(197, sites, 11, 24)[-1] == 76
-        assert rd.simulate_site_counts(197, sites, 5, 24)[-1] == 142
+        assert rd.token_counts(197, sites, 11, 24)[-1] == 76
+        assert rd.token_counts(197, sites, 5, 24)[-1] == 142
 
     def test_desk_schedule(self):
-        counts = rd.simulate_site_counts(49, (2, 4, 6), 5, 8)
+        counts = rd.token_counts(49, (2, 4, 6), 5, 8)[1:]
         assert counts[-1] == 34
         assert rd.reduction_ratio(49, (2, 4, 6), 5, 8) == pytest.approx(
             1 - np.mean(counts) / 49)
@@ -505,6 +538,17 @@ def test_gather_matches_slow_reference(mode, op):
         assert all(np.array_equal(p, q) for p, q in zip(pos, pos_ref))
         assert np.array_equal(g, g_ref)
 
+def shuffle_tokens(tokens, shuffle_ratio, rng):
+    """Permute token values (not positions) by the partial odd-even rule,
+    as model.forward does at a site with shuffle_ratio > 0."""
+    t_len = tokens.values.shape[1]
+    perm = rd.shuffle_permutation(t_len, shuffle_ratio, rng)
+    if np.array_equal(perm, np.arange(t_len)):
+        return tokens
+    out = tt.permute_time(tokens.values, perm)
+    return TokenBatch(out, [p.copy() for p in tokens.positions])
+
+
 class TestShuffle:
     def test_zero_ratio_identity(self):
         rng = np.random.default_rng(0)
@@ -528,7 +572,7 @@ class TestShuffle:
         rng = np.random.default_rng(1)
         vals = rng.uniform(-1, 1, (1, 8, 2))
         batch = TokenBatch.fresh(Tensor(vals))
-        out = rd.shuffle_tokens(batch, 1.0, np.random.default_rng(2))
+        out = shuffle_tokens(batch, 1.0, np.random.default_rng(2))
         assert np.array_equal(out.positions[0], np.arange(8))
         assert sorted(map(tuple, out.values.data[0])) == sorted(map(tuple, vals[0]))
         assert not np.array_equal(out.values.data, vals)

@@ -63,6 +63,22 @@ def make_params(rng, d_model, d, n):
     return ssm.init_scan_params(rng, d_model, d, n)
 
 
+def discretized(params, x):
+    """(A_bar, B_bar [B,T,D,N], delta [B,T,D], B) formed from discretize's return.
+
+    A_bar = exp(delta * -exp(a_log)) and B_bar = delta * B, as scan_core
+    builds them inside its forward pass.
+    """
+    delta, b_t = ssm.discretize(params, x)
+    bsz, t_len, d = x.shape
+    n = params.a_log.shape[1]
+    step = delta.data[..., None]                       # [B,T,1,1]
+    a_bar = np.exp(step * -np.exp(params.a_log.data))
+    b_bar = np.broadcast_to(step * b_t.data[:, :, None, :], (bsz, t_len, d, n))
+    return (Tensor(a_bar), Tensor(b_bar),
+            Tensor(np.broadcast_to(delta.data, (bsz, t_len, d))), b_t)
+
+
 class TestDiscretize:
     def test_zero_step_limit(self):
         # huge negative delta bias drives delta toward 0: state frozen
@@ -71,7 +87,7 @@ class TestDiscretize:
         p.w_delta.data[:] = 0.0
         p.delta_bias.data[:] = -40.0
         x = Tensor(rng.uniform(-1, 1, (1, 4, 3)))
-        a_bar, b_bar, delta, _ = ssm.discretize(p, x)
+        a_bar, b_bar, delta, _ = discretized(p, x)
         assert np.allclose(a_bar.data, 1.0, atol=1e-15)
         assert np.allclose(b_bar.data, 0.0, atol=1e-15)
         assert np.all(delta.data > 0)
@@ -84,7 +100,7 @@ class TestDiscretize:
         p.w_delta.data[:] = 0.0
         p.delta_bias.data[:] = math.log(math.expm1(math.log(2.0)))
         x = Tensor(rng.uniform(-1, 1, (1, 3, 2)))
-        a_bar, _, _, _ = ssm.discretize(p, x)
+        a_bar, _, _, _ = discretized(p, x)
         assert np.allclose(a_bar.data, 0.5, atol=1e-12)
 
     def test_a_bar_in_unit_interval(self):
@@ -92,7 +108,7 @@ class TestDiscretize:
         for _ in range(20):
             p = make_params(rng, 5, 3, 4)
             x = Tensor(rng.uniform(-2, 2, (2, 6, 3)))
-            a_bar, _, _, _ = ssm.discretize(p, x)
+            a_bar, _, _, _ = discretized(p, x)
             assert np.all(a_bar.data > 0) and np.all(a_bar.data < 1)
 
     def test_rejects_nonfinite(self):
@@ -109,7 +125,7 @@ class TestSelectiveScan:
         p = make_params(rng, 4, 3, 2)
         x = Tensor(rng.uniform(-1, 1, (2, 1, 3)))
         y, _ = ssm.selective_scan(p, x, ScanDirection.FORWARD)
-        _, b_bar, _, _ = ssm.discretize(p, x)
+        _, b_bar, _, _ = discretized(p, x)
         c = x.data @ p.w_c.data
         expect = np.einsum("bdn,bn->bd", b_bar.data[:, 0] * x.data[:, 0][:, :, None], c[:, 0])
         assert np.allclose(y.data[:, 0], expect, atol=1e-14)
@@ -182,6 +198,38 @@ class TestSelectiveScan:
             x0.copy())
         denom = np.abs(g).max()
         assert np.abs(g - x.grad.data).max() / denom < 1e-5
+
+
+class TestScanCore:
+    @staticmethod
+    def inputs(rng, bsz=2, t_len=5, d=3, n=2):
+        return {"x": rng.uniform(-1, 1, (bsz, t_len, d)),
+                "delta": rng.uniform(0.1, 1.0, (bsz, t_len, 1)),
+                "a_log": rng.uniform(-0.5, 0.5, (d, n)),
+                "b": rng.uniform(-1, 1, (bsz, t_len, n)),
+                "c": rng.uniform(-1, 1, (bsz, t_len, n))}
+
+    @pytest.mark.parametrize("direction", list(ScanDirection))
+    def test_gradient_all_inputs(self, direction):
+        rng = np.random.default_rng(16)
+        arrays = self.inputs(rng)
+        w = rng.uniform(-1, 1, arrays["x"].shape)
+        tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
+        with GradTape() as tape:
+            y = ssm.scan_core(*tensors.values(), direction)
+            tape.backward(tt.tsum(tt.mul(y, Tensor(w))))
+        for name in arrays:
+            def f(v, name=name):
+                args = {k: Tensor(v if k == name else a) for k, a in arrays.items()}
+                return float((ssm.scan_core(*args.values(), direction).data * w).sum())
+            g = finite_difference_grad(f, arrays[name].copy())
+            denom = np.abs(g).max()
+            assert np.abs(g - tensors[name].grad.data).max() / denom < 1e-7, name
+
+    def test_float32_in_float32_out(self):
+        arrays = self.inputs(np.random.default_rng(17))
+        y = ssm.scan_core(*(Tensor(v.astype(np.float32)) for v in arrays.values()))
+        assert y.data.dtype == np.float32
 
 
 class TestLtiScan:
@@ -266,7 +314,7 @@ class TestBidirectionalBlock:
         rng = np.random.default_rng(15)
         p = make_params(rng, 6, 4, 3)
         x = Tensor(rng.uniform(-1, 1, (1, 64, 4)))
-        a_bar, b_bar, _, _ = ssm.discretize(p, x)
+        a_bar, b_bar, _, _ = discretized(p, x)
         y = ssm.selective_scan(p, x, ScanDirection.FORWARD)[0].data
         a_max = a_bar.data.max()
         u_max = np.abs(b_bar.data * x.data[..., None]).max()
