@@ -17,7 +17,6 @@ from . import model as mdl
 from . import reduce as rd
 from . import train as tr
 from .config import ConfigError, RunConfig
-from .reduce import TokenBatch
 from .tensor import Tensor, TensorError
 
 EXIT_CONFIG = 1
@@ -220,21 +219,22 @@ def cmd_merge_demo(cfg: RunConfig, tokens_path, out_dir):
     r_eff = rd.effective_r(t_len, red.r)
     if r_eff == 0:
         lines.append("no pairs")
-        merged = TokenBatch(Tensor(values[None]), [np.arange(t_len)])
+        merged, idx = values, np.arange(t_len)
     else:
-        plan = rd.select_pairs(dists, r_eff, red.pair_rank, red.selection,
-                               red.pairing,
-                               rng=np.random.default_rng(cfg.get_int("run.seed")),
-                               g1=g1, g2=g2)
+        pairs = rd.select_pairs(dists, r_eff, red.pair_rank, red.selection,
+                                red.pairing,
+                                rng=np.random.default_rng(cfg.get_int("run.seed")),
+                                g1=g1, g2=g2)
         lines.append("plan")
-        lines.append(plan.serialize().rstrip("\n"))
-        batch = TokenBatch(Tensor(values[None]), [np.arange(t_len)])
+        lines += [f"pair {i} {j}" for i, j in pairs.tolist()]
+        lines += [f"survivor {k}" for k in np.setdiff1d(np.arange(t_len), pairs)]
         if red.mode is rd.Mode.MERGE:
-            merged = rd.merge(batch, plan, red.merge_op)
+            out_t, idx = rd.merge(Tensor(values[None]), pairs, red.merge_op)
         else:
-            merged = rd.prune(batch, plan)
+            out_t, idx = rd.prune(Tensor(values[None]), pairs)
+        merged, idx = out_t.data[0], idx[0]
     lines.append("merged")
-    for row, pos in zip(merged.values.data[0], merged.positions[0]):
+    for row, pos in zip(merged, idx):
         lines.append(f"{pos} " + " ".join(f"{v:.6f}" for v in row))
     text = "\n".join(lines) + "\n"
     (out / "merge_demo.txt").write_text(text)

@@ -94,15 +94,19 @@ class RunConfig:
     @classmethod
     def load(cls, path):
         cfg = cls()
-        with open(path) as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value")
-                key, value = line.split("=", 1)
-                cfg.set(key.strip(), value.strip())
+        try:
+            with open(path, encoding="utf-8") as f:
+                lines = f.readlines()
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: not UTF-8 text ({e.reason})") from e
+        for lineno, line in enumerate(lines, 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected key=value")
+            key, value = line.split("=", 1)
+            cfg.set(key.strip(), value.strip())
         return cfg
 
     def dump(self, path):

@@ -6,6 +6,7 @@ binary checkpoint format.
 from __future__ import annotations
 
 import io
+import math
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -14,7 +15,7 @@ import numpy as np
 from . import reduce as rd
 from . import ssm
 from . import tensor as tt
-from .reduce import Mode, ReductionConfig, TokenBatch
+from .reduce import Mode, ReductionConfig
 from .tensor import Tensor
 
 
@@ -35,11 +36,11 @@ class ModelConfig:
     reduction: ReductionConfig = field(default_factory=ReductionConfig)
 
     def __post_init__(self):
+        if min(self.image_size, self.patch_size, self.in_channels, self.depth,
+               self.d_model, self.d_inner, self.d_state, self.num_classes) < 1:
+            raise ModelError("all sizes, widths and depth must be >= 1")
         if self.image_size % self.patch_size != 0:
             raise ModelError("image_size must be divisible by patch_size")
-        if self.depth < 1 or min(self.d_model, self.d_inner, self.d_state,
-                                 self.num_classes) < 1:
-            raise ModelError("all widths and depth must be >= 1")
         for s in self.reduction.sites:
             if not 0 <= s < self.depth:
                 raise ModelError(f"reduction site {s} outside block range")
@@ -125,42 +126,35 @@ def forward(model: Model, images, rng=None):
     cfg = model.cfg
     red = cfg.reduction
     patches = patchify(images, cfg).astype(model.patch_proj.data.dtype, copy=False)
-    tokens_v = tt.add(tt.matmul(Tensor(patches), model.patch_proj), model.pos_embed)
-    tokens = TokenBatch.fresh(tokens_v)
-    if red.shuffle_ratio > 0 or red.grouping is rd.Grouping.RANDOM \
-            or red.selection is rd.Selection.RANDOM_R \
-            or red.pairing is rd.Pairing.RANDOM_PAIR:
-        if rng is None:
-            rng = np.random.default_rng(0)
+    x = tt.add(tt.matmul(Tensor(patches), model.patch_proj), model.pos_embed)
+    if rng is None:  # drawn from only by the random reduction options
+        rng = np.random.default_rng(0)
     trace = []
     sites = set(red.sites)
     for l, blk in enumerate(model.blocks):
-        t_cur = tokens.values.shape[1]
+        t_cur = x.shape[1]
         trace.append(t_cur)
         is_site = l in sites and red.r > 0
-        out_v, inter = ssm.bidirectional_block(blk, tokens.values,
-                                               want_intermediates=is_site)
-        tokens = TokenBatch(out_v, tokens.positions)
+        x, inter = ssm.bidirectional_block(blk, x, want_intermediates=is_site)
         if not is_site:
             continue
         r_eff = rd.effective_r(t_cur, red.r)
         if r_eff == 0:
             continue
-        feat = rd.extract_feature(inter, red.feature)
+        feat = inter[red.feature.value]
         if red.shuffle_ratio > 0:
             perm = rd.shuffle_permutation(t_cur, red.shuffle_ratio, rng)
-            tokens = TokenBatch(tt.permute_time(tokens.values, perm),
-                                tokens.positions)
+            x = tt.permute_time(x, perm)
             feat = feat[:, perm]
         g1, g2 = rd.grouping(t_cur, red.grouping, rng)
         dists = rd.pairwise_distance(feat[:, g1], feat[:, g2], red.distance)
-        plans = rd.select_pairs(dists, r_eff, red.pair_rank, red.selection,
+        pairs = rd.select_pairs(dists, r_eff, red.pair_rank, red.selection,
                                 red.pairing, rng=rng, g1=g1, g2=g2)
         if red.mode is Mode.MERGE:
-            tokens = rd.merge(tokens, plans, red.merge_op)
+            x, _ = rd.merge(x, pairs, red.merge_op)
         else:
-            tokens = rd.prune(tokens, plans)
-    pooled = tt.tmean(tt.layer_norm(tokens.values), axis=1)   # [B, d_model]
+            x, _ = rd.prune(x, pairs)
+    pooled = tt.tmean(tt.layer_norm(x), axis=1)   # [B, d_model]
     logits = tt.matmul(pooled, model.head)
     return logits, trace
 
@@ -263,37 +257,40 @@ def save_checkpoint(model: Model, path):
 
 
 def load_checkpoint(path) -> Model:
+    """Read a checkpoint; content that does not parse raises ModelError."""
     with open(path, "rb") as f:
         data = f.read()
     view = io.BytesIO(data)
     if view.read(len(_MAGIC)) != _MAGIC:
         raise ModelError("bad checkpoint magic")
 
-    def read_u64():
-        raw = view.read(8)
-        if len(raw) != 8:
+    def read(n):
+        raw = view.read(n) if n <= len(data) else b""
+        if len(raw) != n:
             raise ModelError("truncated checkpoint")
-        return struct.unpack("<Q", raw)[0]
+        return raw
 
-    n_lines = read_u64()
-    lines = []
-    for _ in range(n_lines):
-        ln = read_u64()
-        lines.append(view.read(ln).decode("utf-8"))
-    cfg = _config_from_lines(lines)
+    def read_u64():
+        return struct.unpack("<Q", read(8))[0]
+
+    def read_text():
+        return read(read_u64()).decode("utf-8")
+
+    try:
+        cfg = _config_from_lines([read_text() for _ in range(read_u64())])
+        tensors = {}
+        for _ in range(read_u64()):
+            name = read_text()
+            shape = tuple(struct.unpack("<q", read(8))[0] for _ in range(read_u64()))
+            if min(shape, default=0) < 0:
+                raise ModelError(f"negative dimension for {name}")
+            payload = read(8 * math.prod(shape))
+            tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+    except ModelError:
+        raise
+    except (KeyError, ValueError) as e:  # a missing key, a bad value, bad UTF-8
+        raise ModelError(f"corrupt checkpoint: {e!r}") from e
     model = init_model(cfg, seed=0)
-    tensors = {}
-    n_params = read_u64()
-    for _ in range(n_params):
-        ln = read_u64()
-        name = view.read(ln).decode("utf-8")
-        rank = read_u64()
-        shape = tuple(struct.unpack("<q", view.read(8))[0] for _ in range(rank))
-        count = int(np.prod(shape)) if shape else 1
-        payload = view.read(count * 8)
-        if len(payload) != count * 8:
-            raise ModelError("truncated checkpoint payload")
-        tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
     for name, t in model.named_params():
         if name not in tensors:
             raise ModelError(f"missing parameter {name} in checkpoint")

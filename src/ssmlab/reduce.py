@@ -1,5 +1,11 @@
 """Token reduction: grouping, cross-group distances, disjoint pair selection,
-and merge/prune application with original-order restoration.
+and merge/prune application.
+
+A reduction plan is one integer array of pairs (i, j) of sequence indices,
+[B, p, 2] for a batch or [p, 2] for one sequence; tokens in no pair pass
+through unchanged. Merge and prune apply it as one gather and scatter it
+back in the backward pass, and their output keeps sequence order: each token
+sits at the earlier of its source indices.
 
 Selection policy: each group-1 token's candidate partner is its pair_rank-th
 closest group-2 token; the r candidates with smallest distance win, and when
@@ -90,64 +96,6 @@ class ReductionConfig:
         self.sites = sites
 
 
-@dataclass
-class TokenBatch:
-    """Batched token sequences plus per-token original time indices."""
-
-    values: Tensor                      # [B, T, D]
-    positions: list                     # B arrays of length T, strictly increasing
-
-    def __post_init__(self):
-        b, t, _ = self.values.shape
-        if len(self.positions) != b:
-            raise ReduceError("positions/batch mismatch")
-        if any(len(pos) != t for pos in self.positions):
-            raise ReduceError("positions length mismatch")
-        if b and t > 1 and not np.all(np.diff(np.stack(self.positions), axis=1) > 0):
-            raise ReduceError("positions must be strictly increasing")
-
-    @classmethod
-    def fresh(cls, values: Tensor):
-        b, t, _ = values.shape
-        return cls(values, [np.arange(t) for _ in range(b)])
-
-
-@dataclass
-class MergePlan:
-    pairs: list                         # [(i, j)] sequence indices, disjoint
-    survivors: list                     # indices untouched by any pair
-
-    def __post_init__(self):
-        used = [k for i, j in self.pairs for k in (i, j)]
-        if len(set(used)) != len(used):
-            raise ReduceError("overlapping pairs in plan")
-        if set(used) & set(self.survivors):
-            raise ReduceError("survivor listed in a pair")
-        if len(set(self.survivors)) != len(self.survivors):
-            raise ReduceError("duplicate survivor in plan")
-
-    def serialize(self):
-        lines = [f"pair {i} {j}" for i, j in self.pairs]
-        lines += [f"survivor {k}" for k in sorted(self.survivors)]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def parse(cls, text):
-        pairs, survivors = [], []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if parts[0] == "pair" and len(parts) == 3:
-                pairs.append((int(parts[1]), int(parts[2])))
-            elif parts[0] == "survivor" and len(parts) == 2:
-                survivors.append(int(parts[1]))
-            else:
-                raise ReduceError(f"bad plan line: {line!r}")
-        return cls(pairs, survivors)
-
-
 def grouping(t_len, strategy: Grouping, rng=None):
     """Partition slot indices [0, T) into two disjoint groups."""
     if t_len < 2:
@@ -189,11 +137,13 @@ def select_pairs(dists, r, pair_rank=1, selection=Selection.TOP_R,
                  pairing=Pairing.NEAREST, rng=None, g1=None, g2=None):
     """Pick r disjoint cross-group pairs from a distance matrix.
 
-    dists is one [m, n] matrix, which gives one MergePlan, or a batch
-    [B, m, n], which gives a list of B plans; an rng is drawn from row by
-    row, as if each row were selected alone in turn. Plans are in sequence
-    indices when g1/g2 slot arrays are given, otherwise in group-local
-    indices (g1 = rows, g2 = columns).
+    dists is one [m, n] matrix, which gives a [p, 2] plan, or a batch
+    [B, m, n], which gives a [B, p, 2] plan: each row's pairs (i, j) in the
+    order they were chosen, i from group 1 and j from group 2. Every row must
+    choose the same number p <= r of pairs. An rng is drawn from row by row,
+    as if each row were selected alone in turn. Indices are sequence indices
+    when g1/g2 slot arrays are given, otherwise group-local (g1 = rows,
+    g2 = columns numbered from m).
     """
     dists = np.asarray(dists, dtype=np.float64)
     if not np.all(np.isfinite(dists)):
@@ -204,38 +154,37 @@ def select_pairs(dists, r, pair_rank=1, selection=Selection.TOP_R,
         raise ReduceError(f"r={r} exceeds available pairs min({m},{n})")
     if not 1 <= pair_rank <= n:
         raise ReduceError(f"pair_rank={pair_rank} outside [1, group-2 size {n}]")
-    if g1 is None:
-        g1 = np.arange(m)
-    if g2 is None:
-        g2 = np.arange(m, m + n)
+    if pairing not in (Pairing.NEAREST, Pairing.RANDOM_PAIR):
+        raise ReduceError(f"unknown pairing {pairing}")
+    shuffle = pairing is Pairing.RANDOM_PAIR
     if selection is Selection.TOP_R:
-        chosen = _top_r(batch, r, pair_rank)
-        select_row = lambda k: chosen[k]
+        i, j = _top_r(batch, r, pair_rank)
+        if shuffle:
+            for k in range(bsz):
+                j[k] = _shuffle(j[k], rng)
     elif selection is Selection.RANDOM_R:
         if rng is None:
             raise ReduceError("random selection needs an rng")
         order = np.argsort(batch, axis=2, kind="stable")  # ties -> lower column
-        select_row = lambda k: _random_r(order[k], r, pair_rank, rng)
+        picks = [_random_r(order[k], r, pair_rank, rng, shuffle) for k in range(bsz)]
+        if len({len(ik) for ik, _ in picks}) > 1:
+            raise ReduceError("rows choose different numbers of pairs")
+        i, j = np.array(picks, dtype=np.intp).transpose(1, 0, 2)
     else:
         raise ReduceError(f"unknown selection {selection}")
+    g1 = np.arange(m) if g1 is None else np.asarray(g1)
+    g2 = np.arange(m, m + n) if g2 is None else np.asarray(g2)
+    pairs = np.stack([g1[i], g2[j]], axis=-1)
+    return pairs[0] if dists.ndim == 2 else pairs
 
-    g1, g2 = np.asarray(g1).tolist(), np.asarray(g2).tolist()
-    all_idx = set(g1) | set(g2)
-    plans = []
-    for k in range(bsz):
-        local = select_row(k)
-        if pairing is Pairing.RANDOM_PAIR and len(local) > 1:
-            if rng is None:
-                raise ReduceError("random pairing needs an rng")
-            js = [j for _, j in local]
-            shuffled = [js[p] for p in rng.permutation(len(js))]
-            local = [(i, j) for (i, _), j in zip(local, shuffled)]
-        elif pairing not in (Pairing.NEAREST, Pairing.RANDOM_PAIR):
-            raise ReduceError(f"unknown pairing {pairing}")
-        pairs = [(g1[i], g2[j]) for i, j in local]
-        used = {v for p in pairs for v in p}
-        plans.append(MergePlan(pairs, sorted(all_idx - used)))
-    return plans[0] if dists.ndim == 2 else plans
+
+def _shuffle(j, rng):
+    """One row's group-2 partners in random order; a single pair stays as it is."""
+    if len(j) < 2:
+        return j
+    if rng is None:
+        raise ReduceError("random pairing needs an rng")
+    return j[rng.permutation(len(j))]
 
 
 def _top_r(dists, r, pair_rank):
@@ -246,7 +195,8 @@ def _top_r(dists, r, pair_rank):
     round, every matrix pairs its open entry that comes first in
     (distance, row, column) order, which is the first minimum argmin finds
     in row-major order, until r pairs are chosen or none is open. Shut
-    entries hold +inf, so the distances must be finite.
+    entries hold +inf, so the distances must be finite. Returns the [B, p]
+    rows and columns paired, in the order they were chosen.
     """
     bsz, m, n = dists.shape
     cand = dists.copy()
@@ -259,34 +209,35 @@ def _top_r(dists, r, pair_rank):
     for _ in range(r):
         flat = flat_cand.argmin(axis=1)
         live = flat_cand[rows, flat] < np.inf
-        if not live.any():
+        if not live.all():
+            # a matrix with no open entry never gets one back
+            if live.any():
+                raise ReduceError("rows choose different numbers of pairs")
             break
+        picks.append(flat)
         i, j = np.divmod(flat, n)
-        picks.append((i, j, live))
         cand[rows, i, :] = np.inf
         cand[rows, :, j] = np.inf
-    if not picks:
-        return [[] for _ in range(bsz)]
-    i, j, live = (np.stack(a, axis=1) for a in zip(*picks))   # [B, rounds]
-    return [list(zip(i[k][live[k]].tolist(), j[k][live[k]].tolist()))
-            for k in range(bsz)]
+    return np.divmod(np.array(picks, dtype=np.intp).reshape(-1, bsz).T, n)
 
 
-def _random_r(order, r, pair_rank, rng):
-    """Rows in random order, each paired with its first untaken column at rank >= pair_rank."""
+def _random_r(order, r, pair_rank, rng, shuffle):
+    """Rows in random order, each paired with its first untaken column at
+    rank >= pair_rank; with ``shuffle`` the columns are then permuted."""
     m, n = order.shape
-    local = []
+    i_out, j_out = [], []
     taken = np.zeros(n, dtype=bool)
     for i in rng.permutation(m):
-        if len(local) == r:
+        if len(i_out) == r:
             break
-        for ptr in range(pair_rank - 1, n):
-            j = int(order[i, ptr])
+        for j in order[i, pair_rank - 1:]:
             if not taken[j]:
                 taken[j] = True
-                local.append((int(i), j))
+                i_out.append(i)
+                j_out.append(j)
                 break
-    return local
+    j_out = np.array(j_out, dtype=np.intp)
+    return np.array(i_out, dtype=np.intp), _shuffle(j_out, rng) if shuffle else j_out
 
 
 def effective_r(t_current, r):
@@ -326,30 +277,41 @@ def token_counts(t0, sites, r, total_blocks):
     return counts
 
 
-def _plans_for_batch(plans, batch):
-    if isinstance(plans, MergePlan):
-        plans = [plans] * batch
-    plans = list(plans)
-    if len(plans) != batch:
-        raise ReduceError("one plan per batch element required")
-    if any(len(p.pairs) != len(plans[0].pairs) for p in plans):
-        raise ReduceError("plans must remove the same number of tokens")
-    return plans
+def _check_plan(pairs, b, t):
+    """A [B, p, 2] or [p, 2] plan as a checked [B, p, 2] index array.
+
+    Every index must lie in [0, t) and no token may be used twice in a row,
+    so each input token reaches at most one output slot.
+    """
+    pairs = np.asarray(pairs, dtype=np.intp)
+    if pairs.ndim == 2:
+        pairs = np.broadcast_to(pairs, (b,) + pairs.shape)
+    if pairs.ndim != 3 or pairs.shape[0] != b or pairs.shape[2] != 2:
+        raise ReduceError(f"plan of shape {pairs.shape} does not fit {b} rows")
+    if np.any((pairs < 0) | (pairs >= t)):
+        raise ReduceError("plan index out of range")
+    used = np.sort(pairs.reshape(b, -1), axis=1)
+    if np.any(used[:, 1:] == used[:, :-1]):
+        raise ReduceError("token used twice in plan")
+    return pairs
 
 
-def _gather(tokens: TokenBatch, src_i, src_j, merge_op: MergeOp):
-    """Apply [B, T_out] source-index arrays to a token batch.
+def _remaining(removed, t):
+    """The increasing [B, T - p] indices not in ``removed`` [B, p]."""
+    b, p = removed.shape
+    keep = np.ones((b, t), dtype=bool)
+    keep[np.arange(b)[:, None], removed] = False
+    return np.nonzero(keep)[1].reshape(b, t - p)
+
+
+def _gather(x, src_i, src_j, merge_op: MergeOp):
+    """Apply [B, T_out] source-index arrays to x [B, T, D].
 
     Output token (k, t) is x[k, src_i[k, t]], fused by merge_op with
-    x[k, src_j[k, t]] where src_j >= 0; its position is that of the earlier
-    source. Returns (out Tensor, new positions, scatter), where scatter
-    maps the output cotangent back to the input's.
+    x[k, src_j[k, t]] where src_j >= 0. Returns (out Tensor, scatter), where
+    scatter maps the output cotangent back to the input's.
     """
-    x = tokens.values.data
-    b, t, d = x.shape
-    rows = np.broadcast_to(np.arange(b)[:, None], src_i.shape)
-    first = np.where(src_j >= 0, np.minimum(src_i, src_j), src_i)
-    positions = list(np.stack(tokens.positions)[rows, first])
+    rows = np.broadcast_to(np.arange(x.shape[0])[:, None], src_i.shape)
     out = x[rows, src_i]                                # one gather
     pr, pc = np.nonzero(src_j >= 0)
     xi, xj = out[pr, pc], x[pr, src_j[pr, pc]]          # [P, D] pair members
@@ -380,46 +342,39 @@ def _gather(tokens: TokenBatch, src_i, src_j, merge_op: MergeOp):
             din[pr, pj] = np.where(pick_i, 0.0, g_p)
         return din
 
-    return Tensor(out, _check=False), positions, scatter
+    return Tensor(out, _check=False), scatter
 
 
-def merge(tokens: TokenBatch, plans, merge_op: MergeOp) -> TokenBatch:
-    """Fuse each planned pair into one token and restore position order."""
-    b, t, _ = tokens.values.shape
-    plans = _plans_for_batch(plans, b)
-    n_pairs = len(plans[0].pairs)
-    if any(2 * n_pairs + len(p.survivors) != t for p in plans):
-        raise ReduceError("plan does not cover the sequence")
-    pairs = np.array([p.pairs for p in plans], dtype=np.intp).reshape(b, n_pairs, 2)
-    kept = np.array([p.survivors for p in plans], dtype=np.intp).reshape(b, -1)
-    if np.any((pairs < 0) | (pairs >= t)) or np.any((kept < 0) | (kept >= t)):
-        raise ReduceError("plan index out of range")
-    # positions increase along the sequence, so index order is position order
-    order = np.argsort(np.concatenate([pairs.min(axis=2), kept], axis=1),
-                       axis=1, kind="stable")
-    src_i = np.concatenate([pairs[..., 0], kept], axis=1)
-    src_j = np.concatenate([pairs[..., 1], np.full_like(kept, -1)], axis=1)
-    out, positions, scatter = _gather(tokens, np.take_along_axis(src_i, order, 1),
-                                      np.take_along_axis(src_j, order, 1), merge_op)
-    record(out, (tokens.values,), lambda dout: (scatter(dout),))
-    return TokenBatch(out, positions)
+def merge(values: Tensor, pairs, merge_op: MergeOp):
+    """Fuse each planned pair (i, j) into one token at the earlier of i and j.
+
+    ``values`` is [B, T, D]; ``pairs`` is a [B, p, 2] plan, or a [p, 2] plan
+    for every row. Returns the [B, T - p, D] tokens and idx [B, T - p], the
+    earlier source index of each output token, increasing along each row.
+    """
+    b, t, _ = values.shape
+    pairs = _check_plan(pairs, b, t)
+    idx = _remaining(pairs.max(axis=2), t)
+    # src[k, s] is (s, -1) for a token in no pair, and (i, j) at s = min(i, j)
+    src = np.stack([np.tile(np.arange(t), (b, 1)), np.full((b, t), -1)], axis=-1)
+    src[np.arange(b)[:, None], pairs.min(axis=2)] = pairs
+    src = np.take_along_axis(src, idx[..., None], axis=1)
+    out, scatter = _gather(values.data, src[..., 0], src[..., 1], merge_op)
+    record(out, (values,), lambda dout: (scatter(dout),))
+    return out, idx
 
 
-def prune(tokens: TokenBatch, plans) -> TokenBatch:
-    """Drop the group-2 member of each planned pair; no fusion."""
-    b, t, _ = tokens.values.shape
-    plans = _plans_for_batch(plans, b)
-    dropped = np.array([[j for _, j in p.pairs] for p in plans],
-                       dtype=np.intp).reshape(b, -1)
-    if np.any((dropped < 0) | (dropped >= t)):
-        raise ReduceError("plan index out of range")
-    keep = np.ones((b, t), dtype=bool)
-    keep[np.arange(b)[:, None], dropped] = False
-    src_i = np.nonzero(keep)[1].reshape(b, -1)
-    out, positions, scatter = _gather(tokens, src_i, np.full_like(src_i, -1),
-                                      MergeOp.SUM)
-    record(out, (tokens.values,), lambda dout: (scatter(dout),))
-    return TokenBatch(out, positions)
+def prune(values: Tensor, pairs):
+    """Drop the group-2 member j of each planned pair (i, j); no fusion.
+
+    Takes and returns what ``merge`` does; idx lists the kept tokens.
+    """
+    b, t, _ = values.shape
+    pairs = _check_plan(pairs, b, t)
+    idx = _remaining(pairs[..., 1], t)
+    out, scatter = _gather(values.data, idx, np.full_like(idx, -1), MergeOp.SUM)
+    record(out, (values,), lambda dout: (scatter(dout),))
+    return out, idx
 
 
 def shuffle_permutation(t_len, shuffle_ratio, rng):
@@ -439,12 +394,3 @@ def shuffle_permutation(t_len, shuffle_ratio, rng):
     perm[sel] = src
     return perm
 
-
-def extract_feature(block_state, choice: Feature):
-    """Per-token similarity feature from a reduction-site block's forward pass."""
-    if block_state is None:
-        raise ReduceError("no intermediates captured at this block")
-    key = choice.value
-    if key not in block_state:
-        raise ReduceError(f"feature {choice} not available")
-    return block_state[key]

@@ -27,7 +27,6 @@ from ssmlab.reduce import (
     MergeOp,
     Mode,
     ReductionConfig,
-    TokenBatch,
 )
 from ssmlab.ssm import ScanDirection
 from ssmlab.tensor import GradTape, Tensor, finite_difference_grad
@@ -111,17 +110,17 @@ def test_criterion_04_merge_invariants():
         vals = rng.uniform(-2, 2, (1, t, dim))
         g1, g2 = rd.grouping(t, Grouping.ODD_EVEN)
         dists = rd.pairwise_distance(vals[0][g1], vals[0][g2], Distance.L2)
-        plan = rd.select_pairs(dists, r, g1=g1, g2=g2)
-        used = [k for pair in plan.pairs for k in pair]
+        pairs = rd.select_pairs(dists, r, g1=g1, g2=g2)
+        used = [k for pair in pairs.tolist() for k in pair]
         assert len(set(used)) == len(used)                       # disjoint
-        out = rd.merge(TokenBatch.fresh(Tensor(vals)), plan, op)
-        assert out.values.shape[1] == t - r                      # cardinality
-        assert np.all(np.diff(out.positions[0]) > 0)             # ordered
+        out, idx = rd.merge(Tensor(vals), pairs, op)
+        assert out.shape[1] == t - r                             # cardinality
+        assert np.all(np.diff(idx[0]) > 0)                       # ordered
         if op is MergeOp.SUM:
-            assert np.abs(out.values.data.sum(1) - vals.sum(1)).max() < 1e-12
+            assert np.abs(out.data.sum(1) - vals.sum(1)).max() < 1e-12
         if case % 10 == 0:
-            again = rd.merge(TokenBatch.fresh(Tensor(vals)), plan, op)
-            assert np.array_equal(again.values.data, out.values.data)
+            again, _ = rd.merge(Tensor(vals), pairs, op)
+            assert np.array_equal(again.data, out.data)
 
 
 def test_criterion_05_pair_selection_oracle():
@@ -132,9 +131,9 @@ def test_criterion_05_pair_selection_oracle():
         r = int(rng.integers(0, min(3, m, n) + 1))
         pair_rank = int(rng.integers(1, min(3, n) + 1))
         dists = np.round(rng.uniform(0, 1, (m, n)), 2)
-        plan = rd.select_pairs(dists, r, pair_rank=pair_rank)
-        want = [(i, j + m) for i, j in slow_select(dists, r, pair_rank)]
-        assert plan.pairs == want
+        pairs = rd.select_pairs(dists, r, pair_rank=pair_rank)
+        want = [[i, j + m] for i, j in slow_select(dists, r, pair_rank)]
+        assert pairs.tolist() == want
 
 
 REDUCED_SITES = (2, 4, 6)

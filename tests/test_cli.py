@@ -34,7 +34,10 @@ bench.batch=2
 
 def write_cfg(tmp_path, extra="", base=TINY):
     path = tmp_path / "run.cfg"
-    path.write_text(base + extra)
+    if isinstance(extra, bytes):
+        path.write_bytes(base.encode() + extra)
+    else:
+        path.write_text(base + extra)
     return str(path)
 
 
@@ -122,6 +125,19 @@ def idx_labels_past_num_classes(tmp_path):
             f"data.labels={tmp_path}/l.idx\n")
 
 
+def checkpoint_with_bad_utf8(tmp_path):
+    """A config line pointing at a checkpoint whose config text is not UTF-8."""
+    cfg = RunConfig()
+    for line in TINY.split():
+        cfg.set(*line.split("="))
+    path = tmp_path / "bad.meeto"
+    mdl.save_checkpoint(mdl.init_model(cfg.model_config()), path)
+    blob = path.read_bytes()
+    assert blob.count(b"image_size=8") == 1
+    path.write_bytes(blob.replace(b"image_size=8", b"image_size=\xff"))
+    return f"run.init_checkpoint={path}\n"
+
+
 class TestExitCodes:
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, extra="bogus.key=1\n")
@@ -166,8 +182,11 @@ class TestExitCodes:
         ("bench", "bench.r_values=0,x\n", None, cli.EXIT_CONFIG),
         ("bench", "bench.dtype=float16\n", None, cli.EXIT_CONFIG),
         ("train", idx_labels_past_num_classes, None, cli.EXIT_DATA),
+        ("eval", checkpoint_with_bad_utf8, None, cli.EXIT_DATA),
+        ("eval", b"run.seed=\xff\xfe\n", None, cli.EXIT_CONFIG),
     ], ids=["cosine-zero-vectors", "single-token", "bench-r-values",
-            "bench-dtype", "label-past-num-classes"])
+            "bench-dtype", "label-past-num-classes", "checkpoint-not-utf8",
+            "config-not-utf8"])
     def test_bad_input_table(self, tmp_path, capsys, command, extra, tokens, code):
         if callable(extra):
             extra = extra(tmp_path)

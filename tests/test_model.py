@@ -40,6 +40,8 @@ class TestConfig:
     def test_bad_width(self):
         with pytest.raises(ModelError):
             ModelConfig(d_model=0)
+        with pytest.raises(ModelError):
+            ModelConfig(patch_size=0)
 
 
 class TestPatchify:

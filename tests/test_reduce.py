@@ -9,13 +9,11 @@ from ssmlab.reduce import (
     Distance,
     Grouping,
     MergeOp,
-    MergePlan,
     Mode,
     Pairing,
     ReduceError,
     ReductionConfig,
     Selection,
-    TokenBatch,
 )
 from ssmlab.tensor import GradTape, Tensor
 
@@ -54,18 +52,22 @@ def slow_select(dists, r, pair_rank):
     return out
 
 
-def slow_merge(tokens, plans, merge_op):
-    """Per-row, per-token reference for rd.merge, with its own backward."""
-    values = tokens.values
+def slow_merge(values, positions, pairs, merge_op):
+    """Per-row, per-token reference for rd.merge, with its own backward.
+
+    Returns the merged Tensor and each output token's position: the earlier
+    of its sources' positions.
+    """
     b, t, d = values.shape
-    t_out = t - len(plans[0].pairs)
+    t_out = t - pairs.shape[1]
     out = np.empty((b, t_out, d))
     new_positions = []
     routing = []  # per batch element: (out_row -> sources) for the backward
-    for k, plan in enumerate(plans):
-        pos = tokens.positions[k]
-        entries = [(min(pos[i], pos[j]), i, j) for i, j in plan.pairs]
-        entries += [(pos[s], s, -1) for s in plan.survivors]
+    for k, plan in enumerate(pairs.tolist()):
+        pos = positions[k]
+        used = {v for pair in plan for v in pair}
+        entries = [(min(pos[i], pos[j]), i, j) for i, j in plan]
+        entries += [(pos[s], s, -1) for s in range(t) if s not in used]
         entries.sort()
         new_positions.append(np.array([e[0] for e in entries]))
         rows = []
@@ -103,16 +105,15 @@ def slow_merge(tokens, plans, merge_op):
         return (din,)
 
     out_t = tt.record(Tensor(out, _check=False), (values,), backward)
-    return TokenBatch(out_t, new_positions)
+    return out_t, new_positions
 
 
-def slow_prune(tokens, plans):
+def slow_prune(values, positions, pairs):
     """Per-row, per-token reference for rd.prune, with its own backward."""
-    values = tokens.values
     b, t, d = values.shape
     keep_idx = []
-    for plan in plans:
-        dropped = {j for _, j in plan.pairs}
+    for plan in pairs.tolist():
+        dropped = {j for _, j in plan}
         keep_idx.append(np.array([i for i in range(t) if i not in dropped]))
     out = np.stack([values.data[k][kept] for k, kept in enumerate(keep_idx)])
 
@@ -123,8 +124,7 @@ def slow_prune(tokens, plans):
         return (din,)
 
     out_t = tt.record(Tensor(out, _check=False), (values,), backward)
-    return TokenBatch(out_t, [tokens.positions[k][kept]
-                              for k, kept in enumerate(keep_idx)])
+    return out_t, [positions[k][kept] for k, kept in enumerate(keep_idx)]
 
 
 class TestGrouping:
@@ -214,40 +214,41 @@ class TestSelectPairs:
     def test_simple_nearest(self):
         dists = np.array([[0.1, 0.9],
                           [0.8, 0.2]])
-        plan = rd.select_pairs(dists, 2)
-        assert plan.pairs == [(0, 2), (1, 3)]
-        assert plan.survivors == []
+        pairs = rd.select_pairs(dists, 2)
+        assert pairs.tolist() == [[0, 2], [1, 3]]
 
     def test_conflict_falls_back_to_next_best(self):
         # both rows prefer column 0; the closer row wins, the other takes col 1
         dists = np.array([[0.1, 0.7],
                           [0.2, 0.3]])
-        plan = rd.select_pairs(dists, 2)
-        assert plan.pairs == [(0, 2), (1, 3)]
+        pairs = rd.select_pairs(dists, 2)
+        assert pairs.tolist() == [[0, 2], [1, 3]]
 
     def test_tie_breaks_deterministic(self):
         dists = np.array([[0.5, 0.5],
                           [0.5, 0.5]])
-        plan = rd.select_pairs(dists, 2)
+        pairs = rd.select_pairs(dists, 2)
         # equal everywhere: row 0 takes col 0, row 1 the remaining col
-        assert plan.pairs == [(0, 2), (1, 3)]
+        assert pairs.tolist() == [[0, 2], [1, 3]]
 
     def test_pair_rank_skips_closest(self):
         dists = np.array([[0.1, 0.5, 0.9]])
-        plan = rd.select_pairs(dists, 1, pair_rank=2)
-        assert plan.pairs == [(0, 2)]  # second-closest column
+        pairs = rd.select_pairs(dists, 1, pair_rank=2)
+        assert pairs.tolist() == [[0, 2]]  # second-closest column
 
     def test_sequence_index_mapping(self):
         dists = np.array([[0.3]])
-        plan = rd.select_pairs(dists, 1, g1=np.array([4]), g2=np.array([9]))
-        assert plan.pairs == [(4, 9)]
+        pairs = rd.select_pairs(dists, 1, g1=np.array([4]), g2=np.array([9]))
+        assert pairs.tolist() == [[4, 9]]
 
-    def test_survivors_cover_rest(self):
-        rng = np.random.default_rng(3)
-        dists = rng.uniform(0, 1, (5, 4))
-        plan = rd.select_pairs(dists, 2)
-        used = {k for p in plan.pairs for k in p}
-        assert used | set(plan.survivors) == set(range(9))
+    def test_mismatched_plan_sizes_rejected(self):
+        # at pair_rank 2 the first matrix has one pair to offer, the second two
+        dists = np.array([[[0.0, 1.0], [0.0, 1.0]],
+                          [[0.0, 1.0], [1.0, 0.0]]])
+        assert rd.select_pairs(dists[1], 2, pair_rank=2).shape == (2, 2)
+        assert rd.select_pairs(dists[0], 2, pair_rank=2).shape == (1, 2)
+        with pytest.raises(ReduceError):
+            rd.select_pairs(dists, 2, pair_rank=2)
 
     def test_r_too_large(self):
         with pytest.raises(ReduceError):
@@ -280,23 +281,21 @@ class TestSelectPairs:
         want = [rd.select_pairs(d, 4, pair_rank, selection, pairing, rng=rng,
                                 g1=np.arange(0, 12, 2), g2=np.arange(1, 14, 2))
                 for d in dists]
-        assert [(p.pairs, p.survivors) for p in got] == \
-            [(p.pairs, p.survivors) for p in want]
+        assert np.array_equal(got, np.stack(want))
 
     def test_random_selection_disjoint(self):
         rng = np.random.default_rng(4)
         dists = rng.uniform(0, 1, (6, 6))
-        plan = rd.select_pairs(dists, 4, selection=Selection.RANDOM_R,
-                               rng=np.random.default_rng(0))
-        js = [j for _, j in plan.pairs]
-        assert len(plan.pairs) == 4 and len(set(js)) == 4
+        pairs = rd.select_pairs(dists, 4, selection=Selection.RANDOM_R,
+                                rng=np.random.default_rng(0))
+        assert pairs.shape == (4, 2) and len(set(pairs[:, 1])) == 4
 
     def test_random_pairing_keeps_partners_disjoint(self):
         rng = np.random.default_rng(5)
         dists = rng.uniform(0, 1, (6, 6))
-        plan = rd.select_pairs(dists, 4, pairing=Pairing.RANDOM_PAIR,
-                               rng=np.random.default_rng(0))
-        is_, js = zip(*plan.pairs)
+        pairs = rd.select_pairs(dists, 4, pairing=Pairing.RANDOM_PAIR,
+                                rng=np.random.default_rng(0))
+        is_, js = pairs.T
         assert len(set(is_)) == 4 and len(set(js)) == 4
         assert all(j >= 6 for j in js)
 
@@ -309,9 +308,9 @@ class TestSelectPairs:
         rng = np.random.default_rng(seed)
         dists = np.round(rng.uniform(0, 1, (m, n)), 2)  # coarse grid forces ties
         r = min(m, n)
-        plan = rd.select_pairs(dists, r, pair_rank=pair_rank)
-        want = [(i, j + m) for i, j in slow_select(dists, r, pair_rank)]
-        assert plan.pairs == want
+        pairs = rd.select_pairs(dists, r, pair_rank=pair_rank)
+        want = [[i, j + m] for i, j in slow_select(dists, r, pair_rank)]
+        assert pairs.tolist() == want
 
 
 class TestSchedules:
@@ -353,105 +352,78 @@ class TestSchedules:
         assert all(0.0 <= x < 1.0 for x in ratios)
 
 
+def four_tokens():
+    return Tensor(np.array([[[1.0, 2.0], [10.0, 20.0], [3.0, -4.0], [5.0, 6.0]]]))
+
+
 class TestMergePlanFormat:
-    def test_roundtrip(self):
-        plan = MergePlan([(0, 3), (1, 5)], [2, 4])
-        again = MergePlan.parse(plan.serialize())
-        assert again.pairs == plan.pairs and again.survivors == plan.survivors
-
-    def test_bad_line(self):
-        with pytest.raises(ReduceError):
-            MergePlan.parse("pair 1\n")
-
     def test_overlap_rejected(self):
         with pytest.raises(ReduceError):
-            MergePlan([(0, 1), (1, 2)], [])
+            rd.merge(four_tokens(), np.array([[0, 1], [1, 2]]), MergeOp.SUM)
 
-    def test_survivor_in_pair_rejected(self):
+    def test_duplicate_dropped_index_rejected(self):
         with pytest.raises(ReduceError):
-            MergePlan([(0, 1)], [1])
+            rd.prune(four_tokens(), np.array([[0, 1], [2, 1]]))
 
-    def test_duplicate_survivor_rejected(self):
+    def test_plan_must_fit_batch(self):
         with pytest.raises(ReduceError):
-            MergePlan([(0, 1)], [2, 2])
-
-
-def four_tokens():
-    vals = np.array([[[1.0, 2.0], [10.0, 20.0], [3.0, -4.0], [5.0, 6.0]]])
-    return TokenBatch.fresh(Tensor(vals))
+            rd.merge(four_tokens(), np.zeros((2, 1, 2), dtype=int), MergeOp.SUM)
 
 
 class TestMerge:
     def test_sum_example(self):
-        batch = four_tokens()
-        plan = MergePlan([(0, 1)], [2, 3])
-        out = rd.merge(batch, plan, MergeOp.SUM)
-        assert np.array_equal(out.values.data[0],
+        out, idx = rd.merge(four_tokens(), np.array([[0, 1]]), MergeOp.SUM)
+        assert np.array_equal(out.data[0],
                               [[11.0, 22.0], [3.0, -4.0], [5.0, 6.0]])
-        assert list(out.positions[0]) == [0, 2, 3]
+        assert list(idx[0]) == [0, 2, 3]
 
     def test_mean_halves(self):
-        out = rd.merge(four_tokens(), MergePlan([(0, 1)], [2, 3]), MergeOp.MEAN)
-        assert np.array_equal(out.values.data[0][0], [5.5, 11.0])
+        out, _ = rd.merge(four_tokens(), np.array([[0, 1]]), MergeOp.MEAN)
+        assert np.array_equal(out.data[0][0], [5.5, 11.0])
 
     def test_max_min_elementwise(self):
-        batch = four_tokens()
-        mx = rd.merge(batch, MergePlan([(2, 3)], [0, 1]), MergeOp.MAX)
-        mn = rd.merge(four_tokens(), MergePlan([(2, 3)], [0, 1]), MergeOp.MIN)
-        assert np.array_equal(mx.values.data[0][2], [5.0, 6.0])
-        assert np.array_equal(mn.values.data[0][2], [3.0, -4.0])
+        mx, _ = rd.merge(four_tokens(), np.array([[2, 3]]), MergeOp.MAX)
+        mn, _ = rd.merge(four_tokens(), np.array([[2, 3]]), MergeOp.MIN)
+        assert np.array_equal(mx.data[0][2], [5.0, 6.0])
+        assert np.array_equal(mn.data[0][2], [3.0, -4.0])
 
     def test_merged_position_is_min(self):
-        batch = four_tokens()
-        out = rd.merge(batch, MergePlan([(3, 1)], [0, 2]), MergeOp.SUM)
-        assert list(out.positions[0]) == [0, 1, 2]
-        assert np.array_equal(out.values.data[0][1], [15.0, 26.0])
+        out, idx = rd.merge(four_tokens(), np.array([[3, 1]]), MergeOp.SUM)
+        assert list(idx[0]) == [0, 1, 2]
+        assert np.array_equal(out.data[0][1], [15.0, 26.0])
 
     def test_sum_conserves_mass(self):
         rng = np.random.default_rng(6)
         vals = rng.uniform(-2, 2, (2, 8, 3))
-        batch = TokenBatch.fresh(Tensor(vals))
-        plan = MergePlan([(0, 1), (4, 7)], [2, 3, 5, 6])
-        out = rd.merge(batch, plan, MergeOp.SUM)
-        assert np.allclose(out.values.data.sum(1), vals.sum(1), atol=1e-12)
+        out, _ = rd.merge(Tensor(vals), np.array([[0, 1], [4, 7]]), MergeOp.SUM)
+        assert np.allclose(out.data.sum(1), vals.sum(1), atol=1e-12)
 
     def test_per_batch_plans(self):
         rng = np.random.default_rng(7)
         vals = rng.uniform(-1, 1, (2, 4, 2))
-        batch = TokenBatch.fresh(Tensor(vals))
-        plans = [MergePlan([(0, 1)], [2, 3]), MergePlan([(2, 3)], [0, 1])]
-        out = rd.merge(batch, plans, MergeOp.SUM)
-        assert np.allclose(out.values.data[0][0], vals[0, 0] + vals[0, 1])
-        assert np.allclose(out.values.data[1][2], vals[1, 2] + vals[1, 3])
-
-    def test_mismatched_plan_sizes_rejected(self):
-        vals = np.zeros((2, 4, 2)) + 1.0
-        batch = TokenBatch.fresh(Tensor(vals))
-        plans = [MergePlan([(0, 1)], [2, 3]), MergePlan([], [0, 1, 2, 3])]
-        with pytest.raises(ReduceError):
-            rd.merge(batch, plans, MergeOp.SUM)
+        out, _ = rd.merge(Tensor(vals), np.array([[[0, 1]], [[2, 3]]]), MergeOp.SUM)
+        assert np.allclose(out.data[0][0], vals[0, 0] + vals[0, 1])
+        assert np.allclose(out.data[1][2], vals[1, 2] + vals[1, 3])
 
     def test_plan_index_out_of_range(self):
         with pytest.raises(ReduceError):
-            rd.merge(four_tokens(), MergePlan([(0, 9)], [1, 2, 3]), MergeOp.SUM)
+            rd.merge(four_tokens(), np.array([[0, 9]]), MergeOp.SUM)
 
     def test_gradient_routing_sum_mean(self):
         for op, coeff in ((MergeOp.SUM, 1.0), (MergeOp.MEAN, 0.5)):
-            x = Tensor(four_tokens().values.data, requires_grad=True)
-            batch = TokenBatch.fresh(x)
+            x = Tensor(four_tokens().data, requires_grad=True)
             with GradTape() as tape:
-                out = rd.merge(batch, MergePlan([(0, 1)], [2, 3]), op)
-                tape.backward(tt.tsum(out.values))
+                out, _ = rd.merge(x, np.array([[0, 1]]), op)
+                tape.backward(tt.tsum(out))
             g = x.grad.data[0]
             assert np.allclose(g[0], coeff) and np.allclose(g[1], coeff)
             assert np.allclose(g[2], 1.0) and np.allclose(g[3], 1.0)
 
     def test_gradient_routing_max_goes_to_winner(self):
-        x = Tensor(four_tokens().values.data, requires_grad=True)
-        batch = TokenBatch.fresh(x)
+        x = Tensor(four_tokens().data, requires_grad=True)
         with GradTape() as tape:
-            out = rd.merge(batch, MergePlan([(2, 3)], [0, 1]), MergeOp.MAX)
-            tape.backward(tt.tsum(out.values))
+            out, _ = rd.merge(x, np.array([[2, 3]]), MergeOp.MAX)
+            tape.backward(tt.tsum(out))
         g = x.grad.data[0]
         # token 3 wins both coordinates (5>3, 6>-4)
         assert np.array_equal(g[2], [0.0, 0.0])
@@ -466,87 +438,88 @@ class TestMerge:
         g1, g2 = rd.grouping(t, Grouping.ODD_EVEN)
         r = rd.effective_r(t, 2)
         dists = rd.pairwise_distance(vals[0][g1], vals[0][g2], Distance.L2)
-        plan = rd.select_pairs(dists, r, g1=g1, g2=g2)
-        out = rd.merge(TokenBatch.fresh(Tensor(vals)), plan, op)
-        pos = out.positions[0]
-        assert out.values.shape == (1, t - r, dim)
-        assert np.all(np.diff(pos) > 0)
-        assert set(pos) <= set(range(t))
+        pairs = rd.select_pairs(dists, r, g1=g1, g2=g2)
+        out, idx = rd.merge(Tensor(vals), pairs, op)
+        assert out.shape == (1, t - r, dim)
+        assert np.all(np.diff(idx[0]) > 0)
+        assert set(idx[0]) <= set(range(t))
         if op is MergeOp.SUM:
-            assert np.allclose(out.values.data.sum(1), vals.sum(1), atol=1e-12)
+            assert np.allclose(out.data.sum(1), vals.sum(1), atol=1e-12)
         # deterministic: same inputs, same result
-        again = rd.merge(TokenBatch.fresh(Tensor(vals)), plan, op)
-        assert np.array_equal(again.values.data, out.values.data)
+        again, _ = rd.merge(Tensor(vals), pairs, op)
+        assert np.array_equal(again.data, out.data)
 
 
 class TestPrune:
     def test_drops_second_member(self):
-        out = rd.prune(four_tokens(), MergePlan([(0, 1)], [2, 3]))
-        assert np.array_equal(out.values.data[0],
+        out, idx = rd.prune(four_tokens(), np.array([[0, 1]]))
+        assert np.array_equal(out.data[0],
                               [[1.0, 2.0], [3.0, -4.0], [5.0, 6.0]])
-        assert list(out.positions[0]) == [0, 2, 3]
+        assert list(idx[0]) == [0, 2, 3]
+
+    def test_kept_index_out_of_range(self):
+        with pytest.raises(ReduceError):
+            rd.prune(four_tokens(), np.array([[9, 1]]))
 
     def test_gradient_zero_for_dropped(self):
-        x = Tensor(four_tokens().values.data, requires_grad=True)
+        x = Tensor(four_tokens().data, requires_grad=True)
         with GradTape() as tape:
-            out = rd.prune(TokenBatch.fresh(x), MergePlan([(0, 1)], [2, 3]))
-            tape.backward(tt.tsum(out.values))
+            out, _ = rd.prune(x, np.array([[0, 1]]))
+            tape.backward(tt.tsum(out))
         g = x.grad.data[0]
         assert np.array_equal(g[1], [0.0, 0.0])
         assert np.array_equal(g[0], [1.0, 1.0])
 
 
 def random_plans(rng, b, t, n_pairs):
-    """A different valid plan per row; a pair's first index may be the later one."""
-    plans = []
-    for _ in range(b):
-        perm = [int(v) for v in rng.permutation(t)]
-        pairs = [(perm[2 * k], perm[2 * k + 1]) for k in range(n_pairs)]
-        plans.append(MergePlan(pairs, sorted(perm[2 * n_pairs:])))
-    return plans
+    """A different valid [b, n_pairs, 2] plan per row; a pair's first index
+    may be the later one."""
+    return np.stack([rng.permutation(t)[:2 * n_pairs].reshape(n_pairs, 2)
+                     for _ in range(b)])
 
 
-def reduce_with_grad(fn, vals, positions, plans, w):
-    """(values, positions, input gradient) of fn under a weighted-sum loss."""
+def reduce_with_grad(fn, vals, pairs, w):
+    """(values, idx or positions, input gradient) of fn under a weighted-sum loss."""
     x = Tensor(vals, requires_grad=True)
     with GradTape() as tape:
-        out = fn(TokenBatch(x, positions), plans)
-        tape.backward(tt.tsum(tt.mul(out.values, Tensor(w))))
-    return out.values.data, out.positions, x.grad.data
+        out, where = fn(x, pairs)
+        tape.backward(tt.tsum(tt.mul(out, Tensor(w))))
+    return out.data, where, x.grad.data
 
 
 @pytest.mark.parametrize("mode", list(Mode))
 @pytest.mark.parametrize("op", list(MergeOp))
 def test_gather_matches_slow_reference(mode, op):
-    if mode is Mode.MERGE:
-        fast = lambda tokens, plans: rd.merge(tokens, plans, op)
-        slow = lambda tokens, plans: slow_merge(tokens, plans, op)
-    else:
-        fast, slow = rd.prune, slow_prune
     rng = np.random.default_rng(31)
     for _ in range(40):
         b, t, d = int(rng.integers(1, 5)), int(rng.integers(2, 12)), int(rng.integers(1, 4))
         n_pairs = int(rng.integers(0, t // 2 + 1))
         vals = np.round(rng.uniform(-2, 2, (b, t, d)) * 2) / 2   # ties for max/min
-        positions = [np.sort(rng.choice(3 * t, t, replace=False)) for _ in range(b)]
-        plans = random_plans(rng, b, t, n_pairs)
+        positions = np.stack([np.sort(rng.choice(3 * t, t, replace=False))
+                              for _ in range(b)])
+        pairs = random_plans(rng, b, t, n_pairs)
+        if mode is Mode.MERGE:
+            fast = lambda x, pairs: rd.merge(x, pairs, op)
+            slow = lambda x, pairs: slow_merge(x, positions, pairs, op)
+        else:
+            fast = rd.prune
+            slow = lambda x, pairs: slow_prune(x, positions, pairs)
         w = rng.uniform(-1, 1, (b, t - n_pairs, d))
-        v, pos, g = reduce_with_grad(fast, vals, positions, plans, w)
-        v_ref, pos_ref, g_ref = reduce_with_grad(slow, vals, positions, plans, w)
+        v, idx, g = reduce_with_grad(fast, vals, pairs, w)
+        v_ref, pos_ref, g_ref = reduce_with_grad(slow, vals, pairs, w)
         assert np.array_equal(v, v_ref)
-        assert len(pos) == len(pos_ref) == b
-        assert all(np.array_equal(p, q) for p, q in zip(pos, pos_ref))
+        assert np.array_equal(positions[np.arange(b)[:, None], idx], np.stack(pos_ref))
         assert np.array_equal(g, g_ref)
 
-def shuffle_tokens(tokens, shuffle_ratio, rng):
-    """Permute token values (not positions) by the partial odd-even rule,
-    as model.forward does at a site with shuffle_ratio > 0."""
-    t_len = tokens.values.shape[1]
+
+def shuffle_tokens(values, shuffle_ratio, rng):
+    """Permute token values by the partial odd-even rule, as model.forward
+    does at a site with shuffle_ratio > 0."""
+    t_len = values.shape[1]
     perm = rd.shuffle_permutation(t_len, shuffle_ratio, rng)
     if np.array_equal(perm, np.arange(t_len)):
-        return tokens
-    out = tt.permute_time(tokens.values, perm)
-    return TokenBatch(out, [p.copy() for p in tokens.positions])
+        return values
+    return tt.permute_time(values, perm)
 
 
 class TestShuffle:
@@ -571,11 +544,9 @@ class TestShuffle:
     def test_tokens_values_move_positions_stay(self):
         rng = np.random.default_rng(1)
         vals = rng.uniform(-1, 1, (1, 8, 2))
-        batch = TokenBatch.fresh(Tensor(vals))
-        out = shuffle_tokens(batch, 1.0, np.random.default_rng(2))
-        assert np.array_equal(out.positions[0], np.arange(8))
-        assert sorted(map(tuple, out.values.data[0])) == sorted(map(tuple, vals[0]))
-        assert not np.array_equal(out.values.data, vals)
+        out = shuffle_tokens(Tensor(vals), 1.0, np.random.default_rng(2))
+        assert sorted(map(tuple, out.data[0])) == sorted(map(tuple, vals[0]))
+        assert not np.array_equal(out.data, vals)
 
     def test_bad_ratio(self):
         with pytest.raises(ReduceError):
@@ -603,24 +574,3 @@ class TestConfigValidation:
         cfg = ReductionConfig(r=11, sites=(2, 4, 6), mode=Mode.PRUNE)
         assert cfg.sites == (2, 4, 6)
 
-
-class TestTokenBatchValidation:
-    def test_positions_must_increase(self):
-        with pytest.raises(ReduceError):
-            TokenBatch(Tensor(np.zeros((1, 3, 2))), [np.array([0, 2, 1])])
-
-    def test_positions_length(self):
-        with pytest.raises(ReduceError):
-            TokenBatch(Tensor(np.zeros((1, 3, 2))), [np.array([0, 1])])
-
-
-class TestFeatureExtraction:
-    def test_lookup(self):
-        state = {"x": 1, "c": 2, "b": 3, "delta": 4}
-        assert rd.extract_feature(state, rd.Feature.C) == 2
-
-    def test_missing(self):
-        with pytest.raises(ReduceError):
-            rd.extract_feature({}, rd.Feature.X)
-        with pytest.raises(ReduceError):
-            rd.extract_feature(None, rd.Feature.X)
