@@ -1,5 +1,5 @@
 """Throughput and FLOPs measurement: images/second versus reduction ratio,
-speedup relative to the r=0 baseline."""
+speedup relative to r=0 timed in the same rounds."""
 
 from __future__ import annotations
 
@@ -22,8 +22,6 @@ class BenchResult:
     speedup: float
     accuracy: float | None
     flops: float
-    warmup_iters: int
-    timed_iters: int
 
 
 def _with_r(model, r):
@@ -33,58 +31,40 @@ def _with_r(model, r):
                      model.head)
 
 
-def measure_images_per_second(model, batch=16, warmup=3, iters=10,
-                              dtype=np.float32, seed=0):
-    """Median images/second over timed iterations; same input every iteration."""
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    warmup = max(3, warmup)
-    cfg = model.cfg
-    rng = np.random.default_rng(seed)
-    images = rng.random((batch, cfg.image_size, cfg.image_size,
-                         cfg.in_channels))
-    cast = model.astype(dtype)
-    imgs = images.astype(dtype)
-    for _ in range(warmup):
-        mdl.forward(cast, imgs)
-    rates = []
-    for _ in range(iters):
-        t0 = time.perf_counter()
-        mdl.forward(cast, imgs)
-        rates.append(batch / (time.perf_counter() - t0))
-    return float(np.median(rates)), warmup
-
-
-def measure_throughput(model, batch=16, warmup=3, iters=10, dtype=np.float32,
-                       baseline_rate=None, dataset=None, seed=0) -> BenchResult:
-    cfg = model.cfg
-    red = cfg.reduction
-    rate, warmup = measure_images_per_second(model, batch, warmup, iters,
-                                             dtype, seed)
-    if baseline_rate is None:
-        baseline_rate = rate if red.r == 0 else \
-            measure_images_per_second(_with_r(model, 0), batch, warmup, iters,
-                                      dtype, seed)[0]
-    speedup = 1.0 if red.r == 0 else rate / baseline_rate
-    ratio = rd.reduction_ratio(cfg.tokens0, red.sites, red.r, cfg.depth)
-    acc = tr.evaluate(model, dataset) if dataset is not None else None
-    return BenchResult(red.r, ratio, rate, speedup, acc, mdl.count_flops(cfg),
-                       warmup, iters)
-
-
 def sweep(model, r_values, dataset=None, batch=16, warmup=3, iters=10,
           dtype=np.float32, seed=0):
-    """One BenchResult per r; speedups are relative to a shared r=0 baseline."""
+    """One BenchResult per r in ``r_values``.
+
+    After at least 3 warm-up rounds, each of ``iters`` rounds times one
+    forward pass of the ``dtype`` model at r=0 and at every requested r on
+    the same input, so drift in machine speed reaches every r alike. A rate
+    is the median images/second; a speedup divides it by the r=0 median.
+    """
     if not r_values:
         raise ValueError("r_values must be nonempty")
-    baseline_rate, _ = measure_images_per_second(_with_r(model, 0), batch,
-                                                 warmup, iters, dtype, seed)
+    if iters < 1:
+        raise ValueError("iters must be >= 1")
+    cfg = model.cfg
+    images = np.random.default_rng(seed).random(
+        (batch, cfg.image_size, cfg.image_size, cfg.in_channels)).astype(dtype)
+    cast = model.astype(dtype)
+    timed = {r: _with_r(cast, r) for r in [0, *map(int, r_values)]}
+    rates = {r: [] for r in timed}
+    warmup = max(3, warmup)
+    for i in range(warmup + iters):
+        for r, m in timed.items():
+            t0 = time.perf_counter()
+            mdl.forward(m, images)
+            if i >= warmup:
+                rates[r].append(batch / (time.perf_counter() - t0))
+    median = {r: float(np.median(v)) for r, v in rates.items()}
     results = []
-    for r in r_values:
-        results.append(measure_throughput(_with_r(model, int(r)), batch,
-                                          warmup, iters, dtype,
-                                          baseline_rate=baseline_rate,
-                                          dataset=dataset, seed=seed))
+    for r in map(int, r_values):
+        at_r = _with_r(model, r)
+        ratio = rd.reduction_ratio(cfg.tokens0, cfg.reduction.sites, r, cfg.depth)
+        acc = tr.evaluate(at_r, dataset) if dataset is not None else None
+        results.append(BenchResult(r, ratio, median[r], median[r] / median[0],
+                                   acc, mdl.count_flops(at_r.cfg)))
     return results
 
 

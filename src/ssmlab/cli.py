@@ -35,11 +35,11 @@ def worker_cap():
     return cap
 
 
-def _load_datasets(cfg: RunConfig):
+def _load_datasets(cfg: RunConfig, model_cfg: mdl.ModelConfig):
     """(train, eval) datasets; a label the model has no class for is a DataError."""
     source = cfg.get("data.source")
     if source == "synth":
-        image_size = cfg.get_int("model.image_size")
+        image_size = model_cfg.image_size
         train = ds.synth_dataset(cfg.get_int("data.per_class"),
                                  cfg.get_int("data.classes"), image_size,
                                  cfg.get_int("data.seed"),
@@ -57,7 +57,7 @@ def _load_datasets(cfg: RunConfig):
             evald = train
     else:
         raise ConfigError(f"unknown data.source {source!r}")
-    num_classes = cfg.get_int("model.num_classes")
+    num_classes = model_cfg.num_classes
     for d in (train, evald):
         if d.labels.size and d.labels.max() >= num_classes:
             raise ds.DataError(f"label {d.labels.max()} >= model.num_classes "
@@ -65,8 +65,7 @@ def _load_datasets(cfg: RunConfig):
     return train, evald
 
 
-def _build_model(cfg: RunConfig):
-    model_cfg = cfg.model_config()
+def _build_model(cfg: RunConfig, model_cfg: mdl.ModelConfig):
     init = cfg.get("run.init_checkpoint")
     if init:
         model = mdl.load_checkpoint(init)
@@ -91,21 +90,21 @@ def _prepare_out(cfg: RunConfig, out_override=None):
     return out
 
 
-def cmd_train(cfg: RunConfig, out_dir):
+def cmd_train(cfg: RunConfig, model_cfg, train_cfg, out_dir):
     out = _prepare_out(cfg, out_dir)
-    train_data, eval_data = _load_datasets(cfg)
-    model = _build_model(cfg)
-    report = tr.retrain(model, train_data, cfg.train_config(), eval_data)
+    train_data, eval_data = _load_datasets(cfg, model_cfg)
+    model = _build_model(cfg, model_cfg)
+    report = tr.retrain(model, train_data, train_cfg, eval_data)
     mdl.save_checkpoint(model, out / "checkpoint.bin")
     report.write_csv(out / "report.csv")
     print(f"final accuracy {report.final_accuracy:.4f}")
     return 0
 
 
-def cmd_eval(cfg: RunConfig, out_dir):
+def cmd_eval(cfg: RunConfig, model_cfg, out_dir):
     out = _prepare_out(cfg, out_dir)
-    _, eval_data = _load_datasets(cfg)
-    model = _build_model(cfg)
+    _, eval_data = _load_datasets(cfg, model_cfg)
+    model = _build_model(cfg, model_cfg)
     acc = tr.evaluate(model, eval_data)
     (out / "eval.txt").write_text(f"accuracy={acc:.6f}\n")
     print(f"accuracy {acc:.4f}")
@@ -115,7 +114,7 @@ def cmd_eval(cfg: RunConfig, out_dir):
 BENCH_DTYPES = {"float32": np.float32, "float64": np.float64}
 
 
-def cmd_bench(cfg: RunConfig, out_dir):
+def cmd_bench(cfg: RunConfig, model_cfg, out_dir):
     raw = cfg.get("bench.r_values")
     try:
         r_values = [int(s) for s in raw.split(",") if s]
@@ -126,8 +125,9 @@ def cmd_bench(cfg: RunConfig, out_dir):
         raise ConfigError(f"bench.dtype must be one of {sorted(BENCH_DTYPES)}, "
                           f"got {cfg.get('bench.dtype')!r}")
     out = _prepare_out(cfg, out_dir)
-    model = _build_model(cfg)
-    dataset = _load_datasets(cfg)[1] if cfg.get("bench.dataset") == "eval" else None
+    model = _build_model(cfg, model_cfg)
+    dataset = (_load_datasets(cfg, model_cfg)[1]
+               if cfg.get("bench.dataset") == "eval" else None)
     results = bn.sweep(model, r_values, dataset=dataset,
                        batch=cfg.get_int("bench.batch"),
                        warmup=cfg.get_int("bench.warmup"),
@@ -154,26 +154,25 @@ ABLATION_AXES = {
 }
 
 
-def cmd_ablate(cfg: RunConfig, axis, out_dir):
+def cmd_ablate(cfg: RunConfig, model_cfg, train_cfg, axis, out_dir):
     if axis not in ABLATION_AXES:
         raise ConfigError(f"unknown ablation axis {axis!r}; "
                           f"choose from {sorted(ABLATION_AXES)}")
     out = _prepare_out(cfg, out_dir)
     key, values = ABLATION_AXES[axis]
-    train_data, eval_data = _load_datasets(cfg)
+    train_data, eval_data = _load_datasets(cfg, model_cfg)
     rows = []
     for value in values:
         cell = RunConfig(dict(cfg.values))
         if key == "interval":
             k = int(value)
-            depth = cell.get_int("model.depth")
             cell.set("reduce.sites",
-                     ",".join(str(b) for b in range(k, depth, k)))
+                     ",".join(str(b) for b in range(k, model_cfg.depth, k)))
         else:
             cell.set(key, value)
-        model = _build_model(cell)
+        model = _build_model(cell, cell.model_config())
         training_free = tr.evaluate(model, eval_data)
-        report = tr.retrain(model, train_data, cell.train_config(), eval_data)
+        report = tr.retrain(model, train_data, train_cfg, eval_data)
         retrained = report.final_accuracy
         rows.append((value, training_free, retrained))
         print(f"{axis}={value} training-free={training_free:.4f} "
@@ -202,10 +201,10 @@ def _read_token_file(path):
     return np.asarray(rows)
 
 
-def cmd_merge_demo(cfg: RunConfig, tokens_path, out_dir):
+def cmd_merge_demo(cfg: RunConfig, model_cfg, tokens_path, out_dir):
     out = _prepare_out(cfg, out_dir)
     values = _read_token_file(tokens_path)
-    red = cfg.reduction_config()
+    red = model_cfg.reduction
     t_len, _ = values.shape
     lines = [f"tokens {t_len} dim {values.shape[1]}"]
     g1, g2 = rd.grouping(t_len, red.grouping,
@@ -291,16 +290,19 @@ def main(argv=None):
         cfg = RunConfig.load(args.config)
         if args.seed is not None:
             cfg.set("run.seed", str(args.seed))
+        # every model.*, reduce.* and train.* key is checked here, whatever
+        # the command reads
+        model_cfg, train_cfg = cfg.model_config(), cfg.train_config()
         if args.command == "train":
-            return cmd_train(cfg, args.out)
+            return cmd_train(cfg, model_cfg, train_cfg, args.out)
         if args.command == "eval":
-            return cmd_eval(cfg, args.out)
+            return cmd_eval(cfg, model_cfg, args.out)
         if args.command == "bench":
-            return cmd_bench(cfg, args.out)
+            return cmd_bench(cfg, model_cfg, args.out)
         if args.command == "ablate":
-            return cmd_ablate(cfg, args.axis, args.out)
+            return cmd_ablate(cfg, model_cfg, train_cfg, args.axis, args.out)
         if args.command == "merge-demo":
-            return cmd_merge_demo(cfg, args.tokens, args.out)
+            return cmd_merge_demo(cfg, model_cfg, args.tokens, args.out)
         raise ConfigError(f"unknown command {args.command}")
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

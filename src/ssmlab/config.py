@@ -1,14 +1,19 @@
 """Plain key=value run configuration: one key per line, '#' comments,
 unknown keys rejected. Every run writes its resolved config next to its
 outputs so results are reproducible from that file alone.
+
+The config dataclasses are the schema: the ``model.*``, ``reduce.*`` and
+``train.*`` keys, their defaults and their parsing come from the fields of
+``ModelConfig``, ``ReductionConfig`` and ``TrainConfig``. Only
+``reduce.sites`` differs: it defaults to ``even``, and ``even``, ``odd`` and
+``none`` name site lists that depend on the depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import reduce as rd
-from .model import ModelConfig, default_sites
+from .model import ModelConfig, config_from_text, config_text, default_sites
 from .reduce import ReductionConfig
 from .train import TrainConfig
 
@@ -17,34 +22,17 @@ class ConfigError(ValueError):
     pass
 
 
+def _section(cfg, prefix):
+    """Text defaults of ``cfg``'s own fields; a nested config has its own section."""
+    return {k: v for k, v in config_text(cfg, prefix).items()
+            if "." not in k[len(prefix):]}
+
+
 _DEFAULTS = {
-    "model.image_size": "28",
-    "model.patch_size": "4",
-    "model.in_channels": "1",
-    "model.depth": "8",
-    "model.d_model": "64",
-    "model.d_inner": "32",
-    "model.d_state": "8",
-    "model.num_classes": "10",
-    "reduce.r": "0",
+    **_section(ModelConfig(), "model."),
+    **_section(ReductionConfig(), "reduce."),
     "reduce.sites": "even",
-    "reduce.feature": "x",
-    "reduce.distance": "cosine",
-    "reduce.merge_op": "sum",
-    "reduce.grouping": "odd_even",
-    "reduce.pair_rank": "1",
-    "reduce.selection": "top_r",
-    "reduce.pairing": "nearest",
-    "reduce.shuffle_ratio": "0",
-    "reduce.mode": "merge",
-    "train.epochs": "3",
-    "train.batch_size": "32",
-    "train.accum_steps": "1",
-    "train.lr_start": "2e-5",
-    "train.lr_end": "1e-6",
-    "train.weight_decay": "5e-2",
-    "train.seed": "0",
-    "train.subset_fraction": "1",
+    **_section(TrainConfig(), "train."),
     "data.source": "synth",
     "data.images": "",
     "data.labels": "",
@@ -115,64 +103,21 @@ class RunConfig:
                 f.write(f"{key}={self.values[key]}\n")
 
     # ------------------------------------------------------------------
+    def _typed(self, cls, prefix, **given):
+        try:
+            return config_from_text(cls, self.values, prefix, **given)
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
+
     def reduction_config(self) -> ReductionConfig:
         depth = self.get_int("model.depth")
-        sites_raw = self.get("reduce.sites")
-        if sites_raw == "even":
-            sites = default_sites(depth)
-        elif sites_raw == "odd":
-            sites = tuple(b for b in range(1, depth, 2))
-        elif sites_raw in ("", "none"):
-            sites = ()
-        else:
-            try:
-                sites = tuple(int(s) for s in sites_raw.split(","))
-            except ValueError as e:
-                raise ConfigError(f"bad reduce.sites: {sites_raw!r}") from e
-        try:
-            return ReductionConfig(
-                r=self.get_int("reduce.r"),
-                sites=sites,
-                feature=rd.Feature(self.get("reduce.feature")),
-                distance=rd.Distance(self.get("reduce.distance")),
-                merge_op=rd.MergeOp(self.get("reduce.merge_op")),
-                grouping=rd.Grouping(self.get("reduce.grouping")),
-                pair_rank=self.get_int("reduce.pair_rank"),
-                selection=rd.Selection(self.get("reduce.selection")),
-                pairing=rd.Pairing(self.get("reduce.pairing")),
-                shuffle_ratio=self.get_float("reduce.shuffle_ratio"),
-                mode=rd.Mode(self.get("reduce.mode")),
-            )
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        spelled = {"even": default_sites(depth), "odd": tuple(range(1, depth, 2)),
+                   "none": ()}.get(self.get("reduce.sites"))
+        given = {} if spelled is None else {"sites": spelled}
+        return self._typed(ReductionConfig, "reduce.", **given)
 
     def model_config(self) -> ModelConfig:
-        try:
-            return ModelConfig(
-                image_size=self.get_int("model.image_size"),
-                patch_size=self.get_int("model.patch_size"),
-                in_channels=self.get_int("model.in_channels"),
-                depth=self.get_int("model.depth"),
-                d_model=self.get_int("model.d_model"),
-                d_inner=self.get_int("model.d_inner"),
-                d_state=self.get_int("model.d_state"),
-                num_classes=self.get_int("model.num_classes"),
-                reduction=self.reduction_config(),
-            )
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        return self._typed(ModelConfig, "model.", reduction=self.reduction_config())
 
     def train_config(self) -> TrainConfig:
-        try:
-            return TrainConfig(
-                epochs=self.get_int("train.epochs"),
-                batch_size=self.get_int("train.batch_size"),
-                accum_steps=self.get_int("train.accum_steps"),
-                lr_start=self.get_float("train.lr_start"),
-                lr_end=self.get_float("train.lr_end"),
-                weight_decay=self.get_float("train.weight_decay"),
-                seed=self.get_int("train.seed"),
-                subset_fraction=self.get_float("train.subset_fraction"),
-            )
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        return self._typed(TrainConfig, "train.")

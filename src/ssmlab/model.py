@@ -1,14 +1,15 @@
 """Patch embedding + bidirectional SSM block stack + mean-pool classifier,
-with token reduction interleaved at configured sites, and the versioned
-binary checkpoint format.
+with token reduction interleaved at configured sites, the text form of the
+config dataclasses, and the versioned binary checkpoint format.
 """
 
 from __future__ import annotations
 
+import enum
 import io
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -182,61 +183,70 @@ def count_flops(model_cfg: ModelConfig):
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: magic "MEETO1", length-prefixed config lines, tensors
+# config text and the checkpoint format. The config dataclasses are the only
+# list of config fields: the run config's keys and the checkpoint's config
+# lines both come from their fields through config_text and config_from_text.
+
+def config_text(cfg, prefix=""):
+    """``{key: text}`` for every field of config dataclass ``cfg``, keyed
+    ``<prefix><field>``; a nested config goes under ``<prefix><field>.``."""
+    out = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        key = prefix + f.name
+        if is_dataclass(value):
+            out.update(config_text(value, key + "."))
+        elif isinstance(value, enum.Enum):
+            out[key] = value.value
+        elif isinstance(value, tuple):
+            out[key] = ",".join(str(v) for v in value)
+        else:
+            out[key] = str(value)
+    return out
+
+
+def _parse(key, default, text):
+    """``text`` as a value of the type of ``default`` (int, float, an Enum,
+    or a tuple of ints); a ValueError names ``key``."""
+    kind = type(default)
+    try:
+        if kind is tuple:
+            return tuple(int(s) for s in text.split(",")) if text else ()
+        return kind(text)
+    except ValueError as e:
+        name = {int: "integer", float: "float",
+                tuple: "integer list"}.get(kind, kind.__name__)
+        raise ValueError(f"bad {name} for {key}: {text!r}") from e
+
+
+def config_from_text(cls, text, prefix="", **given):
+    """Config dataclass ``cls`` from ``{key: text}``, the inverse of
+    ``config_text``. Fields in ``given`` are taken as they are; a nested
+    config not given is read from under ``<prefix><field>.``. A missing key
+    raises KeyError, a value that does not parse ValueError."""
+    kwargs = dict(given)
+    for f in fields(cls):
+        if f.name in given:
+            continue
+        key = prefix + f.name
+        default = f.default if f.default is not MISSING else f.default_factory()
+        if is_dataclass(default):
+            kwargs[f.name] = config_from_text(type(default), text, key + ".")
+        else:
+            kwargs[f.name] = _parse(key, default, text[key])
+    return cls(**kwargs)
+
+
+# checkpoint: magic "MEETO1", length-prefixed config lines (config_text of
+# the ModelConfig), then the named tensors
 
 _MAGIC = b"MEETO1"
-
-
-def _config_lines(cfg: ModelConfig):
-    red = cfg.reduction
-    items = {
-        "image_size": cfg.image_size, "patch_size": cfg.patch_size,
-        "in_channels": cfg.in_channels, "depth": cfg.depth,
-        "d_model": cfg.d_model, "d_inner": cfg.d_inner,
-        "d_state": cfg.d_state, "num_classes": cfg.num_classes,
-        "reduction.r": red.r,
-        "reduction.sites": ",".join(str(s) for s in red.sites),
-        "reduction.feature": red.feature.value,
-        "reduction.distance": red.distance.value,
-        "reduction.merge_op": red.merge_op.value,
-        "reduction.grouping": red.grouping.value,
-        "reduction.pair_rank": red.pair_rank,
-        "reduction.selection": red.selection.value,
-        "reduction.pairing": red.pairing.value,
-        "reduction.shuffle_ratio": repr(red.shuffle_ratio),
-        "reduction.mode": red.mode.value,
-    }
-    return [f"{k}={v}" for k, v in items.items()]
-
-
-def _config_from_lines(lines):
-    kv = dict(line.split("=", 1) for line in lines)
-    sites = tuple(int(s) for s in kv["reduction.sites"].split(",") if s)
-    red = ReductionConfig(
-        r=int(kv["reduction.r"]), sites=sites,
-        feature=rd.Feature(kv["reduction.feature"]),
-        distance=rd.Distance(kv["reduction.distance"]),
-        merge_op=rd.MergeOp(kv["reduction.merge_op"]),
-        grouping=rd.Grouping(kv["reduction.grouping"]),
-        pair_rank=int(kv["reduction.pair_rank"]),
-        selection=rd.Selection(kv["reduction.selection"]),
-        pairing=rd.Pairing(kv["reduction.pairing"]),
-        shuffle_ratio=float(kv["reduction.shuffle_ratio"]),
-        mode=rd.Mode(kv["reduction.mode"]),
-    )
-    return ModelConfig(
-        image_size=int(kv["image_size"]), patch_size=int(kv["patch_size"]),
-        in_channels=int(kv["in_channels"]), depth=int(kv["depth"]),
-        d_model=int(kv["d_model"]), d_inner=int(kv["d_inner"]),
-        d_state=int(kv["d_state"]), num_classes=int(kv["num_classes"]),
-        reduction=red,
-    )
 
 
 def save_checkpoint(model: Model, path):
     buf = io.BytesIO()
     buf.write(_MAGIC)
-    lines = _config_lines(model.cfg)
+    lines = [f"{k}={v}" for k, v in config_text(model.cfg).items()]
     buf.write(struct.pack("<Q", len(lines)))
     for line in lines:
         raw = line.encode("utf-8")
@@ -277,7 +287,8 @@ def load_checkpoint(path) -> Model:
         return read(read_u64()).decode("utf-8")
 
     try:
-        cfg = _config_from_lines([read_text() for _ in range(read_u64())])
+        lines = [read_text() for _ in range(read_u64())]
+        cfg = config_from_text(ModelConfig, dict(line.split("=", 1) for line in lines))
         tensors = {}
         for _ in range(read_u64()):
             name = read_text()

@@ -56,30 +56,11 @@ class Tensor:
             raise TensorError("item() on non-scalar tensor")
         return float(self.data.reshape(()))
 
-    def detach(self):
-        return Tensor(self.data, requires_grad=False, _check=False)
-
     def zero_grad(self):
         self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, requires_grad={self.requires_grad})"
-
-    # operator sugar; all routing through the module-level op functions
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class GradTape:
@@ -182,13 +163,6 @@ def add(a, b):
                                           _unbroadcast(d, b.data.shape)))
 
 
-def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data - b.data, _check=False)
-    return record(out, (a, b), lambda d: (_unbroadcast(d, a.data.shape),
-                                          _unbroadcast(-d, b.data.shape)))
-
-
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data * b.data, _check=False)
@@ -196,23 +170,10 @@ def mul(a, b):
                                           _unbroadcast(d * a.data, b.data.shape)))
 
 
-def neg(a):
-    out = Tensor(-a.data, _check=False)
-    return record(out, (a,), lambda d: (-d,))
-
-
 def scale(a, s):
     s = float(s)
     out = Tensor(a.data * s, _check=False)
     return record(out, (a,), lambda d: (d * s,))
-
-
-def exp(a):
-    e = np.exp(a.data)
-    if not np.all(np.isfinite(e)):
-        raise TensorError("exp overflow")
-    out = Tensor(e, _check=False)
-    return record(out, (a,), lambda d: (d * e,))
 
 
 def _sigmoid(x):
@@ -273,11 +234,6 @@ def tmean(a, axis=None):
     return scale(tsum(a, axis=axis), 1.0 / n)
 
 
-def reshape(a, shape):
-    out = Tensor(a.data.reshape(shape), _check=False)
-    return record(out, (a,), lambda d: (d.reshape(a.data.shape),))
-
-
 def permute_time(a, perm):
     """Reorder axis 1 by an index array; gradient scatters back."""
     perm = np.asarray(perm, dtype=np.intp)
@@ -305,19 +261,3 @@ def layer_norm(a, eps=1e-6):
 
     return record(out, (a,), backward)
 
-
-def finite_difference_grad(f, x, eps=1e-5):
-    """Central finite differences of scalar-valued f at ndarray x. Test oracle."""
-    x = np.asarray(x, dtype=np.float64)
-    g = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gf = g.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        fp = f(x)
-        flat[i] = orig - eps
-        fm = f(x)
-        flat[i] = orig
-        gf[i] = (fp - fm) / (2.0 * eps)
-    return g

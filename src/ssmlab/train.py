@@ -20,6 +20,10 @@ class NumericError(RuntimeError):
     """Training diverged into non-finite territory."""
 
 
+BETAS = (0.9, 0.999)  # AdamW moment decay rates
+EPS = 1e-8            # AdamW denominator floor
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 3
@@ -28,8 +32,6 @@ class TrainConfig:
     lr_start: float = 2e-5
     lr_end: float = 1e-6
     weight_decay: float = 5e-2
-    betas: tuple = (0.9, 0.999)
-    eps: float = 1e-8
     seed: int = 0
     subset_fraction: float = 1.0
 
@@ -92,7 +94,7 @@ def cosine_lr(step, total_steps, lr_start, lr_end):
 
 def adamw_step(named_params, state: AdamWState, lr, cfg: TrainConfig):
     """Decoupled weight decay, then bias-corrected Adam. Mutates in place."""
-    b1, b2 = cfg.betas
+    b1, b2 = BETAS
     state.step += 1
     t = state.step
     bc1 = 1.0 - b1 ** t
@@ -109,7 +111,7 @@ def adamw_step(named_params, state: AdamWState, lr, cfg: TrainConfig):
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 @dataclass

@@ -12,6 +12,23 @@ BASELINE_TRAIN = dict(epochs=6, batch_size=32, lr_start=3e-3, lr_end=3e-4,
                       weight_decay=5e-2)
 
 
+def finite_difference_grad(f, x, eps=1e-5):
+    """Central finite differences of scalar-valued f at ndarray x. Test oracle."""
+    x = np.asarray(x, dtype=np.float64)
+    g = np.zeros_like(x)
+    flat = x.reshape(-1)
+    gf = g.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        fp = f(x)
+        flat[i] = orig - eps
+        fm = f(x)
+        flat[i] = orig
+        gf[i] = (fp - fm) / (2.0 * eps)
+    return g
+
+
 @pytest.fixture(scope="session")
 def desk_train_data():
     return ds.synth_dataset(32, 10, 28, 1234)

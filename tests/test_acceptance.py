@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import SEEDS
+from conftest import SEEDS, finite_difference_grad
 from ssmlab import cli
 from ssmlab import data as ds
 from ssmlab import model as mdl
@@ -29,7 +29,7 @@ from ssmlab.reduce import (
     ReductionConfig,
 )
 from ssmlab.ssm import ScanDirection
-from ssmlab.tensor import GradTape, Tensor, finite_difference_grad
+from ssmlab.tensor import GradTape, Tensor
 from test_reduce import slow_select
 from test_ssm import naive_scan
 

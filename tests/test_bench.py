@@ -17,18 +17,15 @@ def bench_model():
 
 class TestMeasure:
     def test_rate_positive(self):
-        rate, warmup = bn.measure_images_per_second(bench_model(), batch=2,
-                                                    warmup=0, iters=2)
-        assert rate > 0
-        assert warmup >= 3  # warmup floor applies
+        results = bn.sweep(bench_model(), [1], batch=2, warmup=0, iters=2)
+        assert results[0].images_per_second > 0
 
     def test_iters_validation(self):
         with pytest.raises(ValueError):
-            bn.measure_images_per_second(bench_model(), iters=0)
+            bn.sweep(bench_model(), [0, 1], iters=0)
 
     def test_baseline_speedup_is_exactly_one(self):
-        model = bn._with_r(bench_model(), 0)
-        res = bn.measure_throughput(model, batch=2, iters=2)
+        res = bn.sweep(bench_model(), [0, 1], batch=2, iters=2)[0]
         assert res.speedup == 1.0
         assert res.r == 0 and res.reduction_ratio == 0.0
 

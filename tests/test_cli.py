@@ -1,3 +1,5 @@
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -5,6 +7,9 @@ import pytest
 
 from ssmlab import cli, data as ds, model as mdl
 from ssmlab.config import ConfigError, RunConfig
+from ssmlab.model import ModelConfig
+from ssmlab.reduce import ReductionConfig
+from ssmlab.train import TrainConfig
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -95,6 +100,43 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             cfg.reduction_config()
 
+    def test_every_config_field_has_a_key(self):
+        for cls, prefix in [(ModelConfig, "model."), (ReductionConfig, "reduce."),
+                            (TrainConfig, "train.")]:
+            for f in fields(cls):
+                if f.name != "reduction":  # the reduce.* section
+                    assert prefix + f.name in RunConfig().values, (cls, f.name)
+
+    def test_every_reduction_field_survives_a_checkpoint(self, tmp_path):
+        cfg = RunConfig()
+        for line in TINY.split():
+            cfg.set(*line.split("="))
+        settings = {"r": "2", "sites": "0,1", "feature": "c", "distance": "l2",
+                    "merge_op": "max", "grouping": "random", "pair_rank": "2",
+                    "selection": "random_r", "pairing": "random_pair",
+                    "shuffle_ratio": "0.25", "mode": "prune"}
+        assert sorted(settings) == sorted(f.name for f in fields(ReductionConfig))
+        for name, value in settings.items():
+            cfg.set("reduce." + name, value)
+        model_cfg = cfg.model_config()
+        for f in fields(ReductionConfig):
+            assert (getattr(model_cfg.reduction, f.name)
+                    != getattr(ReductionConfig(), f.name)), f.name
+        path = tmp_path / "c.meeto"
+        mdl.save_checkpoint(mdl.init_model(model_cfg), path)
+        assert mdl.load_checkpoint(path).cfg == model_cfg
+
+    @pytest.mark.parametrize("key, value", [
+        ("reduce.r", "many"), ("reduce.distance", "chebyshev"),
+        ("reduce.sites", "x,y"), ("model.d_state", "1.5"),
+        ("train.lr_start", "abc")])
+    def test_bad_value_names_its_key(self, key, value):
+        cfg = RunConfig()
+        cfg.set(key, value)
+        build = cfg.train_config if key.startswith("train.") else cfg.model_config
+        with pytest.raises(ConfigError, match=re.escape(f"{key}: {value!r}")):
+            build()
+
 
 class TestThreadCap:
     def test_default(self, monkeypatch):
@@ -184,9 +226,12 @@ class TestExitCodes:
         ("train", idx_labels_past_num_classes, None, cli.EXIT_DATA),
         ("eval", checkpoint_with_bad_utf8, None, cli.EXIT_DATA),
         ("eval", b"run.seed=\xff\xfe\n", None, cli.EXIT_CONFIG),
+        ("eval", "train.batch_size=0\n", None, cli.EXIT_CONFIG),
+        ("merge-demo", "train.lr_start=abc\n", "0 1\n1 0\n1 1\n0 2\n",
+         cli.EXIT_CONFIG),
     ], ids=["cosine-zero-vectors", "single-token", "bench-r-values",
             "bench-dtype", "label-past-num-classes", "checkpoint-not-utf8",
-            "config-not-utf8"])
+            "config-not-utf8", "eval-bad-train-key", "merge-demo-bad-train-key"])
     def test_bad_input_table(self, tmp_path, capsys, command, extra, tokens, code):
         if callable(extra):
             extra = extra(tmp_path)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import finite_difference_grad
 from ssmlab import model as mdl, reduce as rd, tensor as tt
 from ssmlab.model import Model, ModelConfig, ModelError
 from ssmlab.reduce import MergeOp, Mode, ReductionConfig
-from ssmlab.tensor import GradTape, Tensor, finite_difference_grad
+from ssmlab.tensor import GradTape, Tensor
 
 
 def small_cfg(**red_kwargs):

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import finite_difference_grad
 from ssmlab import ssm, tensor as tt
 from ssmlab.ssm import ScanDirection, ScanParams
-from ssmlab.tensor import GradTape, Tensor, TensorError, finite_difference_grad
+from ssmlab.tensor import GradTape, Tensor, TensorError
 
 
 def naive_scan(params, x, reverse=False):

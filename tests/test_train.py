@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from conftest import finite_difference_grad
 from ssmlab import data as ds
 from ssmlab import model as mdl
 from ssmlab import tensor as tt
 from ssmlab import train as tr
 from ssmlab.model import ModelConfig
 from ssmlab.reduce import ReductionConfig
-from ssmlab.tensor import GradTape, Tensor, finite_difference_grad
+from ssmlab.tensor import GradTape, Tensor
 from ssmlab.train import AdamWState, TrainConfig
 
 
@@ -109,7 +110,7 @@ class TestAdamW:
         tr.adamw_step([("p", p)], state, 1e-2, cfg)
         # after bias correction the first update is lr * g / (|g| + eps)
         g = np.array([0.5, -0.25])
-        want = np.array([1.0, -2.0]) - 1e-2 * g / (np.abs(g) + cfg.eps)
+        want = np.array([1.0, -2.0]) - 1e-2 * g / (np.abs(g) + tr.EPS)
         assert np.allclose(p.data, want, atol=1e-12)
 
     def test_decay_shrinks_before_update(self):
@@ -123,7 +124,7 @@ class TestAdamW:
 
     def test_matches_reference_over_steps(self):
         cfg = TrainConfig(weight_decay=0.03)
-        b1, b2 = cfg.betas
+        b1, b2 = tr.BETAS
         rng = np.random.default_rng(3)
         p0 = rng.uniform(-1, 1, 5)
         grads = [rng.uniform(-1, 1, 5) for _ in range(4)]
@@ -136,7 +137,7 @@ class TestAdamW:
             ref -= lr * cfg.weight_decay * ref
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
-            ref -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + cfg.eps)
+            ref -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + tr.EPS)
 
         p = Tensor(p0.copy(), requires_grad=True)
         state = AdamWState.for_params([("p", p)])
