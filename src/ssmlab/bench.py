@@ -4,6 +4,7 @@ speedup relative to r=0 timed in the same rounds."""
 from __future__ import annotations
 
 import csv
+import enum
 import time
 from dataclasses import dataclass, replace
 
@@ -12,6 +13,34 @@ import numpy as np
 from . import model as mdl
 from . import reduce as rd
 from . import train as tr
+
+
+class Dtype(enum.Enum):
+    FLOAT32 = "float32"
+    FLOAT64 = "float64"
+
+
+class BenchData(enum.Enum):
+    NONE = "none"
+    EVAL = "eval"       # also report accuracy on the eval set per r
+
+
+@dataclass
+class BenchConfig:
+    """The ``bench.*`` keys: the arguments of ``sweep``."""
+    r_values: tuple = (0, 5, 11, 20)
+    batch: int = 16
+    warmup: int = 3
+    iters: int = 10
+    dtype: Dtype = Dtype.FLOAT32
+    dataset: BenchData = BenchData.NONE
+
+    def __post_init__(self):
+        if not self.r_values or min(self.r_values) < 0:
+            raise ValueError("bench.r_values must list one or more r >= 0")
+        for name, low in (("batch", 1), ("iters", 1), ("warmup", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"bench.{name} must be >= {low}")
 
 
 @dataclass
@@ -35,22 +64,18 @@ def sweep(model, r_values, dataset=None, batch=16, warmup=3, iters=10,
           dtype=np.float32, seed=0):
     """One BenchResult per r in ``r_values``.
 
-    After at least 3 warm-up rounds, each of ``iters`` rounds times one
+    After ``warmup`` untimed rounds, each of ``iters`` rounds times one
     forward pass of the ``dtype`` model at r=0 and at every requested r on
     the same input, so drift in machine speed reaches every r alike. A rate
     is the median images/second; a speedup divides it by the r=0 median.
     """
-    if not r_values:
-        raise ValueError("r_values must be nonempty")
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
+    BenchConfig(tuple(r_values), batch, warmup, iters)  # checks the arguments
     cfg = model.cfg
     images = np.random.default_rng(seed).random(
         (batch, cfg.image_size, cfg.image_size, cfg.in_channels)).astype(dtype)
     cast = model.astype(dtype)
     timed = {r: _with_r(cast, r) for r in [0, *map(int, r_values)]}
     rates = {r: [] for r in timed}
-    warmup = max(3, warmup)
     for i in range(warmup + iters):
         for r, m in timed.items():
             t0 = time.perf_counter()

@@ -16,7 +16,7 @@ from . import data as ds
 from . import model as mdl
 from . import reduce as rd
 from . import train as tr
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, RunOptions, Settings
 from .tensor import Tensor, TensorError
 
 EXIT_CONFIG = 1
@@ -25,38 +25,23 @@ EXIT_NUMERIC = 3
 
 
 def worker_cap():
+    """``MEETO_THREADS`` checked; importing ssmlab applies it to the BLAS pools."""
     raw = os.environ.get("MEETO_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"MEETO_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ConfigError("MEETO_THREADS must be >= 1")
-    return cap
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ConfigError(f"MEETO_THREADS must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
-def _load_datasets(cfg: RunConfig, model_cfg: mdl.ModelConfig):
+def _load_datasets(data: ds.DataConfig, model_cfg: mdl.ModelConfig):
     """(train, eval) datasets; a label the model has no class for is a DataError."""
-    source = cfg.get("data.source")
-    if source == "synth":
-        image_size = model_cfg.image_size
-        train = ds.synth_dataset(cfg.get_int("data.per_class"),
-                                 cfg.get_int("data.classes"), image_size,
-                                 cfg.get_int("data.seed"),
-                                 cfg.get_float("data.noise_sigma"))
-        evald = ds.synth_dataset(cfg.get_int("data.eval_per_class"),
-                                 cfg.get_int("data.classes"), image_size,
-                                 cfg.get_int("data.seed") + 1,
-                                 cfg.get_float("data.noise_sigma"))
-    elif source == "idx":
-        train = ds.load_idx(cfg.get("data.images"), cfg.get("data.labels"))
-        if cfg.get("data.eval_images"):
-            evald = ds.load_idx(cfg.get("data.eval_images"),
-                                cfg.get("data.eval_labels"))
-        else:
-            evald = train
+    if data.source is ds.Source.SYNTH:
+        train, evald = (ds.synth_dataset(n, data.classes, model_cfg.image_size,
+                                         data.seed + i, data.noise_sigma)
+                        for i, n in enumerate((data.per_class, data.eval_per_class)))
     else:
-        raise ConfigError(f"unknown data.source {source!r}")
+        train = ds.load_idx(data.images, data.labels)
+        evald = (ds.load_idx(data.eval_images, data.eval_labels)
+                 if data.eval_images else train)
     num_classes = model_cfg.num_classes
     for d in (train, evald):
         if d.labels.size and d.labels.max() >= num_classes:
@@ -65,10 +50,9 @@ def _load_datasets(cfg: RunConfig, model_cfg: mdl.ModelConfig):
     return train, evald
 
 
-def _build_model(cfg: RunConfig, model_cfg: mdl.ModelConfig):
-    init = cfg.get("run.init_checkpoint")
-    if init:
-        model = mdl.load_checkpoint(init)
+def _build_model(run: RunOptions, model_cfg: mdl.ModelConfig):
+    if run.init_checkpoint:
+        model = mdl.load_checkpoint(run.init_checkpoint)
         # weights come from the checkpoint; the reduction policy from this run
         model.cfg = replace(model.cfg, reduction=model_cfg.reduction)
         diff = [f"{f.name} {getattr(model.cfg, f.name)} != {getattr(model_cfg, f.name)}"
@@ -78,61 +62,36 @@ def _build_model(cfg: RunConfig, model_cfg: mdl.ModelConfig):
             raise ConfigError("checkpoint architecture does not match config: "
                               + ", ".join(diff))
         return model
-    return mdl.init_model(model_cfg, seed=cfg.get_int("run.seed"))
+    return mdl.init_model(model_cfg, seed=run.seed)
 
 
-def _prepare_out(cfg: RunConfig, out_override=None):
-    if out_override:
-        cfg.set("run.out", str(out_override))
-    out = Path(cfg.get("run.out"))
-    out.mkdir(parents=True, exist_ok=True)
-    cfg.dump(out / "resolved_config.txt")
-    return out
-
-
-def cmd_train(cfg: RunConfig, model_cfg, train_cfg, out_dir):
-    out = _prepare_out(cfg, out_dir)
-    train_data, eval_data = _load_datasets(cfg, model_cfg)
-    model = _build_model(cfg, model_cfg)
-    report = tr.retrain(model, train_data, train_cfg, eval_data)
+def cmd_train(s: Settings, out):
+    train_data, eval_data = _load_datasets(s.data, s.model)
+    model = _build_model(s.run, s.model)
+    report = tr.retrain(model, train_data, s.train, eval_data)
     mdl.save_checkpoint(model, out / "checkpoint.bin")
     report.write_csv(out / "report.csv")
     print(f"final accuracy {report.final_accuracy:.4f}")
     return 0
 
 
-def cmd_eval(cfg: RunConfig, model_cfg, out_dir):
-    out = _prepare_out(cfg, out_dir)
-    _, eval_data = _load_datasets(cfg, model_cfg)
-    model = _build_model(cfg, model_cfg)
+def cmd_eval(s: Settings, out):
+    _, eval_data = _load_datasets(s.data, s.model)
+    model = _build_model(s.run, s.model)
     acc = tr.evaluate(model, eval_data)
     (out / "eval.txt").write_text(f"accuracy={acc:.6f}\n")
     print(f"accuracy {acc:.4f}")
     return 0
 
 
-BENCH_DTYPES = {"float32": np.float32, "float64": np.float64}
-
-
-def cmd_bench(cfg: RunConfig, model_cfg, out_dir):
-    raw = cfg.get("bench.r_values")
-    try:
-        r_values = [int(s) for s in raw.split(",") if s]
-    except ValueError as e:
-        raise ConfigError(f"bad integer in bench.r_values: {raw!r}") from e
-    dtype = BENCH_DTYPES.get(cfg.get("bench.dtype"))
-    if dtype is None:
-        raise ConfigError(f"bench.dtype must be one of {sorted(BENCH_DTYPES)}, "
-                          f"got {cfg.get('bench.dtype')!r}")
-    out = _prepare_out(cfg, out_dir)
-    model = _build_model(cfg, model_cfg)
-    dataset = (_load_datasets(cfg, model_cfg)[1]
-               if cfg.get("bench.dataset") == "eval" else None)
-    results = bn.sweep(model, r_values, dataset=dataset,
-                       batch=cfg.get_int("bench.batch"),
-                       warmup=cfg.get_int("bench.warmup"),
-                       iters=cfg.get_int("bench.iters"), dtype=dtype,
-                       seed=cfg.get_int("run.seed"))
+def cmd_bench(s: Settings, out):
+    cfg = s.bench
+    model = _build_model(s.run, s.model)
+    dataset = (_load_datasets(s.data, s.model)[1]
+               if cfg.dataset is bn.BenchData.EVAL else None)
+    results = bn.sweep(model, cfg.r_values, dataset=dataset, batch=cfg.batch,
+                       warmup=cfg.warmup, iters=cfg.iters,
+                       dtype=cfg.dtype.value, seed=s.run.seed)
     bn.write_csv(results, out / "bench.csv")
     for b in results:
         print(f"r={b.r} ratio={b.reduction_ratio:.2f} "
@@ -154,25 +113,21 @@ ABLATION_AXES = {
 }
 
 
-def cmd_ablate(cfg: RunConfig, model_cfg, train_cfg, axis, out_dir):
-    if axis not in ABLATION_AXES:
-        raise ConfigError(f"unknown ablation axis {axis!r}; "
-                          f"choose from {sorted(ABLATION_AXES)}")
-    out = _prepare_out(cfg, out_dir)
+def cmd_ablate(cfg: RunConfig, s: Settings, axis, out):
     key, values = ABLATION_AXES[axis]
-    train_data, eval_data = _load_datasets(cfg, model_cfg)
+    train_data, eval_data = _load_datasets(s.data, s.model)
     rows = []
     for value in values:
         cell = RunConfig(dict(cfg.values))
         if key == "interval":
             k = int(value)
             cell.set("reduce.sites",
-                     ",".join(str(b) for b in range(k, model_cfg.depth, k)))
+                     ",".join(str(b) for b in range(k, s.model.depth, k)))
         else:
             cell.set(key, value)
-        model = _build_model(cell, cell.model_config())
+        model = _build_model(s.run, cell.model_config())
         training_free = tr.evaluate(model, eval_data)
-        report = tr.retrain(model, train_data, train_cfg, eval_data)
+        report = tr.retrain(model, train_data, s.train, eval_data)
         retrained = report.final_accuracy
         rows.append((value, training_free, retrained))
         print(f"{axis}={value} training-free={training_free:.4f} "
@@ -187,28 +142,23 @@ def cmd_ablate(cfg: RunConfig, model_cfg, train_cfg, axis, out_dir):
 
 def _read_token_file(path):
     rows = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(v) for v in line.split()])
-            except ValueError as e:
-                raise ds.DataError(f"{path}:{lineno}: bad token line") from e
+    for lineno, line in ds.text_lines(path, ds.DataError):
+        try:
+            rows.append([float(v) for v in line.split()])
+        except ValueError as e:
+            raise ds.DataError(f"{path}:{lineno}: bad token line") from e
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise ds.DataError("token file must be a rectangular float table")
     return np.asarray(rows)
 
 
-def cmd_merge_demo(cfg: RunConfig, model_cfg, tokens_path, out_dir):
-    out = _prepare_out(cfg, out_dir)
+def cmd_merge_demo(s: Settings, tokens_path, out):
     values = _read_token_file(tokens_path)
-    red = model_cfg.reduction
+    red = s.model.reduction
     t_len, _ = values.shape
     lines = [f"tokens {t_len} dim {values.shape[1]}"]
     g1, g2 = rd.grouping(t_len, red.grouping,
-                         np.random.default_rng(cfg.get_int("run.seed")))
+                         np.random.default_rng(s.run.seed))
     lines.append("group1 " + " ".join(str(i) for i in g1))
     lines.append("group2 " + " ".join(str(i) for i in g2))
     dists = rd.pairwise_distance(values[g1], values[g2], red.distance)
@@ -222,7 +172,7 @@ def cmd_merge_demo(cfg: RunConfig, model_cfg, tokens_path, out_dir):
     else:
         pairs = rd.select_pairs(dists, r_eff, red.pair_rank, red.selection,
                                 red.pairing,
-                                rng=np.random.default_rng(cfg.get_int("run.seed")),
+                                rng=np.random.default_rng(s.run.seed),
                                 g1=g1, g2=g2)
         lines.append("plan")
         lines += [f"pair {i} {j}" for i, j in pairs.tolist()]
@@ -290,20 +240,17 @@ def main(argv=None):
         cfg = RunConfig.load(args.config)
         if args.seed is not None:
             cfg.set("run.seed", str(args.seed))
-        # every model.*, reduce.* and train.* key is checked here, whatever
-        # the command reads
-        model_cfg, train_cfg = cfg.model_config(), cfg.train_config()
-        if args.command == "train":
-            return cmd_train(cfg, model_cfg, train_cfg, args.out)
-        if args.command == "eval":
-            return cmd_eval(cfg, model_cfg, args.out)
-        if args.command == "bench":
-            return cmd_bench(cfg, model_cfg, args.out)
-        if args.command == "ablate":
-            return cmd_ablate(cfg, model_cfg, train_cfg, args.axis, args.out)
-        if args.command == "merge-demo":
-            return cmd_merge_demo(cfg, model_cfg, args.tokens, args.out)
-        raise ConfigError(f"unknown command {args.command}")
+        if args.out:
+            cfg.set("run.out", str(args.out))
+        s = cfg.settings()  # every key is checked here, whatever the command reads
+        out = Path(s.run.out)
+        out.mkdir(parents=True, exist_ok=True)
+        cfg.dump(out / "resolved_config.txt")
+        run = {"train": lambda: cmd_train(s, out), "eval": lambda: cmd_eval(s, out),
+               "bench": lambda: cmd_bench(s, out),
+               "ablate": lambda: cmd_ablate(cfg, s, args.axis, out),
+               "merge-demo": lambda: cmd_merge_demo(s, args.tokens, out)}
+        return run[args.command]()
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

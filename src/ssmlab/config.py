@@ -2,9 +2,10 @@
 unknown keys rejected. Every run writes its resolved config next to its
 outputs so results are reproducible from that file alone.
 
-The config dataclasses are the schema: the ``model.*``, ``reduce.*`` and
-``train.*`` keys, their defaults and their parsing come from the fields of
-``ModelConfig``, ``ReductionConfig`` and ``TrainConfig``. Only
+Every key comes from a dataclass: the ``model.*``, ``reduce.*``,
+``train.*``, ``data.*``, ``bench.*`` and ``run.*`` keys, their defaults and
+their parsing come from the fields of ``ModelConfig``, ``ReductionConfig``,
+``TrainConfig``, ``DataConfig``, ``BenchConfig`` and ``RunOptions``. Only
 ``reduce.sites`` differs: it defaults to ``even``, and ``even``, ``odd`` and
 ``none`` name site lists that depend on the depth.
 """
@@ -13,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .bench import BenchConfig
+from .data import DataConfig, text_lines
 from .model import ModelConfig, config_from_text, config_text, default_sites
 from .reduce import ReductionConfig
 from .train import TrainConfig
@@ -20,6 +23,24 @@ from .train import TrainConfig
 
 class ConfigError(ValueError):
     pass
+
+
+@dataclass
+class RunOptions:
+    """The ``run.*`` keys."""
+    out: str = "runs/out"
+    seed: int = 0
+    init_checkpoint: str = ""       # start from these weights, not at random
+
+
+@dataclass
+class Settings:
+    """Every section of a run config, typed and checked."""
+    model: ModelConfig = field(default_factory=ModelConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    data: DataConfig = field(default_factory=DataConfig)
+    bench: BenchConfig = field(default_factory=BenchConfig)
+    run: RunOptions = field(default_factory=RunOptions)
 
 
 def _section(cfg, prefix):
@@ -33,25 +54,9 @@ _DEFAULTS = {
     **_section(ReductionConfig(), "reduce."),
     "reduce.sites": "even",
     **_section(TrainConfig(), "train."),
-    "data.source": "synth",
-    "data.images": "",
-    "data.labels": "",
-    "data.eval_images": "",
-    "data.eval_labels": "",
-    "data.classes": "10",
-    "data.per_class": "32",
-    "data.eval_per_class": "16",
-    "data.seed": "1234",
-    "data.noise_sigma": "0.1",
-    "run.out": "runs/out",
-    "run.seed": "0",
-    "run.init_checkpoint": "",
-    "bench.r_values": "0,5,11,20",
-    "bench.batch": "16",
-    "bench.warmup": "3",
-    "bench.iters": "10",
-    "bench.dtype": "float32",
-    "bench.dataset": "none",
+    **_section(DataConfig(), "data."),
+    **_section(RunOptions(), "run."),
+    **_section(BenchConfig(), "bench."),
 }
 
 
@@ -64,33 +69,10 @@ class RunConfig:
             raise ConfigError(f"unknown config key: {key}")
         self.values[key] = value
 
-    def get(self, key):
-        return self.values[key]
-
-    def get_int(self, key):
-        try:
-            return int(self.values[key])
-        except ValueError as e:
-            raise ConfigError(f"bad integer for {key}: {self.values[key]!r}") from e
-
-    def get_float(self, key):
-        try:
-            return float(self.values[key])
-        except ValueError as e:
-            raise ConfigError(f"bad float for {key}: {self.values[key]!r}") from e
-
     @classmethod
     def load(cls, path):
         cfg = cls()
-        try:
-            with open(path, encoding="utf-8") as f:
-                lines = f.readlines()
-        except UnicodeDecodeError as e:
-            raise ConfigError(f"{path}: not UTF-8 text ({e.reason})") from e
-        for lineno, line in enumerate(lines, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, line in text_lines(path, ConfigError):
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
             key, value = line.split("=", 1)
@@ -110,14 +92,15 @@ class RunConfig:
             raise ConfigError(str(e)) from e
 
     def reduction_config(self) -> ReductionConfig:
-        depth = self.get_int("model.depth")
+        depth = self._typed(ModelConfig, "model.", reduction=ReductionConfig()).depth
         spelled = {"even": default_sites(depth), "odd": tuple(range(1, depth, 2)),
-                   "none": ()}.get(self.get("reduce.sites"))
+                   "none": ()}.get(self.values["reduce.sites"])
         given = {} if spelled is None else {"sites": spelled}
         return self._typed(ReductionConfig, "reduce.", **given)
 
     def model_config(self) -> ModelConfig:
         return self._typed(ModelConfig, "model.", reduction=self.reduction_config())
 
-    def train_config(self) -> TrainConfig:
-        return self._typed(TrainConfig, "train.")
+    def settings(self) -> Settings:
+        """Every key parsed and checked; a bad one raises ConfigError."""
+        return self._typed(Settings, "", model=self.model_config())

@@ -3,6 +3,7 @@ synthetic class-template dataset."""
 
 from __future__ import annotations
 
+import enum
 import struct
 from dataclasses import dataclass
 
@@ -14,6 +15,32 @@ IDX_LABELS_MAGIC = 0x00000801
 
 class DataError(ValueError):
     pass
+
+
+class Source(enum.Enum):
+    SYNTH = "synth"
+    IDX = "idx"
+
+
+@dataclass
+class DataConfig:
+    """The ``data.*`` keys; with no eval IDX files, eval uses the train files."""
+    source: Source = Source.SYNTH
+    images: str = ""
+    labels: str = ""
+    eval_images: str = ""
+    eval_labels: str = ""
+    classes: int = 10
+    per_class: int = 32
+    eval_per_class: int = 16
+    seed: int = 1234
+    noise_sigma: float = 0.1
+
+    def __post_init__(self):
+        for name, low in (("classes", 1), ("per_class", 1),
+                          ("eval_per_class", 1), ("noise_sigma", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"data.{name} must be >= {low}")
 
 
 @dataclass
@@ -31,6 +58,17 @@ class Dataset:
     @property
     def size(self):
         return self.images.shape[0]
+
+
+def text_lines(path, error):
+    """``(line number, text)`` of each line of UTF-8 file ``path`` that is not
+    blank once its '#' comment is cut; a file that is not UTF-8 raises ``error``."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = [line.split("#", 1)[0].strip() for line in f]
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text ({e.reason})") from e
+    return [(n, line) for n, line in enumerate(lines, 1) if line]
 
 
 def load_idx(images_path, labels_path) -> Dataset:

@@ -20,6 +20,13 @@ class TestMeasure:
         results = bn.sweep(bench_model(), [1], batch=2, warmup=0, iters=2)
         assert results[0].images_per_second > 0
 
+    def test_warmup_is_honoured(self, monkeypatch):
+        calls = []
+        forward = mdl.forward
+        monkeypatch.setattr(mdl, "forward", lambda *a: calls.append(1) or forward(*a))
+        bn.sweep(bench_model(), [1], batch=2, warmup=0, iters=2)
+        assert len(calls) == 2 * 2  # (warmup + iters) rounds of r=0 and r=1
+
     def test_iters_validation(self):
         with pytest.raises(ValueError):
             bn.sweep(bench_model(), [0, 1], iters=0)

@@ -1,12 +1,18 @@
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ssmlab
 from ssmlab import cli, data as ds, model as mdl
-from ssmlab.config import ConfigError, RunConfig
+from ssmlab.bench import BenchConfig
+from ssmlab.config import ConfigError, RunConfig, RunOptions
+from ssmlab.data import DataConfig
 from ssmlab.model import ModelConfig
 from ssmlab.reduce import ReductionConfig
 from ssmlab.train import TrainConfig
@@ -51,7 +57,7 @@ class TestRunConfig:
         p = tmp_path / "c.cfg"
         p.write_text("# header\n\nreduce.r=3  # trailing\n")
         cfg = RunConfig.load(p)
-        assert cfg.get_int("reduce.r") == 3
+        assert cfg.settings().model.reduction.r == 3
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -69,7 +75,7 @@ class TestRunConfig:
         cfg = RunConfig()
         cfg.set("reduce.r", "many")
         with pytest.raises(ConfigError):
-            cfg.get_int("reduce.r")
+            cfg.settings()
 
     def test_dump_roundtrip(self, tmp_path):
         cfg = RunConfig()
@@ -100,12 +106,25 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             cfg.reduction_config()
 
+    SECTIONS = [(ModelConfig, "model."), (ReductionConfig, "reduce."),
+                (TrainConfig, "train."), (DataConfig, "data."),
+                (BenchConfig, "bench."), (RunOptions, "run.")]
+
     def test_every_config_field_has_a_key(self):
-        for cls, prefix in [(ModelConfig, "model."), (ReductionConfig, "reduce."),
-                            (TrainConfig, "train.")]:
+        for cls, prefix in self.SECTIONS:
             for f in fields(cls):
                 if f.name != "reduction":  # the reduce.* section
                     assert prefix + f.name in RunConfig().values, (cls, f.name)
+
+    def test_every_key_is_a_config_field(self):
+        names = {prefix + f.name for cls, prefix in self.SECTIONS
+                 for f in fields(cls)}
+        assert set(RunConfig().values) <= names
+
+    def test_default_dump_is_frozen(self, tmp_path):
+        RunConfig().dump(tmp_path / "d.txt")
+        assert ((tmp_path / "d.txt").read_bytes()
+                == (DATA_DIR / "default_config.txt").read_bytes())
 
     def test_every_reduction_field_survives_a_checkpoint(self, tmp_path):
         cfg = RunConfig()
@@ -133,9 +152,8 @@ class TestRunConfig:
     def test_bad_value_names_its_key(self, key, value):
         cfg = RunConfig()
         cfg.set(key, value)
-        build = cfg.train_config if key.startswith("train.") else cfg.model_config
         with pytest.raises(ConfigError, match=re.escape(f"{key}: {value!r}")):
-            build()
+            cfg.settings()
 
 
 class TestThreadCap:
@@ -157,6 +175,16 @@ class TestThreadCap:
         monkeypatch.setenv("MEETO_THREADS", "0")
         with pytest.raises(ConfigError):
             cli.worker_cap()
+
+    def test_import_sets_unset_thread_variables(self):
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        env.update(MEETO_THREADS="2", OPENBLAS_NUM_THREADS="3",
+                   PYTHONPATH=str(Path(ssmlab.__file__).parents[1]))
+        code = f"import os, ssmlab; print(*(os.environ[k] for k in {names}))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split() == ["3", "2", "2"]
 
 
 def idx_labels_past_num_classes(tmp_path):
@@ -229,16 +257,32 @@ class TestExitCodes:
         ("eval", "train.batch_size=0\n", None, cli.EXIT_CONFIG),
         ("merge-demo", "train.lr_start=abc\n", "0 1\n1 0\n1 1\n0 2\n",
          cli.EXIT_CONFIG),
+        ("eval", "bench.iters=abc\n", None, cli.EXIT_CONFIG),
+        ("eval", "data.per_class=-1\n", None, cli.EXIT_CONFIG),
+        ("eval", "data.source=foo\n", None, cli.EXIT_CONFIG),
+        ("eval", "data.noise_sigma=-1\n", None, cli.EXIT_CONFIG),
+        ("bench", "bench.iters=0\n", None, cli.EXIT_CONFIG),
+        ("bench", "bench.batch=0\n", None, cli.EXIT_CONFIG),
+        ("bench", "bench.r_values=\n", None, cli.EXIT_CONFIG),
+        ("bench", "bench.r_values=0,-3\n", None, cli.EXIT_CONFIG),
+        ("bench", "bench.dataset=foo\n", None, cli.EXIT_CONFIG),
+        ("bench", "bench.warmup=-1\n", None, cli.EXIT_CONFIG),
+        ("merge-demo", "", b"\xff\xfe 1\n0 1\n", cli.EXIT_DATA),
     ], ids=["cosine-zero-vectors", "single-token", "bench-r-values",
             "bench-dtype", "label-past-num-classes", "checkpoint-not-utf8",
-            "config-not-utf8", "eval-bad-train-key", "merge-demo-bad-train-key"])
+            "config-not-utf8", "eval-bad-train-key", "merge-demo-bad-train-key",
+            "eval-bench-iters-abc", "eval-data-per-class", "eval-data-source",
+            "eval-data-noise-sigma", "bench-iters-zero", "bench-batch-zero",
+            "bench-r-values-empty", "bench-r-values-negative", "bench-dataset",
+            "bench-warmup-negative", "merge-demo-tokens-not-utf8"])
     def test_bad_input_table(self, tmp_path, capsys, command, extra, tokens, code):
         if callable(extra):
             extra = extra(tmp_path)
         argv = [command, "--config", write_cfg(tmp_path, extra=extra),
                 "--out", str(tmp_path / "o")]
         if tokens is not None:
-            (tmp_path / "t.txt").write_text(tokens)
+            (tmp_path / "t.txt").write_bytes(
+                tokens if isinstance(tokens, bytes) else tokens.encode())
             argv.append(str(tmp_path / "t.txt"))
         rc = cli.main(argv)
         captured = capsys.readouterr()
@@ -425,4 +469,4 @@ class TestSeedOverride:
         assert cli.main(["eval", "--config", cfg, "--out", str(out),
                          "--seed", "99"]) == 0
         resolved = RunConfig.load(out / "resolved_config.txt")
-        assert resolved.get_int("run.seed") == 99
+        assert resolved.settings().run.seed == 99
