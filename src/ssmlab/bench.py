@@ -47,7 +47,9 @@ class BenchConfig:
 class BenchResult:
     r: int
     reduction_ratio: float
-    images_per_second: float
+    images_per_second: float       # median over the timed rounds
+    images_per_second_q1: float    # its quartiles
+    images_per_second_q3: float
     speedup: float
     accuracy: float | None
     flops: float
@@ -67,7 +69,8 @@ def sweep(model, r_values, dataset=None, batch=16, warmup=3, iters=10,
     After ``warmup`` untimed rounds, each of ``iters`` rounds times one
     forward pass of the ``dtype`` model at r=0 and at every requested r on
     the same input, so drift in machine speed reaches every r alike. A rate
-    is the median images/second; a speedup divides it by the r=0 median.
+    is the median images/second, reported with its quartiles; a speedup
+    divides it by the r=0 median.
     """
     BenchConfig(tuple(r_values), batch, warmup, iters)  # checks the arguments
     cfg = model.cfg
@@ -82,13 +85,15 @@ def sweep(model, r_values, dataset=None, batch=16, warmup=3, iters=10,
             mdl.forward(m, images)
             if i >= warmup:
                 rates[r].append(batch / (time.perf_counter() - t0))
-    median = {r: float(np.median(v)) for r, v in rates.items()}
+    quartiles = {r: np.percentile(v, [25, 50, 75]) for r, v in rates.items()}
     results = []
     for r in map(int, r_values):
         at_r = _with_r(model, r)
         ratio = rd.reduction_ratio(cfg.tokens0, cfg.reduction.sites, r, cfg.depth)
         acc = tr.evaluate(at_r, dataset) if dataset is not None else None
-        results.append(BenchResult(r, ratio, median[r], median[r] / median[0],
+        q1, median, q3 = map(float, quartiles[r])
+        results.append(BenchResult(r, ratio, median, q1, q3,
+                                   median / float(quartiles[0][1]),
                                    acc, mdl.count_flops(at_r.cfg)))
     return results
 
@@ -96,9 +101,12 @@ def sweep(model, r_values, dataset=None, batch=16, warmup=3, iters=10,
 def write_csv(results, path):
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["r", "ratio", "imgs_per_sec", "speedup", "accuracy", "flops"])
+        w.writerow(["r", "ratio", "imgs_per_sec", "imgs_per_sec_q1",
+                    "imgs_per_sec_q3", "speedup", "accuracy", "flops"])
         for b in results:
             w.writerow([b.r, f"{b.reduction_ratio:.6f}",
-                        f"{b.images_per_second:.3f}", f"{b.speedup:.4f}",
+                        f"{b.images_per_second:.3f}",
+                        f"{b.images_per_second_q1:.3f}",
+                        f"{b.images_per_second_q3:.3f}", f"{b.speedup:.4f}",
                         "" if b.accuracy is None else f"{b.accuracy:.6f}",
                         f"{b.flops:.0f}"])

@@ -95,7 +95,9 @@ def cmd_bench(s: Settings, out):
     bn.write_csv(results, out / "bench.csv")
     for b in results:
         print(f"r={b.r} ratio={b.reduction_ratio:.2f} "
-              f"imgs/s={b.images_per_second:.1f} speedup={b.speedup:.2f}x")
+              f"imgs/s={b.images_per_second:.1f} "
+              f"(q1-q3 {b.images_per_second_q1:.1f}-{b.images_per_second_q3:.1f}) "
+              f"speedup={b.speedup:.2f}x")
     return 0
 
 

@@ -78,27 +78,45 @@ class Model:
     def num_params(self):
         return sum(t.size for _, t in self.named_params())
 
+    @classmethod
+    def from_named(cls, cfg, params):
+        """The model whose ``named_params`` are ``params``, {name: Tensor}."""
+        side = lambda pre: ssm.ScanParams(
+            **{f.name: params[pre + f.name] for f in fields(ssm.ScanParams)})
+        blocks = [ssm.SsmBlockParams(side(f"blocks.{l}.fwd."), side(f"blocks.{l}.bwd."))
+                  for l in range(cfg.depth)]
+        return cls(cfg, params["patch_proj"], params["pos_embed"], blocks,
+                   params["head"])
+
     def astype(self, dtype):
         """Inference copy whose parameters are ``dtype`` arrays, with no gradients."""
-        cast = lambda t: Tensor(t.data.astype(dtype))
-        blocks = [ssm.SsmBlockParams(
-            *(ssm.ScanParams(**{k: cast(t) for k, t in side.named()})
-              for side in (blk.fwd, blk.bwd))) for blk in self.blocks]
-        return Model(self.cfg, cast(self.patch_proj), cast(self.pos_embed),
-                     blocks, cast(self.head))
+        return Model.from_named(self.cfg, {k: Tensor(t.data.astype(dtype))
+                                           for k, t in self.named_params()})
+
+
+def param_shapes(cfg: ModelConfig):
+    """``{name: shape}`` of every parameter, in ``named_params`` order: the
+    shapes init_model draws and a checkpoint must hold."""
+    side = ssm.scan_shapes(cfg.d_model, cfg.d_inner, cfg.d_state)
+    shapes = {"patch_proj": (cfg.patch_dim, cfg.d_model),
+              "pos_embed": (cfg.tokens0, cfg.d_model)}
+    for l in range(cfg.depth):
+        for direction in ("fwd", "bwd"):
+            shapes.update({f"blocks.{l}.{direction}.{k}": v for k, v in side.items()})
+    shapes["head"] = (cfg.d_model, cfg.num_classes)
+    return shapes
 
 
 def init_model(cfg: ModelConfig, seed=0) -> Model:
     rng = np.random.default_rng(seed)
-    patch_proj = Tensor(rng.normal(0.0, cfg.patch_dim ** -0.5,
-                                   (cfg.patch_dim, cfg.d_model)), requires_grad=True)
-    pos_embed = Tensor(rng.normal(0.0, 0.02, (cfg.tokens0, cfg.d_model)),
-                       requires_grad=True)
+    shapes = param_shapes(cfg)
+    normal = lambda k, std: Tensor(rng.normal(0.0, std, shapes[k]), requires_grad=True)
+    patch_proj = normal("patch_proj", cfg.patch_dim ** -0.5)
+    pos_embed = normal("pos_embed", 0.02)
     blocks = [ssm.init_block(rng, cfg.d_model, cfg.d_inner, cfg.d_state,
                              out_scale=1.0 / np.sqrt(cfg.depth))
               for _ in range(cfg.depth)]
-    head = Tensor(rng.normal(0.0, cfg.d_model ** -0.5,
-                             (cfg.d_model, cfg.num_classes)), requires_grad=True)
+    head = normal("head", cfg.d_model ** -0.5)
     return Model(cfg, patch_proj, pos_embed, blocks, head)
 
 
@@ -207,13 +225,17 @@ def config_text(cfg, prefix=""):
 
 def _parse(key, default, text):
     """``text`` as a value of the type of ``default`` (int, float, an Enum,
-    or a tuple of ints); a ValueError names ``key``."""
+    or a tuple of ints); a ValueError names ``key``, and for an Enum the
+    accepted values."""
     kind = type(default)
     try:
         if kind is tuple:
             return tuple(int(s) for s in text.split(",")) if text else ()
         return kind(text)
     except ValueError as e:
+        if isinstance(default, enum.Enum):
+            choices = ", ".join(m.value for m in kind)
+            raise ValueError(f"bad value for {key}: {text!r} (one of {choices})") from e
         name = {int: "integer", float: "float",
                 tuple: "integer list"}.get(kind, kind.__name__)
         raise ValueError(f"bad {name} for {key}: {text!r}") from e
@@ -301,11 +323,11 @@ def load_checkpoint(path) -> Model:
         raise
     except (KeyError, ValueError) as e:  # a missing key, a bad value, bad UTF-8
         raise ModelError(f"corrupt checkpoint: {e!r}") from e
-    model = init_model(cfg, seed=0)
-    for name, t in model.named_params():
+    shapes = param_shapes(cfg)
+    for name, shape in shapes.items():
         if name not in tensors:
             raise ModelError(f"missing parameter {name} in checkpoint")
-        if tensors[name].shape != t.data.shape:
+        if tensors[name].shape != shape:
             raise ModelError(f"shape mismatch for {name}")
-        t.data = tensors[name]
-    return model
+    return Model.from_named(cfg, {k: Tensor(tensors[k], requires_grad=True, _check=False)
+                                  for k in shapes})

@@ -8,8 +8,10 @@ decays; A_bar = exp(delta * A) (zero-order hold) and B_bar = delta * B_t
 The tape sees only the [B,T,*] projections (discretize) and one fused
 primitive, scan_core, which forms A_bar and B_bar * x itself, step by step,
 and returns the gradients of x, delta, a_log, B and C from one hand-written
-backward pass that recomputes A_bar, as Mamba's recompute-in-kernel scan
-does (Gu & Dao, arXiv 2312.00752). No [B,T,D,N] tensor reaches the tape.
+backward pass. That pass walks time in reverse and recomputes A_bar_t at
+each step, as Mamba's recompute-in-kernel scan does (Gu & Dao, arXiv
+2312.00752). No [B,T,D,N] tensor reaches the tape, and the only one either
+pass holds is the taped state history.
 """
 
 from __future__ import annotations
@@ -65,19 +67,27 @@ def _softplus_inverse(y):
     return math.log(math.expm1(y))
 
 
+def scan_shapes(d_model, d, n):
+    """``{field: shape}`` of one direction's ScanParams, in field order."""
+    return {"a_log": (d, n), "w_in": (d_model, d), "w_gate": (d_model, d),
+            "w_b": (d, n), "w_c": (d, n), "w_delta": (d, 1),
+            "delta_bias": (1,), "w_out": (d, d_model)}
+
+
 def init_scan_params(rng, d_model, d, n, out_scale=1.0):
+    shapes = scan_shapes(d_model, d, n)
+    normal = lambda k, std: Tensor(rng.normal(0.0, std, shapes[k]), requires_grad=True)
     a_log = np.tile(np.log(np.arange(1, n + 1, dtype=np.float64)), (d, 1))
-    p = ScanParams(
+    return ScanParams(
         a_log=Tensor(a_log, requires_grad=True),
-        w_in=Tensor(rng.normal(0.0, d_model ** -0.5, (d_model, d)), requires_grad=True),
-        w_gate=Tensor(rng.normal(0.0, d_model ** -0.5, (d_model, d)), requires_grad=True),
-        w_b=Tensor(rng.normal(0.0, d ** -0.5, (d, n)), requires_grad=True),
-        w_c=Tensor(rng.normal(0.0, d ** -0.5, (d, n)), requires_grad=True),
-        w_delta=Tensor(rng.normal(0.0, d ** -0.5, (d, 1)), requires_grad=True),
+        w_in=normal("w_in", d_model ** -0.5),
+        w_gate=normal("w_gate", d_model ** -0.5),
+        w_b=normal("w_b", d ** -0.5),
+        w_c=normal("w_c", d ** -0.5),
+        w_delta=normal("w_delta", d ** -0.5),
         delta_bias=Tensor(np.array([_softplus_inverse(0.5)]), requires_grad=True),
-        w_out=Tensor(rng.normal(0.0, out_scale * d ** -0.5, (d, d_model)), requires_grad=True),
+        w_out=normal("w_out", out_scale * d ** -0.5),
     )
-    return p
 
 
 def init_block(rng, d_model, d, n, out_scale=1.0):
@@ -110,8 +120,12 @@ def scan_core(x: Tensor, delta: Tensor, a_log: Tensor, b: Tensor, c: Tensor,
 
     The forward pass forms A_bar_t and u_t one step at a time, in [B,D,N]
     buffers, and keeps the states h_t only when the op is taped. The
-    backward pass rebuilds A_bar as one time-major [T,B,D,N] array and
-    returns the cotangents of all five inputs directly.
+    backward pass walks the steps in reverse, carrying g = dL/dh_t in one
+    [B,D,N] buffer: it adds dy_t c_t, takes the B and x cotangents as
+    per-step matmuls of g, recomputes A_bar_t to carry g back one step, and
+    writes dL/d(delta_t A) = g A_bar_t h_prev over h_prev in the state
+    history, which the tape's single backward run no longer needs. The
+    delta and a_log terms are then one reduction each over that history.
     """
     inputs = (x, delta, a_log, b, c)
     a = -np.exp(a_log.data)                                    # [D,N]
@@ -134,37 +148,38 @@ def scan_core(x: Tensor, delta: Tensor, a_log: Tensor, b: Tensor, c: Tensor,
         np.multiply(db[t][:, None, :], xt[t][..., None], out=u)
         h *= a_bar
         h += u
-        np.einsum("bdn,bn->bd", h, ct[t], out=y[t])
+        np.matmul(h, ct[t][..., None], out=y[t][..., None])
         if hs is not None:
             hs[t] = h
     out = Tensor(y.transpose(1, 0, 2), _check=False)
 
     def backward(dy):
-        a_bar = dt[..., None] * a                              # [T,B,D,N]
-        np.exp(a_bar, out=a_bar)
         dyt = np.ascontiguousarray(dy.transpose(1, 0, 2))
-        du = dyt[..., None] * ct[:, :, None, :]               # dL/dh_t, then dL/du_t
-        for t in order[::-1][1:]:
-            du[t] += a_bar[t + step] * du[t + step]
-        dc = np.einsum("tbdn,tbd->tbn", hs, dyt)
-        # dL/d(delta_t A) = du_t * h_prev * A_bar_t, in A_bar's buffer
-        dz = a_bar
-        dz *= du
-        if step == 1:
-            dz[1:] *= hs[:-1]
-        else:
-            dz[:-1] *= hs[1:]
-        dz[order[0]] = 0.0
-        flat = dz.reshape(-1, a.size)
-        du_b = np.einsum("tbdn,tbn->tbd", du, bt)              # sum_n du * B
-        d_delta = ((flat @ a.reshape(-1)).reshape(dt.shape)
-                   + (du_b * xt).sum(axis=-1, keepdims=True))
-        d_x = dt * du_b
-        d_b = dt * np.einsum("tbdn,tbd->tbn", du, xt)
-        d_a_log = a * (dt.reshape(-1) @ flat).reshape(a.shape)
-        batch_major = lambda g: g.transpose(1, 0, 2)
-        return (batch_major(d_x), batch_major(d_delta), d_a_log,
-                batch_major(d_b), batch_major(dc))
+        dc = np.matmul(dyt[:, :, None, :], hs)[:, :, 0]        # sum_d h * dy
+        g = np.zeros_like(h)                                   # dL/dh_t
+        buf = np.empty_like(h)
+        g_b, x_g = np.empty_like(xt), np.empty_like(ct)        # sum_n g B, sum_d x g
+        for t in order[::-1]:
+            np.multiply(dyt[t][..., None], ct[t][:, None, :], out=buf)
+            g += buf
+            np.matmul(g, bt[t][..., None], out=g_b[t][..., None])
+            np.matmul(xt[t][:, None, :], g, out=x_g[t][:, None, :])
+            if t == order[0]:
+                break
+            np.multiply(dt[t][..., None], a, out=buf)
+            np.exp(buf, out=buf)
+            g *= buf
+            # dL/d(delta_t A) = g_t * A_bar_t * h_prev, over h_prev's slot
+            np.multiply(g, hs[t - step], out=hs[t - step])
+        # hs[src] now holds the dz of the steps at dst
+        src, dst = (slice(0, -1), slice(1, None))[::step]
+        dz = hs[src].reshape(-1, a.size)
+        d_delta = (g_b * xt).sum(axis=-1, keepdims=True)
+        d_delta[dst] += (dz @ a.reshape(-1)).reshape(dt[dst].shape)
+        d_a_log = a * (dt[dst].reshape(-1) @ dz).reshape(a.shape)
+        batch_major = lambda v: v.transpose(1, 0, 2)
+        return (batch_major(dt * g_b), batch_major(d_delta), d_a_log,
+                batch_major(dt * x_g), batch_major(dc))
 
     return record(out, inputs, backward)
 

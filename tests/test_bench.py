@@ -64,6 +64,12 @@ class TestSweep:
         assert results[0].accuracy is not None
         assert 0.0 <= results[0].accuracy <= 1.0
 
+    def test_median_between_quartiles(self):
+        results = bn.sweep(bench_model(), [0, 1], batch=2, warmup=0, iters=5)
+        for b in results:
+            assert 0 < b.images_per_second_q1 <= b.images_per_second
+            assert b.images_per_second <= b.images_per_second_q3
+
     def test_empty_r_values(self):
         with pytest.raises(ValueError):
             bn.sweep(bench_model(), [])
@@ -73,6 +79,7 @@ class TestSweep:
         path = tmp_path / "bench.csv"
         bn.write_csv(results, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "r,ratio,imgs_per_sec,speedup,accuracy,flops"
+        assert lines[0] == ("r,ratio,imgs_per_sec,imgs_per_sec_q1,imgs_per_sec_q3,"
+                            "speedup,accuracy,flops")
         assert len(lines) == 3
         assert lines[1].startswith("0,0.000000,")

@@ -155,6 +155,17 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=re.escape(f"{key}: {value!r}")):
             cfg.settings()
 
+    @pytest.mark.parametrize("key, value, choices", [
+        ("data.source", "foo", "synth, idx"),
+        ("bench.dataset", "foo", "none, eval"),
+        ("reduce.distance", "chebyshev", "cosine, l1, l2")])
+    def test_bad_enum_value_lists_choices(self, key, value, choices):
+        cfg = RunConfig()
+        cfg.set(key, value)
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{key}: {value!r} (one of {choices})")):
+            cfg.settings()
+
 
 class TestThreadCap:
     def test_default(self, monkeypatch):
@@ -291,6 +302,12 @@ class TestExitCodes:
         assert "Traceback" not in captured.err
         assert "final accuracy" not in captured.out
 
+    def test_bad_enum_value_lists_choices(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, extra="data.source=foo\n")
+        assert cli.main(["eval", "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        assert "data.source: 'foo' (one of synth, idx)" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_numeric(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, extra="train.lr_start=1e12\n"
@@ -363,7 +380,8 @@ class TestBench:
         out = tmp_path / "bench"
         assert cli.main(["bench", "--config", cfg, "--out", str(out)]) == 0
         lines = (out / "bench.csv").read_text().strip().splitlines()
-        assert lines[0] == "r,ratio,imgs_per_sec,speedup,accuracy,flops"
+        assert lines[0] == ("r,ratio,imgs_per_sec,imgs_per_sec_q1,imgs_per_sec_q3,"
+                            "speedup,accuracy,flops")
         assert len(lines) == 3
         assert "speedup" in capsys.readouterr().out
 

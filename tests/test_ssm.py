@@ -210,10 +210,11 @@ class TestScanCore:
                 "b": rng.uniform(-1, 1, (bsz, t_len, n)),
                 "c": rng.uniform(-1, 1, (bsz, t_len, n))}
 
-    @pytest.mark.parametrize("direction", list(ScanDirection))
-    def test_gradient_all_inputs(self, direction):
+    def check_gradients(self, direction, **sizes):
+        """Every cotangent of scan_core against central differences; an input
+        the output does not depend on must get an exactly zero cotangent."""
         rng = np.random.default_rng(16)
-        arrays = self.inputs(rng)
+        arrays = self.inputs(rng, **sizes)
         w = rng.uniform(-1, 1, arrays["x"].shape)
         tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
         with GradTape() as tape:
@@ -224,8 +225,19 @@ class TestScanCore:
                 args = {k: Tensor(v if k == name else a) for k, a in arrays.items()}
                 return float((ssm.scan_core(*args.values(), direction).data * w).sum())
             g = finite_difference_grad(f, arrays[name].copy())
-            denom = np.abs(g).max()
-            assert np.abs(g - tensors[name].grad.data).max() / denom < 1e-7, name
+            err = np.abs(g - tensors[name].grad.data).max()
+            assert err < 1e-7 * np.abs(g).max() or err == 0.0, name
+
+    @pytest.mark.parametrize("direction", list(ScanDirection))
+    def test_gradient_all_inputs(self, direction):
+        self.check_gradients(direction)
+
+    # one step takes the branch with no h_prev (a_log then has no effect);
+    # twelve carry dL/dh back across many steps
+    @pytest.mark.parametrize("bsz, t_len", [(2, 1), (3, 12)], ids=["one-step", "long"])
+    @pytest.mark.parametrize("direction", list(ScanDirection))
+    def test_gradient_sequence_lengths(self, direction, bsz, t_len):
+        self.check_gradients(direction, bsz=bsz, t_len=t_len)
 
     def test_float32_in_float32_out(self):
         arrays = self.inputs(np.random.default_rng(17))
