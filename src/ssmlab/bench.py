@@ -56,10 +56,8 @@ class BenchResult:
 
 
 def _with_r(model, r):
-    red = replace(model.cfg.reduction, r=r)
-    cfg = replace(model.cfg, reduction=red)
-    return mdl.Model(cfg, model.patch_proj, model.pos_embed, model.blocks,
-                     model.head)
+    return replace(model, cfg=replace(model.cfg,
+                                      reduction=replace(model.cfg.reduction, r=r)))
 
 
 def sweep(model, r_values, dataset=None, batch=16, warmup=3, iters=10,
@@ -89,7 +87,8 @@ def sweep(model, r_values, dataset=None, batch=16, warmup=3, iters=10,
     results = []
     for r in map(int, r_values):
         at_r = _with_r(model, r)
-        ratio = rd.reduction_ratio(cfg.tokens0, cfg.reduction.sites, r, cfg.depth)
+        ratio = rd.reduction_ratio(cfg.tokens0, cfg.reduction.sites, r, cfg.depth,
+                                   cfg.reduction.pair_rank)
         acc = tr.evaluate(at_r, dataset) if dataset is not None else None
         q1, median, q3 = map(float, quartiles[r])
         results.append(BenchResult(r, ratio, median, q1, q3,

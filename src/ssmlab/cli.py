@@ -33,7 +33,8 @@ def worker_cap():
 
 
 def _load_datasets(data: ds.DataConfig, model_cfg: mdl.ModelConfig):
-    """(train, eval) datasets; a label the model has no class for is a DataError."""
+    """(train, eval) datasets; an empty dataset, or a label the model has no
+    class for, is a DataError."""
     if data.source is ds.Source.SYNTH:
         train, evald = (ds.synth_dataset(n, data.classes, model_cfg.image_size,
                                          data.seed + i, data.noise_sigma)
@@ -44,7 +45,9 @@ def _load_datasets(data: ds.DataConfig, model_cfg: mdl.ModelConfig):
                  if data.eval_images else train)
     num_classes = model_cfg.num_classes
     for d in (train, evald):
-        if d.labels.size and d.labels.max() >= num_classes:
+        if d.size == 0:
+            raise ds.DataError("dataset holds no images")
+        if d.labels.max() >= num_classes:
             raise ds.DataError(f"label {d.labels.max()} >= model.num_classes "
                                f"{num_classes}")
     return train, evald
@@ -149,6 +152,8 @@ def _read_token_file(path):
             rows.append([float(v) for v in line.split()])
         except ValueError as e:
             raise ds.DataError(f"{path}:{lineno}: bad token line") from e
+        if not np.all(np.isfinite(rows[-1])):
+            raise ds.DataError(f"{path}:{lineno}: non-finite token value")
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise ds.DataError("token file must be a rectangular float table")
     return np.asarray(rows)
@@ -167,7 +172,7 @@ def cmd_merge_demo(s: Settings, tokens_path, out):
     for a, i in enumerate(g1):
         row = " ".join(f"{dists[a, b]:.6f}" for b in range(len(g2)))
         lines.append(f"dist {i} | {row}")
-    r_eff = rd.effective_r(t_len, red.r)
+    r_eff = rd.effective_r(t_len, red.r, red.pair_rank)
     if r_eff == 0:
         lines.append("no pairs")
         merged, idx = values, np.arange(t_len)
@@ -256,7 +261,7 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ds.DataError, FileNotFoundError, mdl.ModelError, rd.ReduceError) as e:
+    except (ds.DataError, OSError, mdl.ModelError, rd.ReduceError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (tr.NumericError, TensorError) as e:

@@ -132,19 +132,9 @@ def synth_dataset(n_per_class, num_classes, image_size, seed,
     if min(n_per_class, num_classes, image_size) < 1:
         raise DataError("sizes must be >= 1")
     rng = np.random.default_rng(seed)
-    templates = class_templates(num_classes, image_size)
-    n = n_per_class * num_classes
-    images = np.empty((n, image_size, image_size, 1))
-    labels = np.empty(n, dtype=np.int64)
-    i = 0
-    for k in range(num_classes):
-        for _ in range(n_per_class):
-            img = templates[k] + rng.normal(0.0, noise_sigma,
-                                            (image_size, image_size)) if noise_sigma > 0 \
-                else templates[k].copy()
-            images[i, :, :, 0] = np.clip(img, 0.0, 1.0)
-            labels[i] = k
-            i += 1
+    templates = np.repeat(class_templates(num_classes, image_size), n_per_class, axis=0)
+    images = np.clip(rng.normal(templates, noise_sigma), 0.0, 1.0)[..., None]
+    labels = np.repeat(np.arange(num_classes, dtype=np.int64), n_per_class)
     return Dataset(images, labels, num_classes)
 
 

@@ -75,9 +75,6 @@ class Model:
         out.append(("head", self.head))
         return out
 
-    def num_params(self):
-        return sum(t.size for _, t in self.named_params())
-
     @classmethod
     def from_named(cls, cfg, params):
         """The model whose ``named_params`` are ``params``, {name: Tensor}."""
@@ -157,7 +154,7 @@ def forward(model: Model, images, rng=None):
         x, inter = ssm.bidirectional_block(blk, x, want_intermediates=is_site)
         if not is_site:
             continue
-        r_eff = rd.effective_r(t_cur, red.r)
+        r_eff = rd.effective_r(t_cur, red.r, red.pair_rank)
         if r_eff == 0:
             continue
         feat = inter[red.feature.value]
@@ -186,7 +183,8 @@ def count_flops(model_cfg: ModelConfig):
     """
     cfg = model_cfg
     red = cfg.reduction
-    counts = rd.token_counts(cfg.tokens0, red.sites, red.r, cfg.depth)[1:]
+    counts = rd.token_counts(cfg.tokens0, red.sites, red.r, cfg.depth,
+                             red.pair_rank)[1:]
     dm, d, n = cfg.d_model, cfg.d_inner, cfg.d_state
     per_token_block = 2 * (dm * d * 2      # in + gate projections
                            + d * n * 2     # B and C projections
@@ -224,14 +222,17 @@ def config_text(cfg, prefix=""):
 
 
 def _parse(key, default, text):
-    """``text`` as a value of the type of ``default`` (int, float, an Enum,
-    or a tuple of ints); a ValueError names ``key``, and for an Enum the
-    accepted values."""
+    """``text`` as a value of the type of ``default`` (int, finite float, an
+    Enum, or a tuple of ints); a ValueError names ``key``, and for an Enum
+    the accepted values."""
     kind = type(default)
     try:
         if kind is tuple:
             return tuple(int(s) for s in text.split(",")) if text else ()
-        return kind(text)
+        value = kind(text)
+        if kind is float and not math.isfinite(value):
+            raise ValueError("not finite")
+        return value
     except ValueError as e:
         if isinstance(default, enum.Enum):
             choices = ", ".join(m.value for m in kind)

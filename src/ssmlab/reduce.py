@@ -11,7 +11,12 @@ Selection policy: each group-1 token's candidate partner is its pair_rank-th
 closest group-2 token; the r candidates with smallest distance win, and when
 two group-1 tokens want the same partner the loser falls back to its next
 closest untaken partner. Ties on distance break toward the lower group-1
-index, then the lower group-2 index, so plans are deterministic.
+index, then the lower group-2 index, so plans are deterministic. Random
+selection runs the same greedy with group-1 tokens visited in a random order
+in place of distance. A group-1 token has n - pair_rank + 1 partners at rank
+>= pair_rank among the n group-2 tokens, and each pair shuts at most one, so
+every row finds r pairs when r <= min(m, n - pair_rank + 1); ``effective_r``
+caps the schedule there.
 """
 
 from __future__ import annotations
@@ -139,8 +144,9 @@ def select_pairs(dists, r, pair_rank=1, selection=Selection.TOP_R,
 
     dists is one [m, n] matrix, which gives a [p, 2] plan, or a batch
     [B, m, n], which gives a [B, p, 2] plan: each row's pairs (i, j) in the
-    order they were chosen, i from group 1 and j from group 2. Every row must
-    choose the same number p <= r of pairs. An rng is drawn from row by row,
+    order they were chosen, i from group 1 and j from group 2. A row picks
+    up to r pairs, exactly r when r <= n - pair_rank + 1; every row must
+    choose the same number p of pairs. An rng is drawn from row by row,
     as if each row were selected alone in turn. Indices are sequence indices
     when g1/g2 slot arrays are given, otherwise group-local (g1 = rows,
     g2 = columns numbered from m).
@@ -165,8 +171,17 @@ def select_pairs(dists, r, pair_rank=1, selection=Selection.TOP_R,
     elif selection is Selection.RANDOM_R:
         if rng is None:
             raise ReduceError("random selection needs an rng")
-        order = np.argsort(batch, axis=2, kind="stable")  # ties -> lower column
-        picks = [_random_r(order[k], r, pair_rank, rng, shuffle) for k in range(bsz)]
+        # the greedy on the cost (row's place in a random order, column's rank
+        # in the row). A row draws its order, then its shuffle, sized by its
+        # pair count, so with a shuffle the rows go through one at a time.
+        rank = np.argsort(np.argsort(batch, axis=2, kind="stable"), axis=2)
+        step = 1 if shuffle else max(bsz, 1)
+        picks = []
+        for lo in range(0, bsz, step):
+            place = np.array([np.argsort(rng.permutation(m)) for _ in range(step)])
+            ik, jk = _top_r(place[..., None] * float(n) + rank[lo:lo + step],
+                            r, pair_rank)
+            picks += [(a, _shuffle(b, rng) if shuffle else b) for a, b in zip(ik, jk)]
         if len({len(ik) for ik, _ in picks}) > 1:
             raise ReduceError("rows choose different numbers of pairs")
         i, j = np.array(picks, dtype=np.intp).transpose(1, 0, 2)
@@ -221,33 +236,16 @@ def _top_r(dists, r, pair_rank):
     return np.divmod(np.array(picks, dtype=np.intp).reshape(-1, bsz).T, n)
 
 
-def _random_r(order, r, pair_rank, rng, shuffle):
-    """Rows in random order, each paired with its first untaken column at
-    rank >= pair_rank; with ``shuffle`` the columns are then permuted."""
-    m, n = order.shape
-    i_out, j_out = [], []
-    taken = np.zeros(n, dtype=bool)
-    for i in rng.permutation(m):
-        if len(i_out) == r:
-            break
-        for j in order[i, pair_rank - 1:]:
-            if not taken[j]:
-                taken[j] = True
-                i_out.append(i)
-                j_out.append(j)
-                break
-    j_out = np.array(j_out, dtype=np.intp)
-    return np.array(i_out, dtype=np.intp), _shuffle(j_out, rng) if shuffle else j_out
-
-
-def effective_r(t_current, r):
-    """Pairs available under a bipartite split cap at floor(T/2)."""
+def effective_r(t_current, r, pair_rank=1):
+    """The pairs a site takes from T tokens: r, capped at n - pair_rank + 1,
+    where every grouping splits T into m = ceil(T/2) >= n = floor(T/2), so
+    that every batch row can pick that many (see the module docstring)."""
     if t_current < 1:
         raise ReduceError("empty sequence")
-    return min(r, t_current // 2)
+    return max(0, min(r, t_current // 2 + 1 - pair_rank))
 
 
-def reduction_ratio(t0, sites, r, total_blocks):
+def reduction_ratio(t0, sites, r, total_blocks, pair_rank=1):
     """1 - mean per-block token count / T0 under the capped schedule.
 
     Uses the nominal per-block count (a site block is charged its
@@ -256,11 +254,11 @@ def reduction_ratio(t0, sites, r, total_blocks):
     """
     if t0 < 1:
         raise ReduceError("T0 must be >= 1")
-    counts = token_counts(t0, sites, r, total_blocks)[1:]
+    counts = token_counts(t0, sites, r, total_blocks, pair_rank)[1:]
     return 1.0 - float(np.mean(counts)) / t0
 
 
-def token_counts(t0, sites, r, total_blocks):
+def token_counts(t0, sites, r, total_blocks, pair_rank=1):
     """The token count entering each block, then the count the stack ends with.
 
     Reduction runs after each site block, so ``counts[:-1]`` is the count
@@ -272,7 +270,7 @@ def token_counts(t0, sites, r, total_blocks):
     counts = [t]
     for blk in range(total_blocks):
         if blk in sites and r > 0:
-            t -= effective_r(t, r)
+            t -= effective_r(t, r, pair_rank)
         counts.append(t)
     return counts
 

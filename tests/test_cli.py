@@ -148,7 +148,8 @@ class TestRunConfig:
     @pytest.mark.parametrize("key, value", [
         ("reduce.r", "many"), ("reduce.distance", "chebyshev"),
         ("reduce.sites", "x,y"), ("model.d_state", "1.5"),
-        ("train.lr_start", "abc")])
+        ("train.lr_start", "abc"), ("data.noise_sigma", "nan"),
+        ("train.weight_decay", "-inf")])
     def test_bad_value_names_its_key(self, key, value):
         cfg = RunConfig()
         cfg.set(key, value)
@@ -206,6 +207,14 @@ def idx_labels_past_num_classes(tmp_path):
             f"data.labels={tmp_path}/l.idx\n")
 
 
+def idx_with_no_images(tmp_path):
+    """Config lines for an IDX image/label pair that holds zero images."""
+    ds.write_idx(ds.Dataset(np.zeros((0, 8, 8, 1)), np.zeros(0, dtype=int), 3),
+                 tmp_path / "i.idx", tmp_path / "l.idx")
+    return (f"data.source=idx\ndata.images={tmp_path}/i.idx\n"
+            f"data.labels={tmp_path}/l.idx\n")
+
+
 def checkpoint_with_bad_utf8(tmp_path):
     """A config line pointing at a checkpoint whose config text is not UTF-8."""
     cfg = RunConfig()
@@ -229,6 +238,11 @@ class TestExitCodes:
     def test_missing_config_file_is_data_error(self, tmp_path):
         rc = cli.main(["train", "--config", str(tmp_path / "absent.cfg")])
         assert rc == cli.EXIT_DATA
+
+    def test_config_directory_is_data_error(self, tmp_path, capsys):
+        rc = cli.main(["eval", "--config", str(tmp_path)])
+        assert rc == cli.EXIT_DATA
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_missing_idx_files(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, extra="data.source=idx\n"
@@ -279,13 +293,21 @@ class TestExitCodes:
         ("bench", "bench.dataset=foo\n", None, cli.EXIT_CONFIG),
         ("bench", "bench.warmup=-1\n", None, cli.EXIT_CONFIG),
         ("merge-demo", "", b"\xff\xfe 1\n0 1\n", cli.EXIT_DATA),
+        ("eval", "data.noise_sigma=nan\n", None, cli.EXIT_CONFIG),
+        ("train", "train.weight_decay=nan\n", None, cli.EXIT_CONFIG),
+        ("eval", lambda tmp_path: f"run.init_checkpoint={tmp_path}\n", None,
+         cli.EXIT_DATA),
+        ("eval", idx_with_no_images, None, cli.EXIT_DATA),
+        ("merge-demo", "reduce.r=0\n", "0 1\nnan 0\n", cli.EXIT_DATA),
     ], ids=["cosine-zero-vectors", "single-token", "bench-r-values",
             "bench-dtype", "label-past-num-classes", "checkpoint-not-utf8",
             "config-not-utf8", "eval-bad-train-key", "merge-demo-bad-train-key",
             "eval-bench-iters-abc", "eval-data-per-class", "eval-data-source",
             "eval-data-noise-sigma", "bench-iters-zero", "bench-batch-zero",
             "bench-r-values-empty", "bench-r-values-negative", "bench-dataset",
-            "bench-warmup-negative", "merge-demo-tokens-not-utf8"])
+            "bench-warmup-negative", "merge-demo-tokens-not-utf8",
+            "eval-data-noise-sigma-nan", "train-weight-decay-nan",
+            "init-checkpoint-directory", "idx-no-images", "merge-demo-tokens-nan"])
     def test_bad_input_table(self, tmp_path, capsys, command, extra, tokens, code):
         if callable(extra):
             extra = extra(tmp_path)

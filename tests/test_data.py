@@ -90,6 +90,17 @@ class TestSynth:
         for i in range(d.size):
             assert np.array_equal(d.images[i, :, :, 0], templates[d.labels[i]])
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.1, 2.5])
+    def test_matches_per_image_draws(self, sigma):
+        d = ds.synth_dataset(3, 4, 9, seed=5, noise_sigma=sigma)
+        rng = np.random.default_rng(5)
+        templates = ds.class_templates(4, 9)
+        for i in range(d.size):
+            k = i // 3
+            want = np.clip(templates[k] + rng.normal(0.0, sigma, (9, 9)), 0.0, 1.0)
+            assert d.labels[i] == k
+            assert np.array_equal(d.images[i, :, :, 0], want)
+
     def test_pixel_range_and_balance(self):
         d = ds.synth_dataset(4, 3, 10, seed=1)
         assert d.images.min() >= 0.0 and d.images.max() <= 1.0

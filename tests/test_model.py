@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import finite_difference_grad
 from ssmlab import model as mdl, reduce as rd, tensor as tt
@@ -69,9 +71,11 @@ class TestInit:
             assert na == nb and np.array_equal(ta.data, tb.data)
 
     def test_param_count_matches_shapes(self):
-        m = mdl.init_model(small_cfg(), seed=0)
-        assert m.num_params() == sum(t.size for _, t in m.named_params())
-        assert m.num_params() > 0
+        cfg = small_cfg()
+        m = mdl.init_model(cfg, seed=0)
+        assert ({k: t.shape for k, t in m.named_params()}
+                == mdl.param_shapes(cfg))
+        assert sum(t.size for _, t in m.named_params()) > 0
 
 
 class TestForward:
@@ -89,6 +93,26 @@ class TestForward:
         _, trace = mdl.forward(m, small_images(1, size=16))
         assert trace == [16, 16, 16, 13]
         assert trace == rd.token_counts(16, (2,), 3, 4)[:-1]
+
+    @given(st.integers(2, 7), st.integers(1, 30), st.integers(1, 14),
+           st.sampled_from(list(rd.Grouping)), st.sampled_from(list(rd.Selection)),
+           st.sampled_from(list(rd.Pairing)), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_every_row_runs_the_schedule(self, side, r, pair_rank, grouping,
+                                         selection, pairing, seed):
+        # T = side**2 tokens; every row must pick the scheduled count at
+        # each site, whatever pair_rank does to its open partners
+        cfg = ModelConfig(image_size=side, patch_size=1, depth=4, d_model=4,
+                          d_inner=3, d_state=2, num_classes=2,
+                          reduction=ReductionConfig(
+                              r=r, sites=(0, 1, 2), pair_rank=pair_rank,
+                              grouping=grouping, selection=selection,
+                              pairing=pairing))
+        m = mdl.init_model(cfg, seed=seed % 7)
+        _, trace = mdl.forward(m, small_images(4, seed=seed, size=side),
+                               rng=np.random.default_rng(seed))
+        assert trace == rd.token_counts(side * side, (0, 1, 2), r, 4,
+                                        pair_rank)[:-1]
 
     def test_r_zero_identical_to_no_sites(self):
         m0 = mdl.init_model(small_cfg(r=0, sites=(1,)), seed=3)

@@ -52,6 +52,29 @@ def slow_select(dists, r, pair_rank):
     return out
 
 
+def slow_random_select(dists, r, pair_rank, rng, shuffle):
+    """Per-row reference for random selection: rows in rng.permutation order,
+    each paired with its first untaken column at sorted rank >= pair_rank
+    (equal distances toward the lower column), stopping at r pairs; with
+    ``shuffle`` the chosen columns are then permuted."""
+    m, n = dists.shape
+    order = np.argsort(dists, axis=1, kind="stable")
+    taken = np.zeros(n, dtype=bool)
+    out = []
+    for i in rng.permutation(m):
+        if len(out) == r:
+            break
+        for j in order[i, pair_rank - 1:]:
+            if not taken[j]:
+                taken[j] = True
+                out.append((int(i), int(j)))
+                break
+    if shuffle and len(out) > 1:
+        cols = [j for _, j in out]
+        out = [(i, cols[k]) for (i, _), k in zip(out, rng.permutation(len(out)))]
+    return out
+
+
 def slow_merge(values, positions, pairs, merge_op):
     """Per-row, per-token reference for rd.merge, with its own backward.
 
@@ -313,11 +336,35 @@ class TestSelectPairs:
         assert pairs.tolist() == want
 
 
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 7), st.integers(1, 7),
+           st.integers(1, 7), st.integers(0, 7), st.sampled_from(list(Pairing)))
+    @settings(max_examples=200, deadline=None)
+    def test_random_r_matches_slow_reference(self, seed, m, n, pair_rank, r,
+                                             pairing):
+        pair_rank, r = min(pair_rank, n), min(r, m, n)
+        dists = np.random.default_rng(seed).integers(0, 3, (m, n)).astype(float)
+        rng = np.random.default_rng(seed)
+        pairs = rd.select_pairs(dists, r, pair_rank, Selection.RANDOM_R, pairing,
+                                rng=rng)
+        ref_rng = np.random.default_rng(seed)
+        want = slow_random_select(dists, r, pair_rank, ref_rng,
+                                  pairing is Pairing.RANDOM_PAIR)
+        assert pairs.tolist() == [[i, j + m] for i, j in want]
+        assert rng.integers(2 ** 62) == ref_rng.integers(2 ** 62)
+
+
 class TestSchedules:
     def test_effective_r_cap(self):
         assert rd.effective_r(16, 3) == 3
         assert rd.effective_r(16, 100) == 8
         assert rd.effective_r(1, 5) == 0
+        # n - pair_rank + 1 pairs for groups of m = ceil(T/2), n = floor(T/2)
+        assert rd.effective_r(16, 100, pair_rank=3) == 6
+        assert rd.effective_r(17, 100, pair_rank=3) == 6
+        assert rd.effective_r(16, 5, pair_rank=3) == 5
+        assert rd.effective_r(16, 5, pair_rank=8) == 1
+        assert rd.effective_r(16, 5, pair_rank=9) == 0
+        assert rd.effective_r(3, 5, pair_rank=14) == 0
         with pytest.raises(ReduceError):
             rd.effective_r(0, 1)
 
