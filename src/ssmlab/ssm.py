@@ -7,11 +7,12 @@ decays; A_bar = exp(delta * A) (zero-order hold) and B_bar = delta * B_t
 
 The tape sees only the [B,T,*] projections (discretize) and one fused
 primitive, scan_core, which forms A_bar and B_bar * x itself, step by step,
-and returns the gradients of x, delta, a_log, B and C from one hand-written
-backward pass. That pass walks time in reverse and recomputes A_bar_t at
-each step, as Mamba's recompute-in-kernel scan does (Gu & Dao, arXiv
-2312.00752). No [B,T,D,N] tensor reaches the tape, and the only one either
-pass holds is the taped state history.
+on a [B,N,D] state read and written through per-step views of the
+batch-major arrays, and returns the gradients of x, delta, a_log, B and C
+from one hand-written backward pass. That pass walks time in reverse and
+recomputes A_bar_t at each step, as Mamba's recompute-in-kernel scan does
+(Gu & Dao, arXiv 2312.00752). No [B,T,N,D] tensor reaches the tape, and the
+only one either pass holds is the taped state history.
 """
 
 from __future__ import annotations
@@ -113,73 +114,70 @@ def scan_core(x: Tensor, delta: Tensor, a_log: Tensor, b: Tensor, c: Tensor,
     """The whole selective scan as one taped primitive.
 
     x: [B,T,D]; delta: [B,T,1]; a_log: [D,N]; b, c: [B,T,N]. With
-    A = -exp(a_log), A_bar_t = exp(delta_t A) and u_t = (delta_t B_t) x_t
-    (outer product over D and N), runs h_t = A_bar_t * h_prev + u_t from a
-    zero state and reads out y_t[d] = sum_n c_t[n] h_t[d,n]. FORWARD walks
+    A = -exp(a_log), A_bar_t = exp(delta_t A^T) and u_t = (delta_t B_t) x_t
+    (outer product over N and D), runs h_t = A_bar_t * h_prev + u_t from a
+    zero state and reads out y_t[d] = sum_n c_t[n] h_t[n,d]. FORWARD walks
     t = 0 .. T-1 and BACKWARD walks t = T-1 .. 0 over the same arrays.
 
-    The forward pass forms A_bar_t and u_t one step at a time, in [B,D,N]
-    buffers, and keeps the states h_t only when the op is taped. The
-    backward pass walks the steps in reverse, carrying g = dL/dh_t in one
-    [B,D,N] buffer: it adds dy_t c_t, takes the B and x cotangents as
-    per-step matmuls of g, recomputes A_bar_t to carry g back one step, and
-    writes dL/d(delta_t A) = g A_bar_t h_prev over h_prev in the state
-    history, which the tape's single backward run no longer needs. The
-    delta and a_log terms are then one reduction each over that history.
+    The state is [B,N,D], so each step's products run along the D channels,
+    and both passes read inputs and write y and the cotangents as per-step
+    [:, t] views of the batch-major arrays, whatever their strides. The
+    forward pass keeps the states h_t only when the op is taped. The backward
+    pass walks the steps in reverse, carrying g = dL/dh_t in one [B,N,D]
+    buffer: it adds dy_t c_t, takes the B and x cotangents as per-step
+    matmuls of g, recomputes A_bar_t to carry g back one step, and writes
+    dL/d(delta_t A) = g A_bar_t h_prev over h_prev in the state history,
+    which the tape's single backward run no longer needs. The delta and
+    a_log terms are then one reduction each over that history.
     """
     inputs = (x, delta, a_log, b, c)
-    a = -np.exp(a_log.data)                                    # [D,N]
+    a = -np.exp(a_log.data.T, order="C")                      # [N,D]
     if not np.all(np.isfinite(a)):
         raise TensorError("exp overflow")
-    xt, dt, bt, ct = (np.ascontiguousarray(v.data.transpose(1, 0, 2))
-                      for v in (x, delta, b, c))              # [T,B,D|1|N|N]
-    t_len, bsz, d = xt.shape
-    n = a.shape[1]
+    xs, ds, bs, cs = (v.data for v in (x, delta, b, c))        # [B,T,D|1|N|N]
+    bsz, t_len = xs.shape[:2]
     step = 1 if direction is ScanDirection.FORWARD else -1
     order = range(t_len)[::step]
-    db = dt * bt                                               # delta_t B_t
-    hs = np.empty((t_len, bsz, d, n), dtype=xt.dtype) if recording(inputs) else None
-    y = np.empty_like(xt)
-    h = np.zeros((bsz, d, n), dtype=xt.dtype)
+    db = ds * bs                                               # delta_t B_t
+    h = np.zeros((bsz, *a.shape), dtype=xs.dtype)              # [B,N,D]
+    hs = np.empty((t_len, *h.shape), dtype=h.dtype) if recording(inputs) else None
+    y = np.empty_like(xs)
     a_bar, u = np.empty_like(h), np.empty_like(h)
     for t in order:
-        np.multiply(dt[t][..., None], a, out=a_bar)
+        np.multiply(ds[:, t, :, None], a, out=a_bar)
         np.exp(a_bar, out=a_bar)
-        np.multiply(db[t][:, None, :], xt[t][..., None], out=u)
+        np.multiply(db[:, t, :, None], xs[:, t, None, :], out=u)
         h *= a_bar
         h += u
-        np.matmul(h, ct[t][..., None], out=y[t][..., None])
+        np.matmul(cs[:, t, None, :], h, out=y[:, t, None, :])
         if hs is not None:
             hs[t] = h
-    out = Tensor(y.transpose(1, 0, 2), _check=False)
+    out = Tensor(y, _check=False)
 
     def backward(dy):
-        dyt = np.ascontiguousarray(dy.transpose(1, 0, 2))
-        dc = np.matmul(dyt[:, :, None, :], hs)[:, :, 0]        # sum_d h * dy
+        dc = np.matmul(hs.transpose(1, 0, 2, 3), dy[..., None])[..., 0]  # sum_d h dy
         g = np.zeros_like(h)                                   # dL/dh_t
         buf = np.empty_like(h)
-        g_b, x_g = np.empty_like(xt), np.empty_like(ct)        # sum_n g B, sum_d x g
+        g_b, x_g = np.empty_like(xs), np.empty_like(cs)        # sum_n B g, sum_d g x
         for t in order[::-1]:
-            np.multiply(dyt[t][..., None], ct[t][:, None, :], out=buf)
+            np.multiply(dy[:, t, None, :], cs[:, t, :, None], out=buf)
             g += buf
-            np.matmul(g, bt[t][..., None], out=g_b[t][..., None])
-            np.matmul(xt[t][:, None, :], g, out=x_g[t][:, None, :])
+            np.matmul(bs[:, t, None, :], g, out=g_b[:, t, None, :])
+            np.matmul(g, xs[:, t, :, None], out=x_g[:, t, :, None])
             if t == order[0]:
                 break
-            np.multiply(dt[t][..., None], a, out=buf)
+            np.multiply(ds[:, t, :, None], a, out=buf)
             np.exp(buf, out=buf)
             g *= buf
             # dL/d(delta_t A) = g_t * A_bar_t * h_prev, over h_prev's slot
             np.multiply(g, hs[t - step], out=hs[t - step])
-        # hs[src] now holds the dz of the steps at dst
+        # hs[src] now holds the dz of the steps at dst, in (t, b) row order
         src, dst = (slice(0, -1), slice(1, None))[::step]
         dz = hs[src].reshape(-1, a.size)
-        d_delta = (g_b * xt).sum(axis=-1, keepdims=True)
-        d_delta[dst] += (dz @ a.reshape(-1)).reshape(dt[dst].shape)
-        d_a_log = a * (dt[dst].reshape(-1) @ dz).reshape(a.shape)
-        batch_major = lambda v: v.transpose(1, 0, 2)
-        return (batch_major(dt * g_b), batch_major(d_delta), d_a_log,
-                batch_major(dt * x_g), batch_major(dc))
+        d_delta = (g_b * xs).sum(axis=-1, keepdims=True)
+        d_delta[:, dst, 0] += (dz @ a.reshape(-1)).reshape(-1, bsz).T
+        d_a_log = (a * (ds[:, dst, 0].T.reshape(-1) @ dz).reshape(a.shape)).T
+        return ds * g_b, d_delta, d_a_log, ds * x_g, dc
 
     return record(out, inputs, backward)
 

@@ -177,8 +177,12 @@ def scale(a, s):
 
 
 def _sigmoid(x):
-    # the tanh form is overflow-free and needs no masked indexing
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+    # the tanh form is overflow-free and needs no masked indexing; one buffer
+    s = np.multiply(x, 0.5, out=np.empty_like(x))
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return s
 
 
 def softplus(a):
@@ -246,13 +250,11 @@ def permute_time(a, perm):
 def layer_norm(a, eps=1e-6):
     """Parameter-free normalization over the last axis."""
     x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = xc * inv
-    out = Tensor(y, _check=False)
     n = x.shape[-1]
+    y = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.einsum("...i,...i->...", y, y)[..., None] / n + eps)
+    y *= inv
+    out = Tensor(y, _check=False)
 
     def backward(d):
         dy_sum = d.sum(axis=-1, keepdims=True)

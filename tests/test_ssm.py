@@ -244,6 +244,40 @@ class TestScanCore:
         y = ssm.scan_core(*(Tensor(v.astype(np.float32)) for v in arrays.values()))
         assert y.data.dtype == np.float32
 
+    @staticmethod
+    def run_taped(arrays, dy, direction):
+        """scan_core's output and its backward pass applied to dy directly."""
+        tensors = [Tensor(v, requires_grad=True) for v in arrays.values()]
+        with GradTape() as tape:
+            y = ssm.scan_core(*tensors, direction)
+            out, _, backward = tape.entries[-1]
+            assert out is y
+        return [y.data, *backward(dy)]
+
+    @pytest.mark.parametrize("direction", list(ScanDirection))
+    def test_strided_views_match_contiguous_copies(self, direction):
+        rng = np.random.default_rng(18)
+        arrays = self.inputs(rng, bsz=3, t_len=7, d=4, n=3)
+        dy = rng.uniform(-1, 1, (7, 3, 4)).transpose(1, 0, 2)
+        # time-reversed views of [B,T,*] inputs and a transposed a_log
+        views = {k: v[:, ::-1] if v.ndim == 3 else v.T.copy().T for k, v in arrays.items()}
+        assert not any(v.flags.c_contiguous for v in views.values())
+        copies = {k: np.ascontiguousarray(v) for k, v in views.items()}
+        got = self.run_taped(views, dy[:, ::-1], direction)
+        want = self.run_taped(copies, np.ascontiguousarray(dy[:, ::-1]), direction)
+        for name, g, w in zip(["y", *arrays], got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-13, atol=1e-15, err_msg=name)
+
+    @pytest.mark.parametrize("direction", list(ScanDirection))
+    def test_leaves_inputs_untouched(self, direction):
+        rng = np.random.default_rng(19)
+        arrays = self.inputs(rng, bsz=2, t_len=6)
+        before = {k: v.tobytes() for k, v in arrays.items()}
+        ssm.scan_core(*(Tensor(v) for v in arrays.values()), direction)
+        assert {k: v.tobytes() for k, v in arrays.items()} == before
+        self.run_taped(arrays, rng.uniform(-1, 1, arrays["x"].shape), direction)
+        assert {k: v.tobytes() for k, v in arrays.items()} == before
+
 
 class TestLtiScan:
     def test_zero_a(self):

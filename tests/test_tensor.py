@@ -73,6 +73,13 @@ class TestElementwise:
     def test_silu_at_zero(self):
         assert tt.silu(Tensor([0.0])).data[0] == 0.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_silu_large_input_safe(self, dtype):
+        with np.errstate(all="raise"):
+            out = tt.silu(Tensor(np.array([1e4, -1e4], dtype=dtype))).data
+        assert out.dtype == dtype
+        assert out[0] == 1e4 and out[1] == 0.0
+
     def test_broadcast_scalar(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         with GradTape() as tape:
@@ -152,6 +159,16 @@ class TestShapes:
         y = tt.layer_norm(x).data
         assert np.allclose(y.mean(-1), 0, atol=1e-12)
         assert np.allclose(y.var(-1), 1, atol=1e-5)
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-14)])
+    def test_layer_norm_matches_two_pass_formula(self, dtype, tol):
+        x = np.random.default_rng(12).uniform(-3, 3, (3, 5, 16)).astype(dtype)
+        y = tt.layer_norm(Tensor(x)).data
+        assert y.dtype == dtype
+        x64 = x.astype(np.float64)
+        xc = x64 - x64.mean(-1, keepdims=True)
+        want = xc / np.sqrt((xc * xc).mean(-1, keepdims=True) + 1e-6)
+        assert np.abs(y - want).max() < tol
 
     def test_layer_norm_gradient(self):
         rng = np.random.default_rng(11)
