@@ -199,10 +199,15 @@ def cmd_merge_demo(s: Settings, tokens_path, out):
 
 
 def cmd_synth(args):
+    try:
+        cfg = ds.DataConfig(classes=args.classes, per_class=args.per_class,
+                            seed=args.seed, noise_sigma=args.noise_sigma)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dataset = ds.synth_dataset(args.per_class, args.classes, args.image_size,
-                               args.seed, args.noise_sigma)
+    dataset = ds.synth_dataset(cfg.per_class, cfg.classes, args.image_size,
+                               cfg.seed, cfg.noise_sigma)
     ds.write_idx(dataset, out / "images.idx3-ubyte", out / "labels.idx1-ubyte")
     print(f"wrote {dataset.size} images to {out}")
     return 0

@@ -32,6 +32,10 @@ class RunOptions:
     seed: int = 0
     init_checkpoint: str = ""       # start from these weights, not at random
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("run.seed must be >= 0")
+
 
 @dataclass
 class Settings:

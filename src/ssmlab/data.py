@@ -37,9 +37,9 @@ class DataConfig:
     noise_sigma: float = 0.1
 
     def __post_init__(self):
-        for name, low in (("classes", 1), ("per_class", 1),
-                          ("eval_per_class", 1), ("noise_sigma", 0)):
-            if getattr(self, name) < low:
+        for name, low in (("classes", 1), ("per_class", 1), ("eval_per_class", 1),
+                          ("seed", 0), ("noise_sigma", 0)):
+            if not getattr(self, name) >= low:  # NaN fails too
                 raise ValueError(f"data.{name} must be >= {low}")
 
 
@@ -101,8 +101,11 @@ def load_idx(images_path, labels_path) -> Dataset:
 
 
 def write_idx(dataset: Dataset, images_path, labels_path):
-    """Write u8 IDX files; pixels are rounded to the 1/255 grid."""
+    """Write u8 IDX files; pixels are rounded to the 1/255 grid. A label
+    outside 0..255 does not fit the format and raises DataError."""
     n, h, w, _ = dataset.images.shape
+    if n and not 0 <= dataset.labels.min() <= dataset.labels.max() <= 255:
+        raise DataError("IDX labels must lie in 0..255")
     pix = np.clip(np.rint(dataset.images[..., 0] * 255.0), 0, 255).astype(np.uint8)
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, h, w))

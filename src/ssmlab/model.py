@@ -62,33 +62,25 @@ def default_sites(depth):
 
 @dataclass
 class Model:
+    """A config and its parameter table: ``{name: Tensor}`` in
+    ``param_shapes(cfg)`` order, named as the checkpoint and the optimizer
+    name them."""
     cfg: ModelConfig
-    patch_proj: Tensor            # [patch_dim, d_model]
-    pos_embed: Tensor             # [T0, d_model]
-    blocks: list                  # depth x SsmBlockParams
-    head: Tensor                  # [d_model, num_classes]
+    params: dict
 
     def named_params(self):
-        out = [("patch_proj", self.patch_proj), ("pos_embed", self.pos_embed)]
-        for l, blk in enumerate(self.blocks):
-            out += [(f"blocks.{l}.{k}", t) for k, t in blk.named()]
-        out.append(("head", self.head))
-        return out
+        return list(self.params.items())
 
-    @classmethod
-    def from_named(cls, cfg, params):
-        """The model whose ``named_params`` are ``params``, {name: Tensor}."""
+    def block(self, l):
+        """Block ``l``'s parameters as a view holding the table's Tensors."""
         side = lambda pre: ssm.ScanParams(
-            **{f.name: params[pre + f.name] for f in fields(ssm.ScanParams)})
-        blocks = [ssm.SsmBlockParams(side(f"blocks.{l}.fwd."), side(f"blocks.{l}.bwd."))
-                  for l in range(cfg.depth)]
-        return cls(cfg, params["patch_proj"], params["pos_embed"], blocks,
-                   params["head"])
+            **{f.name: self.params[pre + f.name] for f in fields(ssm.ScanParams)})
+        return ssm.SsmBlockParams(side(f"blocks.{l}.fwd."), side(f"blocks.{l}.bwd."))
 
     def astype(self, dtype):
         """Inference copy whose parameters are ``dtype`` arrays, with no gradients."""
-        return Model.from_named(self.cfg, {k: Tensor(t.data.astype(dtype))
-                                           for k, t in self.named_params()})
+        return Model(self.cfg, {k: Tensor(t.data.astype(dtype))
+                                for k, t in self.params.items()})
 
 
 def param_shapes(cfg: ModelConfig):
@@ -108,13 +100,16 @@ def init_model(cfg: ModelConfig, seed=0) -> Model:
     rng = np.random.default_rng(seed)
     shapes = param_shapes(cfg)
     normal = lambda k, std: Tensor(rng.normal(0.0, std, shapes[k]), requires_grad=True)
-    patch_proj = normal("patch_proj", cfg.patch_dim ** -0.5)
-    pos_embed = normal("pos_embed", 0.02)
-    blocks = [ssm.init_block(rng, cfg.d_model, cfg.d_inner, cfg.d_state,
-                             out_scale=1.0 / np.sqrt(cfg.depth))
-              for _ in range(cfg.depth)]
-    head = normal("head", cfg.d_model ** -0.5)
-    return Model(cfg, patch_proj, pos_embed, blocks, head)
+    params = {"patch_proj": normal("patch_proj", cfg.patch_dim ** -0.5),
+              "pos_embed": normal("pos_embed", 0.02)}
+    for l in range(cfg.depth):
+        for direction in ("fwd", "bwd"):
+            side = ssm.init_scan_params(rng, cfg.d_model, cfg.d_inner, cfg.d_state,
+                                        out_scale=1.0 / np.sqrt(cfg.depth))
+            params.update({f"blocks.{l}.{direction}.{k}": t
+                           for k, t in vars(side).items()})
+    params["head"] = normal("head", cfg.d_model ** -0.5)
+    return Model(cfg, params)
 
 
 def patchify(images, cfg: ModelConfig):
@@ -141,21 +136,19 @@ def forward(model: Model, images, rng=None):
     """
     cfg = model.cfg
     red = cfg.reduction
-    patches = patchify(images, cfg).astype(model.patch_proj.data.dtype, copy=False)
-    x = tt.add(tt.matmul(Tensor(patches), model.patch_proj), model.pos_embed)
+    params = model.params
+    patches = patchify(images, cfg).astype(params["patch_proj"].data.dtype, copy=False)
+    x = tt.add(tt.matmul(Tensor(patches), params["patch_proj"]), params["pos_embed"])
     if rng is None:  # drawn from only by the random reduction options
         rng = np.random.default_rng(0)
     trace = []
-    sites = set(red.sites)
-    for l, blk in enumerate(model.blocks):
+    for l in range(cfg.depth):
         t_cur = x.shape[1]
         trace.append(t_cur)
-        is_site = l in sites and red.r > 0
-        x, inter = ssm.bidirectional_block(blk, x, want_intermediates=is_site)
-        if not is_site:
-            continue
-        r_eff = rd.effective_r(t_cur, red.r, red.pair_rank)
+        x, inter = ssm.bidirectional_block(model.block(l), x)
+        r_eff = rd.effective_r(t_cur, red.r, red.pair_rank) if l in red.sites else 0
         if r_eff == 0:
+            del inter  # else its [B,T,N] projections live through the next block
             continue
         feat = inter[red.feature.value]
         if red.shuffle_ratio > 0:
@@ -171,7 +164,7 @@ def forward(model: Model, images, rng=None):
         else:
             x, _ = rd.prune(x, pairs)
     pooled = tt.tmean(tt.layer_norm(x), axis=1)   # [B, d_model]
-    logits = tt.matmul(pooled, model.head)
+    logits = tt.matmul(pooled, params["head"])
     return logits, trace
 
 
@@ -330,5 +323,7 @@ def load_checkpoint(path) -> Model:
             raise ModelError(f"missing parameter {name} in checkpoint")
         if tensors[name].shape != shape:
             raise ModelError(f"shape mismatch for {name}")
-    return Model.from_named(cfg, {k: Tensor(tensors[k], requires_grad=True, _check=False)
-                                  for k in shapes})
+        if not np.all(np.isfinite(tensors[name])):
+            raise ModelError(f"non-finite values in {name}")
+    return Model(cfg, {k: Tensor(tensors[k], requires_grad=True, _check=False)
+                       for k in shapes})

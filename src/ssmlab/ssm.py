@@ -45,12 +45,6 @@ class ScanParams:
     delta_bias: Tensor  # [1]
     w_out: Tensor       # [D, D_model]
 
-    def named(self):
-        return [("a_log", self.a_log), ("w_in", self.w_in),
-                ("w_gate", self.w_gate), ("w_b", self.w_b),
-                ("w_c", self.w_c), ("w_delta", self.w_delta),
-                ("delta_bias", self.delta_bias), ("w_out", self.w_out)]
-
 
 @dataclass
 class SsmBlockParams:
@@ -58,10 +52,6 @@ class SsmBlockParams:
 
     fwd: ScanParams
     bwd: ScanParams
-
-    def named(self):
-        return ([("fwd." + k, t) for k, t in self.fwd.named()]
-                + [("bwd." + k, t) for k, t in self.bwd.named()])
 
 
 def _softplus_inverse(y):
@@ -89,11 +79,6 @@ def init_scan_params(rng, d_model, d, n, out_scale=1.0):
         delta_bias=Tensor(np.array([_softplus_inverse(0.5)]), requires_grad=True),
         w_out=normal("w_out", out_scale * d ** -0.5),
     )
-
-
-def init_block(rng, d_model, d, n, out_scale=1.0):
-    return SsmBlockParams(fwd=init_scan_params(rng, d_model, d, n, out_scale),
-                          bwd=init_scan_params(rng, d_model, d, n, out_scale))
 
 
 def discretize(params: ScanParams, x: Tensor):
@@ -207,18 +192,16 @@ def _direction_branch(p: ScanParams, normed: Tensor, direction: ScanDirection):
     return tt.matmul(tt.mul(y, gate), p.w_out), inter
 
 
-def bidirectional_block(params: SsmBlockParams, tokens: Tensor,
-                        want_intermediates=False):
+def bidirectional_block(params: SsmBlockParams, tokens: Tensor):
     """Residual bidirectional block over [B, T, D_model] tokens.
 
     Returns (out, intermediates); intermediates hold the forward branch's
-    per-token B/C/delta projections (detached numpy) for similarity scoring.
+    per-token B/C/delta projections and the output x (detached numpy), the
+    features a reduction step scores.
     """
     normed = tt.layer_norm(tokens)
     fwd_contrib, inter = _direction_branch(params.fwd, normed, ScanDirection.FORWARD)
     bwd_contrib, _ = _direction_branch(params.bwd, normed, ScanDirection.BACKWARD)
     out = tt.add(tokens, tt.add(fwd_contrib, bwd_contrib))
-    if not want_intermediates:
-        return out, None
     inter["x"] = out.data  # the values a downstream reduction step merges
     return out, inter

@@ -40,6 +40,8 @@ class TrainConfig:
             raise ValueError("need lr_start >= lr_end > 0")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.accum_steps < 1:

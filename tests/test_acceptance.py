@@ -39,8 +39,7 @@ DATA_DIR = Path(__file__).parent / "data"
 def with_reduction(model: Model, **kwargs) -> Model:
     """Same weights, different reduction policy."""
     red = replace(model.cfg.reduction, **kwargs)
-    return Model(replace(model.cfg, reduction=red), model.patch_proj,
-                 model.pos_embed, model.blocks, model.head)
+    return replace(model, cfg=replace(model.cfg, reduction=red))
 
 
 def clone_model(model: Model) -> Model:

@@ -53,7 +53,7 @@ class TestSweep:
     def test_with_r_shares_weights(self):
         model = bench_model()
         other = bn._with_r(model, 5)
-        assert other.patch_proj is model.patch_proj
+        assert other.params["patch_proj"] is model.params["patch_proj"]
         assert other.cfg.reduction.r == 5
         assert model.cfg.reduction.r == 1  # original untouched
 

@@ -215,16 +215,29 @@ def idx_with_no_images(tmp_path):
             f"data.labels={tmp_path}/l.idx\n")
 
 
-def checkpoint_with_bad_utf8(tmp_path):
-    """A config line pointing at a checkpoint whose config text is not UTF-8."""
+def tiny_model():
     cfg = RunConfig()
     for line in TINY.split():
         cfg.set(*line.split("="))
+    return mdl.init_model(cfg.model_config())
+
+
+def checkpoint_with_bad_utf8(tmp_path):
+    """A config line pointing at a checkpoint whose config text is not UTF-8."""
     path = tmp_path / "bad.meeto"
-    mdl.save_checkpoint(mdl.init_model(cfg.model_config()), path)
+    mdl.save_checkpoint(tiny_model(), path)
     blob = path.read_bytes()
     assert blob.count(b"image_size=8") == 1
     path.write_bytes(blob.replace(b"image_size=8", b"image_size=\xff"))
+    return f"run.init_checkpoint={path}\n"
+
+
+def checkpoint_with_nan(tmp_path):
+    """A config line pointing at a checkpoint whose head holds a NaN."""
+    model = tiny_model()
+    model.params["head"].data[0, 0] = np.nan
+    path = tmp_path / "nan.meeto"
+    mdl.save_checkpoint(model, path)
     return f"run.init_checkpoint={path}\n"
 
 
@@ -299,6 +312,10 @@ class TestExitCodes:
          cli.EXIT_DATA),
         ("eval", idx_with_no_images, None, cli.EXIT_DATA),
         ("merge-demo", "reduce.r=0\n", "0 1\nnan 0\n", cli.EXIT_DATA),
+        ("eval", checkpoint_with_nan, None, cli.EXIT_DATA),
+        ("eval", "run.seed=-1\n", None, cli.EXIT_CONFIG),
+        ("train", "train.seed=-1\n", None, cli.EXIT_CONFIG),
+        ("eval", "data.seed=-1\n", None, cli.EXIT_CONFIG),
     ], ids=["cosine-zero-vectors", "single-token", "bench-r-values",
             "bench-dtype", "label-past-num-classes", "checkpoint-not-utf8",
             "config-not-utf8", "eval-bad-train-key", "merge-demo-bad-train-key",
@@ -307,7 +324,9 @@ class TestExitCodes:
             "bench-r-values-empty", "bench-r-values-negative", "bench-dataset",
             "bench-warmup-negative", "merge-demo-tokens-not-utf8",
             "eval-data-noise-sigma-nan", "train-weight-decay-nan",
-            "init-checkpoint-directory", "idx-no-images", "merge-demo-tokens-nan"])
+            "init-checkpoint-directory", "idx-no-images", "merge-demo-tokens-nan",
+            "checkpoint-nan", "run-seed-negative", "train-seed-negative",
+            "data-seed-negative"])
     def test_bad_input_table(self, tmp_path, capsys, command, extra, tokens, code):
         if callable(extra):
             extra = extra(tmp_path)
@@ -501,6 +520,22 @@ class TestSynthCommand:
         assert cli.main(["train", "--config", cfg, "--out", str(run)]) == 0
         assert (run / "checkpoint.bin").exists()
 
+    @pytest.mark.parametrize("flags, code", [
+        (["--seed", "-1"], cli.EXIT_CONFIG),
+        (["--noise-sigma", "-1"], cli.EXIT_CONFIG),
+        (["--noise-sigma", "nan"], cli.EXIT_CONFIG),
+        (["--classes", "300", "--per-class", "1"], cli.EXIT_DATA),
+    ], ids=["seed-negative", "noise-sigma-negative", "noise-sigma-nan",
+            "label-past-u8"])
+    def test_bad_flag_exits_with_one_line(self, tmp_path, capsys, flags, code):
+        out = tmp_path / "ds"
+        rc = cli.main(["synth", "--image-size", "8", "--out", str(out), *flags])
+        captured = capsys.readouterr()
+        assert rc == code
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "Traceback" not in captured.err
+        assert "wrote" not in captured.out
+
 
 class TestSeedOverride:
     def test_seed_flag_lands_in_resolved_config(self, tmp_path):
@@ -510,3 +545,10 @@ class TestSeedOverride:
                          "--seed", "99"]) == 0
         resolved = RunConfig.load(out / "resolved_config.txt")
         assert resolved.settings().run.seed == 99
+
+    def test_negative_seed_flag_is_config_error(self, tmp_path, capsys):
+        rc = cli.main(["eval", "--config", write_cfg(tmp_path),
+                       "--out", str(tmp_path / "o"), "--seed", "-5"])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_CONFIG
+        assert captured.err.strip() == "config error: run.seed must be >= 0"

@@ -30,6 +30,14 @@ class TestIdxFormat:
         again = ds.load_idx(ip, lp)
         assert np.array_equal(again.images, back.images)
 
+    @pytest.mark.parametrize("labels", [[0, 256], [-1, 0]])
+    def test_label_outside_u8_rejected(self, tmp_path, labels):
+        dataset = Dataset(np.zeros((2, 4, 4, 1)), np.array(labels), 257)
+        ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
+        with pytest.raises(DataError, match="0..255"):
+            ds.write_idx(dataset, ip, lp)
+        assert not ip.exists() and not lp.exists()
+
     def test_header_layout(self, tmp_path):
         _, ip, lp = self.write_fixture(tmp_path, n=3, h=4, w=5)
         raw = ip.read_bytes()

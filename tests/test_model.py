@@ -1,3 +1,6 @@
+import hashlib
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,6 +79,33 @@ class TestInit:
         assert ({k: t.shape for k, t in m.named_params()}
                 == mdl.param_shapes(cfg))
         assert sum(t.size for _, t in m.named_params()) > 0
+
+    def test_default_checkpoint_bytes_are_frozen(self, tmp_path):
+        path = tmp_path / "m.meeto"
+        mdl.save_checkpoint(mdl.init_model(ModelConfig(), seed=0), path)
+        assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                == "c5ab1048eae2865724a00e0577ed31d777cc1c23c26f2859c2315d65db7cd2d6")
+
+    def test_no_two_params_share_memory(self, tmp_path):
+        # AdamW updates each array in place, so a shared buffer (say one
+        # a_log for both directions) would couple parameters
+        m = mdl.init_model(small_cfg(), seed=0)
+        path = tmp_path / "m.meeto"
+        mdl.save_checkpoint(m, path)
+        for model in (m, mdl.load_checkpoint(path), m.astype(np.float32)):
+            arrays = [t.data for _, t in model.named_params()]
+            for i, a in enumerate(arrays):
+                assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+
+    def test_block_views_hold_the_table_tensors(self):
+        cfg = small_cfg()
+        m = mdl.init_model(cfg, seed=0)
+        for l in range(cfg.depth):
+            blk = m.block(l)
+            for side in ("fwd", "bwd"):
+                for f in fields(getattr(blk, side)):
+                    assert (getattr(getattr(blk, side), f.name)
+                            is m.params[f"blocks.{l}.{side}.{f.name}"])
 
 
 class TestForward:
@@ -186,7 +216,7 @@ class TestGradients:
         for name, p in m.named_params():
             assert p.grad is not None, name
             assert np.all(np.isfinite(p.grad.data)), name
-        assert np.abs(m.patch_proj.grad.data).max() > 0
+        assert np.abs(m.params["patch_proj"].grad.data).max() > 0
 
     def test_head_and_patch_proj_match_finite_differences(self):
         m = mdl.init_model(small_cfg(r=1, sites=(1,)), seed=2)
@@ -194,7 +224,7 @@ class TestGradients:
         w = np.random.default_rng(1).uniform(-1, 1, (2, 3))
         with GradTape() as tape:
             tape.backward(self._loss(m, imgs, w))
-        for p in (m.head, m.patch_proj):
+        for p in (m.params["head"], m.params["patch_proj"]):
             got = p.grad.data
 
             def f(arr, p=p):
@@ -259,6 +289,14 @@ class TestCheckpoint:
         short.write_bytes(blob[: len(blob) - 37])
         with pytest.raises(ModelError):
             mdl.load_checkpoint(short)
+
+    def test_non_finite_tensor_named(self, tmp_path):
+        m = mdl.init_model(small_cfg(), seed=0)
+        m.params["head"].data[0, 0] = np.nan
+        path = tmp_path / "nan.bin"
+        mdl.save_checkpoint(m, path)
+        with pytest.raises(ModelError, match="head"):
+            mdl.load_checkpoint(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -1,11 +1,12 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from conftest import finite_difference_grad
 from ssmlab import ssm, tensor as tt
-from ssmlab.ssm import ScanDirection, ScanParams
+from ssmlab.ssm import ScanDirection, ScanParams, SsmBlockParams
 from ssmlab.tensor import GradTape, Tensor, TensorError
 
 
@@ -62,6 +63,11 @@ def lti_scan(a, b, c, x):
 
 def make_params(rng, d_model, d, n):
     return ssm.init_scan_params(rng, d_model, d, n)
+
+
+def init_block(rng, d_model, d, n):
+    return SsmBlockParams(fwd=make_params(rng, d_model, d, n),
+                          bwd=make_params(rng, d_model, d, n))
 
 
 def discretized(params, x):
@@ -313,7 +319,7 @@ class TestLtiScan:
 class TestBidirectionalBlock:
     def test_zero_input_zero_delta_from_residual(self):
         rng = np.random.default_rng(11)
-        blk = ssm.init_block(rng, 6, 4, 2)
+        blk = init_block(rng, 6, 4, 2)
         x = Tensor(np.zeros((1, 5, 6)))
         out, _ = ssm.bidirectional_block(blk, x)
         # layer_norm(0)=0, silu(0)=0 gate kills both branches
@@ -321,8 +327,8 @@ class TestBidirectionalBlock:
 
     def test_reversal_symmetry_with_swapped_directions(self):
         rng = np.random.default_rng(12)
-        blk = ssm.init_block(rng, 6, 4, 2)
-        swapped = ssm.SsmBlockParams(fwd=blk.bwd, bwd=blk.fwd)
+        blk = init_block(rng, 6, 4, 2)
+        swapped = SsmBlockParams(fwd=blk.bwd, bwd=blk.fwd)
         x = rng.uniform(-1, 1, (2, 7, 6))
         out, _ = ssm.bidirectional_block(blk, Tensor(x))
         out_rev, _ = ssm.bidirectional_block(swapped, Tensor(x[:, ::-1].copy()))
@@ -330,7 +336,7 @@ class TestBidirectionalBlock:
 
     def test_order_sensitivity(self):
         rng = np.random.default_rng(13)
-        blk = ssm.init_block(rng, 6, 4, 2)
+        blk = init_block(rng, 6, 4, 2)
         x = rng.uniform(-1, 1, (1, 8, 6))
         perm = np.array([3, 1, 7, 0, 5, 2, 6, 4])
         out, _ = ssm.bidirectional_block(blk, Tensor(x))
@@ -340,13 +346,14 @@ class TestBidirectionalBlock:
 
     def test_block_gradient_all_params(self):
         rng = np.random.default_rng(14)
-        blk = ssm.init_block(rng, 4, 3, 2)
+        blk = init_block(rng, 4, 3, 2)
         x = rng.uniform(-1, 1, (1, 4, 4))
         w = rng.uniform(-1, 1, (1, 4, 4))
         with GradTape() as tape:
             out, _ = ssm.bidirectional_block(blk, Tensor(x))
             tape.backward(tt.tsum(tt.mul(out, Tensor(w))))
-        for name, p in blk.named():
+        for name, p in ((f"{side}.{f.name}", getattr(getattr(blk, side), f.name))
+                        for side in ("fwd", "bwd") for f in fields(ScanParams)):
             def f(arr, p=p):
                 old = p.data
                 p.data = arr
