@@ -160,37 +160,30 @@ def _read_token_file(path):
 
 
 def cmd_merge_demo(s: Settings, tokens_path, out):
+    """Trace the step a site runs, ``reduce.reduce_tokens``, on the tokens of
+    ``tokens_path``, scored on their values, with one rng seeded by run.seed."""
     values = _read_token_file(tokens_path)
     red = s.model.reduction
-    t_len, _ = values.shape
-    lines = [f"tokens {t_len} dim {values.shape[1]}"]
-    g1, g2 = rd.grouping(t_len, red.grouping,
-                         np.random.default_rng(s.run.seed))
-    lines.append("group1 " + " ".join(str(i) for i in g1))
-    lines.append("group2 " + " ".join(str(i) for i in g2))
-    dists = rd.pairwise_distance(values[g1], values[g2], red.distance)
-    for a, i in enumerate(g1):
-        row = " ".join(f"{dists[a, b]:.6f}" for b in range(len(g2)))
-        lines.append(f"dist {i} | {row}")
+    t_len, dim = values.shape
     r_eff = rd.effective_r(t_len, red.r, red.pair_rank)
-    if r_eff == 0:
+    x, step = rd.reduce_tokens(Tensor(values[None]), values[None], r_eff, red,
+                               np.random.default_rng(s.run.seed))
+    join = lambda v: " ".join(str(i) for i in v)
+    lines = [f"tokens {t_len} dim {dim}"]
+    if step.perm is not None:
+        lines.append("shuffle " + join(step.perm))
+    lines += ["group1 " + join(step.g1), "group2 " + join(step.g2)]
+    lines += [f"dist {i} | " + " ".join(f"{d:.6f}" for d in row)
+              for i, row in zip(step.g1, step.dists[0])]
+    pairs = step.pairs[0]
+    if len(pairs) == 0:
         lines.append("no pairs")
-        merged, idx = values, np.arange(t_len)
     else:
-        pairs = rd.select_pairs(dists, r_eff, red.pair_rank, red.selection,
-                                red.pairing,
-                                rng=np.random.default_rng(s.run.seed),
-                                g1=g1, g2=g2)
         lines.append("plan")
         lines += [f"pair {i} {j}" for i, j in pairs.tolist()]
         lines += [f"survivor {k}" for k in np.setdiff1d(np.arange(t_len), pairs)]
-        if red.mode is rd.Mode.MERGE:
-            out_t, idx = rd.merge(Tensor(values[None]), pairs, red.merge_op)
-        else:
-            out_t, idx = rd.prune(Tensor(values[None]), pairs)
-        merged, idx = out_t.data[0], idx[0]
     lines.append("merged")
-    for row, pos in zip(merged, idx):
+    for row, pos in zip(x.data[0], step.idx[0]):
         lines.append(f"{pos} " + " ".join(f"{v:.6f}" for v in row))
     text = "\n".join(lines) + "\n"
     (out / "merge_demo.txt").write_text(text)
@@ -202,12 +195,14 @@ def cmd_synth(args):
     try:
         cfg = ds.DataConfig(classes=args.classes, per_class=args.per_class,
                             seed=args.seed, noise_sigma=args.noise_sigma)
-    except ValueError as e:
+        dataset = ds.synth_dataset(cfg.per_class, cfg.classes, args.image_size,
+                                   cfg.seed, cfg.noise_sigma)
+    except ValueError as e:  # a DataError too: every size here is a flag
         raise ConfigError(str(e)) from e
+    except MemoryError as e:  # numpy names the array it could not allocate
+        raise ConfigError(f"synthetic dataset too large: {e}") from e
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dataset = ds.synth_dataset(cfg.per_class, cfg.classes, args.image_size,
-                               cfg.seed, cfg.noise_sigma)
     ds.write_idx(dataset, out / "images.idx3-ubyte", out / "labels.idx1-ubyte")
     print(f"wrote {dataset.size} images to {out}")
     return 0
@@ -230,7 +225,7 @@ def build_parser():
     ab = sub.add_parser("ablate", help="run one ablation axis")
     add_config(ab)
     ab.add_argument("--axis", required=True, choices=sorted(ABLATION_AXES))
-    md = sub.add_parser("merge-demo", help="trace one reduction step")
+    md = sub.add_parser("merge-demo", help="trace the reduction step a site runs")
     add_config(md)
     md.add_argument("tokens", help="text file, one token per line")
     sy = sub.add_parser("synth", help="write a synthetic IDX dataset")

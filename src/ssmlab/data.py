@@ -39,8 +39,8 @@ class DataConfig:
     def __post_init__(self):
         for name, low in (("classes", 1), ("per_class", 1), ("eval_per_class", 1),
                           ("seed", 0), ("noise_sigma", 0)):
-            if not getattr(self, name) >= low:  # NaN fails too
-                raise ValueError(f"data.{name} must be >= {low}")
+            if not low <= getattr(self, name) < np.inf:  # NaN fails too
+                raise ValueError(f"data.{name} must be finite and >= {low}")
 
 
 @dataclass

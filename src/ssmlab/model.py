@@ -16,7 +16,7 @@ import numpy as np
 from . import reduce as rd
 from . import ssm
 from . import tensor as tt
-from .reduce import Mode, ReductionConfig
+from .reduce import ReductionConfig
 from .tensor import Tensor
 
 
@@ -129,10 +129,11 @@ def forward(model: Model, images, rng=None):
     """Full forward pass.
 
     Returns (logits [B, num_classes], trace) where trace lists the token
-    count entering every block. Reduction (shuffle, feature, grouping,
-    distance, pair selection, merge/prune) runs after each site block.
-    Training runs it under a ``GradTape``; evaluation and the benchmark run
-    it with no tape, in the dtype of the model's parameters.
+    count entering every block. One ``reduce.reduce_tokens`` step runs
+    after each site block that takes pairs, scoring tokens on the block's
+    ``reduction.feature``. Training runs the pass under a ``GradTape``;
+    evaluation and the benchmark run it with no tape, in the dtype of the
+    model's parameters.
     """
     cfg = model.cfg
     red = cfg.reduction
@@ -150,19 +151,7 @@ def forward(model: Model, images, rng=None):
         if r_eff == 0:
             del inter  # else its [B,T,N] projections live through the next block
             continue
-        feat = inter[red.feature.value]
-        if red.shuffle_ratio > 0:
-            perm = rd.shuffle_permutation(t_cur, red.shuffle_ratio, rng)
-            x = tt.permute_time(x, perm)
-            feat = feat[:, perm]
-        g1, g2 = rd.grouping(t_cur, red.grouping, rng)
-        dists = rd.pairwise_distance(feat[:, g1], feat[:, g2], red.distance)
-        pairs = rd.select_pairs(dists, r_eff, red.pair_rank, red.selection,
-                                red.pairing, rng=rng, g1=g1, g2=g2)
-        if red.mode is Mode.MERGE:
-            x, _ = rd.merge(x, pairs, red.merge_op)
-        else:
-            x, _ = rd.prune(x, pairs)
+        x, _ = rd.reduce_tokens(x, inter[red.feature.value], r_eff, red, rng)
     pooled = tt.tmean(tt.layer_norm(x), axis=1)   # [B, d_model]
     logits = tt.matmul(pooled, params["head"])
     return logits, trace

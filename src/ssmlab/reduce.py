@@ -1,5 +1,5 @@
 """Token reduction: grouping, cross-group distances, disjoint pair selection,
-and merge/prune application.
+and merge/prune application, run as one step by ``reduce_tokens``.
 
 A reduction plan is one integer array of pairs (i, j) of sequence indices,
 [B, p, 2] for a batch or [p, 2] for one sequence; tokens in no pair pass
@@ -22,10 +22,12 @@ caps the schedule there.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor as tt
 from .tensor import Tensor, record
 
 
@@ -158,7 +160,7 @@ def select_pairs(dists, r, pair_rank=1, selection=Selection.TOP_R,
     bsz, m, n = batch.shape
     if r > min(m, n):
         raise ReduceError(f"r={r} exceeds available pairs min({m},{n})")
-    if not 1 <= pair_rank <= n:
+    if pair_rank < 1 or (r and pair_rank > n):  # no pairs need no partner
         raise ReduceError(f"pair_rank={pair_rank} outside [1, group-2 size {n}]")
     if pairing not in (Pairing.NEAREST, Pairing.RANDOM_PAIR):
         raise ReduceError(f"unknown pairing {pairing}")
@@ -294,53 +296,50 @@ def _check_plan(pairs, b, t):
     return pairs
 
 
-def _remaining(removed, t):
-    """The increasing [B, T - p] indices not in ``removed`` [B, p]."""
-    b, p = removed.shape
+def _apply(values, pairs, drop, merge_op=None):
+    """Checked plan ``pairs`` [B, p, 2] applied to values [B, T, D] by one
+    gather: tokens ``drop`` [B, p] leave, the rest keep their order, and with
+    a merge_op each pair is fused into the slot of its earlier token.
+    Returns (out Tensor, idx, scatter), idx [B, T - p] being the source index
+    of each output token, scatter the map from output to input cotangent."""
+    b, t, _ = values.shape
+    rows = np.arange(b)[:, None]
     keep = np.ones((b, t), dtype=bool)
-    keep[np.arange(b)[:, None], removed] = False
-    return np.nonzero(keep)[1].reshape(b, t - p)
-
-
-def _gather(x, src_i, src_j, merge_op: MergeOp):
-    """Apply [B, T_out] source-index arrays to x [B, T, D].
-
-    Output token (k, t) is x[k, src_i[k, t]], fused by merge_op with
-    x[k, src_j[k, t]] where src_j >= 0. Returns (out Tensor, scatter), where
-    scatter maps the output cotangent back to the input's.
-    """
-    rows = np.broadcast_to(np.arange(x.shape[0])[:, None], src_i.shape)
-    out = x[rows, src_i]                                # one gather
-    pr, pc = np.nonzero(src_j >= 0)
-    xi, xj = out[pr, pc], x[pr, src_j[pr, pc]]          # [P, D] pair members
-    pick_i = None
-    if merge_op is MergeOp.SUM:
-        out[pr, pc] = xi + xj
-    elif merge_op is MergeOp.MEAN:
-        out[pr, pc] = 0.5 * (xi + xj)
-    elif merge_op in (MergeOp.MAX, MergeOp.MIN):
-        pick_i = xi >= xj if merge_op is MergeOp.MAX else xi <= xj
-        out[pr, pc] = np.where(pick_i, xi, xj)
-    else:
-        raise ReduceError(f"unknown merge op {merge_op}")
-    pi, pj = src_i[pr, pc], src_j[pr, pc]
+    keep[rows, drop] = False
+    idx = np.broadcast_to(np.arange(t), (b, t))[keep].reshape(b, t - drop.shape[1])
+    out = values[rows, idx]                             # one gather
+    if merge_op is not None:
+        pi, pj = pairs[..., 0], pairs[..., 1]
+        slot = (np.cumsum(keep, axis=1) - 1)[rows, pairs.min(axis=2)]
+        xi, xj = values[rows, pi], values[rows, pj]     # [B, p, D] pair members
+        if merge_op is MergeOp.SUM:
+            out[rows, slot] = xi + xj
+        elif merge_op is MergeOp.MEAN:
+            out[rows, slot] = 0.5 * (xi + xj)
+        elif merge_op in (MergeOp.MAX, MergeOp.MIN):
+            pick_i = xi >= xj if merge_op is MergeOp.MAX else xi <= xj
+            out[rows, slot] = np.where(pick_i, xi, xj)
+        else:
+            raise ReduceError(f"unknown merge op {merge_op}")
 
     def scatter(dout):
         # a checked plan sends each input token to at most one output slot,
-        # so the scatter is an assignment
-        din = np.zeros_like(x)
-        din[rows, src_i] = dout
-        g_p = dout[pr, pc]
+        # so the scatter is an assignment; pair members are then overwritten
+        din = np.zeros_like(values)
+        din[rows, idx] = dout
+        if merge_op is None:
+            return din
+        g_p = dout[rows, slot]
         if merge_op is MergeOp.SUM:
-            din[pr, pj] = g_p
+            din[rows, pi] = din[rows, pj] = g_p
         elif merge_op is MergeOp.MEAN:
-            din[pr, pi] = din[pr, pj] = 0.5 * g_p
+            din[rows, pi] = din[rows, pj] = 0.5 * g_p
         else:  # subgradient routed to the selected element
-            din[pr, pi] = np.where(pick_i, g_p, 0.0)
-            din[pr, pj] = np.where(pick_i, 0.0, g_p)
+            din[rows, pi] = np.where(pick_i, g_p, 0.0)
+            din[rows, pj] = np.where(pick_i, 0.0, g_p)
         return din
 
-    return Tensor(out, _check=False), scatter
+    return Tensor(out, _check=False), idx, scatter
 
 
 def merge(values: Tensor, pairs, merge_op: MergeOp):
@@ -350,14 +349,8 @@ def merge(values: Tensor, pairs, merge_op: MergeOp):
     for every row. Returns the [B, T - p, D] tokens and idx [B, T - p], the
     earlier source index of each output token, increasing along each row.
     """
-    b, t, _ = values.shape
-    pairs = _check_plan(pairs, b, t)
-    idx = _remaining(pairs.max(axis=2), t)
-    # src[k, s] is (s, -1) for a token in no pair, and (i, j) at s = min(i, j)
-    src = np.stack([np.tile(np.arange(t), (b, 1)), np.full((b, t), -1)], axis=-1)
-    src[np.arange(b)[:, None], pairs.min(axis=2)] = pairs
-    src = np.take_along_axis(src, idx[..., None], axis=1)
-    out, scatter = _gather(values.data, src[..., 0], src[..., 1], merge_op)
+    pairs = _check_plan(pairs, *values.shape[:2])
+    out, idx, scatter = _apply(values.data, pairs, pairs.max(axis=2), merge_op)
     record(out, (values,), lambda dout: (scatter(dout),))
     return out, idx
 
@@ -367,10 +360,8 @@ def prune(values: Tensor, pairs):
 
     Takes and returns what ``merge`` does; idx lists the kept tokens.
     """
-    b, t, _ = values.shape
-    pairs = _check_plan(pairs, b, t)
-    idx = _remaining(pairs[..., 1], t)
-    out, scatter = _gather(values.data, idx, np.full_like(idx, -1), MergeOp.SUM)
+    pairs = _check_plan(pairs, *values.shape[:2])
+    out, idx, scatter = _apply(values.data, pairs, pairs[..., 1])
     record(out, (values,), lambda dout: (scatter(dout),))
     return out, idx
 
@@ -392,3 +383,29 @@ def shuffle_permutation(t_len, shuffle_ratio, rng):
     perm[sel] = src
     return perm
 
+
+# What one reduction step ran, in the slot order it saw after its shuffle:
+# perm (None without a shuffle), groups g1 and g2, dists [B, m, n], the plan
+# pairs [B, p, 2], and idx [B, T - p], the source slot of each output token.
+Step = namedtuple("Step", "perm g1 g2 dists pairs idx")
+
+
+def reduce_tokens(x: Tensor, feat, r, cfg: ReductionConfig, rng):
+    """Shuffle, group, score on ``feat`` [B, T, F], pick r pairs per row and
+    merge or prune them in ``x`` [B, T, D], drawing from ``rng`` in that
+    order. Returns the reduced Tensor and its ``Step``."""
+    t_len = x.shape[1]
+    perm = None
+    if cfg.shuffle_ratio > 0:
+        perm = shuffle_permutation(t_len, cfg.shuffle_ratio, rng)
+        x = tt.permute_time(x, perm)
+        feat = feat[:, perm]
+    g1, g2 = grouping(t_len, cfg.grouping, rng)
+    dists = pairwise_distance(feat[:, g1], feat[:, g2], cfg.distance)
+    pairs = select_pairs(dists, r, cfg.pair_rank, cfg.selection, cfg.pairing,
+                         rng=rng, g1=g1, g2=g2)
+    if cfg.mode is Mode.MERGE:
+        x, idx = merge(x, pairs, cfg.merge_op)
+    else:
+        x, idx = prune(x, pairs)
+    return x, Step(perm, g1, g2, dists, pairs, idx)

@@ -175,9 +175,9 @@ def retrain(model, dataset, cfg: TrainConfig, eval_dataset=None) -> TrainReport:
     report = TrainReport()
     n = dataset.size
     micro = cfg.batch_size
-    micros_per_epoch = max(1, math.ceil(n / micro))
-    opt_steps_per_epoch = max(1, math.ceil(micros_per_epoch / cfg.accum_steps))
-    total_opt_steps = max(1, epochs * opt_steps_per_epoch)
+    micros_per_epoch = math.ceil(n / micro)
+    # an epoch steps after every accum_steps micro-batches and after its last
+    total_opt_steps = epochs * math.ceil(micros_per_epoch / cfg.accum_steps)
 
     if epochs == 0:
         acc = evaluate(model, eval_dataset)
@@ -193,8 +193,6 @@ def retrain(model, dataset, cfg: TrainConfig, eval_dataset=None) -> TrainReport:
         lr = cosine_lr(opt_step, total_opt_steps, cfg.lr_start, cfg.lr_end)
         for b_idx in range(micros_per_epoch):
             sel = order[b_idx * micro:(b_idx + 1) * micro]
-            if sel.size == 0:
-                continue
             imgs = dataset.images[sel]
             labels = dataset.labels[sel]
             with GradTape() as tape:
@@ -214,8 +212,7 @@ def retrain(model, dataset, cfg: TrainConfig, eval_dataset=None) -> TrainReport:
                     p.zero_grad()
                 opt_step += 1
                 pending = 0
-                lr = cosine_lr(min(opt_step, total_opt_steps), total_opt_steps,
-                               cfg.lr_start, cfg.lr_end)
+                lr = cosine_lr(opt_step, total_opt_steps, cfg.lr_start, cfg.lr_end)
         acc = evaluate(model, eval_dataset)
         report.rows.append(EpochRow(epoch, lr, float(np.mean(losses)), acc,
                                     time.perf_counter() - t0))

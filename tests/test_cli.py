@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 import ssmlab
-from ssmlab import cli, data as ds, model as mdl
+from ssmlab import cli, data as ds, model as mdl, reduce as rd
 from ssmlab.bench import BenchConfig
 from ssmlab.config import ConfigError, RunConfig, RunOptions
 from ssmlab.data import DataConfig
 from ssmlab.model import ModelConfig
 from ssmlab.reduce import ReductionConfig
+from ssmlab.tensor import Tensor
 from ssmlab.train import TrainConfig
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -316,6 +317,7 @@ class TestExitCodes:
         ("eval", "run.seed=-1\n", None, cli.EXIT_CONFIG),
         ("train", "train.seed=-1\n", None, cli.EXIT_CONFIG),
         ("eval", "data.seed=-1\n", None, cli.EXIT_CONFIG),
+        ("eval", "data.noise_sigma=inf\n", None, cli.EXIT_CONFIG),
     ], ids=["cosine-zero-vectors", "single-token", "bench-r-values",
             "bench-dtype", "label-past-num-classes", "checkpoint-not-utf8",
             "config-not-utf8", "eval-bad-train-key", "merge-demo-bad-train-key",
@@ -326,7 +328,7 @@ class TestExitCodes:
             "eval-data-noise-sigma-nan", "train-weight-decay-nan",
             "init-checkpoint-directory", "idx-no-images", "merge-demo-tokens-nan",
             "checkpoint-nan", "run-seed-negative", "train-seed-negative",
-            "data-seed-negative"])
+            "data-seed-negative", "eval-data-noise-sigma-inf"])
     def test_bad_input_table(self, tmp_path, capsys, command, extra, tokens, code):
         if callable(extra):
             extra = extra(tmp_path)
@@ -488,6 +490,40 @@ class TestMergeDemo:
         assert len([l for l in text.splitlines()
                     if l and l[0].isdigit()]) == 3  # 5 tokens - 2 pairs
 
+    def test_traces_the_forward_step(self, tmp_path, capsys):
+        # every random option and a shuffle: the trace is what reduce_tokens
+        # gives for the same tokens and one rng seeded with run.seed
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("reduce.r=3\nreduce.grouping=random\n"
+                       "reduce.selection=random_r\nreduce.pairing=random_pair\n"
+                       "reduce.shuffle_ratio=0.5\nreduce.mode=prune\nrun.seed=5\n")
+        rc = cli.main(["merge-demo", "--config", str(cfg), "--out",
+                       str(tmp_path / "demo"), str(DATA_DIR / "tokens8.txt")])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        values = cli._read_token_file(DATA_DIR / "tokens8.txt")
+        red = RunConfig.load(cfg).model_config().reduction
+        x, step = rd.reduce_tokens(Tensor(values[None]), values[None], 3, red,
+                                   np.random.default_rng(5))
+        assert step.perm is not None
+        assert [l for l in lines if l.startswith("shuffle ")] == [
+            "shuffle " + " ".join(str(i) for i in step.perm)]
+        assert [l for l in lines if l.startswith("pair ")] == [
+            f"pair {i} {j}" for i, j in step.pairs[0].tolist()]
+        merged = lines[lines.index("merged") + 1:]
+        assert merged == [f"{pos} " + " ".join(f"{v:.6f}" for v in row)
+                          for row, pos in zip(x.data[0], step.idx[0])]
+
+    def test_no_pairs_when_rank_passes_group_size(self, tmp_path, capsys):
+        # 8 tokens give a group 2 of 4, so pair rank 5 leaves the site no pairs
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("reduce.r=2\nreduce.pair_rank=5\n")
+        rc = cli.main(["merge-demo", "--config", str(cfg), "--out",
+                       str(tmp_path / "demo"), str(DATA_DIR / "tokens8.txt")])
+        assert rc == 0
+        text = capsys.readouterr().out
+        assert "no pairs" in text and "dist 0 |" in text
+
     def test_ragged_token_file_rejected(self, tmp_path):
         tokens = tmp_path / "bad.txt"
         tokens.write_text("1 0\n0\n")
@@ -524,9 +560,14 @@ class TestSynthCommand:
         (["--seed", "-1"], cli.EXIT_CONFIG),
         (["--noise-sigma", "-1"], cli.EXIT_CONFIG),
         (["--noise-sigma", "nan"], cli.EXIT_CONFIG),
+        (["--noise-sigma", "inf"], cli.EXIT_CONFIG),
         (["--classes", "300", "--per-class", "1"], cli.EXIT_DATA),
+        (["--image-size", "0"], cli.EXIT_CONFIG),
+        # about 728 TiB for the first array: the allocation fails at once
+        (["--image-size", "10000000"], cli.EXIT_CONFIG),
     ], ids=["seed-negative", "noise-sigma-negative", "noise-sigma-nan",
-            "label-past-u8"])
+            "noise-sigma-inf", "label-past-u8", "image-size-zero",
+            "image-size-unallocatable"])
     def test_bad_flag_exits_with_one_line(self, tmp_path, capsys, flags, code):
         out = tmp_path / "ds"
         rc = cli.main(["synth", "--image-size", "8", "--out", str(out), *flags])

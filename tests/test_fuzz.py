@@ -1,5 +1,11 @@
 """The binary and text parsers given arbitrary bytes: each either parses or
-raises its own module's error, never anything else."""
+raises its own module's error, never anything else.
+
+Each example writes to a fresh file name: rewriting a file that already
+holds data can cost tens of milliseconds on some disks, which would dominate
+the run."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -11,6 +17,8 @@ from ssmlab import model as mdl
 from ssmlab.config import ConfigError, RunConfig
 
 FUZZ = settings(max_examples=200, deadline=None)
+
+SERIAL = itertools.count()  # a fresh name per example
 
 TINY_MODEL = mdl.ModelConfig(image_size=8, patch_size=4, depth=2, d_model=6,
                              d_inner=4, d_state=2, num_classes=3)
@@ -53,7 +61,7 @@ def valid_idx(fuzz_dir):
 @given(data=st.data())
 @FUZZ
 def test_checkpoint_raises_only_model_error(data, fuzz_dir, valid_checkpoint):
-    path = fuzz_dir / "fuzz.meeto"
+    path = fuzz_dir / f"fuzz{next(SERIAL)}.meeto"
     path.write_bytes(draw_bytes(data, valid_checkpoint, b"MEETO1"))
     try:
         mdl.load_checkpoint(path)
@@ -65,10 +73,12 @@ def test_checkpoint_raises_only_model_error(data, fuzz_dir, valid_checkpoint):
 @FUZZ
 def test_idx_raises_only_data_error(data, fuzz_dir, valid_idx):
     images, labels = valid_idx
-    (fuzz_dir / "fi.idx").write_bytes(draw_bytes(data, images, images[:4]))
-    (fuzz_dir / "fl.idx").write_bytes(draw_bytes(data, labels, labels[:4]))
+    n = next(SERIAL)
+    image_path, label_path = fuzz_dir / f"fi{n}.idx", fuzz_dir / f"fl{n}.idx"
+    image_path.write_bytes(draw_bytes(data, images, images[:4]))
+    label_path.write_bytes(draw_bytes(data, labels, labels[:4]))
     try:
-        ds.load_idx(fuzz_dir / "fi.idx", fuzz_dir / "fl.idx")
+        ds.load_idx(image_path, label_path)
     except ds.DataError:
         pass
 
@@ -77,7 +87,7 @@ def test_idx_raises_only_data_error(data, fuzz_dir, valid_idx):
 @FUZZ
 def test_run_config_raises_only_config_error(data, fuzz_dir):
     valid = b"model.depth=4\nreduce.r=3  # comment\n\nreduce.sites=1,3\n"
-    path = fuzz_dir / "fuzz.cfg"
+    path = fuzz_dir / f"fuzz{next(SERIAL)}.cfg"
     path.write_bytes(draw_bytes(data, valid, b"reduce.r="))
     try:
         RunConfig.load(path)

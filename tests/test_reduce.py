@@ -288,6 +288,10 @@ class TestSelectPairs:
         with pytest.raises(ReduceError):
             rd.select_pairs(dists, 1)
 
+    def test_no_pairs_need_no_partner_rank(self):
+        # a site whose pair rank passes the group-2 size takes no pairs
+        assert rd.select_pairs(np.ones((3, 2)), 0, pair_rank=3).shape == (0, 2)
+
     def test_pair_rank_zero_rejected(self):
         with pytest.raises(ReduceError):
             rd.select_pairs(np.ones((3, 2)), 1, pair_rank=0)
@@ -567,6 +571,40 @@ def shuffle_tokens(values, shuffle_ratio, rng):
     if np.array_equal(perm, np.arange(t_len)):
         return values
     return tt.permute_time(values, perm)
+
+
+class TestReduceTokens:
+    """``reduce_tokens`` is the stage functions run in turn on one rng."""
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("shuffle_ratio", [0.0, 0.5])
+    def test_runs_the_stages_in_order_on_one_rng(self, mode, shuffle_ratio):
+        cfg = ReductionConfig(distance=Distance.L2, grouping=Grouping.RANDOM,
+                              selection=Selection.RANDOM_R,
+                              pairing=Pairing.RANDOM_PAIR,
+                              shuffle_ratio=shuffle_ratio, mode=mode)
+        data = np.random.default_rng(3)
+        vals, feat = data.normal(size=(3, 9, 2)), data.normal(size=(3, 9, 4))
+        out, step = rd.reduce_tokens(Tensor(vals), feat, 3, cfg,
+                                     np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        x, perm = Tensor(vals), None
+        if shuffle_ratio:
+            perm = rd.shuffle_permutation(9, shuffle_ratio, rng)
+            x, feat = tt.permute_time(x, perm), feat[:, perm]
+        g1, g2 = rd.grouping(9, Grouping.RANDOM, rng)
+        dists = rd.pairwise_distance(feat[:, g1], feat[:, g2], Distance.L2)
+        pairs = rd.select_pairs(dists, 3, 1, Selection.RANDOM_R,
+                                Pairing.RANDOM_PAIR, rng=rng, g1=g1, g2=g2)
+        want, idx = (rd.merge(x, pairs, MergeOp.SUM) if mode is Mode.MERGE
+                     else rd.prune(x, pairs))
+        assert (step.perm is None) == (shuffle_ratio == 0)
+        if perm is not None:
+            assert np.array_equal(step.perm, perm)
+        for got, ref in ((step.g1, g1), (step.g2, g2), (step.dists, dists),
+                         (step.pairs, pairs), (step.idx, idx), (out.data, want.data)):
+            assert np.array_equal(got, ref)
+        assert out.shape == (3, 6, 2) and step.pairs.shape == (3, 3, 2)
 
 
 class TestShuffle:
