@@ -199,8 +199,6 @@ def cmd_synth(args):
                                    cfg.seed, cfg.noise_sigma)
     except ValueError as e:  # a DataError too: every size here is a flag
         raise ConfigError(str(e)) from e
-    except MemoryError as e:  # numpy names the array it could not allocate
-        raise ConfigError(f"synthetic dataset too large: {e}") from e
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ds.write_idx(dataset, out / "images.idx3-ubyte", out / "labels.idx1-ubyte")
@@ -260,6 +258,9 @@ def main(argv=None):
         return run[args.command]()
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as e:  # a size too large; numpy names the array
+        print(f"config error: too large to allocate: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (ds.DataError, OSError, mdl.ModelError, rd.ReduceError) as e:
         print(f"data error: {e}", file=sys.stderr)

@@ -71,11 +71,13 @@ class Model:
     def named_params(self):
         return list(self.params.items())
 
-    def block(self, l):
-        """Block ``l``'s parameters as a view holding the table's Tensors."""
-        side = lambda pre: ssm.ScanParams(
-            **{f.name: self.params[pre + f.name] for f in fields(ssm.ScanParams)})
-        return ssm.SsmBlockParams(side(f"blocks.{l}.fwd."), side(f"blocks.{l}.bwd."))
+    def side(self, l, direction):
+        """Direction ``direction`` (``"fwd"`` or ``"bwd"``) of block ``l``:
+        the table's own Tensors, keyed as in ``ssm.scan_shapes``."""
+        pre = f"blocks.{l}.{direction}."
+        return {k: self.params[pre + k]
+                for k in ssm.scan_shapes(self.cfg.d_model, self.cfg.d_inner,
+                                         self.cfg.d_state)}
 
     def astype(self, dtype):
         """Inference copy whose parameters are ``dtype`` arrays, with no gradients."""
@@ -97,18 +99,23 @@ def param_shapes(cfg: ModelConfig):
 
 
 def init_model(cfg: ModelConfig, seed=0) -> Model:
+    """Draw every parameter in ``param_shapes`` order from one rng: a normal
+    draw with a per-field std, except a_log (A = -[1..N] in every channel)
+    and delta_bias (an initial step of 0.5), which are constants."""
     rng = np.random.default_rng(seed)
-    shapes = param_shapes(cfg)
-    normal = lambda k, std: Tensor(rng.normal(0.0, std, shapes[k]), requires_grad=True)
-    params = {"patch_proj": normal("patch_proj", cfg.patch_dim ** -0.5),
-              "pos_embed": normal("pos_embed", 0.02)}
-    for l in range(cfg.depth):
-        for direction in ("fwd", "bwd"):
-            side = ssm.init_scan_params(rng, cfg.d_model, cfg.d_inner, cfg.d_state,
-                                        out_scale=1.0 / np.sqrt(cfg.depth))
-            params.update({f"blocks.{l}.{direction}.{k}": t
-                           for k, t in vars(side).items()})
-    params["head"] = normal("head", cfg.d_model ** -0.5)
+    d_model, d = cfg.d_model, cfg.d_inner
+    std = {"patch_proj": cfg.patch_dim ** -0.5, "pos_embed": 0.02,
+           "w_in": d_model ** -0.5, "w_gate": d_model ** -0.5, "w_b": d ** -0.5,
+           "w_c": d ** -0.5, "w_delta": d ** -0.5,
+           "w_out": 1.0 / np.sqrt(cfg.depth) * d ** -0.5, "head": d_model ** -0.5}
+    const = {"a_log": np.log(np.arange(1, cfg.d_state + 1, dtype=np.float64)),
+             "delta_bias": np.array([math.log(math.expm1(0.5))])}  # softplus^-1
+    params = {}
+    for name, shape in param_shapes(cfg).items():
+        k = name.rsplit(".", 1)[-1]
+        data = (np.broadcast_to(const[k], shape).copy() if k in const
+                else rng.normal(0.0, std[k], shape))
+        params[name] = Tensor(data, requires_grad=True)
     return Model(cfg, params)
 
 
@@ -146,7 +153,8 @@ def forward(model: Model, images, rng=None):
     for l in range(cfg.depth):
         t_cur = x.shape[1]
         trace.append(t_cur)
-        x, inter = ssm.bidirectional_block(model.block(l), x)
+        x, inter = ssm.bidirectional_block(model.side(l, "fwd"),
+                                           model.side(l, "bwd"), x)
         r_eff = rd.effective_r(t_cur, red.r, red.pair_rank) if l in red.sites else 0
         if r_eff == 0:
             del inter  # else its [B,T,N] projections live through the next block
@@ -294,9 +302,14 @@ def load_checkpoint(path) -> Model:
     try:
         lines = [read_text() for _ in range(read_u64())]
         cfg = config_from_text(ModelConfig, dict(line.split("=", 1) for line in lines))
+        shapes = param_shapes(cfg)
         tensors = {}
         for _ in range(read_u64()):
             name = read_text()
+            if name not in shapes:
+                raise ModelError(f"unknown parameter {name} in checkpoint")
+            if name in tensors:
+                raise ModelError(f"repeated parameter {name} in checkpoint")
             shape = tuple(struct.unpack("<q", read(8))[0] for _ in range(read_u64()))
             if min(shape, default=0) < 0:
                 raise ModelError(f"negative dimension for {name}")
@@ -306,7 +319,6 @@ def load_checkpoint(path) -> Model:
         raise
     except (KeyError, ValueError) as e:  # a missing key, a bad value, bad UTF-8
         raise ModelError(f"corrupt checkpoint: {e!r}") from e
-    shapes = param_shapes(cfg)
     for name, shape in shapes.items():
         if name not in tensors:
             raise ModelError(f"missing parameter {name} in checkpoint")

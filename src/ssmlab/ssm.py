@@ -18,8 +18,6 @@ only one either pass holds is the taped state history.
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,66 +30,31 @@ class ScanDirection(enum.Enum):
     BACKWARD = "backward"  # processes indices T-1 ... 0
 
 
-@dataclass
-class ScanParams:
-    """Learnable parameters of one scan direction."""
-
-    a_log: Tensor       # [D, N]; state matrix A = -exp(a_log)
-    w_in: Tensor        # [D_model, D]
-    w_gate: Tensor      # [D_model, D]
-    w_b: Tensor         # [D, N]
-    w_c: Tensor         # [D, N]
-    w_delta: Tensor     # [D, 1]
-    delta_bias: Tensor  # [1]
-    w_out: Tensor       # [D, D_model]
-
-
-@dataclass
-class SsmBlockParams:
-    """One bidirectional block: independent forward and backward scans."""
-
-    fwd: ScanParams
-    bwd: ScanParams
-
-
-def _softplus_inverse(y):
-    return math.log(math.expm1(y))
-
-
 def scan_shapes(d_model, d, n):
-    """``{field: shape}`` of one direction's ScanParams, in field order."""
+    """``{field: shape}`` of one scan direction's parameters, in table order.
+
+    a_log [D,N] gives the state matrix A = -exp(a_log); w_in and w_gate
+    [D_model,D] project the normed tokens to the scan input and its gate;
+    w_b and w_c [D,N] give the per-token B and C; w_delta [D,1] and
+    delta_bias [1] give the step size; w_out [D,D_model] projects back.
+    """
     return {"a_log": (d, n), "w_in": (d_model, d), "w_gate": (d_model, d),
             "w_b": (d, n), "w_c": (d, n), "w_delta": (d, 1),
             "delta_bias": (1,), "w_out": (d, d_model)}
 
 
-def init_scan_params(rng, d_model, d, n, out_scale=1.0):
-    shapes = scan_shapes(d_model, d, n)
-    normal = lambda k, std: Tensor(rng.normal(0.0, std, shapes[k]), requires_grad=True)
-    a_log = np.tile(np.log(np.arange(1, n + 1, dtype=np.float64)), (d, 1))
-    return ScanParams(
-        a_log=Tensor(a_log, requires_grad=True),
-        w_in=normal("w_in", d_model ** -0.5),
-        w_gate=normal("w_gate", d_model ** -0.5),
-        w_b=normal("w_b", d ** -0.5),
-        w_c=normal("w_c", d ** -0.5),
-        w_delta=normal("w_delta", d ** -0.5),
-        delta_bias=Tensor(np.array([_softplus_inverse(0.5)]), requires_grad=True),
-        w_out=normal("w_out", out_scale * d ** -0.5),
-    )
-
-
-def discretize(params: ScanParams, x: Tensor):
+def discretize(p, x: Tensor):
     """Input-dependent step size and input projection of one scan direction.
 
+    p: the direction's ``{field: Tensor}``, keyed as in ``scan_shapes``.
     x: [B, T, D] inner activations. Returns (delta [B,T,1], B [B,T,N]):
     one positive step per token, shared by all D channels, and the per-token
     B projection. scan_core turns them into A_bar and B_bar.
     """
     if not np.all(np.isfinite(x.data)):
         raise TensorError("non-finite scan input")
-    delta = tt.softplus(tt.add(tt.matmul(x, params.w_delta), params.delta_bias))
-    return delta, tt.matmul(x, params.w_b)
+    delta = tt.softplus(tt.add(tt.matmul(x, p["w_delta"]), p["delta_bias"]))
+    return delta, tt.matmul(x, p["w_b"])
 
 
 def scan_core(x: Tensor, delta: Tensor, a_log: Tensor, b: Tensor, c: Tensor,
@@ -167,8 +130,9 @@ def scan_core(x: Tensor, delta: Tensor, a_log: Tensor, b: Tensor, c: Tensor,
     return record(out, inputs, backward)
 
 
-def selective_scan(params: ScanParams, x: Tensor, direction: ScanDirection):
-    """Full selective scan of [B, T, D] activations in the given direction.
+def selective_scan(p, x: Tensor, direction: ScanDirection):
+    """Full selective scan of [B, T, D] activations in the given direction,
+    with one direction's ``{field: Tensor}`` ``p``.
 
     Returns (y [B,T,D], intermediates): the per-token B and C projections
     [B,T,N] and delta (a read-only [B,T,D] broadcast) the scan ran on, as
@@ -178,30 +142,32 @@ def selective_scan(params: ScanParams, x: Tensor, direction: ScanDirection):
         raise TensorError("selective_scan expects [B, T, D]")
     if x.shape[1] < 1:
         raise TensorError("empty sequence")
-    delta, b_t = discretize(params, x)
-    c = tt.matmul(x, params.w_c)                       # [B,T,N]
-    y = scan_core(x, delta, params.a_log, b_t, c, direction)
+    delta, b_t = discretize(p, x)
+    c = tt.matmul(x, p["w_c"])                         # [B,T,N]
+    y = scan_core(x, delta, p["a_log"], b_t, c, direction)
     return y, {"b": b_t.data, "c": c.data,
                "delta": np.broadcast_to(delta.data, x.shape)}
 
 
-def _direction_branch(p: ScanParams, normed: Tensor, direction: ScanDirection):
-    x_in = tt.silu(tt.matmul(normed, p.w_in))
-    gate = tt.silu(tt.matmul(normed, p.w_gate))
+def _direction_branch(p, normed: Tensor, direction: ScanDirection):
+    x_in = tt.silu(tt.matmul(normed, p["w_in"]))
+    gate = tt.silu(tt.matmul(normed, p["w_gate"]))
     y, inter = selective_scan(p, x_in, direction)
-    return tt.matmul(tt.mul(y, gate), p.w_out), inter
+    return tt.matmul(tt.mul(y, gate), p["w_out"]), inter
 
 
-def bidirectional_block(params: SsmBlockParams, tokens: Tensor):
-    """Residual bidirectional block over [B, T, D_model] tokens.
+def bidirectional_block(fwd, bwd, tokens: Tensor):
+    """Residual bidirectional block over [B, T, D_model] tokens, with
+    independent forward and backward scans whose parameters are ``fwd`` and
+    ``bwd``, each a ``{field: Tensor}`` keyed as in ``scan_shapes``.
 
     Returns (out, intermediates); intermediates hold the forward branch's
     per-token B/C/delta projections and the output x (detached numpy), the
     features a reduction step scores.
     """
     normed = tt.layer_norm(tokens)
-    fwd_contrib, inter = _direction_branch(params.fwd, normed, ScanDirection.FORWARD)
-    bwd_contrib, _ = _direction_branch(params.bwd, normed, ScanDirection.BACKWARD)
+    fwd_contrib, inter = _direction_branch(fwd, normed, ScanDirection.FORWARD)
+    bwd_contrib, _ = _direction_branch(bwd, normed, ScanDirection.BACKWARD)
     out = tt.add(tokens, tt.add(fwd_contrib, bwd_contrib))
     inter["x"] = out.data  # the values a downstream reduction step merges
     return out, inter

@@ -31,7 +31,7 @@ from ssmlab.reduce import (
 from ssmlab.ssm import ScanDirection
 from ssmlab.tensor import GradTape, Tensor
 from test_reduce import slow_select
-from test_ssm import naive_scan
+from test_ssm import make_params, naive_scan
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -63,7 +63,7 @@ def test_criterion_02_scan_oracle():
         t = int(rng.integers(1, 17))
         d = int(rng.integers(1, 5))
         n = int(rng.integers(1, 5))
-        p = ssm.init_scan_params(rng, d, d, n)
+        p = make_params(rng, d, d, n)
         x = Tensor(rng.uniform(-1, 1, (1, t, d)))
         y, _ = ssm.selective_scan(p, x, ScanDirection.FORWARD)
         assert np.abs(y.data - naive_scan(p, x)).max() < 1e-12

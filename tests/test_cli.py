@@ -318,6 +318,13 @@ class TestExitCodes:
         ("train", "train.seed=-1\n", None, cli.EXIT_CONFIG),
         ("eval", "data.seed=-1\n", None, cli.EXIT_CONFIG),
         ("eval", "data.noise_sigma=inf\n", None, cli.EXIT_CONFIG),
+        # each first large array is over 128 TiB, so it fails at once
+        ("eval", "model.d_model=10000000000000\n", None, cli.EXIT_CONFIG),
+        ("train", "model.d_model=10000000000000\n", None, cli.EXIT_CONFIG),
+        ("bench", "model.d_model=10000000000000\n", None, cli.EXIT_CONFIG),
+        ("eval", "data.per_class=100000000000\n", None, cli.EXIT_CONFIG),
+        ("eval", "model.image_size=10000000\n", None, cli.EXIT_CONFIG),
+        ("merge-demo", "", "0 1\n1 x\n", cli.EXIT_DATA),
     ], ids=["cosine-zero-vectors", "single-token", "bench-r-values",
             "bench-dtype", "label-past-num-classes", "checkpoint-not-utf8",
             "config-not-utf8", "eval-bad-train-key", "merge-demo-bad-train-key",
@@ -328,7 +335,10 @@ class TestExitCodes:
             "eval-data-noise-sigma-nan", "train-weight-decay-nan",
             "init-checkpoint-directory", "idx-no-images", "merge-demo-tokens-nan",
             "checkpoint-nan", "run-seed-negative", "train-seed-negative",
-            "data-seed-negative", "eval-data-noise-sigma-inf"])
+            "data-seed-negative", "eval-data-noise-sigma-inf",
+            "eval-d-model-unallocatable", "train-d-model-unallocatable",
+            "bench-d-model-unallocatable", "eval-per-class-unallocatable",
+            "eval-image-size-unallocatable", "merge-demo-bad-token-line"])
     def test_bad_input_table(self, tmp_path, capsys, command, extra, tokens, code):
         if callable(extra):
             extra = extra(tmp_path)

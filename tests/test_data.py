@@ -69,6 +69,12 @@ class TestIdxFormat:
         with pytest.raises(DataError):
             ds.load_idx(ip, lp)
 
+    def test_truncated_label_payload(self, tmp_path):
+        _, ip, lp = self.write_fixture(tmp_path)
+        lp.write_bytes(lp.read_bytes()[:-1])
+        with pytest.raises(DataError, match="truncated label payload"):
+            ds.load_idx(ip, lp)
+
     def test_truncated_header(self, tmp_path):
         _, ip, lp = self.write_fixture(tmp_path)
         ip.write_bytes(b"\x00\x00")
@@ -142,6 +148,12 @@ class TestSubset:
         assert s.size == 6
         counts = np.bincount(s.labels, minlength=3)
         assert counts.sum() == 6 and counts.max() - counts.min() <= 1
+
+    def test_remainders_go_to_the_lowest_tied_class(self):
+        d = ds.synth_dataset(5, 3, 8, seed=0)  # 15 items, each share 2.5
+        s = ds.subset(d, 0.5, seed=1)
+        assert s.size == 7
+        assert list(np.bincount(s.labels, minlength=3)) == [3, 2, 2]
 
     def test_deterministic(self):
         d = ds.synth_dataset(8, 4, 8, seed=0)

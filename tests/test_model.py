@@ -1,5 +1,5 @@
 import hashlib
-from dataclasses import fields
+import struct
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import finite_difference_grad
-from ssmlab import model as mdl, reduce as rd, tensor as tt
+from ssmlab import model as mdl, reduce as rd, ssm, tensor as tt
 from ssmlab.model import Model, ModelConfig, ModelError
 from ssmlab.reduce import MergeOp, Mode, ReductionConfig
 from ssmlab.tensor import GradTape, Tensor
@@ -101,11 +101,12 @@ class TestInit:
         cfg = small_cfg()
         m = mdl.init_model(cfg, seed=0)
         for l in range(cfg.depth):
-            blk = m.block(l)
             for side in ("fwd", "bwd"):
-                for f in fields(getattr(blk, side)):
-                    assert (getattr(getattr(blk, side), f.name)
-                            is m.params[f"blocks.{l}.{side}.{f.name}"])
+                view = m.side(l, side)
+                assert list(view) == list(ssm.scan_shapes(cfg.d_model, cfg.d_inner,
+                                                          cfg.d_state))
+                for k, t in view.items():
+                    assert t is m.params[f"blocks.{l}.{side}.{k}"]
 
 
 class TestForward:
@@ -296,6 +297,30 @@ class TestCheckpoint:
         path = tmp_path / "nan.bin"
         mdl.save_checkpoint(m, path)
         with pytest.raises(ModelError, match="head"):
+            mdl.load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, blob_edit, message", [
+        (lambda p: {**p, "blocks.7.fwd.w_in": Tensor(np.zeros((6, 4)))},
+         lambda b: b, "unknown parameter blocks.7.fwd.w_in"),
+        (lambda p: {**p, "patch_prox": Tensor(np.zeros((16, 6)))},
+         lambda b: b.replace(b"patch_prox", b"patch_proj"),
+         "repeated parameter patch_proj"),
+        (lambda p: p, lambda b: b.replace(b"head" + struct.pack("<Qqq", 2, 6, 3),
+                                          b"head" + struct.pack("<Qqq", 2, -6, 3)),
+         "negative dimension for head"),
+        (lambda p: {k: t for k, t in p.items() if k != "head"}, lambda b: b,
+         "missing parameter head"),
+        (lambda p: {**p, "head": Tensor(np.zeros((6, 4)))}, lambda b: b,
+         "shape mismatch for head"),
+    ], ids=["unknown-name", "repeated-name", "negative-dimension",
+            "missing-parameter", "shape-mismatch"])
+    def test_table_must_be_param_shapes(self, tmp_path, edit, blob_edit, message):
+        # save the model with its table edited, then edit the file's bytes
+        m = mdl.init_model(small_cfg(), seed=0)
+        path = tmp_path / "t.bin"
+        mdl.save_checkpoint(Model(m.cfg, edit(dict(m.params))), path)
+        path.write_bytes(blob_edit(path.read_bytes()))
+        with pytest.raises(ModelError, match=message):
             mdl.load_checkpoint(path)
 
     def test_missing_file(self, tmp_path):

@@ -1,12 +1,11 @@
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from conftest import finite_difference_grad
 from ssmlab import ssm, tensor as tt
-from ssmlab.ssm import ScanDirection, ScanParams, SsmBlockParams
+from ssmlab.ssm import ScanDirection
 from ssmlab.tensor import GradTape, Tensor, TensorError
 
 
@@ -16,17 +15,17 @@ def naive_scan(params, x, reverse=False):
     if reverse:
         xd = xd[:, ::-1]
     b, t, d = xd.shape
-    n = params.a_log.shape[1]
-    a = -np.exp(params.a_log.data)
-    delta = np.maximum(xd @ params.w_delta.data + params.delta_bias.data, 0) + \
-        np.log1p(np.exp(-np.abs(xd @ params.w_delta.data + params.delta_bias.data)))
+    n = params["a_log"].shape[1]
+    a = -np.exp(params["a_log"].data)
+    delta = np.maximum(xd @ params["w_delta"].data + params["delta_bias"].data, 0) + \
+        np.log1p(np.exp(-np.abs(xd @ params["w_delta"].data + params["delta_bias"].data)))
     y = np.zeros((b, t, d))
     for bi in range(b):
         h = np.zeros((d, n))
         for ti in range(t):
             dt = delta[bi, ti, 0]
-            bt = xd[bi, ti] @ params.w_b.data
-            ct = xd[bi, ti] @ params.w_c.data
+            bt = xd[bi, ti] @ params["w_b"].data
+            ct = xd[bi, ti] @ params["w_c"].data
             for di in range(d):
                 for ni in range(n):
                     a_bar = math.exp(dt * a[di, ni])
@@ -62,12 +61,21 @@ def lti_scan(a, b, c, x):
 
 
 def make_params(rng, d_model, d, n):
-    return ssm.init_scan_params(rng, d_model, d, n)
+    """One scan direction's ``{field: Tensor}``, drawn from ``rng`` in
+    ``scan_shapes`` order as ``model.init_model`` draws a block's, with an
+    out-projection std of ``d ** -0.5`` at every depth."""
+    std = {"w_in": d_model ** -0.5, "w_gate": d_model ** -0.5, "w_b": d ** -0.5,
+           "w_c": d ** -0.5, "w_delta": d ** -0.5, "w_out": d ** -0.5}
+    const = {"a_log": np.tile(np.log(np.arange(1, n + 1, dtype=np.float64)), (d, 1)),
+             "delta_bias": np.array([math.log(math.expm1(0.5))])}
+    return {k: Tensor(const[k] if k in const else rng.normal(0.0, std[k], shape),
+                      requires_grad=True)
+            for k, shape in ssm.scan_shapes(d_model, d, n).items()}
 
 
 def init_block(rng, d_model, d, n):
-    return SsmBlockParams(fwd=make_params(rng, d_model, d, n),
-                          bwd=make_params(rng, d_model, d, n))
+    """(fwd, bwd) parameters of one bidirectional block."""
+    return make_params(rng, d_model, d, n), make_params(rng, d_model, d, n)
 
 
 def discretized(params, x):
@@ -78,9 +86,9 @@ def discretized(params, x):
     """
     delta, b_t = ssm.discretize(params, x)
     bsz, t_len, d = x.shape
-    n = params.a_log.shape[1]
+    n = params["a_log"].shape[1]
     step = delta.data[..., None]                       # [B,T,1,1]
-    a_bar = np.exp(step * -np.exp(params.a_log.data))
+    a_bar = np.exp(step * -np.exp(params["a_log"].data))
     b_bar = np.broadcast_to(step * b_t.data[:, :, None, :], (bsz, t_len, d, n))
     return (Tensor(a_bar), Tensor(b_bar),
             Tensor(np.broadcast_to(delta.data, (bsz, t_len, d))), b_t)
@@ -91,8 +99,8 @@ class TestDiscretize:
         # huge negative delta bias drives delta toward 0: state frozen
         rng = np.random.default_rng(0)
         p = make_params(rng, 4, 3, 2)
-        p.w_delta.data[:] = 0.0
-        p.delta_bias.data[:] = -40.0
+        p["w_delta"].data[:] = 0.0
+        p["delta_bias"].data[:] = -40.0
         x = Tensor(rng.uniform(-1, 1, (1, 4, 3)))
         a_bar, b_bar, delta, _ = discretized(p, x)
         assert np.allclose(a_bar.data, 1.0, atol=1e-15)
@@ -103,9 +111,9 @@ class TestDiscretize:
         # A = -1 everywhere, delta = ln 2 => A_bar = 0.5 exactly
         rng = np.random.default_rng(1)
         p = make_params(rng, 4, 2, 2)
-        p.a_log.data[:] = 0.0
-        p.w_delta.data[:] = 0.0
-        p.delta_bias.data[:] = math.log(math.expm1(math.log(2.0)))
+        p["a_log"].data[:] = 0.0
+        p["w_delta"].data[:] = 0.0
+        p["delta_bias"].data[:] = math.log(math.expm1(math.log(2.0)))
         x = Tensor(rng.uniform(-1, 1, (1, 3, 2)))
         a_bar, _, _, _ = discretized(p, x)
         assert np.allclose(a_bar.data, 0.5, atol=1e-12)
@@ -133,7 +141,7 @@ class TestSelectiveScan:
         x = Tensor(rng.uniform(-1, 1, (2, 1, 3)))
         y, _ = ssm.selective_scan(p, x, ScanDirection.FORWARD)
         _, b_bar, _, _ = discretized(p, x)
-        c = x.data @ p.w_c.data
+        c = x.data @ p["w_c"].data
         expect = np.einsum("bdn,bn->bd", b_bar.data[:, 0] * x.data[:, 0][:, :, None], c[:, 0])
         assert np.allclose(y.data[:, 0], expect, atol=1e-14)
 
@@ -141,8 +149,8 @@ class TestSelectiveScan:
         # delta -> large surrogate: A_bar ~ 0, so y_t depends on x_t alone
         rng = np.random.default_rng(4)
         p = make_params(rng, 4, 3, 2)
-        p.w_delta.data[:] = 0.0
-        p.delta_bias.data[:] = 60.0
+        p["w_delta"].data[:] = 0.0
+        p["delta_bias"].data[:] = 60.0
         x = rng.uniform(-1, 1, (1, 6, 3))
         perm = rng.permutation(6)
         y = ssm.selective_scan(p, Tensor(x), ScanDirection.FORWARD)[0].data
@@ -321,17 +329,17 @@ class TestBidirectionalBlock:
         rng = np.random.default_rng(11)
         blk = init_block(rng, 6, 4, 2)
         x = Tensor(np.zeros((1, 5, 6)))
-        out, _ = ssm.bidirectional_block(blk, x)
+        out, _ = ssm.bidirectional_block(*blk, x)
         # layer_norm(0)=0, silu(0)=0 gate kills both branches
         assert np.allclose(out.data, 0.0, atol=1e-15)
 
     def test_reversal_symmetry_with_swapped_directions(self):
         rng = np.random.default_rng(12)
         blk = init_block(rng, 6, 4, 2)
-        swapped = SsmBlockParams(fwd=blk.bwd, bwd=blk.fwd)
+        swapped = blk[::-1]
         x = rng.uniform(-1, 1, (2, 7, 6))
-        out, _ = ssm.bidirectional_block(blk, Tensor(x))
-        out_rev, _ = ssm.bidirectional_block(swapped, Tensor(x[:, ::-1].copy()))
+        out, _ = ssm.bidirectional_block(*blk, Tensor(x))
+        out_rev, _ = ssm.bidirectional_block(*swapped, Tensor(x[:, ::-1].copy()))
         assert np.allclose(out_rev.data[:, ::-1], out.data, atol=1e-12)
 
     def test_order_sensitivity(self):
@@ -339,8 +347,8 @@ class TestBidirectionalBlock:
         blk = init_block(rng, 6, 4, 2)
         x = rng.uniform(-1, 1, (1, 8, 6))
         perm = np.array([3, 1, 7, 0, 5, 2, 6, 4])
-        out, _ = ssm.bidirectional_block(blk, Tensor(x))
-        out_p, _ = ssm.bidirectional_block(blk, Tensor(x[:, perm]))
+        out, _ = ssm.bidirectional_block(*blk, Tensor(x))
+        out_p, _ = ssm.bidirectional_block(*blk, Tensor(x[:, perm]))
         # NOT permutation-invariant: permuted input != permuted output
         assert not np.allclose(out_p.data, out.data[:, perm], atol=1e-6)
 
@@ -350,14 +358,14 @@ class TestBidirectionalBlock:
         x = rng.uniform(-1, 1, (1, 4, 4))
         w = rng.uniform(-1, 1, (1, 4, 4))
         with GradTape() as tape:
-            out, _ = ssm.bidirectional_block(blk, Tensor(x))
+            out, _ = ssm.bidirectional_block(*blk, Tensor(x))
             tape.backward(tt.tsum(tt.mul(out, Tensor(w))))
-        for name, p in ((f"{side}.{f.name}", getattr(getattr(blk, side), f.name))
-                        for side in ("fwd", "bwd") for f in fields(ScanParams)):
+        for name, p in ((f"{side}.{k}", t) for side, params in zip(("fwd", "bwd"), blk)
+                        for k, t in params.items()):
             def f(arr, p=p):
                 old = p.data
                 p.data = arr
-                o, _ = ssm.bidirectional_block(blk, Tensor(x))
+                o, _ = ssm.bidirectional_block(*blk, Tensor(x))
                 p.data = old
                 return float((o.data * w).sum())
             g = finite_difference_grad(f, p.data.copy())
@@ -372,7 +380,7 @@ class TestBidirectionalBlock:
         y = ssm.selective_scan(p, x, ScanDirection.FORWARD)[0].data
         a_max = a_bar.data.max()
         u_max = np.abs(b_bar.data * x.data[..., None]).max()
-        c_max = np.abs(x.data @ p.w_c.data).max()
-        n = p.a_log.shape[1]
+        c_max = np.abs(x.data @ p["w_c"].data).max()
+        n = p["a_log"].shape[1]
         h_bound = u_max / (1.0 - a_max)
         assert np.abs(y).max() <= n * c_max * h_bound + 1e-9
