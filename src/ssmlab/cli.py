@@ -105,13 +105,13 @@ def cmd_bench(s: Settings, out):
 
 
 ABLATION_AXES = {
-    "distance": ("reduce.distance", ["cosine", "l1", "l2"]),
-    "feature": ("reduce.feature", ["x", "c", "b", "delta"]),
-    "merge_op": ("reduce.merge_op", ["sum", "mean", "max", "min"]),
+    "distance": ("reduce.distance", [m.value for m in rd.Distance]),
+    "feature": ("reduce.feature", [m.value for m in rd.Feature]),
+    "merge_op": ("reduce.merge_op", [m.value for m in rd.MergeOp]),
     "shuffle": ("reduce.shuffle_ratio", ["0.1", "0.3", "0.5", "0.7"]),
-    "grouping": ("reduce.grouping", ["odd_even", "front_behind", "random"]),
-    "selection": ("reduce.selection", ["top_r", "random_r"]),
-    "pairing": ("reduce.pairing", ["nearest", "random_pair"]),
+    "grouping": ("reduce.grouping", [m.value for m in rd.Grouping]),
+    "selection": ("reduce.selection", [m.value for m in rd.Selection]),
+    "pairing": ("reduce.pairing", [m.value for m in rd.Pairing]),
     "rank": ("reduce.pair_rank", ["1", "3", "5", "7", "14"]),
     "interval": ("interval", ["2", "4", "6", "8"]),
     "sites": ("reduce.sites", ["even", "odd"]),

@@ -166,42 +166,36 @@ def select_pairs(dists, r, pair_rank=1, selection=Selection.TOP_R,
         raise ReduceError(f"unknown pairing {pairing}")
     shuffle = pairing is Pairing.RANDOM_PAIR
     if selection is Selection.TOP_R:
-        i, j = _top_r(batch, r, pair_rank)
-        if shuffle:
-            for k in range(bsz):
-                j[k] = _shuffle(j[k], rng)
+        cost, step = batch, max(bsz, 1)
     elif selection is Selection.RANDOM_R:
         if rng is None:
             raise ReduceError("random selection needs an rng")
         # the greedy on the cost (row's place in a random order, column's rank
         # in the row). A row draws its order, then its shuffle, sized by its
         # pair count, so with a shuffle the rows go through one at a time.
-        rank = np.argsort(np.argsort(batch, axis=2, kind="stable"), axis=2)
+        cost = np.argsort(np.argsort(batch, axis=2, kind="stable"), axis=2)
         step = 1 if shuffle else max(bsz, 1)
-        picks = []
-        for lo in range(0, bsz, step):
-            place = np.array([np.argsort(rng.permutation(m)) for _ in range(step)])
-            ik, jk = _top_r(place[..., None] * float(n) + rank[lo:lo + step],
-                            r, pair_rank)
-            picks += [(a, _shuffle(b, rng) if shuffle else b) for a, b in zip(ik, jk)]
-        if len({len(ik) for ik, _ in picks}) > 1:
-            raise ReduceError("rows choose different numbers of pairs")
-        i, j = np.array(picks, dtype=np.intp).transpose(1, 0, 2)
     else:
         raise ReduceError(f"unknown selection {selection}")
+    picks = []
+    for lo in range(0, max(bsz, 1), step):  # once for an empty batch
+        chunk = cost[lo:lo + step]
+        if selection is Selection.RANDOM_R:
+            order = rng.permuted(np.broadcast_to(np.arange(m), (len(chunk), m)), axis=1)
+            chunk = np.argsort(order, axis=1)[..., None] * float(n) + chunk
+        i, j = _top_r(chunk, r, pair_rank)
+        if shuffle and j.shape[1] > 1:  # a single pair stays as it is
+            if rng is None:
+                raise ReduceError("random pairing needs an rng")
+            j = rng.permuted(j, axis=1)
+        picks.append((i, j))
+    if len({j.shape[1] for _, j in picks}) > 1:
+        raise ReduceError("rows choose different numbers of pairs")
+    i, j = (np.concatenate(a) for a in zip(*picks))
     g1 = np.arange(m) if g1 is None else np.asarray(g1)
     g2 = np.arange(m, m + n) if g2 is None else np.asarray(g2)
     pairs = np.stack([g1[i], g2[j]], axis=-1)
     return pairs[0] if dists.ndim == 2 else pairs
-
-
-def _shuffle(j, rng):
-    """One row's group-2 partners in random order; a single pair stays as it is."""
-    if len(j) < 2:
-        return j
-    if rng is None:
-        raise ReduceError("random pairing needs an rng")
-    return j[rng.permutation(len(j))]
 
 
 def _top_r(dists, r, pair_rank):
@@ -220,7 +214,7 @@ def _top_r(dists, r, pair_rank):
     if pair_rank > 1:
         order = np.argsort(dists, axis=2, kind="stable")
         np.put_along_axis(cand, order[:, :, :pair_rank - 1], np.inf, axis=2)
-    flat_cand = cand.reshape(bsz, -1)
+    flat_cand = cand.reshape(bsz, m * n)
     rows = np.arange(bsz)
     picks = []
     for _ in range(r):
@@ -235,7 +229,7 @@ def _top_r(dists, r, pair_rank):
         i, j = np.divmod(flat, n)
         cand[rows, i, :] = np.inf
         cand[rows, :, j] = np.inf
-    return np.divmod(np.array(picks, dtype=np.intp).reshape(-1, bsz).T, n)
+    return np.divmod(np.array(picks, dtype=np.intp).reshape(len(picks), bsz).T, n)
 
 
 def effective_r(t_current, r, pair_rank=1):
@@ -290,7 +284,7 @@ def _check_plan(pairs, b, t):
         raise ReduceError(f"plan of shape {pairs.shape} does not fit {b} rows")
     if np.any((pairs < 0) | (pairs >= t)):
         raise ReduceError("plan index out of range")
-    used = np.sort(pairs.reshape(b, -1), axis=1)
+    used = np.sort(pairs.reshape(b, 2 * pairs.shape[1]), axis=1)
     if np.any(used[:, 1:] == used[:, :-1]):
         raise ReduceError("token used twice in plan")
     return pairs

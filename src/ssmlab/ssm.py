@@ -135,8 +135,7 @@ def selective_scan(p, x: Tensor, direction: ScanDirection):
     with one direction's ``{field: Tensor}`` ``p``.
 
     Returns (y [B,T,D], intermediates): the per-token B and C projections
-    [B,T,N] and delta (a read-only [B,T,D] broadcast) the scan ran on, as
-    detached ndarrays.
+    [B,T,N] and the step delta [B,T,1] the scan ran on, as detached ndarrays.
     """
     if x.data.ndim != 3:
         raise TensorError("selective_scan expects [B, T, D]")
@@ -145,8 +144,7 @@ def selective_scan(p, x: Tensor, direction: ScanDirection):
     delta, b_t = discretize(p, x)
     c = tt.matmul(x, p["w_c"])                         # [B,T,N]
     y = scan_core(x, delta, p["a_log"], b_t, c, direction)
-    return y, {"b": b_t.data, "c": c.data,
-               "delta": np.broadcast_to(delta.data, x.shape)}
+    return y, {"b": b_t.data, "c": c.data, "delta": delta.data}
 
 
 def _direction_branch(p, normed: Tensor, direction: ScanDirection):
@@ -162,8 +160,8 @@ def bidirectional_block(fwd, bwd, tokens: Tensor):
     ``bwd``, each a ``{field: Tensor}`` keyed as in ``scan_shapes``.
 
     Returns (out, intermediates); intermediates hold the forward branch's
-    per-token B/C/delta projections and the output x (detached numpy), the
-    features a reduction step scores.
+    per-token B/C projections, its one-wide step delta and the output x
+    (detached numpy), the features a reduction step scores.
     """
     normed = tt.layer_norm(tokens)
     fwd_contrib, inter = _direction_branch(fwd, normed, ScanDirection.FORWARD)

@@ -145,6 +145,16 @@ class TestForward:
         assert trace == rd.token_counts(side * side, (0, 1, 2), r, 4,
                                         pair_rank)[:-1]
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_empty_batch_runs_the_schedule(self, mode):
+        cfg = ModelConfig(image_size=16, patch_size=4, depth=4, d_model=6,
+                          d_inner=4, d_state=2, num_classes=3,
+                          reduction=ReductionConfig(r=5, sites=(1, 2), mode=mode))
+        logits, trace = mdl.forward(mdl.init_model(cfg, seed=0),
+                                    np.zeros((0, 16, 16, 1)))
+        assert logits.shape == (0, 3)
+        assert trace == rd.token_counts(16, (1, 2), 5, 4)[:-1] == [16, 16, 11, 6]
+
     def test_r_zero_identical_to_no_sites(self):
         m0 = mdl.init_model(small_cfg(r=0, sites=(1,)), seed=3)
         m1 = mdl.init_model(small_cfg(), seed=3)
@@ -200,6 +210,35 @@ class TestForward:
         m = mdl.init_model(small_cfg(), seed=0)
         with pytest.raises(ModelError):
             mdl.forward(m, np.zeros((1, 7, 7, 1)))
+
+
+class TestDeltaFeature:
+    """The delta feature is the block's one step per token, [B, T, 1]."""
+
+    @staticmethod
+    def block_step(distance, mode=Mode.MERGE):
+        m = mdl.init_model(small_cfg(), seed=0)
+        x = Tensor(np.random.default_rng(4).normal(size=(2, 9, 6)))
+        _, inter = ssm.bidirectional_block(m.side(0, "fwd"), m.side(0, "bwd"), x)
+        delta = inter["delta"]
+        cfg = ReductionConfig(feature=rd.Feature.DELTA, distance=distance, mode=mode)
+        _, step = rd.reduce_tokens(x, delta, 3, cfg, np.random.default_rng(0))
+        return delta, step
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_cosine_ties_every_pair(self, mode):
+        # one positive number per token points one way: every distance is 0,
+        # so group-1 token k pairs with group-2 token k
+        delta, step = self.block_step(rd.Distance.COSINE, mode)
+        assert delta.shape == (2, 9, 1)
+        assert np.all(step.dists == 0.0)
+        assert step.pairs.tolist() == [[[0, 1], [2, 3], [4, 5]]] * 2
+
+    def test_l1_is_the_step_difference(self):
+        delta, step = self.block_step(rd.Distance.L1)
+        d = delta[..., 0]
+        assert np.array_equal(step.dists,
+                              np.abs(d[:, step.g1, None] - d[:, None, step.g2]))
 
 
 class TestGradients:

@@ -172,7 +172,7 @@ class TestGrouping:
             assert len(g1) == (t + 1) // 2
 
     def test_random_needs_rng(self):
-        with pytest.raises(ReduceError):
+        with pytest.raises(ReduceError, match="random grouping needs an rng"):
             rd.grouping(4, Grouping.RANDOM)
 
     def test_too_short(self):
@@ -299,16 +299,48 @@ class TestSelectPairs:
     @pytest.mark.parametrize("selection", list(Selection))
     @pytest.mark.parametrize("pairing", list(Pairing))
     @pytest.mark.parametrize("pair_rank", [1, 3])
-    def test_batch_equals_rows_in_turn(self, selection, pairing, pair_rank):
-        dists = np.random.default_rng(6).integers(0, 3, (5, 6, 7)).astype(float)
-        got = rd.select_pairs(dists, 4, pair_rank, selection, pairing,
-                              rng=np.random.default_rng(1), g1=np.arange(0, 12, 2),
-                              g2=np.arange(1, 14, 2))
-        rng = np.random.default_rng(1)
-        want = [rd.select_pairs(d, 4, pair_rank, selection, pairing, rng=rng,
-                                g1=np.arange(0, 12, 2), g2=np.arange(1, 14, 2))
-                for d in dists]
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(1, 8),
+           st.integers(1, 8), st.integers(0, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_batch_equals_rows_in_turn(self, selection, pairing, pair_rank,
+                                       seed, bsz, m, n, r):
+        # r runs past n - pair_rank + 1, where rows may run out of partners;
+        # the integer grid makes ties common
+        pair_rank, r = min(pair_rank, n), min(r, m, n)
+        dists = np.random.default_rng(seed).integers(0, 3, (bsz, m, n)).astype(float)
+        g1, g2 = 2 * np.arange(m), 2 * np.arange(n) + 1
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = [rd.select_pairs(d, r, pair_rank, selection, pairing, rng=ref_rng,
+                                g1=g1, g2=g2) for d in dists]
+        if len({len(w) for w in want}) > 1:
+            with pytest.raises(ReduceError, match="different numbers of pairs"):
+                rd.select_pairs(dists, r, pair_rank, selection, pairing, rng=rng,
+                                g1=g1, g2=g2)
+            return
+        got = rd.select_pairs(dists, r, pair_rank, selection, pairing, rng=rng,
+                              g1=g1, g2=g2)
         assert np.array_equal(got, np.stack(want))
+        assert rng.integers(2 ** 62) == ref_rng.integers(2 ** 62)
+
+    @pytest.mark.parametrize("selection, pairing, message", [
+        (Selection.RANDOM_R, Pairing.NEAREST, "random selection needs an rng"),
+        (Selection.TOP_R, Pairing.RANDOM_PAIR, "random pairing needs an rng"),
+    ])
+    def test_random_options_need_an_rng(self, selection, pairing, message):
+        with pytest.raises(ReduceError, match=message):
+            rd.select_pairs(np.ones((2, 3, 3)), 2, selection=selection,
+                            pairing=pairing)
+
+    @pytest.mark.parametrize("selection", list(Selection))
+    def test_single_random_pair_draws_nothing(self, selection):
+        # one pair has one order, so RANDOM_PAIR draws what NEAREST does
+        dists = np.random.default_rng(2).uniform(0, 1, (3, 4, 4))
+        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        pairs = rd.select_pairs(dists, 1, selection=selection,
+                                pairing=Pairing.RANDOM_PAIR, rng=rng)
+        want = rd.select_pairs(dists, 1, selection=selection, rng=ref_rng)
+        assert np.array_equal(pairs, want)
+        assert rng.integers(2 ** 62) == ref_rng.integers(2 ** 62)
 
     def test_random_selection_disjoint(self):
         rng = np.random.default_rng(4)
