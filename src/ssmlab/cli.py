@@ -168,6 +168,8 @@ def cmd_merge_demo(s: Settings, tokens_path, out):
     r_eff = rd.effective_r(t_len, red.r, red.pair_rank)
     x, step = rd.reduce_tokens(Tensor(values[None]), values[None], r_eff, red,
                                np.random.default_rng(s.run.seed))
+    if not np.all(np.isfinite(x.data)):
+        raise TensorError("merged tokens are not finite")
     join = lambda v: " ".join(str(i) for i in v)
     lines = [f"tokens {t_len} dim {dim}"]
     if step.perm is not None:
@@ -236,6 +238,7 @@ def build_parser():
     return p
 
 
+@np.errstate(all="ignore")  # every non-finite result has its own check
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:

@@ -3,9 +3,10 @@ and merge/prune application, run as one step by ``reduce_tokens``.
 
 A reduction plan is one integer array of pairs (i, j) of sequence indices,
 [B, p, 2] for a batch or [p, 2] for one sequence; tokens in no pair pass
-through unchanged. Merge and prune apply it as one gather and scatter it
-back in the backward pass, and their output keeps sequence order: each token
-sits at the earlier of its source indices.
+through unchanged. ``merge`` is the one op that applies a plan, merging or
+pruning each pair, with any token shuffle folded into its indices: one
+gather forward, one scatter back. Its output keeps sequence order: each
+token sits at the earlier of its source indices.
 
 Selection policy: each group-1 token's candidate partner is its pair_rank-th
 closest group-2 token; the r candidates with smallest distance win, and when
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as tt
 from .tensor import Tensor, record
 
 
@@ -290,22 +290,34 @@ def _check_plan(pairs, b, t):
     return pairs
 
 
-def _apply(values, pairs, drop, merge_op=None):
-    """Checked plan ``pairs`` [B, p, 2] applied to values [B, T, D] by one
-    gather: tokens ``drop`` [B, p] leave, the rest keep their order, and with
-    a merge_op each pair is fused into the slot of its earlier token.
-    Returns (out Tensor, idx, scatter), idx [B, T - p] being the source index
-    of each output token, scatter the map from output to input cotangent."""
-    b, t, _ = values.shape
+def merge(values: Tensor, pairs, merge_op: MergeOp | None = None, perm=None):
+    """Apply a reduction plan by one gather: fuse each planned pair (i, j)
+    into one token at the earlier of i and j, or, with no ``merge_op``,
+    drop its group-2 member j.
+
+    ``values`` is [B, T, D]; ``pairs`` is a [B, p, 2] plan, or a [p, 2] plan
+    for every row, indexing ``values[:, perm]`` when a slot permutation
+    ``perm`` is given: perm goes into the gather and scatter indices, so the
+    shuffled array is never built. Returns the [B, T - p, D] tokens and idx
+    [B, T - p], the earlier (shuffled) source index of each output token,
+    increasing along each row.
+    """
+    x = values.data
+    b, t, _ = x.shape
+    pairs = _check_plan(pairs, b, t)
+    if perm is not None and not np.array_equal(np.sort(perm), np.arange(t)):
+        raise ReduceError(f"perm is not a permutation of {t} slots")
     rows = np.arange(b)[:, None]
+    pi, pj = pairs[..., 0], pairs[..., 1]
     keep = np.ones((b, t), dtype=bool)
-    keep[rows, drop] = False
-    idx = np.broadcast_to(np.arange(t), (b, t))[keep].reshape(b, t - drop.shape[1])
-    out = values[rows, idx]                             # one gather
+    keep[rows, pj if merge_op is None else pairs.max(axis=2)] = False
+    idx = np.broadcast_to(np.arange(t), (b, t))[keep].reshape(b, t - pairs.shape[1])
+    # the input token each plan index reads
+    src, si, sj = (idx, pi, pj) if perm is None else (perm[idx], perm[pi], perm[pj])
+    out = x[rows, src]                                  # one gather
     if merge_op is not None:
-        pi, pj = pairs[..., 0], pairs[..., 1]
         slot = (np.cumsum(keep, axis=1) - 1)[rows, pairs.min(axis=2)]
-        xi, xj = values[rows, pi], values[rows, pj]     # [B, p, D] pair members
+        xi, xj = x[rows, si], x[rows, sj]               # [B, p, D] pair members
         if merge_op is MergeOp.SUM:
             out[rows, slot] = xi + xj
         elif merge_op is MergeOp.MEAN:
@@ -319,44 +331,21 @@ def _apply(values, pairs, drop, merge_op=None):
     def scatter(dout):
         # a checked plan sends each input token to at most one output slot,
         # so the scatter is an assignment; pair members are then overwritten
-        din = np.zeros_like(values)
-        din[rows, idx] = dout
+        din = np.zeros_like(x)
+        din[rows, src] = dout
         if merge_op is None:
-            return din
+            return (din,)
         g_p = dout[rows, slot]
         if merge_op is MergeOp.SUM:
-            din[rows, pi] = din[rows, pj] = g_p
+            din[rows, si] = din[rows, sj] = g_p
         elif merge_op is MergeOp.MEAN:
-            din[rows, pi] = din[rows, pj] = 0.5 * g_p
+            din[rows, si] = din[rows, sj] = 0.5 * g_p
         else:  # subgradient routed to the selected element
-            din[rows, pi] = np.where(pick_i, g_p, 0.0)
-            din[rows, pj] = np.where(pick_i, 0.0, g_p)
-        return din
+            din[rows, si] = np.where(pick_i, g_p, 0.0)
+            din[rows, sj] = np.where(pick_i, 0.0, g_p)
+        return (din,)
 
-    return Tensor(out, _check=False), idx, scatter
-
-
-def merge(values: Tensor, pairs, merge_op: MergeOp):
-    """Fuse each planned pair (i, j) into one token at the earlier of i and j.
-
-    ``values`` is [B, T, D]; ``pairs`` is a [B, p, 2] plan, or a [p, 2] plan
-    for every row. Returns the [B, T - p, D] tokens and idx [B, T - p], the
-    earlier source index of each output token, increasing along each row.
-    """
-    pairs = _check_plan(pairs, *values.shape[:2])
-    out, idx, scatter = _apply(values.data, pairs, pairs.max(axis=2), merge_op)
-    record(out, (values,), lambda dout: (scatter(dout),))
-    return out, idx
-
-
-def prune(values: Tensor, pairs):
-    """Drop the group-2 member j of each planned pair (i, j); no fusion.
-
-    Takes and returns what ``merge`` does; idx lists the kept tokens.
-    """
-    pairs = _check_plan(pairs, *values.shape[:2])
-    out, idx, scatter = _apply(values.data, pairs, pairs[..., 1])
-    record(out, (values,), lambda dout: (scatter(dout),))
+    out = record(Tensor(out, _check=False), (values,), scatter)
     return out, idx
 
 
@@ -392,14 +381,10 @@ def reduce_tokens(x: Tensor, feat, r, cfg: ReductionConfig, rng):
     perm = None
     if cfg.shuffle_ratio > 0:
         perm = shuffle_permutation(t_len, cfg.shuffle_ratio, rng)
-        x = tt.permute_time(x, perm)
         feat = feat[:, perm]
     g1, g2 = grouping(t_len, cfg.grouping, rng)
     dists = pairwise_distance(feat[:, g1], feat[:, g2], cfg.distance)
     pairs = select_pairs(dists, r, cfg.pair_rank, cfg.selection, cfg.pairing,
                          rng=rng, g1=g1, g2=g2)
-    if cfg.mode is Mode.MERGE:
-        x, idx = merge(x, pairs, cfg.merge_op)
-    else:
-        x, idx = prune(x, pairs)
+    x, idx = merge(x, pairs, cfg.merge_op if cfg.mode is Mode.MERGE else None, perm)
     return x, Step(perm, g1, g2, dists, pairs, idx)

@@ -149,22 +149,16 @@ def _unbroadcast(grad, shape):
     return grad
 
 
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 # ---------------------------------------------------------------------------
 # element-wise ops
 
 def add(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data + b.data, _check=False)
     return record(out, (a, b), lambda d: (_unbroadcast(d, a.data.shape),
                                           _unbroadcast(d, b.data.shape)))
 
 
 def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data * b.data, _check=False)
     return record(out, (a, b), lambda d: (_unbroadcast(d * b.data, a.data.shape),
                                           _unbroadcast(d * a.data, b.data.shape)))
@@ -203,7 +197,6 @@ def silu(a):
 # linear algebra and reductions
 
 def matmul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 1:
         raise TensorError("matmul needs a 2-D (or batched) left operand")
     if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
@@ -236,15 +229,6 @@ def tsum(a, axis=None):
 def tmean(a, axis=None):
     n = a.data.size if axis is None else a.data.shape[axis]
     return scale(tsum(a, axis=axis), 1.0 / n)
-
-
-def permute_time(a, perm):
-    """Reorder axis 1 by an index array; gradient scatters back."""
-    perm = np.asarray(perm, dtype=np.intp)
-    out = Tensor(a.data[:, perm].copy(), _check=False)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size)
-    return record(out, (a,), lambda d: (d[:, inv].copy(),))
 
 
 def layer_norm(a, eps=1e-6):

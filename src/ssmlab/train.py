@@ -143,7 +143,7 @@ class TrainReport:
 
 
 def evaluate(model, dataset, batch_size=64) -> float:
-    """Top-1 accuracy; no parameter mutation."""
+    """Top-1 accuracy; no parameter mutation. Non-finite logits raise."""
     if dataset.size == 0:
         raise ValueError("empty dataset")
     correct = 0
@@ -151,6 +151,8 @@ def evaluate(model, dataset, batch_size=64) -> float:
         imgs = dataset.images[lo:lo + batch_size]
         labels = dataset.labels[lo:lo + batch_size]
         logits, _ = mdl.forward(model, imgs)
+        if not np.all(np.isfinite(logits.data)):
+            raise NumericError("non-finite logits")
         correct += int((logits.data.argmax(axis=1) == labels).sum())
     return correct / dataset.size
 

@@ -307,6 +307,17 @@ def checkpoint_with_bad_utf8(tmp_path):
     return f"run.init_checkpoint={path}\n"
 
 
+def checkpoint_with_huge_head(tmp_path):
+    """A config line pointing at a finite checkpoint whose head, +-1e308,
+    overflows the logits."""
+    model = tiny_model()
+    head = model.params["head"].data
+    head[:] = np.where(np.arange(head.size).reshape(head.shape) % 2, 1e308, -1e308)
+    path = tmp_path / "huge.meeto"
+    mdl.save_checkpoint(model, path)
+    return f"run.init_checkpoint={path}\n"
+
+
 def checkpoint_with_nan(tmp_path):
     """A config line pointing at a checkpoint whose head holds a NaN."""
     model = tiny_model()
@@ -399,6 +410,9 @@ class TestExitCodes:
         ("eval", "data.per_class=100000000000\n", None, cli.EXIT_CONFIG),
         ("eval", "model.image_size=10000000\n", None, cli.EXIT_CONFIG),
         ("merge-demo", "", "0 1\n1 x\n", cli.EXIT_DATA),
+        ("eval", checkpoint_with_huge_head, None, cli.EXIT_NUMERIC),
+        ("merge-demo", "reduce.distance=l1\n", "1e308 1e308\n" * 4,
+         cli.EXIT_NUMERIC),
     ], ids=["cosine-zero-vectors", "single-token", "bench-r-values",
             "bench-dtype", "label-past-num-classes", "checkpoint-not-utf8",
             "config-not-utf8", "eval-bad-train-key", "merge-demo-bad-train-key",
@@ -412,7 +426,9 @@ class TestExitCodes:
             "data-seed-negative", "eval-data-noise-sigma-inf",
             "eval-d-model-unallocatable", "train-d-model-unallocatable",
             "bench-d-model-unallocatable", "eval-per-class-unallocatable",
-            "eval-image-size-unallocatable", "merge-demo-bad-token-line"])
+            "eval-image-size-unallocatable", "merge-demo-bad-token-line",
+            "eval-logits-overflow", "merge-demo-merged-overflow"])
+    @pytest.mark.filterwarnings("error")  # a numpy warning is a second line
     def test_bad_input_table(self, tmp_path, capsys, command, extra, tokens, code):
         if callable(extra):
             extra = extra(tmp_path)
@@ -435,14 +451,15 @@ class TestExitCodes:
                          "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
         assert "data.source: 'foo' (one of synth, idx)" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")  # an overflow warning is a failure
     def test_divergence_exits_numeric(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, extra="train.lr_start=1e12\n"
                                         "train.lr_end=1e11\n"
                                         "train.epochs=3\n")
         rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == cli.EXIT_NUMERIC
-        assert "numeric failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "numeric failure" in err
 
 
 class TestTrainEval:

@@ -258,8 +258,14 @@ class TestGradients:
             assert np.all(np.isfinite(p.grad.data)), name
         assert np.abs(m.params["patch_proj"].grad.data).max() > 0
 
-    def test_head_and_patch_proj_match_finite_differences(self):
-        m = mdl.init_model(small_cfg(r=1, sites=(1,)), seed=2)
+    # the site sees 4 tokens: a ratio of 1 shuffles them to [0, 2, 1, 3],
+    # where 0.5 would interleave 2 slots, which leaves them as they are
+    @pytest.mark.parametrize("shuffle_ratio, mode", [
+        (0.0, Mode.MERGE), (1.0, Mode.MERGE), (1.0, Mode.PRUNE)],
+        ids=["merge", "shuffle-merge", "shuffle-prune"])
+    def test_head_and_patch_proj_match_finite_differences(self, shuffle_ratio, mode):
+        m = mdl.init_model(small_cfg(r=1, sites=(1,), shuffle_ratio=shuffle_ratio,
+                                     mode=mode), seed=2)
         imgs = small_images()
         w = np.random.default_rng(1).uniform(-1, 1, (2, 3))
         with GradTape() as tape:

@@ -132,7 +132,8 @@ def slow_merge(values, positions, pairs, merge_op):
 
 
 def slow_prune(values, positions, pairs):
-    """Per-row, per-token reference for rd.prune, with its own backward."""
+    """Per-row, per-token reference for rd.merge with no merge_op (prune),
+    with its own backward."""
     b, t, d = values.shape
     keep_idx = []
     for plan in pairs.tolist():
@@ -148,6 +149,17 @@ def slow_prune(values, positions, pairs):
 
     out_t = tt.record(Tensor(out, _check=False), (values,), backward)
     return out_t, [positions[k][kept] for k, kept in enumerate(keep_idx)]
+
+
+def permute_slots(values, perm):
+    """``values[:, perm]`` as its own taped op that scatters the gradient
+    back: the reference for a shuffle folded into rd.merge's indices."""
+    def backward(d):
+        din = np.zeros_like(values.data)
+        din[:, perm] = d
+        return (din,)
+
+    return tt.record(Tensor(values.data[:, perm], _check=False), (values,), backward)
 
 
 class TestGrouping:
@@ -446,11 +458,17 @@ class TestMergePlanFormat:
 
     def test_duplicate_dropped_index_rejected(self):
         with pytest.raises(ReduceError):
-            rd.prune(four_tokens(), np.array([[0, 1], [2, 1]]))
+            rd.merge(four_tokens(), np.array([[0, 1], [2, 1]]), None)
 
     def test_plan_must_fit_batch(self):
         with pytest.raises(ReduceError):
             rd.merge(four_tokens(), np.zeros((2, 1, 2), dtype=int), MergeOp.SUM)
+
+    @pytest.mark.parametrize("perm", [[0, 0, 1, 2], [0, 1, 2], [1, 2, 3, 4]])
+    def test_perm_must_permute_the_slots(self, perm):
+        # a repeated slot would reach two outputs, and the scatter keeps one
+        with pytest.raises(ReduceError, match="not a permutation"):
+            rd.merge(four_tokens(), np.array([[0, 1]]), MergeOp.SUM, np.array(perm))
 
 
 class TestMerge:
@@ -535,19 +553,19 @@ class TestMerge:
 
 class TestPrune:
     def test_drops_second_member(self):
-        out, idx = rd.prune(four_tokens(), np.array([[0, 1]]))
+        out, idx = rd.merge(four_tokens(), np.array([[0, 1]]), None)
         assert np.array_equal(out.data[0],
                               [[1.0, 2.0], [3.0, -4.0], [5.0, 6.0]])
         assert list(idx[0]) == [0, 2, 3]
 
     def test_kept_index_out_of_range(self):
         with pytest.raises(ReduceError):
-            rd.prune(four_tokens(), np.array([[9, 1]]))
+            rd.merge(four_tokens(), np.array([[9, 1]]), None)
 
     def test_gradient_zero_for_dropped(self):
         x = Tensor(four_tokens().data, requires_grad=True)
         with GradTape() as tape:
-            out, _ = rd.prune(x, np.array([[0, 1]]))
+            out, _ = rd.merge(x, np.array([[0, 1]]), None)
             tape.backward(tt.tsum(out))
         g = x.grad.data[0]
         assert np.array_equal(g[1], [0.0, 0.0])
@@ -573,20 +591,25 @@ def reduce_with_grad(fn, vals, pairs, w):
 @pytest.mark.parametrize("mode", list(Mode))
 @pytest.mark.parametrize("op", list(MergeOp))
 def test_gather_matches_slow_reference(mode, op):
+    """rd.merge against: shuffle the slots by a separate taped gather (on
+    every other draw), then the per-token reference; positions are per
+    (shuffled) slot."""
     rng = np.random.default_rng(31)
-    for _ in range(40):
+    merge_op = op if mode is Mode.MERGE else None
+    for k in range(40):
         b, t, d = int(rng.integers(1, 5)), int(rng.integers(2, 12)), int(rng.integers(1, 4))
         n_pairs = int(rng.integers(0, t // 2 + 1))
         vals = np.round(rng.uniform(-2, 2, (b, t, d)) * 2) / 2   # ties for max/min
         positions = np.stack([np.sort(rng.choice(3 * t, t, replace=False))
                               for _ in range(b)])
         pairs = random_plans(rng, b, t, n_pairs)
-        if mode is Mode.MERGE:
-            fast = lambda x, pairs: rd.merge(x, pairs, op)
-            slow = lambda x, pairs: slow_merge(x, positions, pairs, op)
-        else:
-            fast = rd.prune
-            slow = lambda x, pairs: slow_prune(x, positions, pairs)
+        perm = rng.permutation(t) if k % 2 else None
+        fast = lambda x, pairs: rd.merge(x, pairs, merge_op, perm)
+
+        def slow(x, pairs):
+            x = x if perm is None else permute_slots(x, perm)
+            return (slow_merge(x, positions, pairs, op) if merge_op
+                    else slow_prune(x, positions, pairs))
         w = rng.uniform(-1, 1, (b, t - n_pairs, d))
         v, idx, g = reduce_with_grad(fast, vals, pairs, w)
         v_ref, pos_ref, g_ref = reduce_with_grad(slow, vals, pairs, w)
@@ -596,13 +619,13 @@ def test_gather_matches_slow_reference(mode, op):
 
 
 def shuffle_tokens(values, shuffle_ratio, rng):
-    """Permute token values by the partial odd-even rule, as model.forward
-    does at a site with shuffle_ratio > 0."""
+    """Permute token values by the partial odd-even rule, as a site with
+    shuffle_ratio > 0 reads them."""
     t_len = values.shape[1]
     perm = rd.shuffle_permutation(t_len, shuffle_ratio, rng)
     if np.array_equal(perm, np.arange(t_len)):
         return values
-    return tt.permute_time(values, perm)
+    return permute_slots(values, perm)
 
 
 class TestReduceTokens:
@@ -623,13 +646,12 @@ class TestReduceTokens:
         x, perm = Tensor(vals), None
         if shuffle_ratio:
             perm = rd.shuffle_permutation(9, shuffle_ratio, rng)
-            x, feat = tt.permute_time(x, perm), feat[:, perm]
+            x, feat = permute_slots(x, perm), feat[:, perm]
         g1, g2 = rd.grouping(9, Grouping.RANDOM, rng)
         dists = rd.pairwise_distance(feat[:, g1], feat[:, g2], Distance.L2)
         pairs = rd.select_pairs(dists, 3, 1, Selection.RANDOM_R,
                                 Pairing.RANDOM_PAIR, rng=rng, g1=g1, g2=g2)
-        want, idx = (rd.merge(x, pairs, MergeOp.SUM) if mode is Mode.MERGE
-                     else rd.prune(x, pairs))
+        want, idx = rd.merge(x, pairs, MergeOp.SUM if mode is Mode.MERGE else None)
         assert (step.perm is None) == (shuffle_ratio == 0)
         if perm is not None:
             assert np.array_equal(step.perm, perm)
@@ -637,6 +659,27 @@ class TestReduceTokens:
                          (step.pairs, pairs), (step.idx, idx), (out.data, want.data)):
             assert np.array_equal(got, ref)
         assert out.shape == (3, 6, 2) and step.pairs.shape == (3, 3, 2)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("shuffle_ratio", [0.0, 0.5, 1.0])
+    def test_one_tape_entry_per_site(self, mode, shuffle_ratio):
+        # the shuffle is part of merge's gather, not a taped op of its own
+        cfg = ReductionConfig(shuffle_ratio=shuffle_ratio, mode=mode)
+        data = np.random.default_rng(4)
+        x = Tensor(data.normal(size=(2, 9, 3)), requires_grad=True)
+        with GradTape() as tape:
+            out, step = rd.reduce_tokens(x, x.data, 3, cfg, np.random.default_rng(0))
+            assert len(tape.entries) == 1 and tape.entries[0][1] == (x,)
+            tape.backward(tt.tsum(out))
+        assert (step.perm is None) == (shuffle_ratio == 0)
+        # each token's gradient is 1 where it reaches the output, else 0
+        want = np.zeros((2, 9))
+        np.put_along_axis(want, (step.idx if step.perm is None
+                                 else step.perm[step.idx]), 1.0, axis=1)
+        if mode is Mode.MERGE:
+            src = step.pairs if step.perm is None else step.perm[step.pairs]
+            np.put_along_axis(want, src.reshape(2, -1), 1.0, axis=1)
+        assert np.array_equal(x.grad.data, np.repeat(want[..., None], 3, axis=2))
 
 
 class TestShuffle:

@@ -146,14 +146,6 @@ class TestBackward:
 
 
 class TestShapes:
-    def test_permute_time_roundtrip_grad(self):
-        x = Tensor(np.arange(8.0).reshape(1, 4, 2), requires_grad=True)
-        perm = np.array([2, 0, 3, 1])
-        with GradTape() as tape:
-            y = tt.permute_time(x, perm)
-            tape.backward(tt.tsum(tt.mul(y, y)))
-        assert np.allclose(x.grad.data, 2 * x.data)
-
     def test_layer_norm_moments(self):
         x = Tensor(np.random.default_rng(0).uniform(-3, 3, (2, 5, 7)))
         y = tt.layer_norm(x).data
