@@ -179,7 +179,7 @@ def count_flops(model_cfg: ModelConfig):
     per_token_block = 2 * (dm * d * 2      # in + gate projections
                            + d * n * 2     # B and C projections
                            + d             # delta projection
-                           + 4 * d * n     # discretization + scan update
+                           + 4 * d * n     # A_bar, B_bar x and state update
                            + d * n         # readout
                            + d * dm)       # out projection
     total = float(sum(counts)) * per_token_block

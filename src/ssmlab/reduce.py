@@ -97,6 +97,9 @@ class ReductionConfig:
             raise ReduceError("pair_rank must be >= 1")
         if not 0.0 <= self.shuffle_ratio <= 1.0:
             raise ReduceError("shuffle_ratio must be in [0, 1]")
+        if self.feature is Feature.DELTA and self.distance is Distance.COSINE:
+            # a one-wide positive step points one way: every pair would score 0
+            raise ReduceError("feature delta needs distance l1 or l2, not cosine")
         sites = tuple(self.sites)
         if len(set(sites)) != len(sites):
             raise ReduceError("duplicate reduction sites")
@@ -354,16 +357,17 @@ def shuffle_permutation(t_len, shuffle_ratio, rng):
 
     Selects floor(ratio*T) slots uniformly and reorders the selected
     subsequence evens-first ([0,1,2,3] -> [0,2,1,3]); identity elsewhere.
+    Fewer than 3 slots interleave to themselves, so then it returns None
+    and draws nothing from ``rng``.
     """
     if not 0.0 <= shuffle_ratio <= 1.0:
         raise ReduceError("shuffle_ratio must be in [0, 1]")
     k = int(shuffle_ratio * t_len)
-    perm = np.arange(t_len)
-    if k < 2:
-        return perm
+    if k < 3:
+        return None
     sel = np.sort(rng.choice(t_len, size=k, replace=False))
-    src = np.concatenate([sel[0::2], sel[1::2]])
-    perm[sel] = src
+    perm = np.arange(t_len)
+    perm[sel] = np.concatenate([sel[0::2], sel[1::2]])
     return perm
 
 
@@ -378,9 +382,8 @@ def reduce_tokens(x: Tensor, feat, r, cfg: ReductionConfig, rng):
     merge or prune them in ``x`` [B, T, D], drawing from ``rng`` in that
     order. Returns the reduced Tensor and its ``Step``."""
     t_len = x.shape[1]
-    perm = None
-    if cfg.shuffle_ratio > 0:
-        perm = shuffle_permutation(t_len, cfg.shuffle_ratio, rng)
+    perm = shuffle_permutation(t_len, cfg.shuffle_ratio, rng)
+    if perm is not None:
         feat = feat[:, perm]
     g1, g2 = grouping(t_len, cfg.grouping, rng)
     dists = pairwise_distance(feat[:, g1], feat[:, g2], cfg.distance)

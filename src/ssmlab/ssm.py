@@ -3,16 +3,18 @@
 The discrete recurrence is h_t = A_bar_t * h_{t-1} + B_bar_t * x_t with
 readout y_t = C_t . h_t. A is parameterized as -exp(a_log) so the recurrence
 decays; A_bar = exp(delta * A) (zero-order hold) and B_bar = delta * B_t
-(Euler), with one step size delta_t per token shared by all channels.
+(Euler), with one step size delta_t = softplus(x_t w_delta + delta_bias) per
+token shared by all channels. The output is gated by silu(z).
 
-The tape sees only the [B,T,*] projections (discretize) and one fused
-primitive, scan_core, which forms A_bar and B_bar * x itself, step by step,
-on a [B,N,D] state read and written through per-step views of the
-batch-major arrays, and returns the gradients of x, delta, a_log, B and C
-from one hand-written backward pass. That pass walks time in reverse and
-recomputes A_bar_t at each step, as Mamba's recompute-in-kernel scan does
-(Gu & Dao, arXiv 2312.00752). No [B,T,N,D] tensor reaches the tape, and the
-only one either pass holds is the taped state history.
+Between its in, gate and out projections, a scan direction tapes one fused
+primitive, scan_core, as Mamba's selective_scan_fn does (Gu & Dao, arXiv
+2312.00752). It forms the step, B and C projections, runs the scan step by
+step on a [B,N,D] state read and written through per-step views of the
+batch-major arrays, gates the result, and returns the gradients of x, z and
+the direction's a_log, w_delta, delta_bias, w_b and w_c from one
+hand-written backward pass. That pass walks time in reverse and recomputes
+A_bar_t at each step. No [B,T,N,D] tensor reaches the tape, and the only one
+either pass holds is the taped state history.
 """
 
 from __future__ import annotations
@@ -43,46 +45,50 @@ def scan_shapes(d_model, d, n):
             "delta_bias": (1,), "w_out": (d, d_model)}
 
 
-def discretize(p, x: Tensor):
-    """Input-dependent step size and input projection of one scan direction.
+def scan_core(p, x: Tensor, z: Tensor, direction=ScanDirection.FORWARD):
+    """One scan direction as one taped primitive.
 
-    p: the direction's ``{field: Tensor}``, keyed as in ``scan_shapes``.
-    x: [B, T, D] inner activations. Returns (delta [B,T,1], B [B,T,N]):
-    one positive step per token, shared by all D channels, and the per-token
-    B projection. scan_core turns them into A_bar and B_bar.
-    """
-    if not np.all(np.isfinite(x.data)):
-        raise TensorError("non-finite scan input")
-    delta = tt.softplus(tt.add(tt.matmul(x, p["w_delta"]), p["delta_bias"]))
-    return delta, tt.matmul(x, p["w_b"])
-
-
-def scan_core(x: Tensor, delta: Tensor, a_log: Tensor, b: Tensor, c: Tensor,
-              direction=ScanDirection.FORWARD) -> Tensor:
-    """The whole selective scan as one taped primitive.
-
-    x: [B,T,D]; delta: [B,T,1]; a_log: [D,N]; b, c: [B,T,N]. With
-    A = -exp(a_log), A_bar_t = exp(delta_t A^T) and u_t = (delta_t B_t) x_t
-    (outer product over N and D), runs h_t = A_bar_t * h_prev + u_t from a
-    zero state and reads out y_t[d] = sum_n c_t[n] h_t[n,d]. FORWARD walks
-    t = 0 .. T-1 and BACKWARD walks t = T-1 .. 0 over the same arrays.
+    p: the direction's ``{field: Tensor}``, keyed as in ``scan_shapes``;
+    x: [B,T,D] inner activations; z: [B,T,D] pre-silu gate. Forms the step
+    delta = softplus(x w_delta + delta_bias) [B,T,1] and the projections
+    B = x w_b and C = x w_c [B,T,N]. With A = -exp(a_log),
+    A_bar_t = exp(delta_t A^T) and u_t = (delta_t B_t) x_t (outer product
+    over N and D), runs h_t = A_bar_t * h_prev + u_t from a zero state,
+    reads out y_t[d] = sum_n C_t[n] h_t[n,d] and returns y * silu(z).
+    FORWARD walks t = 0 .. T-1 and BACKWARD walks t = T-1 .. 0 over the same
+    arrays. Returns (out [B,T,D], {"b", "c", "delta"}): the features a
+    reduction step scores, as detached ndarrays.
 
     The state is [B,N,D], so each step's products run along the D channels,
     and both passes read inputs and write y and the cotangents as per-step
     [:, t] views of the batch-major arrays, whatever their strides. The
     forward pass keeps the states h_t only when the op is taped. The backward
     pass walks the steps in reverse, carrying g = dL/dh_t in one [B,N,D]
-    buffer: it adds dy_t c_t, takes the B and x cotangents as per-step
+    buffer: it adds dy_t C_t, takes the B and x cotangents as per-step
     matmuls of g, recomputes A_bar_t to carry g back one step, and writes
     dL/d(delta_t A) = g A_bar_t h_prev over h_prev in the state history,
     which the tape's single backward run no longer needs. The delta and
-    a_log terms are then one reduction each over that history.
+    a_log terms are then one reduction each over that history. x's
+    cotangent adds its terms left to right as scan, C, B, then delta: the
+    order a tape of separate projection ops accumulates them in, which
+    keeps every gradient's last bits.
     """
-    inputs = (x, delta, a_log, b, c)
+    if x.data.ndim != 3:
+        raise TensorError("scan_core expects [B, T, D]")
+    if x.shape[1] < 1:
+        raise TensorError("empty sequence")
+    if not np.all(np.isfinite(x.data)):
+        raise TensorError("non-finite scan input")
+    a_log, w_delta, delta_bias, w_b, w_c = (
+        p[k] for k in ("a_log", "w_delta", "delta_bias", "w_b", "w_c"))
+    inputs = (x, z, a_log, w_delta, delta_bias, w_b, w_c)
     a = -np.exp(a_log.data.T, order="C")                      # [N,D]
     if not np.all(np.isfinite(a)):
         raise TensorError("exp overflow")
-    xs, ds, bs, cs = (v.data for v in (x, delta, b, c))        # [B,T,D|1|N|N]
+    xs, zs = x.data, z.data
+    pre = xs @ w_delta.data + delta_bias.data                  # [B,T,1]
+    ds = np.maximum(pre, 0.0) + np.log1p(np.exp(-np.abs(pre)))  # overflow-safe softplus
+    bs, cs = xs @ w_b.data, xs @ w_c.data                      # [B,T,N]
     bsz, t_len = xs.shape[:2]
     step = 1 if direction is ScanDirection.FORWARD else -1
     order = range(t_len)[::step]
@@ -100,9 +106,13 @@ def scan_core(x: Tensor, delta: Tensor, a_log: Tensor, b: Tensor, c: Tensor,
         np.matmul(cs[:, t, None, :], h, out=y[:, t, None, :])
         if hs is not None:
             hs[t] = h
-    out = Tensor(y, _check=False)
+    s = tt._sigmoid(zs)
+    gate = zs * s                                              # silu(z)
+    out = Tensor(y * gate, _check=False)
 
-    def backward(dy):
+    def backward(d_out):
+        dy = d_out * gate
+        dz = d_out * y * (s + zs * s * (1.0 - s))
         dc = np.matmul(hs.transpose(1, 0, 2, 3), dy[..., None])[..., 0]  # sum_d h dy
         g = np.zeros_like(h)                                   # dL/dh_t
         buf = np.empty_like(h)
@@ -119,39 +129,27 @@ def scan_core(x: Tensor, delta: Tensor, a_log: Tensor, b: Tensor, c: Tensor,
             g *= buf
             # dL/d(delta_t A) = g_t * A_bar_t * h_prev, over h_prev's slot
             np.multiply(g, hs[t - step], out=hs[t - step])
-        # hs[src] now holds the dz of the steps at dst, in (t, b) row order
+        # hs[src] now holds dL/d(delta A) of the steps at dst, in (t, b) row order
         src, dst = (slice(0, -1), slice(1, None))[::step]
-        dz = hs[src].reshape(-1, a.size)
+        d_da = hs[src].reshape(-1, a.size)
         d_delta = (g_b * xs).sum(axis=-1, keepdims=True)
-        d_delta[:, dst, 0] += (dz @ a.reshape(-1)).reshape(-1, bsz).T
-        d_a_log = (a * (ds[:, dst, 0].T.reshape(-1) @ dz).reshape(a.shape)).T
-        return ds * g_b, d_delta, d_a_log, ds * x_g, dc
+        d_delta[:, dst, 0] += (d_da @ a.reshape(-1)).reshape(-1, bsz).T
+        d_a_log = (a * (ds[:, dst, 0].T.reshape(-1) @ d_da).reshape(a.shape)).T
+        d_b = ds * x_g
+        d_pre = d_delta * tt._sigmoid(pre)
+        dx = ds * g_b + dc @ w_c.data.T + d_b @ w_b.data.T + d_pre @ w_delta.data.T
+        xt = np.swapaxes(xs, -1, -2)
+        return (dx, dz, d_a_log, tt._unbroadcast(xt @ d_pre, w_delta.shape),
+                tt._unbroadcast(d_pre, delta_bias.shape),
+                tt._unbroadcast(xt @ d_b, w_b.shape), tt._unbroadcast(xt @ dc, w_c.shape))
 
-    return record(out, inputs, backward)
-
-
-def selective_scan(p, x: Tensor, direction: ScanDirection):
-    """Full selective scan of [B, T, D] activations in the given direction,
-    with one direction's ``{field: Tensor}`` ``p``.
-
-    Returns (y [B,T,D], intermediates): the per-token B and C projections
-    [B,T,N] and the step delta [B,T,1] the scan ran on, as detached ndarrays.
-    """
-    if x.data.ndim != 3:
-        raise TensorError("selective_scan expects [B, T, D]")
-    if x.shape[1] < 1:
-        raise TensorError("empty sequence")
-    delta, b_t = discretize(p, x)
-    c = tt.matmul(x, p["w_c"])                         # [B,T,N]
-    y = scan_core(x, delta, p["a_log"], b_t, c, direction)
-    return y, {"b": b_t.data, "c": c.data, "delta": delta.data}
+    return record(out, inputs, backward), {"b": bs, "c": cs, "delta": ds}
 
 
 def _direction_branch(p, normed: Tensor, direction: ScanDirection):
-    x_in = tt.silu(tt.matmul(normed, p["w_in"]))
-    gate = tt.silu(tt.matmul(normed, p["w_gate"]))
-    y, inter = selective_scan(p, x_in, direction)
-    return tt.matmul(tt.mul(y, gate), p["w_out"]), inter
+    x = tt.silu(tt.matmul(normed, p["w_in"]))
+    y, inter = scan_core(p, x, tt.matmul(normed, p["w_gate"]), direction)
+    return tt.matmul(y, p["w_out"]), inter
 
 
 def bidirectional_block(fwd, bwd, tokens: Tensor):

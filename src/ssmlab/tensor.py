@@ -158,12 +158,6 @@ def add(a, b):
                                           _unbroadcast(d, b.data.shape)))
 
 
-def mul(a, b):
-    out = Tensor(a.data * b.data, _check=False)
-    return record(out, (a, b), lambda d: (_unbroadcast(d * b.data, a.data.shape),
-                                          _unbroadcast(d * a.data, b.data.shape)))
-
-
 def scale(a, s):
     s = float(s)
     out = Tensor(a.data * s, _check=False)
@@ -177,13 +171,6 @@ def _sigmoid(x):
     s += 1.0
     s *= 0.5
     return s
-
-
-def softplus(a):
-    # overflow-safe: max(x,0) + log1p(exp(-|x|))
-    x = a.data
-    out = Tensor(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))), _check=False)
-    return record(out, (a,), lambda d: (d * _sigmoid(x),))
 
 
 def silu(a):

@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -5,11 +9,19 @@ from ssmlab import data as ds
 from ssmlab import model as mdl
 from ssmlab import train as tr
 from ssmlab.model import ModelConfig
+from ssmlab.tensor import Tensor, _unbroadcast, record
 
 SEEDS = (0, 1, 2, 3, 4)
 
 BASELINE_TRAIN = dict(epochs=6, batch_size=32, lr_start=3e-3, lr_end=3e-4,
                       weight_decay=5e-2)
+
+
+def mul(a, b):
+    """Taped element-wise product: weights a Tensor into a scalar test loss."""
+    out = Tensor(a.data * b.data, _check=False)
+    return record(out, (a, b), lambda d: (_unbroadcast(d * b.data, a.data.shape),
+                                          _unbroadcast(d * a.data, b.data.shape)))
 
 
 def finite_difference_grad(f, x, eps=1e-5):
@@ -39,19 +51,33 @@ def desk_eval_data():
     return ds.synth_dataset(16, 10, 28, 1235)
 
 
+def train_baseline(seed, train_data, eval_data):
+    """(parameter arrays, eval accuracy) of one baseline seed trained without
+    reduction; ``trained_baselines`` runs it in a worker process."""
+    model = mdl.init_model(ModelConfig(), seed=seed)
+    tr.retrain(model, train_data, tr.TrainConfig(seed=seed, **BASELINE_TRAIN), eval_data)
+    return {k: t.data for k, t in model.params.items()}, tr.evaluate(model, eval_data)
+
+
 @pytest.fixture(scope="session")
 def trained_baselines(desk_train_data, desk_eval_data):
     """Five independently seeded desk models trained without reduction.
 
-    Shared by the trend checks; treat the returned models as read-only and
-    clone before mutating.
+    The seeds train in spawned worker processes, one per core, which inherit
+    the BLAS thread caps; the pool is shut down before the fixture returns,
+    so no later test runs beside a worker. Shared by the trend checks; treat
+    the returned models as read-only and clone before mutating.
     """
+    with ProcessPoolExecutor(min(len(SEEDS), os.cpu_count() or 1),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        runs = {seed: pool.submit(train_baseline, seed, desk_train_data, desk_eval_data)
+                for seed in SEEDS}
+        results = {seed: run.result() for seed, run in runs.items()}
     out = {}
-    for seed in SEEDS:
+    for seed, (arrays, acc) in results.items():
         model = mdl.init_model(ModelConfig(), seed=seed)
-        cfg = tr.TrainConfig(seed=seed, **BASELINE_TRAIN)
-        tr.retrain(model, desk_train_data, cfg, desk_eval_data)
-        acc = tr.evaluate(model, desk_eval_data)
+        for name, t in model.params.items():
+            t.data = arrays[name]
         out[seed] = (model, acc)
     return out
 

@@ -413,6 +413,7 @@ class TestExitCodes:
         ("eval", checkpoint_with_huge_head, None, cli.EXIT_NUMERIC),
         ("merge-demo", "reduce.distance=l1\n", "1e308 1e308\n" * 4,
          cli.EXIT_NUMERIC),
+        ("eval", "reduce.feature=delta\n", None, cli.EXIT_CONFIG),
     ], ids=["cosine-zero-vectors", "single-token", "bench-r-values",
             "bench-dtype", "label-past-num-classes", "checkpoint-not-utf8",
             "config-not-utf8", "eval-bad-train-key", "merge-demo-bad-train-key",
@@ -427,7 +428,8 @@ class TestExitCodes:
             "eval-d-model-unallocatable", "train-d-model-unallocatable",
             "bench-d-model-unallocatable", "eval-per-class-unallocatable",
             "eval-image-size-unallocatable", "merge-demo-bad-token-line",
-            "eval-logits-overflow", "merge-demo-merged-overflow"])
+            "eval-logits-overflow", "merge-demo-merged-overflow",
+            "delta-feature-under-cosine"])
     @pytest.mark.filterwarnings("error")  # a numpy warning is a second line
     def test_bad_input_table(self, tmp_path, capsys, command, extra, tokens, code):
         if callable(extra):
@@ -542,6 +544,15 @@ class TestAblate:
         assert len(lines) == 4
         assert [l.split(",")[0] for l in lines[1:]] == ["cosine", "l1", "l2"]
 
+    def test_feature_axis_scores_delta_under_l1(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "ab"
+        rc = cli.main(["ablate", "--config", cfg, "--axis", "feature",
+                       "--out", str(out)])
+        assert rc == 0
+        lines = (out / "ablate_feature.csv").read_text().strip().splitlines()
+        assert [l.split(",")[0] for l in lines[1:]] == ["x", "c", "b", "delta"]
+
     def test_interval_axis_sets_sites(self, tmp_path):
         cfg = write_cfg(tmp_path, base=TINY.replace("model.depth=2",
                                                     "model.depth=4"))
@@ -614,6 +625,18 @@ class TestMergeDemo:
         merged = lines[lines.index("merged") + 1:]
         assert merged == [f"{pos} " + " ".join(f"{v:.6f}" for v in row)
                           for row, pos in zip(x.data[0], step.idx[0])]
+
+    def test_two_slot_shuffle_prints_no_shuffle_line(self, tmp_path, capsys):
+        # ratio 0.5 of 4 tokens selects 2 slots, which interleave to themselves
+        tokens = tmp_path / "t4.txt"
+        tokens.write_text("1 0\n0 1\n1 1\n-1 0.5\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("reduce.r=1\nreduce.shuffle_ratio=0.5\n")
+        rc = cli.main(["merge-demo", "--config", str(cfg), "--out",
+                       str(tmp_path / "demo"), str(tokens)])
+        assert rc == 0
+        text = capsys.readouterr().out
+        assert "shuffle" not in text and "pair " in text
 
     def test_no_pairs_when_rank_passes_group_size(self, tmp_path, capsys):
         # 8 tokens give a group 2 of 4, so pair rank 5 leaves the site no pairs

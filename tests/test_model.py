@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_difference_grad
+from conftest import finite_difference_grad, mul
 from ssmlab import model as mdl, reduce as rd, ssm, tensor as tt
 from ssmlab.model import Model, ModelConfig, ModelError
 from ssmlab.reduce import MergeOp, Mode, ReductionConfig
@@ -225,14 +225,11 @@ class TestDeltaFeature:
         _, step = rd.reduce_tokens(x, delta, 3, cfg, np.random.default_rng(0))
         return delta, step
 
-    @pytest.mark.parametrize("mode", list(Mode))
-    def test_cosine_ties_every_pair(self, mode):
-        # one positive number per token points one way: every distance is 0,
-        # so group-1 token k pairs with group-2 token k
-        delta, step = self.block_step(rd.Distance.COSINE, mode)
-        assert delta.shape == (2, 9, 1)
-        assert np.all(step.dists == 0.0)
-        assert step.pairs.tolist() == [[[0, 1], [2, 3], [4, 5]]] * 2
+    def test_cosine_is_rejected(self):
+        # one positive number per token points one way: cosine would score
+        # every pair 0 and the plan would be the tie order
+        with pytest.raises(rd.ReduceError, match="cosine"):
+            ReductionConfig(feature=rd.Feature.DELTA, distance=rd.Distance.COSINE)
 
     def test_l1_is_the_step_difference(self):
         delta, step = self.block_step(rd.Distance.L1)
@@ -244,7 +241,7 @@ class TestDeltaFeature:
 class TestGradients:
     def _loss(self, m, imgs, w):
         logits, _ = mdl.forward(m, imgs)
-        return tt.tsum(tt.mul(logits, Tensor(w)))
+        return tt.tsum(mul(logits, Tensor(w)))
 
     @pytest.mark.parametrize("op", list(MergeOp))
     def test_flow_through_merge(self, op):

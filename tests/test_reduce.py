@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mul
 from ssmlab import reduce as rd
 from ssmlab import tensor as tt
 from ssmlab.reduce import (
@@ -584,7 +585,7 @@ def reduce_with_grad(fn, vals, pairs, w):
     x = Tensor(vals, requires_grad=True)
     with GradTape() as tape:
         out, where = fn(x, pairs)
-        tape.backward(tt.tsum(tt.mul(out, Tensor(w))))
+        tape.backward(tt.tsum(mul(out, Tensor(w))))
     return out.data, where, x.grad.data
 
 
@@ -623,9 +624,7 @@ def shuffle_tokens(values, shuffle_ratio, rng):
     shuffle_ratio > 0 reads them."""
     t_len = values.shape[1]
     perm = rd.shuffle_permutation(t_len, shuffle_ratio, rng)
-    if np.array_equal(perm, np.arange(t_len)):
-        return values
-    return permute_slots(values, perm)
+    return values if perm is None else permute_slots(values, perm)
 
 
 class TestReduceTokens:
@@ -685,7 +684,24 @@ class TestReduceTokens:
 class TestShuffle:
     def test_zero_ratio_identity(self):
         rng = np.random.default_rng(0)
-        assert np.array_equal(rd.shuffle_permutation(10, 0.0, rng), np.arange(10))
+        assert rd.shuffle_permutation(10, 0.0, rng) is None
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_two_slots_is_no_shuffle(self, mode):
+        # a 4-token site at ratio 0.5 selects 2 slots, which interleave to
+        # themselves: no permutation, no rng draw, the step of ratio 0
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        assert rd.shuffle_permutation(4, 0.5, rng) is None
+        assert rng.bit_generator.state == state
+        x = Tensor(np.random.default_rng(6).normal(size=(2, 4, 3)))
+        steps = [rd.reduce_tokens(x, x.data, 1, ReductionConfig(
+                     grouping=Grouping.RANDOM, shuffle_ratio=ratio, mode=mode),
+                     np.random.default_rng(7)) for ratio in (0.5, 0.0)]
+        (out, step), (want, want_step) = steps
+        assert step.perm is None
+        assert np.array_equal(out.data, want.data)
+        assert np.array_equal(step.g1, want_step.g1)
 
     def test_full_interleave(self):
         rng = np.random.default_rng(0)

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import finite_difference_grad
+from conftest import finite_difference_grad, mul
 from ssmlab import ssm, tensor as tt
 from ssmlab.ssm import ScanDirection
 from ssmlab.tensor import GradTape, Tensor, TensorError
@@ -78,20 +80,43 @@ def init_block(rng, d_model, d, n):
     return make_params(rng, d_model, d, n), make_params(rng, d_model, d, n)
 
 
+def sigmoid(v):
+    return 1.0 / (1.0 + np.exp(-v))
+
+
+def softplus(v):
+    return np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v)))
+
+
+def scan(params, x, z, direction=ScanDirection.FORWARD):
+    """scan_core's gated output [B,T,D] as an ndarray."""
+    return ssm.scan_core(params, Tensor(x), Tensor(z), direction)[0].data
+
+
 def discretized(params, x):
-    """(A_bar, B_bar [B,T,D,N], delta [B,T,D], B) formed from discretize's return.
+    """(A_bar, B_bar [B,T,D,N], delta [B,T,D], B) formed from the step delta
+    and the B projection scan_core returns as features.
 
     A_bar = exp(delta * -exp(a_log)) and B_bar = delta * B, as scan_core
     builds them inside its forward pass.
     """
-    delta, b_t = ssm.discretize(params, x)
+    _, feats = ssm.scan_core(params, x, Tensor(np.zeros(x.shape)))
     bsz, t_len, d = x.shape
     n = params["a_log"].shape[1]
-    step = delta.data[..., None]                       # [B,T,1,1]
+    step = feats["delta"][..., None]                    # [B,T,1,1]
     a_bar = np.exp(step * -np.exp(params["a_log"].data))
-    b_bar = np.broadcast_to(step * b_t.data[:, :, None, :], (bsz, t_len, d, n))
+    b_bar = np.broadcast_to(step * feats["b"][:, :, None, :], (bsz, t_len, d, n))
     return (Tensor(a_bar), Tensor(b_bar),
-            Tensor(np.broadcast_to(delta.data, (bsz, t_len, d))), b_t)
+            Tensor(np.broadcast_to(feats["delta"], (bsz, t_len, d))), Tensor(feats["b"]))
+
+
+def constant_step(bias, t_len=3):
+    """scan_core's delta feature [1,T,1] with w_delta = 0 and delta_bias = bias."""
+    p = make_params(np.random.default_rng(0), 4, 3, 2)
+    p["w_delta"].data[:] = 0.0
+    p["delta_bias"].data[:] = bias
+    x = Tensor(np.random.default_rng(1).uniform(-1, 1, (1, t_len, 3)))
+    return ssm.scan_core(p, x, Tensor(np.zeros(x.shape)))[1]["delta"]
 
 
 class TestDiscretize:
@@ -131,7 +156,42 @@ class TestDiscretize:
         bad = Tensor(np.zeros((1, 2, 3)))
         bad.data[0, 0, 0] = np.nan
         with pytest.raises(TensorError):
-            ssm.discretize(p, bad)
+            ssm.scan_core(p, bad, Tensor(np.zeros((1, 2, 3))))
+
+    def test_softplus_at_zero(self):
+        assert np.all(constant_step(0.0) == pytest.approx(math.log(2), abs=1e-15))
+
+    def test_softplus_large_input_safe(self):
+        big, small = constant_step(800.0), constant_step(-800.0)
+        assert np.all(big == pytest.approx(800.0))
+        assert np.all(small == pytest.approx(0.0, abs=1e-300))
+        assert np.all(np.isfinite(big)) and np.all(np.isfinite(small))
+
+    @given(st.lists(st.floats(-2, 2), min_size=1, max_size=12))
+    @settings(max_examples=40, deadline=None)
+    def test_step_gradient_matches_finite_differences(self, vals):
+        # with w_delta = 0 every token steps softplus(delta_bias), so the
+        # bias cotangent carries softplus' derivative through the scan
+        rng = np.random.default_rng(20)
+        p = make_params(rng, 4, 3, 2)
+        p["w_delta"].data[:] = 0.0
+        x = rng.uniform(-1, 1, (1, 4, 3))
+        z = rng.uniform(-1, 1, (1, 4, 3))
+        w = rng.uniform(-1, 1, (1, 4, 3))
+        for v in vals:
+            p["delta_bias"].data[:] = v
+            p["delta_bias"].zero_grad()
+            with GradTape() as tape:
+                y, feats = ssm.scan_core(p, Tensor(x), Tensor(z))
+                tape.backward(tt.tsum(mul(y, Tensor(w))))
+            assert np.array_equal(feats["delta"], np.full((1, 4, 1), softplus(v)))
+
+            def f(bias):
+                q = dict(p, delta_bias=Tensor(bias))
+                return float((scan(q, x, z) * w).sum())
+            g = finite_difference_grad(f, np.array([v]))
+            err = np.abs(p["delta_bias"].grad.data - g).max()
+            assert err / max(np.abs(g).max(), 1e-12) < 1e-4
 
 
 class TestSelectiveScan:
@@ -139,47 +199,52 @@ class TestSelectiveScan:
         rng = np.random.default_rng(3)
         p = make_params(rng, 4, 3, 2)
         x = Tensor(rng.uniform(-1, 1, (2, 1, 3)))
-        y, _ = ssm.selective_scan(p, x, ScanDirection.FORWARD)
+        z = rng.uniform(-1, 1, (2, 1, 3))
+        y = scan(p, x.data, z)
         _, b_bar, _, _ = discretized(p, x)
         c = x.data @ p["w_c"].data
         expect = np.einsum("bdn,bn->bd", b_bar.data[:, 0] * x.data[:, 0][:, :, None], c[:, 0])
-        assert np.allclose(y.data[:, 0], expect, atol=1e-14)
+        assert np.allclose(y[:, 0], expect * z[:, 0] * sigmoid(z[:, 0]), atol=1e-14)
 
     def test_memoryless_permutation_equivariance(self):
-        # delta -> large surrogate: A_bar ~ 0, so y_t depends on x_t alone
+        # delta -> large surrogate: A_bar ~ 0, so y_t depends on x_t and z_t alone
         rng = np.random.default_rng(4)
         p = make_params(rng, 4, 3, 2)
         p["w_delta"].data[:] = 0.0
         p["delta_bias"].data[:] = 60.0
         x = rng.uniform(-1, 1, (1, 6, 3))
+        z = rng.uniform(-1, 1, (1, 6, 3))
         perm = rng.permutation(6)
-        y = ssm.selective_scan(p, Tensor(x), ScanDirection.FORWARD)[0].data
-        y_perm = ssm.selective_scan(p, Tensor(x[:, perm]), ScanDirection.FORWARD)[0].data
+        y = scan(p, x, z)
+        y_perm = scan(p, x[:, perm], z[:, perm])
         assert np.allclose(y_perm, y[:, perm], atol=1e-18)
 
     def test_matches_naive_reference(self):
         rng = np.random.default_rng(5)
         p = make_params(rng, 4, 3, 4)
-        x = Tensor(rng.uniform(-1, 1, (2, 6, 3)))
-        y, _ = ssm.selective_scan(p, x, ScanDirection.FORWARD)
-        assert np.abs(y.data - naive_scan(p, x)).max() < 1e-12
+        x = rng.uniform(-1, 1, (2, 6, 3))
+        z = rng.uniform(-2, 2, (2, 6, 3))
+        y = scan(p, x, z)
+        assert np.abs(y - naive_scan(p, x) * z * sigmoid(z)).max() < 1e-12
 
     def test_backward_direction_matches_reversed_naive(self):
         rng = np.random.default_rng(6)
         p = make_params(rng, 4, 3, 2)
-        x = Tensor(rng.uniform(-1, 1, (1, 5, 3)))
-        y, _ = ssm.selective_scan(p, x, ScanDirection.BACKWARD)
-        assert np.abs(y.data - naive_scan(p, x, reverse=True)).max() < 1e-12
+        x = rng.uniform(-1, 1, (1, 5, 3))
+        z = rng.uniform(-2, 2, (1, 5, 3))
+        y = scan(p, x, z, ScanDirection.BACKWARD)
+        assert np.abs(y - naive_scan(p, x, reverse=True) * z * sigmoid(z)).max() < 1e-12
 
     def test_causality(self):
         rng = np.random.default_rng(7)
         p = make_params(rng, 4, 3, 2)
         x = rng.uniform(-1, 1, (1, 8, 3))
-        y0 = ssm.selective_scan(p, Tensor(x), ScanDirection.FORWARD)[0].data
+        z = rng.uniform(-1, 1, (1, 8, 3))
+        y0 = scan(p, x, z)
         s = 5
         x2 = x.copy()
         x2[0, s] += 0.37
-        y1 = ssm.selective_scan(p, Tensor(x2), ScanDirection.FORWARD)[0].data
+        y1 = scan(p, x2, z)
         assert np.array_equal(y0[:, :s], y1[:, :s])
         assert not np.allclose(y0[:, s:], y1[:, s:])
 
@@ -187,30 +252,31 @@ class TestSelectiveScan:
         rng = np.random.default_rng(8)
         p = make_params(rng, 4, 3, 2)
         x = rng.uniform(-1, 1, (1, 8, 3))
-        y0 = ssm.selective_scan(p, Tensor(x), ScanDirection.BACKWARD)[0].data
+        z = rng.uniform(-1, 1, (1, 8, 3))
+        y0 = scan(p, x, z, ScanDirection.BACKWARD)
         s = 3
         x2 = x.copy()
         x2[0, s] += 0.37
-        y1 = ssm.selective_scan(p, Tensor(x2), ScanDirection.BACKWARD)[0].data
+        y1 = scan(p, x2, z, ScanDirection.BACKWARD)
         assert np.array_equal(y0[:, s + 1:], y1[:, s + 1:])
 
     def test_empty_sequence_rejected(self):
         p = make_params(np.random.default_rng(0), 4, 3, 2)
         with pytest.raises(TensorError):
-            ssm.selective_scan(p, Tensor(np.zeros((1, 0, 3))), ScanDirection.FORWARD)
+            scan(p, np.zeros((1, 0, 3)), np.zeros((1, 0, 3)))
 
     def test_scan_gradient(self):
         rng = np.random.default_rng(9)
         p = make_params(rng, 4, 3, 2)
         x0 = rng.uniform(-1, 1, (1, 5, 3))
+        z = rng.uniform(-1, 1, (1, 5, 3))
         w = rng.uniform(-1, 1, (1, 5, 3))
         x = Tensor(x0, requires_grad=True)
         with GradTape() as tape:
-            y, _ = ssm.selective_scan(p, x, ScanDirection.FORWARD)
-            tape.backward(tt.tsum(tt.mul(y, Tensor(w))))
+            y, _ = ssm.scan_core(p, x, Tensor(z))
+            tape.backward(tt.tsum(mul(y, Tensor(w))))
         g = finite_difference_grad(
-            lambda v: float((naive_scan(p, v[None] if v.ndim == 2 else v) * w).sum()),
-            x0.copy())
+            lambda v: float((naive_scan(p, v) * z * sigmoid(z) * w).sum()), x0.copy())
         denom = np.abs(g).max()
         assert np.abs(g - x.grad.data).max() / denom < 1e-5
 
@@ -218,11 +284,20 @@ class TestSelectiveScan:
 class TestScanCore:
     @staticmethod
     def inputs(rng, bsz=2, t_len=5, d=3, n=2):
+        """x, z and one direction's scan fields, in scan_core's input order."""
         return {"x": rng.uniform(-1, 1, (bsz, t_len, d)),
-                "delta": rng.uniform(0.1, 1.0, (bsz, t_len, 1)),
+                "z": rng.uniform(-2, 2, (bsz, t_len, d)),
                 "a_log": rng.uniform(-0.5, 0.5, (d, n)),
-                "b": rng.uniform(-1, 1, (bsz, t_len, n)),
-                "c": rng.uniform(-1, 1, (bsz, t_len, n))}
+                "w_delta": rng.uniform(-0.5, 0.5, (d, 1)),
+                "delta_bias": rng.uniform(-0.5, 0.5, (1,)),
+                "w_b": rng.uniform(-1, 1, (d, n)),
+                "w_c": rng.uniform(-1, 1, (d, n))}
+
+    @staticmethod
+    def call(tensors, direction=ScanDirection.FORWARD):
+        """scan_core on a dict of Tensors keyed as ``inputs``."""
+        table = {k: v for k, v in tensors.items() if k not in ("x", "z")}
+        return ssm.scan_core(table, tensors["x"], tensors["z"], direction)
 
     def check_gradients(self, direction, **sizes):
         """Every cotangent of scan_core against central differences; an input
@@ -232,12 +307,12 @@ class TestScanCore:
         w = rng.uniform(-1, 1, arrays["x"].shape)
         tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
         with GradTape() as tape:
-            y = ssm.scan_core(*tensors.values(), direction)
-            tape.backward(tt.tsum(tt.mul(y, Tensor(w))))
+            y, _ = self.call(tensors, direction)
+            tape.backward(tt.tsum(mul(y, Tensor(w))))
         for name in arrays:
             def f(v, name=name):
                 args = {k: Tensor(v if k == name else a) for k, a in arrays.items()}
-                return float((ssm.scan_core(*args.values(), direction).data * w).sum())
+                return float((self.call(args, direction)[0].data * w).sum())
             g = finite_difference_grad(f, arrays[name].copy())
             err = np.abs(g - tensors[name].grad.data).max()
             assert err < 1e-7 * np.abs(g).max() or err == 0.0, name
@@ -255,15 +330,15 @@ class TestScanCore:
 
     def test_float32_in_float32_out(self):
         arrays = self.inputs(np.random.default_rng(17))
-        y = ssm.scan_core(*(Tensor(v.astype(np.float32)) for v in arrays.values()))
+        y, feats = self.call({k: Tensor(v.astype(np.float32)) for k, v in arrays.items()})
         assert y.data.dtype == np.float32
+        assert all(v.dtype == np.float32 for v in feats.values())
 
-    @staticmethod
-    def run_taped(arrays, dy, direction):
+    def run_taped(self, arrays, dy, direction):
         """scan_core's output and its backward pass applied to dy directly."""
-        tensors = [Tensor(v, requires_grad=True) for v in arrays.values()]
+        tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
         with GradTape() as tape:
-            y = ssm.scan_core(*tensors, direction)
+            y, _ = self.call(tensors, direction)
             out, _, backward = tape.entries[-1]
             assert out is y
         return [y.data, *backward(dy)]
@@ -273,9 +348,9 @@ class TestScanCore:
         rng = np.random.default_rng(18)
         arrays = self.inputs(rng, bsz=3, t_len=7, d=4, n=3)
         dy = rng.uniform(-1, 1, (7, 3, 4)).transpose(1, 0, 2)
-        # time-reversed views of [B,T,*] inputs and a transposed a_log
+        # time-reversed views of the [B,T,D] inputs and transposed [D,N] fields
         views = {k: v[:, ::-1] if v.ndim == 3 else v.T.copy().T for k, v in arrays.items()}
-        assert not any(v.flags.c_contiguous for v in views.values())
+        assert not any(views[k].flags.c_contiguous for k in ("x", "z", "a_log", "w_b", "w_c"))
         copies = {k: np.ascontiguousarray(v) for k, v in views.items()}
         got = self.run_taped(views, dy[:, ::-1], direction)
         want = self.run_taped(copies, np.ascontiguousarray(dy[:, ::-1]), direction)
@@ -287,7 +362,7 @@ class TestScanCore:
         rng = np.random.default_rng(19)
         arrays = self.inputs(rng, bsz=2, t_len=6)
         before = {k: v.tobytes() for k, v in arrays.items()}
-        ssm.scan_core(*(Tensor(v) for v in arrays.values()), direction)
+        self.call({k: Tensor(v) for k, v in arrays.items()}, direction)
         assert {k: v.tobytes() for k, v in arrays.items()} == before
         self.run_taped(arrays, rng.uniform(-1, 1, arrays["x"].shape), direction)
         assert {k: v.tobytes() for k, v in arrays.items()} == before
@@ -359,7 +434,7 @@ class TestBidirectionalBlock:
         w = rng.uniform(-1, 1, (1, 4, 4))
         with GradTape() as tape:
             out, _ = ssm.bidirectional_block(*blk, Tensor(x))
-            tape.backward(tt.tsum(tt.mul(out, Tensor(w))))
+            tape.backward(tt.tsum(mul(out, Tensor(w))))
         for name, p in ((f"{side}.{k}", t) for side, params in zip(("fwd", "bwd"), blk)
                         for k, t in params.items()):
             def f(arr, p=p):
@@ -376,11 +451,23 @@ class TestBidirectionalBlock:
         rng = np.random.default_rng(15)
         p = make_params(rng, 6, 4, 3)
         x = Tensor(rng.uniform(-1, 1, (1, 64, 4)))
+        z = rng.uniform(-1, 1, (1, 64, 4))
         a_bar, b_bar, _, _ = discretized(p, x)
-        y = ssm.selective_scan(p, x, ScanDirection.FORWARD)[0].data
+        y = scan(p, x.data, z)
         a_max = a_bar.data.max()
         u_max = np.abs(b_bar.data * x.data[..., None]).max()
         c_max = np.abs(x.data @ p["w_c"].data).max()
+        gate_max = np.abs(z * sigmoid(z)).max()
         n = p["a_log"].shape[1]
         h_bound = u_max / (1.0 - a_max)
-        assert np.abs(y).max() <= n * c_max * h_bound + 1e-9
+        assert np.abs(y).max() <= n * c_max * h_bound * gate_max + 1e-9
+
+    def test_tapes_thirteen_ops(self):
+        # layer_norm, per direction the in projection, silu, the gate
+        # projection, scan_core and the out projection, and two residual adds
+        rng = np.random.default_rng(21)
+        blk = init_block(rng, 6, 4, 2)
+        with GradTape() as tape:
+            x = Tensor(rng.uniform(-1, 1, (1, 5, 6)), requires_grad=True)
+            ssm.bidirectional_block(*blk, x)
+            assert len(tape.entries) == 13

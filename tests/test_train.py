@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import finite_difference_grad
+from conftest import SEEDS, finite_difference_grad, train_baseline
 from ssmlab import data as ds
 from ssmlab import model as mdl
 from ssmlab import tensor as tt
@@ -216,6 +216,17 @@ class TestRetrain:
         for (na, ta), (_, tb) in zip(ma.named_params(), mb.named_params()):
             assert np.array_equal(ta.data, tb.data), na
         assert [r.train_loss for r in ra.rows] == [r.train_loss for r in rb.rows]
+
+    def test_worker_baseline_matches_serial_retrain(self, trained_baselines,
+                                                    desk_train_data, desk_eval_data):
+        # the fixture trains in spawned workers; this process trains the
+        # same seed again, one step after another
+        seed = SEEDS[-1]
+        arrays, acc = train_baseline(seed, desk_train_data, desk_eval_data)
+        model, worker_acc = trained_baselines[seed]
+        for name, t in model.named_params():
+            assert t.data.tobytes() == arrays[name].tobytes(), name
+        assert worker_acc == acc
 
     def test_accumulation_matches_single_batch(self):
         data = tiny_data()  # 12 items
