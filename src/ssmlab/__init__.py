@@ -8,10 +8,15 @@ threshold to 256 MiB."""
 import ctypes
 import os
 
-_threads = os.environ.get("MEETO_THREADS", "1")
-_threads = str(int(_threads)) if _threads.isdecimal() and int(_threads) >= 1 else "1"
+
+def thread_count():
+    """``MEETO_THREADS`` (default 1) as an int; None unless an integer >= 1."""
+    raw = os.environ.get("MEETO_THREADS", "1")
+    return int(raw) if raw.isdecimal() and int(raw) >= 1 else None
+
+
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, _threads)
+    os.environ.setdefault(_var, str(thread_count() or 1))
 
 # At glibc's defaults a freed [B,T,*] array (up to a few MB) goes back to the
 # OS, through munmap or a heap-top trim, and the next batch faults it in again.

@@ -15,6 +15,7 @@ from . import bench as bn
 from . import data as ds
 from . import model as mdl
 from . import reduce as rd
+from . import thread_count
 from . import train as tr
 from .config import ConfigError, RunConfig, RunOptions, Settings
 from .tensor import Tensor, TensorError
@@ -26,10 +27,11 @@ EXIT_NUMERIC = 3
 
 def worker_cap():
     """``MEETO_THREADS`` checked; importing ssmlab applies it to the BLAS pools."""
-    raw = os.environ.get("MEETO_THREADS", "1")
-    if not raw.isdecimal() or int(raw) < 1:
-        raise ConfigError(f"MEETO_THREADS must be an integer >= 1, got {raw!r}")
-    return int(raw)
+    threads = thread_count()
+    if threads is None:
+        raise ConfigError("MEETO_THREADS must be an integer >= 1, "
+                          f"got {os.environ['MEETO_THREADS']!r}")
+    return threads
 
 
 def _load_datasets(data: ds.DataConfig, model_cfg: mdl.ModelConfig):
@@ -195,16 +197,10 @@ def cmd_merge_demo(s: Settings, tokens_path, out):
     return 0
 
 
-def cmd_synth(args):
-    try:
-        cfg = ds.DataConfig(classes=args.classes, per_class=args.per_class,
-                            seed=args.seed, noise_sigma=args.noise_sigma)
-        dataset = ds.synth_dataset(cfg.per_class, cfg.classes, args.image_size,
-                                   cfg.seed, cfg.noise_sigma)
-    except ValueError as e:  # a DataError too: every size here is a flag
-        raise ConfigError(str(e)) from e
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_synth(s: Settings, out):
+    """Write the train split ``data.source=synth`` builds, drawn from data.seed."""
+    dataset = ds.synth_dataset(s.data.per_class, s.data.classes, s.model.image_size,
+                               s.data.seed, s.data.noise_sigma)
     ds.write_idx(dataset, out / "images.idx3-ubyte", out / "labels.idx1-ubyte")
     print(f"wrote {dataset.size} images to {out}")
     return 0
@@ -230,13 +226,9 @@ def build_parser():
     md = sub.add_parser("merge-demo", help="trace the reduction step a site runs")
     add_config(md)
     md.add_argument("tokens", help="text file, one token per line")
-    sy = sub.add_parser("synth", help="write a synthetic IDX dataset")
-    sy.add_argument("--classes", type=int, default=10)
-    sy.add_argument("--per-class", type=int, default=32)
-    sy.add_argument("--image-size", type=int, default=28)
-    sy.add_argument("--seed", type=int, default=1234)
-    sy.add_argument("--noise-sigma", type=float, default=0.1)
-    sy.add_argument("--out", required=True)
+    synth = ("write the synthetic train split as IDX files; "
+             "it draws from data.seed, not run.seed")
+    add_config(sub.add_parser("synth", help=synth, description=synth))
     return p
 
 
@@ -245,8 +237,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         worker_cap()
-        if args.command == "synth":
-            return cmd_synth(args)
         cfg = RunConfig.load(args.config)
         if args.seed is not None:
             cfg.set("run.seed", str(args.seed))
@@ -259,7 +249,8 @@ def main(argv=None):
         run = {"train": lambda: cmd_train(s, out), "eval": lambda: cmd_eval(s, out),
                "bench": lambda: cmd_bench(s, out),
                "ablate": lambda: cmd_ablate(cfg, s, args.axis, out),
-               "merge-demo": lambda: cmd_merge_demo(s, args.tokens, out)}
+               "merge-demo": lambda: cmd_merge_demo(s, args.tokens, out),
+               "synth": lambda: cmd_synth(s, out)}
         return run[args.command]()
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

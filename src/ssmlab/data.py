@@ -4,6 +4,7 @@ synthetic class-template dataset."""
 from __future__ import annotations
 
 import enum
+import math
 import struct
 from dataclasses import dataclass
 
@@ -71,32 +72,29 @@ def text_lines(path, error):
     return [(n, line) for n, line in enumerate(lines, 1) if line]
 
 
+def _read_idx(path, kind, magic, ndim):
+    """(dims, u8 payload) of the IDX file ``path`` with ``ndim`` dimensions."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    head = 4 + 4 * ndim
+    if len(raw) < head:
+        raise DataError(f"truncated {kind} header")
+    got, *dims = struct.unpack(f">{1 + ndim}I", raw[:head])
+    if got != magic:
+        raise DataError(f"bad {kind} magic 0x{got:08X}")
+    if len(raw) != head + math.prod(dims):
+        raise DataError(f"truncated {kind} payload")
+    return dims, np.frombuffer(raw, dtype=np.uint8, offset=head)
+
+
 def load_idx(images_path, labels_path) -> Dataset:
     """Parse big-endian IDX ubyte files (images: 3 dims, labels: 1 dim)."""
-    with open(images_path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 16:
-        raise DataError("truncated image header")
-    magic, n, h, w = struct.unpack(">IIII", raw[:16])
-    if magic != IDX_IMAGES_MAGIC:
-        raise DataError(f"bad image magic 0x{magic:08X}")
-    if len(raw) != 16 + n * h * w:
-        raise DataError("truncated image payload")
-    images = np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(n, h, w, 1)
-    images = images.astype(np.float64) / 255.0
-
-    with open(labels_path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 8:
-        raise DataError("truncated label header")
-    magic, nl = struct.unpack(">II", raw[:8])
-    if magic != IDX_LABELS_MAGIC:
-        raise DataError(f"bad label magic 0x{magic:08X}")
-    if len(raw) != 8 + nl:
-        raise DataError("truncated label payload")
+    (n, h, w), pix = _read_idx(images_path, "image", IDX_IMAGES_MAGIC, 3)
+    images = pix.reshape(n, h, w, 1).astype(np.float64) / 255.0
+    (nl,), labels = _read_idx(labels_path, "label", IDX_LABELS_MAGIC, 1)
     if nl != n:
         raise DataError("image/label count mismatch")
-    labels = np.frombuffer(raw, dtype=np.uint8, offset=8).astype(np.int64)
+    labels = labels.astype(np.int64)
     return Dataset(images, labels, num_classes=int(labels.max()) + 1 if nl else 0)
 
 

@@ -116,13 +116,11 @@ def grouping(t_len, strategy: Grouping, rng=None):
     if strategy is Grouping.FRONT_BEHIND:
         half = (t_len + 1) // 2
         return idx[:half], idx[half:]
-    if strategy is Grouping.RANDOM:
-        if rng is None:
-            raise ReduceError("random grouping needs an rng")
-        perm = rng.permutation(t_len)
-        half = (t_len + 1) // 2
-        return np.sort(perm[:half]), np.sort(perm[half:])
-    raise ReduceError(f"unknown grouping {strategy}")
+    if rng is None:  # Grouping.RANDOM
+        raise ReduceError("random grouping needs an rng")
+    perm = rng.permutation(t_len)
+    half = (t_len + 1) // 2
+    return np.sort(perm[:half]), np.sort(perm[half:])
 
 
 def pairwise_distance(g1, g2, metric: Distance):
@@ -138,9 +136,7 @@ def pairwise_distance(g1, g2, metric: Distance):
     diff = g1[..., :, None, :] - g2[..., None, :, :]
     if metric is Distance.L1:
         return np.abs(diff).sum(axis=-1)
-    if metric is Distance.L2:
-        return np.sqrt((diff * diff).sum(axis=-1))
-    raise ReduceError(f"unknown distance {metric}")
+    return np.sqrt((diff * diff).sum(axis=-1))  # Distance.L2
 
 
 def select_pairs(dists, r, pair_rank=1, selection=Selection.TOP_R,
@@ -165,12 +161,10 @@ def select_pairs(dists, r, pair_rank=1, selection=Selection.TOP_R,
         raise ReduceError(f"r={r} exceeds available pairs min({m},{n})")
     if pair_rank < 1 or (r and pair_rank > n):  # no pairs need no partner
         raise ReduceError(f"pair_rank={pair_rank} outside [1, group-2 size {n}]")
-    if pairing not in (Pairing.NEAREST, Pairing.RANDOM_PAIR):
-        raise ReduceError(f"unknown pairing {pairing}")
     shuffle = pairing is Pairing.RANDOM_PAIR
     if selection is Selection.TOP_R:
         cost, step = batch, max(bsz, 1)
-    elif selection is Selection.RANDOM_R:
+    else:  # Selection.RANDOM_R
         if rng is None:
             raise ReduceError("random selection needs an rng")
         # the greedy on the cost (row's place in a random order, column's rank
@@ -178,8 +172,6 @@ def select_pairs(dists, r, pair_rank=1, selection=Selection.TOP_R,
         # pair count, so with a shuffle the rows go through one at a time.
         cost = np.argsort(np.argsort(batch, axis=2, kind="stable"), axis=2)
         step = 1 if shuffle else max(bsz, 1)
-    else:
-        raise ReduceError(f"unknown selection {selection}")
     picks = []
     for lo in range(0, max(bsz, 1), step):  # once for an empty batch
         chunk = cost[lo:lo + step]
@@ -325,11 +317,9 @@ def merge(values: Tensor, pairs, merge_op: MergeOp | None = None, perm=None):
             out[rows, slot] = xi + xj
         elif merge_op is MergeOp.MEAN:
             out[rows, slot] = 0.5 * (xi + xj)
-        elif merge_op in (MergeOp.MAX, MergeOp.MIN):
+        else:
             pick_i = xi >= xj if merge_op is MergeOp.MAX else xi <= xj
             out[rows, slot] = np.where(pick_i, xi, xj)
-        else:
-            raise ReduceError(f"unknown merge op {merge_op}")
 
     def scatter(dout):
         # a checked plan sends each input token to at most one output slot,

@@ -1,3 +1,5 @@
+import ssmlab  # first: it caps the BLAS threads, which numpy reads once at import
+
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor

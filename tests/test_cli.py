@@ -203,6 +203,28 @@ class TestThreadCap:
         assert run_python(PRINT_THREAD_VARIABLES, MEETO_THREADS=raw).split() == ["1"] * 3
 
 
+def openblas_threads():
+    """Thread count of the OpenBLAS pool numpy bundles, read through its C API
+    (``dlopen`` of the loaded library returns the running copy)."""
+    found = sorted((Path(np.__file__).parents[1] / "numpy.libs")
+                   .glob("libscipy_openblas*"))
+    if not found:
+        pytest.skip("numpy bundles no scipy-openblas")
+    lib = ctypes.CDLL(str(found[0]))
+    suffix = "64_" if "openblas64_" in found[0].name else ""
+    get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+    get.argtypes, get.restype = (), ctypes.c_int
+    return get()
+
+
+class TestBlasPool:
+    def test_pool_size_is_the_thread_cap(self):
+        """conftest imports ssmlab before numpy, so the cap (1 unless
+        MEETO_THREADS or OPENBLAS_NUM_THREADS says otherwise) sizes the pool
+        every in-process test runs on."""
+        assert openblas_threads() == int(os.environ["OPENBLAS_NUM_THREADS"])
+
+
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 PRINT_THREAD_VARIABLES = (
     f"import os, ssmlab; print(*(os.environ[k] for k in {THREAD_VARIABLES}))")
@@ -661,17 +683,17 @@ class TestMergeDemo:
 class TestSynthCommand:
     def test_writes_loadable_idx(self, tmp_path, capsys):
         out = tmp_path / "ds"
-        rc = cli.main(["synth", "--classes", "3", "--per-class", "2",
-                       "--image-size", "8", "--out", str(out)])
+        rc = cli.main(["synth", "--config", write_cfg(tmp_path), "--out", str(out)])
         assert rc == 0
         back = ds.load_idx(out / "images.idx3-ubyte", out / "labels.idx1-ubyte")
         assert back.size == 6
         assert "wrote 6 images" in capsys.readouterr().out
+        assert RunConfig.load(out / "resolved_config.txt").values["data.classes"] == "3"
 
     def test_feeds_idx_training(self, tmp_path):
         out = tmp_path / "ds"
-        assert cli.main(["synth", "--classes", "3", "--per-class", "2",
-                         "--image-size", "8", "--out", str(out)]) == 0
+        assert cli.main(["synth", "--config", write_cfg(tmp_path),
+                         "--out", str(out)]) == 0
         cfg = write_cfg(tmp_path,
                         extra="data.source=idx\n"
                               f"data.images={out}/images.idx3-ubyte\n"
@@ -680,21 +702,52 @@ class TestSynthCommand:
         assert cli.main(["train", "--config", cfg, "--out", str(run)]) == 0
         assert (run / "checkpoint.bin").exists()
 
-    @pytest.mark.parametrize("flags, code", [
-        (["--seed", "-1"], cli.EXIT_CONFIG),
-        (["--noise-sigma", "-1"], cli.EXIT_CONFIG),
-        (["--noise-sigma", "nan"], cli.EXIT_CONFIG),
-        (["--noise-sigma", "inf"], cli.EXIT_CONFIG),
-        (["--classes", "300", "--per-class", "1"], cli.EXIT_DATA),
-        (["--image-size", "0"], cli.EXIT_CONFIG),
+    def test_writes_the_synth_train_split(self, tmp_path):
+        """The files hold the train split ``data.source=synth`` builds from the
+        same config, on the 1/255 grid; --seed (run.seed) leaves them alone."""
+        cfg = write_cfg(tmp_path, extra="data.seed=7\ndata.noise_sigma=0.3\n")
+        s = RunConfig.load(cfg).settings()
+        train, _ = cli._load_datasets(s.data, s.model)
+        files = []
+        for seed in ("0", "5"):
+            out = tmp_path / seed
+            assert cli.main(["synth", "--config", cfg, "--out", str(out),
+                             "--seed", seed]) == 0
+            back = ds.load_idx(out / "images.idx3-ubyte", out / "labels.idx1-ubyte")
+            assert np.array_equal(back.labels, train.labels)
+            assert np.array_equal(back.images, np.rint(train.images * 255.0) / 255.0)
+            files.append([(out / name).read_bytes()
+                          for name in ("images.idx3-ubyte", "labels.idx1-ubyte")])
+        assert files[0] == files[1]
+
+    def test_empty_config_writes_the_default_dataset(self, tmp_path):
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("")
+        out = tmp_path / "ds"
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+        ds.write_idx(ds.synth_dataset(32, 10, 28, 1234, 0.1),
+                     tmp_path / "images", tmp_path / "labels")
+        assert ((out / "images.idx3-ubyte").read_bytes()
+                == (tmp_path / "images").read_bytes())
+        assert ((out / "labels.idx1-ubyte").read_bytes()
+                == (tmp_path / "labels").read_bytes())
+
+    @pytest.mark.parametrize("keys, code", [
+        ("data.seed=-1", cli.EXIT_CONFIG),
+        ("data.noise_sigma=-1", cli.EXIT_CONFIG),
+        ("data.noise_sigma=nan", cli.EXIT_CONFIG),
+        ("data.noise_sigma=inf", cli.EXIT_CONFIG),
+        ("data.classes=300\ndata.per_class=1", cli.EXIT_DATA),
+        ("model.image_size=0", cli.EXIT_CONFIG),
         # about 728 TiB for the first array: the allocation fails at once
-        (["--image-size", "10000000"], cli.EXIT_CONFIG),
+        ("model.image_size=10000000", cli.EXIT_CONFIG),
     ], ids=["seed-negative", "noise-sigma-negative", "noise-sigma-nan",
             "noise-sigma-inf", "label-past-u8", "image-size-zero",
             "image-size-unallocatable"])
-    def test_bad_flag_exits_with_one_line(self, tmp_path, capsys, flags, code):
-        out = tmp_path / "ds"
-        rc = cli.main(["synth", "--image-size", "8", "--out", str(out), *flags])
+    def test_bad_flag_exits_with_one_line(self, tmp_path, capsys, keys, code):
+        """A bad synth setting, given as config keys, exits with one line."""
+        cfg = write_cfg(tmp_path, extra=keys + "\n")
+        rc = cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "ds")])
         captured = capsys.readouterr()
         assert rc == code
         assert len(captured.err.strip().splitlines()) == 1

@@ -89,6 +89,27 @@ class TestIdxFormat:
         with pytest.raises(DataError):
             ds.load_idx(ip, lp)
 
+    @pytest.mark.parametrize("which, corrupt, message", [
+        ("images", lambda raw: raw[:15], "truncated image header"),
+        ("images", lambda raw: b"\x00\x00\x08\x01" + raw[4:], "bad image magic 0x00000801"),
+        ("images", lambda raw: raw[:-1], "truncated image payload"),
+        ("images", lambda raw: raw + b"\x00", "truncated image payload"),
+        ("labels", lambda raw: raw[:7], "truncated label header"),
+        ("labels", lambda raw: b"\x00\x00\x08\x03" + raw[4:], "bad label magic 0x00000803"),
+        ("labels", lambda raw: raw[:-1], "truncated label payload"),
+        ("labels", lambda raw: raw + b"\x00", "truncated label payload"),
+    ], ids=["image-header", "image-magic", "image-short", "image-long",
+            "label-header", "label-magic", "label-short", "label-long"])
+    def test_each_corruption_has_its_message(self, tmp_path, which, corrupt, message):
+        """Each file's length, magic and payload size are checked; a payload
+        longer than its header says is rejected as well as a shorter one."""
+        _, ip, lp = self.write_fixture(tmp_path)
+        path = ip if which == "images" else lp
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(DataError) as e:
+            ds.load_idx(ip, lp)
+        assert str(e.value) == message
+
 
 class TestSynth:
     def test_deterministic_by_seed(self):
