@@ -206,10 +206,14 @@ def cmd_synth(s: Settings, out):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):  # subcommand parsers share this class
+    def error(self, message):  # a usage error is a config error: exit 1, one line
+        raise ConfigError(message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="ssmlab",
-                                description="Bidirectional selective-SSM lab "
-                                            "with token merging and re-training")
+    p = _Parser(prog="ssmlab", description="Bidirectional selective-SSM lab "
+                                           "with token merging and re-training")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_config(sp):
@@ -234,8 +238,8 @@ def build_parser():
 
 @np.errstate(all="ignore")  # every non-finite result has its own check
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         worker_cap()
         cfg = RunConfig.load(args.config)
         if args.seed is not None:

@@ -82,8 +82,10 @@ def _read_idx(path, kind, magic, ndim):
     got, *dims = struct.unpack(f">{1 + ndim}I", raw[:head])
     if got != magic:
         raise DataError(f"bad {kind} magic 0x{got:08X}")
-    if len(raw) != head + math.prod(dims):
-        raise DataError(f"truncated {kind} payload")
+    size = head + math.prod(dims)
+    if len(raw) != size:
+        raise DataError(f"{kind} payload longer than its header says" if len(raw) > size
+                        else f"truncated {kind} payload")
     return dims, np.frombuffer(raw, dtype=np.uint8, offset=head)
 
 

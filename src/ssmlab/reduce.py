@@ -147,8 +147,9 @@ def select_pairs(dists, r, pair_rank=1, selection=Selection.TOP_R,
     [B, m, n], which gives a [B, p, 2] plan: each row's pairs (i, j) in the
     order they were chosen, i from group 1 and j from group 2. A row picks
     up to r pairs, exactly r when r <= n - pair_rank + 1; every row must
-    choose the same number p of pairs. An rng is drawn from row by row,
-    as if each row were selected alone in turn. Indices are sequence indices
+    choose the same number p of pairs. RANDOM_R draws every row's visiting
+    order from the rng in one ``permuted`` call; RANDOM_PAIR then draws every
+    row's partner shuffle in one more. Indices are sequence indices
     when g1/g2 slot arrays are given, otherwise group-local (g1 = rows,
     g2 = columns numbered from m).
     """
@@ -161,32 +162,19 @@ def select_pairs(dists, r, pair_rank=1, selection=Selection.TOP_R,
         raise ReduceError(f"r={r} exceeds available pairs min({m},{n})")
     if pair_rank < 1 or (r and pair_rank > n):  # no pairs need no partner
         raise ReduceError(f"pair_rank={pair_rank} outside [1, group-2 size {n}]")
-    shuffle = pairing is Pairing.RANDOM_PAIR
-    if selection is Selection.TOP_R:
-        cost, step = batch, max(bsz, 1)
-    else:  # Selection.RANDOM_R
+    cost = batch
+    if selection is Selection.RANDOM_R:
         if rng is None:
             raise ReduceError("random selection needs an rng")
-        # the greedy on the cost (row's place in a random order, column's rank
-        # in the row). A row draws its order, then its shuffle, sized by its
-        # pair count, so with a shuffle the rows go through one at a time.
-        cost = np.argsort(np.argsort(batch, axis=2, kind="stable"), axis=2)
-        step = 1 if shuffle else max(bsz, 1)
-    picks = []
-    for lo in range(0, max(bsz, 1), step):  # once for an empty batch
-        chunk = cost[lo:lo + step]
-        if selection is Selection.RANDOM_R:
-            order = rng.permuted(np.broadcast_to(np.arange(m), (len(chunk), m)), axis=1)
-            chunk = np.argsort(order, axis=1)[..., None] * float(n) + chunk
-        i, j = _top_r(chunk, r, pair_rank)
-        if shuffle and j.shape[1] > 1:  # a single pair stays as it is
-            if rng is None:
-                raise ReduceError("random pairing needs an rng")
-            j = rng.permuted(j, axis=1)
-        picks.append((i, j))
-    if len({j.shape[1] for _, j in picks}) > 1:
-        raise ReduceError("rows choose different numbers of pairs")
-    i, j = (np.concatenate(a) for a in zip(*picks))
+        # greedy on (row's place in a random order, column's rank in its row)
+        order = rng.permuted(np.broadcast_to(np.arange(m), (bsz, m)), axis=1)
+        rank = np.argsort(np.argsort(batch, axis=2, kind="stable"), axis=2)
+        cost = np.argsort(order, axis=1)[..., None] * float(n) + rank
+    i, j = _top_r(cost, r, pair_rank)
+    if pairing is Pairing.RANDOM_PAIR and j.shape[1] > 1:  # a single pair stays as it is
+        if rng is None:
+            raise ReduceError("random pairing needs an rng")
+        j = rng.permuted(j, axis=1)
     g1 = np.arange(m) if g1 is None else np.asarray(g1)
     g2 = np.arange(m, m + n) if g2 is None else np.asarray(g2)
     pairs = np.stack([g1[i], g2[j]], axis=-1)

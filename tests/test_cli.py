@@ -469,6 +469,28 @@ class TestExitCodes:
         assert "Traceback" not in captured.err
         assert "final accuracy" not in captured.out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["eval"], "the following arguments are required: --config"),
+        (["ablate", "--config", "{cfg}", "--axis", "nope"], "invalid choice: 'nope'"),
+        (["eval", "--config", "{cfg}", "--seed", "abc"], "invalid int value: 'abc'"),
+        (["eval", "--config", "{cfg}", "--bogus"], "unrecognized arguments: --bogus"),
+        (["nope"], "invalid choice: 'nope'"),
+        ([], "the following arguments are required: command"),
+    ], ids=["missing-config", "bad-axis", "bad-seed", "unknown-flag",
+            "unknown-command", "no-command"])
+    def test_usage_error_is_config_error(self, tmp_path, capsys, argv, message):
+        cfg = write_cfg(tmp_path)
+        rc = cli.main([a.format(cfg=cfg) for a in argv])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_CONFIG
+        assert captured.err.startswith("config error: ") and message in captured.err
+        assert len(captured.err.strip().splitlines()) == 1 and not captured.out
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            cli.main(["eval", "--help"])
+        assert e.value.code == 0 and "--config" in capsys.readouterr().out
+
     def test_bad_enum_value_lists_choices(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, extra="data.source=foo\n")
         assert cli.main(["eval", "--config", cfg,
@@ -585,10 +607,11 @@ class TestAblate:
         lines = (out / "ablate_interval.csv").read_text().strip().splitlines()
         assert len(lines) == 5
 
-    def test_unknown_axis_rejected_by_parser(self, tmp_path):
+    def test_unknown_axis_rejected_by_parser(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
-        with pytest.raises(SystemExit):
-            cli.main(["ablate", "--config", cfg, "--axis", "nonsense"])
+        rc = cli.main(["ablate", "--config", cfg, "--axis", "nonsense"])
+        assert rc == 1
+        assert "invalid choice: 'nonsense'" in capsys.readouterr().err
 
 
 class TestMergeDemo:

@@ -93,11 +93,11 @@ class TestIdxFormat:
         ("images", lambda raw: raw[:15], "truncated image header"),
         ("images", lambda raw: b"\x00\x00\x08\x01" + raw[4:], "bad image magic 0x00000801"),
         ("images", lambda raw: raw[:-1], "truncated image payload"),
-        ("images", lambda raw: raw + b"\x00", "truncated image payload"),
+        ("images", lambda raw: raw + b"\x00", "image payload longer than its header says"),
         ("labels", lambda raw: raw[:7], "truncated label header"),
         ("labels", lambda raw: b"\x00\x00\x08\x03" + raw[4:], "bad label magic 0x00000803"),
         ("labels", lambda raw: raw[:-1], "truncated label payload"),
-        ("labels", lambda raw: raw + b"\x00", "truncated label payload"),
+        ("labels", lambda raw: raw + b"\x00", "label payload longer than its header says"),
     ], ids=["image-header", "image-magic", "image-short", "image-long",
             "label-header", "label-magic", "label-short", "label-long"])
     def test_each_corruption_has_its_message(self, tmp_path, which, corrupt, message):

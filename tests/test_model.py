@@ -1,5 +1,6 @@
 import hashlib
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,11 +186,15 @@ class TestForward:
         assert trace_a == trace_b
         assert np.array_equal(taped.data, plain.data)
 
-    def test_matches_tapefree_with_shuffle_and_random_grouping(self):
-        cfg = small_cfg(r=1, sites=(1,), shuffle_ratio=0.5,
-                        grouping=rd.Grouping.RANDOM)
+    @pytest.mark.parametrize("selection", list(rd.Selection))
+    @pytest.mark.parametrize("pairing", list(rd.Pairing))
+    def test_matches_tapefree_with_shuffle_and_random_grouping(self, selection, pairing):
+        # 9 tokens, so the shuffle moves slots and each site takes 2 pairs
+        cfg = replace(small_cfg(r=2, sites=(0, 1), shuffle_ratio=0.5,
+                                grouping=rd.Grouping.RANDOM, selection=selection,
+                                pairing=pairing), image_size=12)
         m = mdl.init_model(cfg, seed=5)
-        imgs = small_images(2, seed=11)
+        imgs = small_images(3, seed=11, size=12)
         with GradTape() as tape:
             taped, trace_a = mdl.forward(m, imgs, rng=np.random.default_rng(42))
         plain, trace_b = mdl.forward(m, imgs, rng=np.random.default_rng(42))

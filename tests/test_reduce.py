@@ -323,16 +323,22 @@ class TestSelectPairs:
         dists = np.random.default_rng(seed).integers(0, 3, (bsz, m, n)).astype(float)
         g1, g2 = 2 * np.arange(m), 2 * np.arange(n) + 1
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        want = [rd.select_pairs(d, r, pair_rank, selection, pairing, rng=ref_rng,
+        # random-r draws every row's order first, then every row's partner shuffle
+        both_random = (selection, pairing) == (Selection.RANDOM_R, Pairing.RANDOM_PAIR)
+        row_pairing = Pairing.NEAREST if both_random else pairing
+        want = [rd.select_pairs(d, r, pair_rank, selection, row_pairing, rng=ref_rng,
                                 g1=g1, g2=g2) for d in dists]
         if len({len(w) for w in want}) > 1:
             with pytest.raises(ReduceError, match="different numbers of pairs"):
                 rd.select_pairs(dists, r, pair_rank, selection, pairing, rng=rng,
                                 g1=g1, g2=g2)
             return
+        want = np.stack(want)
+        if both_random and want.shape[1] > 1:
+            want[..., 1] = ref_rng.permuted(want[..., 1], axis=1)
         got = rd.select_pairs(dists, r, pair_rank, selection, pairing, rng=rng,
                               g1=g1, g2=g2)
-        assert np.array_equal(got, np.stack(want))
+        assert np.array_equal(got, want)
         assert rng.integers(2 ** 62) == ref_rng.integers(2 ** 62)
 
     @pytest.mark.parametrize("selection, pairing, message", [
