@@ -8,13 +8,12 @@ token shared by all channels. The output is gated by silu(z).
 
 Between its in, gate and out projections, a scan direction tapes one fused
 primitive, scan_core, as Mamba's selective_scan_fn does (Gu & Dao, arXiv
-2312.00752). It forms the step, B and C projections, runs the scan step by
-step on a [B,N,D] state read and written through per-step views of the
-batch-major arrays, gates the result, and returns the gradients of x, z and
-the direction's a_log, w_delta, delta_bias, w_b and w_c from one
-hand-written backward pass. That pass walks time in reverse and recomputes
-A_bar_t at each step. No [B,T,N,D] tensor reaches the tape, and the only one
-either pass holds is the taped state history.
+2312.00752): the step, B and C projections, a step-by-step scan on a
+[B,N,D] state and the gate, with one hand-written backward pass for x, z
+and the five scan weights that walks time in reverse, recomputing A_bar_t.
+No [B,T,N,D] tensor reaches the tape. Each step's rank-1 products are einsum
+outer products, bit-identical to a broadcast multiply, which with its
+stride-0 operand costs about 1.5x as much per element at these shapes.
 """
 
 from __future__ import annotations
@@ -62,16 +61,17 @@ def scan_core(p, x: Tensor, z: Tensor, direction=ScanDirection.FORWARD):
     The state is [B,N,D], so each step's products run along the D channels,
     and both passes read inputs and write y and the cotangents as per-step
     [:, t] views of the batch-major arrays, whatever their strides. The
-    forward pass keeps the states h_t only when the op is taped. The backward
-    pass walks the steps in reverse, carrying g = dL/dh_t in one [B,N,D]
-    buffer: it adds dy_t C_t, takes the B and x cotangents as per-step
-    matmuls of g, recomputes A_bar_t to carry g back one step, and writes
-    dL/d(delta_t A) = g A_bar_t h_prev over h_prev in the state history,
-    which the tape's single backward run no longer needs. The delta and
-    a_log terms are then one reduction each over that history. x's
-    cotangent adds its terms left to right as scan, C, B, then delta: the
-    order a tape of separate projection ops accumulates them in, which
-    keeps every gradient's last bits.
+    products delta_t A, (delta_t B_t) x_t and C_t dy_t are einsum outer
+    products, cast same_kind as ufuncs cast: a broadcast multiply costs about
+    1.5x as much here, and gives the same bits but for a zero's sign. The
+    forward pass keeps the states h_t only when taped. The backward pass
+    carries g = dL/dh_t in one [B,N,D] buffer: it adds dy_t C_t, takes the B
+    and x cotangents as per-step matmuls of g, recomputes A_bar_t to carry g
+    back one step, and writes dL/d(delta_t A) = g A_bar_t h_prev over h_prev
+    in the state history, which the tape's single backward run no longer
+    needs. The delta and a_log terms are then one reduction each over that
+    history. x's cotangent adds its terms as scan, C, B, then delta, the
+    order a tape of separate projection ops uses, keeping the last bits.
     """
     if x.data.ndim != 3:
         raise TensorError("scan_core expects [B, T, D]")
@@ -98,9 +98,9 @@ def scan_core(p, x: Tensor, z: Tensor, direction=ScanDirection.FORWARD):
     y = np.empty_like(xs)
     a_bar, u = np.empty_like(h), np.empty_like(h)
     for t in order:
-        np.multiply(ds[:, t, :, None], a, out=a_bar)
+        np.einsum("b,nd->bnd", ds[:, t, 0], a, out=a_bar, casting="same_kind")
         np.exp(a_bar, out=a_bar)
-        np.multiply(db[:, t, :, None], xs[:, t, None, :], out=u)
+        np.einsum("bn,bd->bnd", db[:, t], xs[:, t], out=u, casting="same_kind")
         h *= a_bar
         h += u
         np.matmul(cs[:, t, None, :], h, out=y[:, t, None, :])
@@ -118,13 +118,13 @@ def scan_core(p, x: Tensor, z: Tensor, direction=ScanDirection.FORWARD):
         buf = np.empty_like(h)
         g_b, x_g = np.empty_like(xs), np.empty_like(cs)        # sum_n B g, sum_d g x
         for t in order[::-1]:
-            np.multiply(dy[:, t, None, :], cs[:, t, :, None], out=buf)
+            np.einsum("bn,bd->bnd", cs[:, t], dy[:, t], out=buf, casting="same_kind")
             g += buf
             np.matmul(bs[:, t, None, :], g, out=g_b[:, t, None, :])
             np.matmul(g, xs[:, t, :, None], out=x_g[:, t, :, None])
             if t == order[0]:
                 break
-            np.multiply(ds[:, t, :, None], a, out=buf)
+            np.einsum("b,nd->bnd", ds[:, t, 0], a, out=buf, casting="same_kind")
             np.exp(buf, out=buf)
             g *= buf
             # dL/d(delta_t A) = g_t * A_bar_t * h_prev, over h_prev's slot

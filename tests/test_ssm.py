@@ -93,6 +93,22 @@ def scan(params, x, z, direction=ScanDirection.FORWARD):
     return ssm.scan_core(params, Tensor(x), Tensor(z), direction)[0].data
 
 
+def broadcast_scan(arrays, direction):
+    """Untaped scan_core output from broadcast multiplies: per step
+    A_bar = exp(delta_t A) and u = (delta_t B_t) x_t, then h = A_bar h + u."""
+    xs, zs = arrays["x"], arrays["z"]
+    a = -np.exp(arrays["a_log"].T, order="C")
+    ds = softplus(xs @ arrays["w_delta"] + arrays["delta_bias"])
+    db, cs = ds * (xs @ arrays["w_b"]), xs @ arrays["w_c"]
+    h = np.zeros((xs.shape[0], *a.shape), dtype=xs.dtype)
+    y = np.empty_like(xs)
+    for t in range(xs.shape[1])[::1 if direction is ScanDirection.FORWARD else -1]:
+        h *= np.exp(ds[:, t, :, None] * a)
+        h += db[:, t, :, None] * xs[:, t, None, :]
+        np.matmul(cs[:, t, None, :], h, out=y[:, t, None, :])
+    return y * (zs * tt._sigmoid(zs))
+
+
 def discretized(params, x):
     """(A_bar, B_bar [B,T,D,N], delta [B,T,D], B) formed from the step delta
     and the B projection scan_core returns as features.
@@ -333,6 +349,30 @@ class TestScanCore:
         y, feats = self.call({k: Tensor(v.astype(np.float32)) for k, v in arrays.items()})
         assert y.data.dtype == np.float32
         assert all(v.dtype == np.float32 for v in feats.values())
+
+    @pytest.mark.parametrize("direction", list(ScanDirection))
+    def test_float32_activations_with_float64_weights(self, direction):
+        rng = np.random.default_rng(20)
+        arrays = self.inputs(rng, bsz=3, t_len=9, d=4, n=3)
+        mixed = dict(arrays, x=arrays["x"].astype(np.float32),
+                     z=arrays["z"].astype(np.float32))
+        dy = rng.uniform(-1, 1, arrays["x"].shape).astype(np.float32)
+        y, *grads = self.run_taped(mixed, dy, direction)
+        assert y.dtype == np.float32
+        assert all(np.all(np.isfinite(g)) for g in grads)
+        # the f64 call on the same (f32-representable) activations
+        want = self.run_taped(dict(arrays, x=mixed["x"].astype(np.float64),
+                                   z=mixed["z"].astype(np.float64)), dy, direction)[0]
+        np.testing.assert_allclose(y, want, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("direction", list(ScanDirection))
+    def test_products_match_broadcast_reference(self, direction):
+        inputs = self.inputs(np.random.default_rng(21), bsz=3, t_len=7, d=4, n=3)
+        for dtype in (np.float64, np.float32):
+            arrays = {k: v.astype(dtype) for k, v in inputs.items()}
+            y = self.call({k: Tensor(v) for k, v in arrays.items()}, direction)[0].data
+            assert y.dtype == dtype
+            assert np.array_equal(y, broadcast_scan(arrays, direction)), dtype
 
     def run_taped(self, arrays, dy, direction):
         """scan_core's output and its backward pass applied to dy directly."""
