@@ -312,7 +312,7 @@ def merge(values: Tensor, pairs, merge_op: MergeOp | None = None, perm=None):
     def scatter(dout):
         # a checked plan sends each input token to at most one output slot,
         # so the scatter is an assignment; pair members are then overwritten
-        din = np.zeros_like(x)
+        din = np.zeros(shape, dtype)
         din[rows, src] = dout
         if merge_op is None:
             return (din,)
@@ -326,6 +326,7 @@ def merge(values: Tensor, pairs, merge_op: MergeOp | None = None, perm=None):
             din[rows, sj] = np.where(pick_i, 0.0, g_p)
         return (din,)
 
+    shape, dtype = x.shape, x.dtype  # the scatter reads these, not x
     out = record(Tensor(out, _check=False), (values,), scatter)
     return out, idx
 

@@ -111,7 +111,7 @@ def scan_core(p, x: Tensor, z: Tensor, direction=ScanDirection.FORWARD):
     out = Tensor(y * gate, _check=False)
 
     def backward(d_out):
-        dy = d_out * gate
+        dy = d_out * (zs * s)  # the gate, recomputed rather than kept
         dz = d_out * y * (s + zs * s * (1.0 - s))
         dc = np.matmul(hs.transpose(1, 0, 2, 3), dy[..., None])[..., 0]  # sum_d h dy
         g = np.zeros_like(h)                                   # dL/dh_t

@@ -9,6 +9,11 @@ The tape is explicit: ops record onto the innermost active ``GradTape``
 (entered as a context manager). With no active tape, ops are plain numpy
 with a Tensor wrapper and nothing is recorded. Tensors are treated as
 immutable once created; only optimizer code touches ``.data`` in place.
+
+The tape keeps only what backward passes read, as PyTorch's autograd does
+(Paszke et al., 2017): an entry names its output by a key, and an op's
+closure captures only the arrays or shapes its formula reads, so an
+intermediate output dies once the forward pass is done with it.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ def _active_tape():
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "_key")
 
     def __init__(self, data, requires_grad=False, _check=True):
         arr = np.asarray(data)
@@ -42,6 +47,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None  # Tensor of identical shape after backward()
+        self._key = None  # set when a tape records the op producing this tensor
 
     @property
     def shape(self):
@@ -66,13 +72,18 @@ class Tensor:
 class GradTape:
     """Ordered record of primitive ops for one forward pass.
 
-    Entries are (output, inputs, backward_fn) where backward_fn maps the
-    output cotangent (ndarray) to one cotangent (or None) per input.
-    ``backward`` consumes the tape; a consumed tape cannot be reused.
+    Entries are (key, inputs, backward_fn): ``key`` names the op's output
+    (``out._key``) without holding it; each input is the key of an earlier
+    entry's output, or the Tensor itself when it is a leaf, that is when no
+    entry on this tape produced it (a Tensor from an earlier, consumed tape
+    is a leaf here). backward_fn maps the output cotangent (ndarray) to one
+    cotangent (or None) per input. ``backward`` consumes the tape; a
+    consumed tape cannot be reused.
     """
 
     def __init__(self):
         self.entries = []
+        self._produced = set()
         self._consumed = False
 
     def __enter__(self):
@@ -88,7 +99,10 @@ class GradTape:
     def record(self, out, inputs, backward_fn):
         if self._consumed:
             raise TensorError("gradient tape already consumed")
-        self.entries.append((out, tuple(inputs), backward_fn))
+        refs = tuple(t._key if t._key in self._produced else t for t in inputs)
+        out._key = object()  # unlike id(out), never reused while out lives
+        self._produced.add(out._key)
+        self.entries.append((out._key, refs, backward_fn))
 
     def backward(self, loss):
         """Populate ``grad`` on every reachable requires_grad tensor; clears the tape."""
@@ -98,22 +112,18 @@ class GradTape:
             raise TensorError("backward() requires a scalar loss")
         if not self.entries:
             raise TensorError("backward() on empty tape")
-        grads = {id(loss): np.ones_like(loss.data)}
-        holders = {id(loss): loss}
-        for out, inputs, backward_fn in reversed(self.entries):
-            dout = grads.pop(id(out), None)
-            holders.pop(id(out), None)
+        # cotangents keyed by an output's key, or by the leaf Tensor itself
+        grads = {loss._key if loss._key in self._produced else loss: np.ones_like(loss.data)}
+        for key, inputs, backward_fn in reversed(self.entries):
+            dout = grads.pop(key, None)
             if dout is None:
                 continue
-            for inp, din in zip(inputs, backward_fn(dout)):
-                if din is None or not inp.requires_grad:
+            for ref, din in zip(inputs, backward_fn(dout)):
+                if din is None or isinstance(ref, Tensor) and not ref.requires_grad:
                     continue
-                key = id(inp)
-                grads[key] = grads[key] + din if key in grads else din
-                holders[key] = inp
-        # whatever survived the sweep was never produced by a recorded op: a leaf
-        for key, leaf in holders.items():
-            g = grads[key]
+                grads[ref] = grads[ref] + din if ref in grads else din
+        # every produced key was popped by its entry: what is left are leaves
+        for leaf, g in grads.items():
             if leaf.grad is None:
                 leaf.grad = Tensor(g, _check=False)
             else:
@@ -154,8 +164,8 @@ def _unbroadcast(grad, shape):
 
 def add(a, b):
     out = Tensor(a.data + b.data, _check=False)
-    return record(out, (a, b), lambda d: (_unbroadcast(d, a.data.shape),
-                                          _unbroadcast(d, b.data.shape)))
+    sa, sb = a.data.shape, b.data.shape
+    return record(out, (a, b), lambda d: (_unbroadcast(d, sa), _unbroadcast(d, sb)))
 
 
 def scale(a, s):
@@ -177,7 +187,8 @@ def silu(a):
     x = a.data
     s = _sigmoid(x)
     out = Tensor(x * s, _check=False)
-    return record(out, (a,), lambda d: (d * (s + x * s * (1.0 - s)),))
+    y = out.data  # x * s * (1 - s) evaluates as (x * s) * (1 - s): the same bits
+    return record(out, (a,), lambda d: (d * (s + y * (1.0 - s)),))
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +202,13 @@ def matmul(a, b):
             f"matmul inner dimension mismatch: {a.data.shape} x {b.data.shape}")
     out = Tensor(a.data @ b.data, _check=False)
 
-    def backward(d):
-        da = d @ np.swapaxes(b.data, -1, -2) if b.data.ndim > 1 else np.multiply.outer(d, b.data)
-        da = _unbroadcast(da, a.data.shape)
-        db = np.swapaxes(a.data, -1, -2) @ d
-        db = _unbroadcast(db, b.data.shape)
+    def backward(d):  # a cotangent only for an operand that wants one
+        da = db = None
+        if a.requires_grad:
+            da = _unbroadcast(d @ np.swapaxes(b.data, -1, -2) if b.data.ndim > 1
+                              else np.multiply.outer(d, b.data), a.data.shape)
+        if b.requires_grad:
+            db = _unbroadcast(np.swapaxes(a.data, -1, -2) @ d, b.data.shape)
         return (da, db)
 
     return record(out, (a, b), backward)
@@ -203,12 +216,11 @@ def matmul(a, b):
 
 def tsum(a, axis=None):
     out = Tensor(a.data.sum(axis=axis, keepdims=False), _check=False)
+    shape = a.data.shape
 
     def backward(d):
-        if axis is None:
-            return (np.broadcast_to(d, a.data.shape).copy(),)
-        g = np.expand_dims(d, axis)
-        return (np.broadcast_to(g, a.data.shape).copy(),)
+        g = d if axis is None else np.expand_dims(d, axis)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return record(out, (a,), backward)
 

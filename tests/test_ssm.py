@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -379,8 +381,8 @@ class TestScanCore:
         tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
         with GradTape() as tape:
             y, _ = self.call(tensors, direction)
-            out, _, backward = tape.entries[-1]
-            assert out is y
+            key, _, backward = tape.entries[-1]  # an entry names its output by key
+            assert key == y._key
         return [y.data, *backward(dy)]
 
     @pytest.mark.parametrize("direction", list(ScanDirection))
@@ -511,3 +513,25 @@ class TestBidirectionalBlock:
             x = Tensor(rng.uniform(-1, 1, (1, 5, 6)), requires_grad=True)
             ssm.bidirectional_block(*blk, x)
             assert len(tape.entries) == 13
+
+    def test_out_projection_outputs_die_while_tape_is_open(self, monkeypatch):
+        # no backward pass reads them: only the residual adds use them
+        rng = np.random.default_rng(22)
+        blk = init_block(rng, 6, 4, 2)
+        w_outs = [side["w_out"] for side in blk]
+        refs, matmul = [], tt.matmul
+
+        def spy(a, b):
+            out = matmul(a, b)
+            if any(b is w for w in w_outs):
+                refs.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(tt, "matmul", spy)
+        x = Tensor(rng.uniform(-1, 1, (2, 5, 6)), requires_grad=True)
+        with GradTape() as tape:
+            out, _ = ssm.bidirectional_block(*blk, x)
+            gc.collect()
+            assert len(refs) == 2 and all(r() is None for r in refs)
+            tape.backward(tt.tsum(out))
+        assert all(side["w_out"].grad is not None for side in blk)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +60,22 @@ class TestMatmul:
         assert rel_err(a.grad.data, ga) < 1e-6
         assert rel_err(b.grad.data, gb) < 1e-6
 
+    def test_cotangent_only_for_operands_that_want_one(self):
+        # the patch embedding's image matrix never wants one
+        rng = np.random.default_rng(8)
+        a, b = Tensor(rng.uniform(-2, 2, (2, 4, 5))), Tensor(rng.uniform(-2, 2, (5, 3)))
+        d = rng.uniform(-1, 1, (2, 4, 3))
+        for a_grad, b_grad in ((False, True), (True, False)):
+            a.requires_grad, b.requires_grad = a_grad, b_grad
+            with GradTape() as tape:
+                tt.matmul(a, b)
+                da, db = tape.entries[-1][2](d)
+            assert (da is None) == (not a_grad) and (db is None) == (not b_grad)
+            if a_grad:
+                assert np.array_equal(da, d @ b.data.T)
+            else:
+                assert np.array_equal(db, (np.swapaxes(a.data, -1, -2) @ d).sum(axis=0))
+
 
 class TestElementwise:
     def test_silu_at_zero(self):
@@ -68,6 +87,18 @@ class TestElementwise:
             out = tt.silu(Tensor(np.array([1e4, -1e4], dtype=dtype))).data
         assert out.dtype == dtype
         assert out[0] == 1e4 and out[1] == 0.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_silu_backward_reads_its_output_with_the_same_bits(self, dtype):
+        # the closure keeps y = x*s, not x: y*(1-s) is x*s*(1-s) evaluated left to right
+        rng = np.random.default_rng(10)
+        x = np.concatenate([rng.uniform(-9, 9, 61), [1e4, -1e4, 0.0]]).astype(dtype)
+        d = rng.uniform(-1, 1, x.shape).astype(dtype)
+        with GradTape() as tape:
+            tt.silu(Tensor(x, requires_grad=True))
+            (dx,) = tape.entries[-1][2](d)
+        s = tt._sigmoid(x)
+        assert dx.dtype == dtype and np.array_equal(dx, d * (s + x * s * (1.0 - s)))
 
     def test_broadcast_scalar(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
@@ -130,6 +161,31 @@ class TestBackward:
         with GradTape() as tape:
             tape.backward(tt.tsum(tt.add(mul(x, x), x)))
         assert x.grad.data[0] == pytest.approx(2 * 3.0 + 1.0)
+
+    def test_intermediate_output_dies_while_tape_is_open(self):
+        # add's closure keeps its input shapes, and an entry keeps its output's key
+        x = Tensor(np.ones((4, 5)), requires_grad=True)
+        with GradTape() as tape:
+            mid = tt.add(x, x)
+            dead = weakref.ref(mid.data)
+            out = tt.add(mid, x)
+            del mid
+            gc.collect()
+            assert dead() is None
+            tape.backward(tt.tsum(out))
+        assert np.array_equal(x.grad.data, np.full((4, 5), 3.0))
+
+    def test_output_of_a_consumed_tape_is_a_leaf_of_the_next(self):
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        with GradTape() as first:
+            h = tt.scale(w, 2.0)
+            first.backward(tt.tsum(h))
+        assert h.grad is None and np.array_equal(w.grad.data, [2.0, 2.0])
+        with GradTape() as second:
+            # ops taped here must not be mistaken for the one that made h
+            second.backward(tt.tsum(tt.add(tt.scale(h, 3.0), h)))
+        assert np.array_equal(h.grad.data, [4.0, 4.0])
+        assert np.array_equal(w.grad.data, [2.0, 2.0])
 
 
 class TestShapes:
