@@ -60,32 +60,30 @@ def _with_r(model, r):
                                       reduction=replace(model.cfg.reduction, r=r)))
 
 
-def sweep(model, r_values, dataset=None, batch=16, warmup=3, iters=10,
-          dtype=np.float32, seed=0):
-    """One BenchResult per r in ``r_values``.
+def sweep(model, bench: BenchConfig, dataset=None, seed=0):
+    """One BenchResult per r in ``bench.r_values``, with accuracy on ``dataset``.
 
-    After ``warmup`` untimed rounds, each of ``iters`` rounds times one
-    forward pass of the ``dtype`` model at r=0 and at every requested r on
-    the same input, so drift in machine speed reaches every r alike. A rate
-    is the median images/second, reported with its quartiles; a speedup
-    divides it by the r=0 median.
+    After ``bench.warmup`` untimed rounds, each of ``bench.iters`` rounds
+    times one forward pass of the ``bench.dtype`` model at r=0 and at every
+    requested r on the same ``seed``-drawn input, so drift in machine speed
+    reaches every r alike. A rate is the median images/second, reported with
+    its quartiles; a speedup divides it by the r=0 median.
     """
-    BenchConfig(tuple(r_values), batch, warmup, iters)  # checks the arguments
-    cfg = model.cfg
+    cfg, dtype = model.cfg, bench.dtype.value
     images = np.random.default_rng(seed).random(
-        (batch, cfg.image_size, cfg.image_size, cfg.in_channels)).astype(dtype)
+        (bench.batch, cfg.image_size, cfg.image_size, cfg.in_channels)).astype(dtype)
     cast = model.astype(dtype)
-    timed = {r: _with_r(cast, r) for r in [0, *map(int, r_values)]}
+    timed = {r: _with_r(cast, r) for r in [0, *bench.r_values]}
     rates = {r: [] for r in timed}
-    for i in range(warmup + iters):
+    for i in range(bench.warmup + bench.iters):
         for r, m in timed.items():
             t0 = time.perf_counter()
             mdl.forward(m, images)
-            if i >= warmup:
-                rates[r].append(batch / (time.perf_counter() - t0))
+            if i >= bench.warmup:
+                rates[r].append(bench.batch / (time.perf_counter() - t0))
     quartiles = {r: np.percentile(v, [25, 50, 75]) for r, v in rates.items()}
     results = []
-    for r in map(int, r_values):
+    for r in bench.r_values:
         at_r = _with_r(model, r)
         ratio = rd.reduction_ratio(cfg.tokens0, cfg.reduction.sites, r, cfg.depth,
                                    cfg.reduction.pair_rank)

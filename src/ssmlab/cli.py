@@ -90,13 +90,10 @@ def cmd_eval(s: Settings, out):
 
 
 def cmd_bench(s: Settings, out):
-    cfg = s.bench
     model = _build_model(s.run, s.model)
     dataset = (_load_datasets(s.data, s.model)[1]
-               if cfg.dataset is bn.BenchData.EVAL else None)
-    results = bn.sweep(model, cfg.r_values, dataset=dataset, batch=cfg.batch,
-                       warmup=cfg.warmup, iters=cfg.iters,
-                       dtype=cfg.dtype.value, seed=s.run.seed)
+               if s.bench.dataset is bn.BenchData.EVAL else None)
+    results = bn.sweep(model, s.bench, dataset, seed=s.run.seed)
     bn.write_csv(results, out / "bench.csv")
     for b in results:
         print(f"r={b.r} ratio={b.reduction_ratio:.2f} "
@@ -259,15 +256,18 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except MemoryError as e:  # a size too large; numpy names the array
-        print(f"config error: too large to allocate: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     except (ds.DataError, OSError, mdl.ModelError, rd.ReduceError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (tr.NumericError, TensorError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (MemoryError, ValueError, OverflowError) as e:  # a size too large
+        if not isinstance(e, MemoryError) and not any(w in str(e) for w in (
+                "too big", "allowed size", "negative dimensions", "too large to convert")):
+            raise  # numpy's words for a size it cannot even address; else a bug
+        print(f"config error: too large to allocate: {e}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

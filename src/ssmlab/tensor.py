@@ -6,7 +6,8 @@ buffers and constants in their input's dtype, so a float32 forward stays
 float32 end to end.
 
 The tape is explicit: ops record onto the innermost active ``GradTape``
-(entered as a context manager). With no active tape, ops are plain numpy
+(entered as a context manager). Active tapes sit on one process-wide stack;
+no two threads tape at once. With no active tape, ops are plain numpy
 with a Tensor wrapper and nothing is recorded. Tensors are treated as
 immutable once created; only optimizer code touches ``.data`` in place.
 
@@ -14,11 +15,10 @@ The tape keeps only what backward passes read, as PyTorch's autograd does
 (Paszke et al., 2017): an entry names its output by a key, and an op's
 closure captures only the arrays or shapes its formula reads, so an
 intermediate output dies once the forward pass is done with it.
+``matmul``'s right operand is a 2-D weight matrix, as every layer passes.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -27,12 +27,7 @@ class TensorError(ValueError):
     """Shape mismatch, non-finite values, or other tensor contract violations."""
 
 
-_tls = threading.local()
-
-
-def _active_tape():
-    stack = getattr(_tls, "tape_stack", None)
-    return stack[-1] if stack else None
+_tapes = []  # the active GradTapes, innermost last
 
 
 class Tensor:
@@ -87,14 +82,11 @@ class GradTape:
         self._consumed = False
 
     def __enter__(self):
-        if not hasattr(_tls, "tape_stack"):
-            _tls.tape_stack = []
-        _tls.tape_stack.append(self)
+        _tapes.append(self)
         return self
 
     def __exit__(self, *exc):
-        _tls.tape_stack.pop()
-        return False
+        _tapes.pop()
 
     def record(self, out, inputs, backward_fn):
         if self._consumed:
@@ -135,14 +127,14 @@ class GradTape:
 def recording(inputs):
     """Whether ``record`` would tape an op on these inputs: a primitive can
     skip keeping what only its backward pass reads when this is False."""
-    return _active_tape() is not None and any(t.requires_grad for t in inputs)
+    return bool(_tapes) and any(t.requires_grad for t in inputs)
 
 
 def record(out, inputs, backward_fn):
     """Record a primitive onto the active tape, if any input wants gradients."""
     if recording(inputs):
         out.requires_grad = True
-        _active_tape().record(out, inputs, backward_fn)
+        _tapes[-1].record(out, inputs, backward_fn)
     return out
 
 
@@ -195,9 +187,9 @@ def silu(a):
 # linear algebra and reductions
 
 def matmul(a, b):
-    if a.data.ndim < 2 or b.data.ndim < 1:
-        raise TensorError("matmul needs a 2-D (or batched) left operand")
-    if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
+    if a.data.ndim < 2 or b.data.ndim != 2:
+        raise TensorError("matmul needs a 2-D (or batched) left, 2-D right operand")
+    if a.data.shape[-1] != b.data.shape[0]:
         raise TensorError(
             f"matmul inner dimension mismatch: {a.data.shape} x {b.data.shape}")
     out = Tensor(a.data @ b.data, _check=False)
@@ -205,8 +197,7 @@ def matmul(a, b):
     def backward(d):  # a cotangent only for an operand that wants one
         da = db = None
         if a.requires_grad:
-            da = _unbroadcast(d @ np.swapaxes(b.data, -1, -2) if b.data.ndim > 1
-                              else np.multiply.outer(d, b.data), a.data.shape)
+            da = d @ b.data.T
         if b.requires_grad:
             db = _unbroadcast(np.swapaxes(a.data, -1, -2) @ d, b.data.shape)
         return (da, db)
@@ -225,9 +216,8 @@ def tsum(a, axis=None):
     return record(out, (a,), backward)
 
 
-def tmean(a, axis=None):
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return scale(tsum(a, axis=axis), 1.0 / n)
+def tmean(a, axis):
+    return scale(tsum(a, axis=axis), 1.0 / a.data.shape[axis])
 
 
 def layer_norm(a, eps=1e-6):

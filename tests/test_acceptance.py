@@ -19,7 +19,7 @@ from ssmlab import reduce as rd
 from ssmlab import ssm
 from ssmlab import tensor as tt
 from ssmlab import train as tr
-from ssmlab.bench import sweep
+from ssmlab.bench import BenchConfig, Dtype, sweep
 from ssmlab.model import Model, ModelConfig
 from ssmlab.reduce import (
     Distance,
@@ -195,8 +195,8 @@ def test_criterion_08_shuffle_degrades(trained_baselines, desk_eval_data):
 def test_criterion_09_throughput():
     model = mdl.init_model(ModelConfig(
         reduction=ReductionConfig(sites=mdl.default_sites(8))), seed=0)
-    results = sweep(model, [0, 5, 11, 20], batch=16, warmup=3, iters=10,
-                    dtype=np.float32, seed=0)
+    results = sweep(model, BenchConfig((0, 5, 11, 20), batch=16, warmup=3, iters=10,
+                                       dtype=Dtype.FLOAT32), seed=0)
     assert results[0].speedup == 1.0
     assert results[-1].speedup >= 1.15, [b.speedup for b in results]
 

@@ -1,3 +1,4 @@
+import csv
 import ctypes
 import importlib
 import os
@@ -436,6 +437,17 @@ class TestExitCodes:
         ("merge-demo", "reduce.distance=l1\n", "1e308 1e308\n" * 4,
          cli.EXIT_NUMERIC),
         ("eval", "reduce.feature=delta\n", None, cli.EXIT_CONFIG),
+        # sizes past what numpy can address: it raises ValueError or
+        # OverflowError instead of MemoryError
+        ("eval", "model.d_model=5000000000000000000\n", None, cli.EXIT_CONFIG),
+        ("eval", "data.classes=5000000000000000000\n"
+                 "model.num_classes=5000000000000000000\n", None, cli.EXIT_CONFIG),
+        ("bench", "bench.batch=5000000000000000000\n", None, cli.EXIT_CONFIG),
+        ("eval", "model.image_size=1000000000000000000000\nmodel.patch_size=1\n",
+         None, cli.EXIT_CONFIG),
+        ("eval", "model.d_state=1000000000000000000000\n", None, cli.EXIT_CONFIG),
+        ("eval", "data.per_class=5000000000000000000\n", None, cli.EXIT_CONFIG),
+        ("eval", "data.per_class=1000000000000000000000\n", None, cli.EXIT_CONFIG),
     ], ids=["cosine-zero-vectors", "single-token", "bench-r-values",
             "bench-dtype", "label-past-num-classes", "checkpoint-not-utf8",
             "config-not-utf8", "eval-bad-train-key", "merge-demo-bad-train-key",
@@ -451,7 +463,10 @@ class TestExitCodes:
             "bench-d-model-unallocatable", "eval-per-class-unallocatable",
             "eval-image-size-unallocatable", "merge-demo-bad-token-line",
             "eval-logits-overflow", "merge-demo-merged-overflow",
-            "delta-feature-under-cosine"])
+            "delta-feature-under-cosine", "d-model-unaddressable",
+            "classes-unaddressable", "bench-batch-unaddressable",
+            "image-size-unaddressable", "d-state-unaddressable",
+            "per-class-product-overflows", "per-class-past-int64"])
     @pytest.mark.filterwarnings("error")  # a numpy warning is a second line
     def test_bad_input_table(self, tmp_path, capsys, command, extra, tokens, code):
         if callable(extra):
@@ -574,6 +589,15 @@ class TestBench:
                             "speedup,accuracy,flops")
         assert len(lines) == 3
         assert "speedup" in capsys.readouterr().out
+
+    def test_eval_dataset_adds_accuracy(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, extra="bench.dataset=eval\n")
+        out = tmp_path / "bench"
+        assert cli.main(["bench", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "bench.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [row["r"] for row in rows] == ["0", "1"]
+        assert all(0.0 <= float(row["accuracy"]) <= 1.0 for row in rows)
 
 
 class TestAblate:

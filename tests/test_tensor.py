@@ -37,9 +37,10 @@ class TestMatmul:
         assert np.array_equal(tt.matmul(eye, a).data, a.data)
         assert np.array_equal(tt.matmul(a, eye).data, a.data)
 
-    def test_identity_times_vector(self):
-        v = Tensor([1.0, -2.0, 3.0])
-        assert np.array_equal(tt.matmul(Tensor(np.eye(3)), v).data, v.data)
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 3)])
+    def test_right_operand_must_be_2d(self, shape):
+        with pytest.raises(TensorError):
+            tt.matmul(Tensor(np.eye(3)), Tensor(np.ones(shape)))
 
     def test_hand_case(self):
         c = tt.matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0], [1.0]]))
@@ -186,6 +187,36 @@ class TestBackward:
             second.backward(tt.tsum(tt.add(tt.scale(h, 3.0), h)))
         assert np.array_equal(h.grad.data, [4.0, 4.0])
         assert np.array_equal(w.grad.data, [2.0, 2.0])
+
+
+class TestTapeStack:
+    def test_inner_tape_records_and_outer_does_not(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with GradTape() as outer:
+            with GradTape() as inner:
+                tt.scale(x, 2.0)
+        assert len(inner.entries) == 1 and outer.entries == []
+
+    def test_outer_tape_is_active_again_after_inner_exits(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with GradTape() as outer:
+            with GradTape():
+                pass
+            tt.scale(x, 2.0)
+            with pytest.raises(RuntimeError):
+                with GradTape() as inner:
+                    raise RuntimeError("body fails")
+            tt.scale(x, 3.0)
+        assert len(outer.entries) == 2 and inner.entries == []
+
+    def test_nothing_records_once_every_tape_has_exited(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with GradTape() as outer:
+            with GradTape():
+                pass
+        assert not tt.recording((x,))
+        y = tt.scale(x, 2.0)
+        assert outer.entries == [] and not y.requires_grad and y._key is None
 
 
 class TestShapes:
