@@ -12,10 +12,11 @@ their parsing come from the fields of ``ModelConfig``, ``ReductionConfig``,
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from .bench import BenchConfig
-from .data import DataConfig, text_lines
+from .data import DataConfig, Source, text_lines
 from .model import ModelConfig, config_from_text, config_text, default_sites
 from .reduce import ReductionConfig
 from .train import TrainConfig
@@ -45,6 +46,13 @@ class Settings:
     data: DataConfig = field(default_factory=DataConfig)
     bench: BenchConfig = field(default_factory=BenchConfig)
     run: RunOptions = field(default_factory=RunOptions)
+
+    def __post_init__(self):  # a synthetic split numpy cannot address names its key
+        d, pixels = self.data, self.model.image_size ** 2
+        for key in ("per_class", "eval_per_class") if d.source is Source.SYNTH else ():
+            if getattr(d, key) * d.classes * pixels * 8 > sys.maxsize:  # f64 bytes
+                raise ValueError(f"data.{key}={getattr(d, key)} x data.classes="
+                                 f"{d.classes} x {pixels} pixels is too large")
 
 
 def _section(cfg, prefix):

@@ -131,12 +131,14 @@ def class_templates(num_classes, image_size):
 
 def synth_dataset(n_per_class, num_classes, image_size, seed,
                   noise_sigma=0.1) -> Dataset:
-    """Deterministic class-conditional bar patterns plus seeded noise."""
+    """Deterministic class-conditional bar patterns plus seeded noise, in one buffer."""
     if min(n_per_class, num_classes, image_size) < 1:
         raise DataError("sizes must be >= 1")
     rng = np.random.default_rng(seed)
-    templates = np.repeat(class_templates(num_classes, image_size), n_per_class, axis=0)
-    images = np.clip(rng.normal(templates, noise_sigma), 0.0, 1.0)[..., None]
+    images = rng.standard_normal((num_classes, n_per_class, image_size, image_size))
+    images *= noise_sigma
+    images += class_templates(num_classes, image_size)[:, None]
+    images = np.clip(images, 0.0, 1.0, out=images).reshape(-1, image_size, image_size, 1)
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), n_per_class)
     return Dataset(images, labels, num_classes)
 

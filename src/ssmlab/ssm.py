@@ -65,13 +65,14 @@ def scan_core(p, x: Tensor, z: Tensor, direction=ScanDirection.FORWARD):
     products, cast same_kind as ufuncs cast: a broadcast multiply costs about
     1.5x as much here, and gives the same bits but for a zero's sign. The
     forward pass keeps the states h_t only when taped. The backward pass
-    carries g = dL/dh_t in one [B,N,D] buffer: it adds dy_t C_t, takes the B
-    and x cotangents as per-step matmuls of g, recomputes A_bar_t to carry g
-    back one step, and writes dL/d(delta_t A) = g A_bar_t h_prev over h_prev
-    in the state history, which the tape's single backward run no longer
-    needs. The delta and a_log terms are then one reduction each over that
-    history. x's cotangent adds its terms as scan, C, B, then delta, the
-    order a tape of separate projection ops uses, keeping the last bits.
+    recomputes sigmoid(z) rather than keep it, and carries g = dL/dh_t in
+    one [B,N,D] buffer: it adds dy_t C_t, takes the B and x cotangents as
+    per-step matmuls of g, recomputes A_bar_t to carry g back one step, and
+    writes dL/d(delta_t A) = g A_bar_t h_prev over h_prev in the state
+    history, which the tape's single backward run no longer needs. The
+    delta and a_log terms are then one reduction each over that history.
+    x's cotangent adds its terms in place as scan, C, B, then delta,
+    the order a tape of separate projection ops uses, keeping the last bits.
     """
     if x.data.ndim != 3:
         raise TensorError("scan_core expects [B, T, D]")
@@ -106,16 +107,21 @@ def scan_core(p, x: Tensor, z: Tensor, direction=ScanDirection.FORWARD):
         np.matmul(cs[:, t, None, :], h, out=y[:, t, None, :])
         if hs is not None:
             hs[t] = h
-    s = tt._sigmoid(zs)
-    gate = zs * s                                              # silu(z)
+    gate = tt._sigmoid(zs)
+    gate *= zs                                                 # silu(z)
     out = Tensor(y * gate, _check=False)
 
     def backward(d_out):
-        dy = d_out * (zs * s)  # the gate, recomputed rather than kept
-        dz = d_out * y * (s + zs * s * (1.0 - s))
+        s = tt._sigmoid(zs)  # the gate, recomputed rather than kept
+        gate = zs * s
+        dy = d_out * gate
+        gate *= 1.0 - s
+        gate += s                                              # silu'(z)
+        dz = d_out * y
+        dz *= gate
         dc = np.matmul(hs.transpose(1, 0, 2, 3), dy[..., None])[..., 0]  # sum_d h dy
-        g = np.zeros_like(h)                                   # dL/dh_t
-        buf = np.empty_like(h)
+        g = np.zeros_like(hs[0])                               # dL/dh_t
+        buf = np.empty_like(g)
         g_b, x_g = np.empty_like(xs), np.empty_like(cs)        # sum_n B g, sum_d g x
         for t in order[::-1]:
             np.einsum("bn,bd->bnd", cs[:, t], dy[:, t], out=buf, casting="same_kind")
@@ -135,9 +141,12 @@ def scan_core(p, x: Tensor, z: Tensor, direction=ScanDirection.FORWARD):
         d_delta = (g_b * xs).sum(axis=-1, keepdims=True)
         d_delta[:, dst, 0] += (d_da @ a.reshape(-1)).reshape(-1, bsz).T
         d_a_log = (a * (ds[:, dst, 0].T.reshape(-1) @ d_da).reshape(a.shape)).T
-        d_b = ds * x_g
+        d_b = np.multiply(x_g, ds, out=x_g)
         d_pre = d_delta * tt._sigmoid(pre)
-        dx = ds * g_b + dc @ w_c.data.T + d_b @ w_b.data.T + d_pre @ w_delta.data.T
+        dx = np.multiply(g_b, ds, out=g_b)
+        dx += dc @ w_c.data.T
+        dx += d_b @ w_b.data.T
+        dx += d_pre * w_delta.data[:, 0]  # the one-wide d_pre @ w_delta.T
         xt = np.swapaxes(xs, -1, -2)
         return (dx, dz, d_a_log, tt._unbroadcast(xt @ d_pre, w_delta.shape),
                 tt._unbroadcast(d_pre, delta_bias.shape),

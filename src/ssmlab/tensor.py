@@ -72,8 +72,9 @@ class GradTape:
     entry's output, or the Tensor itself when it is a leaf, that is when no
     entry on this tape produced it (a Tensor from an earlier, consumed tape
     is a leaf here). backward_fn maps the output cotangent (ndarray) to one
-    cotangent (or None) per input. ``backward`` consumes the tape; a
-    consumed tape cannot be reused.
+    cotangent (or None) per input. ``backward`` consumes the tape, even when
+    a backward_fn raises, and pops each entry as it runs it: an op's closure
+    and what it captured die once its cotangents are out, as in PyTorch.
     """
 
     def __init__(self):
@@ -104,9 +105,11 @@ class GradTape:
             raise TensorError("backward() requires a scalar loss")
         if not self.entries:
             raise TensorError("backward() on empty tape")
+        self._consumed = True  # before any entry runs: a raising one cannot be rerun
         # cotangents keyed by an output's key, or by the leaf Tensor itself
         grads = {loss._key if loss._key in self._produced else loss: np.ones_like(loss.data)}
-        for key, inputs, backward_fn in reversed(self.entries):
+        while self.entries:  # popped, an entry's closure dies once it has run
+            key, inputs, backward_fn = self.entries.pop()
             dout = grads.pop(key, None)
             if dout is None:
                 continue
@@ -120,8 +123,6 @@ class GradTape:
                 leaf.grad = Tensor(g, _check=False)
             else:
                 leaf.grad = Tensor(leaf.grad.data + g, _check=False)
-        self.entries = []
-        self._consumed = True
 
 
 def recording(inputs):

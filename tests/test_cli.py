@@ -484,6 +484,21 @@ class TestExitCodes:
         assert "Traceback" not in captured.err
         assert "final accuracy" not in captured.out
 
+    @pytest.mark.parametrize("key", ["data.per_class", "data.eval_per_class"])
+    def test_unaddressable_split_names_its_key(self, tmp_path, capsys, key):
+        # 5e18 images of 28x28 f64 pixels: the byte count overflows int64
+        cfg = write_cfg(tmp_path, extra=f"{key}=5000000000000000000\n")
+        rc = cli.main(["eval", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == cli.EXIT_CONFIG and len(err) == 1
+        assert err[0].startswith(f"config error: {key}=")
+
+    def test_unaddressable_split_of_an_idx_source_is_not_checked(self):
+        cfg = RunConfig()
+        cfg.set("data.source", "idx")
+        cfg.set("data.per_class", "5000000000000000000")
+        assert cfg.settings().data.per_class == 5000000000000000000
+
     @pytest.mark.parametrize("argv, message", [
         (["eval"], "the following arguments are required: --config"),
         (["ablate", "--config", "{cfg}", "--axis", "nope"], "invalid choice: 'nope'"),

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,25 @@ class TestSynth:
             want = np.clip(templates[k] + rng.normal(0.0, sigma, (9, 9)), 0.0, 1.0)
             assert d.labels[i] == k
             assert np.array_equal(d.images[i, :, :, 0], want)
+
+    @pytest.mark.parametrize("n, classes, size, seed, sigma", [
+        (3, 4, 9, 5, 2.5), (64, 10, 28, 7, 0.1), (2, 5, 16, 0, 0.0)])
+    def test_matches_repeated_template_draw(self, n, classes, size, seed, sigma):
+        # the reference: one normal draw about the class-major repeated templates
+        rng = np.random.default_rng(seed)
+        templates = np.repeat(ds.class_templates(classes, size), n, axis=0)
+        want = np.clip(rng.normal(templates, sigma), 0.0, 1.0)[..., None]
+        got = ds.synth_dataset(n, classes, size, seed, sigma).images
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_draws_into_one_image_buffer(self):
+        tracemalloc.start()
+        try:
+            d = ds.synth_dataset(64, 10, 28, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.size == 640 and peak <= 1.5 * d.images.nbytes
 
     def test_pixel_range_and_balance(self):
         d = ds.synth_dataset(4, 3, 10, seed=1)

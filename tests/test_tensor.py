@@ -152,6 +152,45 @@ class TestBackward:
         with pytest.raises(TensorError):
             tape.backward(loss)
 
+    def test_tape_raising_in_backward_is_consumed(self):
+        # the half-popped remainder must not run on a second call
+        x = Tensor([1.0], requires_grad=True)
+
+        def fails(d):
+            raise RuntimeError("backward_fn failed")
+
+        with GradTape() as tape:
+            loss = tt.tsum(tt.record(Tensor(x.data * 2.0), (x,), fails))
+        with pytest.raises(RuntimeError):
+            tape.backward(loss)
+        with pytest.raises(TensorError, match="consumed"):
+            tape.backward(loss)
+        assert x.grad is None
+
+    def test_backward_frees_each_entry_once_it_has_run(self):
+        # an array only the last-recorded op's closure holds is dead by the
+        # time the first-recorded op's backward runs
+        x = Tensor(np.ones(3), requires_grad=True)
+        seen = []
+
+        def first(d):
+            gc.collect()
+            seen.append(probe() is None)
+            return (d * 2.0,)
+
+        def captures(held):
+            return lambda d: (d * held,)
+
+        with GradTape() as tape:
+            y = tt.record(Tensor(x.data * 2.0), (x,), first)
+            held = np.arange(3.0)
+            probe = weakref.ref(held)
+            z = tt.record(Tensor(y.data * held), (y,), captures(held))
+            del held
+            tape.backward(tt.tsum(z))
+        assert seen == [True]
+        assert np.array_equal(x.grad.data, [0.0, 2.0, 4.0])
+
     def test_no_recording_without_tape(self):
         x = Tensor([1.0], requires_grad=True)
         y = mul(x, x)  # outside any tape: plain math
