@@ -334,13 +334,12 @@ def merge(values: Tensor, pairs, merge_op: MergeOp | None = None, perm=None):
 def shuffle_permutation(t_len, shuffle_ratio, rng):
     """Slot permutation realizing a partial odd-even interleave.
 
-    Selects floor(ratio*T) slots uniformly and reorders the selected
-    subsequence evens-first ([0,1,2,3] -> [0,2,1,3]); identity elsewhere.
+    Selects floor(ratio*T) slots uniformly, ratio in [0, 1] as checked by
+    ReductionConfig, and reorders the selected subsequence evens-first
+    ([0,1,2,3] -> [0,2,1,3]); identity elsewhere.
     Fewer than 3 slots interleave to themselves, so then it returns None
     and draws nothing from ``rng``.
     """
-    if not 0.0 <= shuffle_ratio <= 1.0:
-        raise ReduceError("shuffle_ratio must be in [0, 1]")
     k = int(shuffle_ratio * t_len)
     if k < 3:
         return None

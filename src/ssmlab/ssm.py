@@ -4,13 +4,13 @@ The discrete recurrence is h_t = A_bar_t * h_{t-1} + B_bar_t * x_t with
 readout y_t = C_t . h_t. A is parameterized as -exp(a_log) so the recurrence
 decays; A_bar = exp(delta * A) (zero-order hold) and B_bar = delta * B_t
 (Euler), with one step size delta_t = softplus(x_t w_delta + delta_bias) per
-token shared by all channels. The output is gated by silu(z).
+token shared by all channels. x and the gate z both pass through silu.
 
 Between its in, gate and out projections, a scan direction tapes one fused
-primitive, scan_core, as Mamba's selective_scan_fn does (Gu & Dao, arXiv
-2312.00752): the step, B and C projections, a step-by-step scan on a
-[B,N,D] state and the gate, with one hand-written backward pass for x, z
-and the five scan weights that walks time in reverse, recomputing A_bar_t.
+primitive, scan_core, as Mamba's mamba_inner_fn does (Gu & Dao, arXiv
+2312.00752): both silus, the step, B and C projections, a step-by-step scan
+on a [B,N,D] state and the gate, with one hand-written backward pass for x,
+z and the five scan weights that walks time in reverse, recomputing A_bar_t.
 No [B,T,N,D] tensor reaches the tape. Each step's rank-1 products are einsum
 outer products, bit-identical to a broadcast multiply, which with its
 stride-0 operand costs about 1.5x as much per element at these shapes.
@@ -31,6 +31,15 @@ class ScanDirection(enum.Enum):
     BACKWARD = "backward"  # processes indices T-1 ... 0
 
 
+def _sigmoid(x):
+    # the tanh form is overflow-free and needs no masked indexing; one buffer
+    s = np.multiply(x, 0.5, out=np.empty_like(x))
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return s
+
+
 def scan_shapes(d_model, d, n):
     """``{field: shape}`` of one scan direction's parameters, in table order.
 
@@ -48,37 +57,40 @@ def scan_core(p, x: Tensor, z: Tensor, direction=ScanDirection.FORWARD):
     """One scan direction as one taped primitive.
 
     p: the direction's ``{field: Tensor}``, keyed as in ``scan_shapes``;
-    x: [B,T,D] inner activations; z: [B,T,D] pre-silu gate. Forms the step
-    delta = softplus(x w_delta + delta_bias) [B,T,1] and the projections
-    B = x w_b and C = x w_c [B,T,N]. With A = -exp(a_log),
-    A_bar_t = exp(delta_t A^T) and u_t = (delta_t B_t) x_t (outer product
-    over N and D), runs h_t = A_bar_t * h_prev + u_t from a zero state,
-    reads out y_t[d] = sum_n C_t[n] h_t[n,d] and returns y * silu(z).
-    FORWARD walks t = 0 .. T-1 and BACKWARD walks t = T-1 .. 0 over the same
-    arrays. Returns (out [B,T,D], {"b", "c", "delta"}): the features a
-    reduction step scores, as detached ndarrays.
+    x: [B,T,D] pre-silu in projection; z: [B,T,D] pre-silu gate. With
+    xs = silu(x), forms the step delta = softplus(xs w_delta + delta_bias)
+    [B,T,1] and the projections B = xs w_b and C = xs w_c [B,T,N]. With
+    A = -exp(a_log), A_bar_t = exp(delta_t A^T) and u_t = (delta_t B_t) xs_t
+    (outer product over N and D), runs h_t = A_bar_t * h_prev + u_t from a
+    zero state, reads out y_t[d] = sum_n C_t[n] h_t[n,d] and returns
+    y * silu(z). FORWARD walks t = 0 .. T-1 and BACKWARD walks t = T-1 .. 0
+    over the same arrays. Returns (out [B,T,D], {"b", "c", "delta"}): the
+    features a reduction step scores, as detached ndarrays.
 
     The state is [B,N,D], so each step's products run along the D channels,
     and both passes read inputs and write y and the cotangents as per-step
     [:, t] views of the batch-major arrays, whatever their strides. The
-    products delta_t A, (delta_t B_t) x_t and C_t dy_t are einsum outer
+    products delta_t A, (delta_t B_t) xs_t and C_t dy_t are einsum outer
     products, cast same_kind as ufuncs cast: a broadcast multiply costs about
     1.5x as much here, and gives the same bits but for a zero's sign. The
     forward pass keeps the states h_t only when taped. The backward pass
-    recomputes sigmoid(z) rather than keep it, and carries g = dL/dh_t in
-    one [B,N,D] buffer: it adds dy_t C_t, takes the B and x cotangents as
+    recomputes xs, sigmoid(x) and sigmoid(z), and carries g = dL/dh_t in
+    one [B,N,D] buffer: it adds dy_t C_t, takes the B and xs cotangents as
     per-step matmuls of g, recomputes A_bar_t to carry g back one step, and
     writes dL/d(delta_t A) = g A_bar_t h_prev over h_prev in the state
     history, which the tape's single backward run no longer needs. The
     delta and a_log terms are then one reduction each over that history.
-    x's cotangent adds its terms in place as scan, C, B, then delta,
-    the order a tape of separate projection ops uses, keeping the last bits.
+    x's cotangent sums its scan, C, B and delta terms in place and then
+    takes silu'(x) = s + xs (1 - s): the order, and bits, of separate ops.
     """
     if x.data.ndim != 3:
         raise TensorError("scan_core expects [B, T, D]")
     if x.shape[1] < 1:
         raise TensorError("empty sequence")
-    if not np.all(np.isfinite(x.data)):
+    xp, zs = x.data, z.data
+    xs = _sigmoid(xp)
+    xs *= xp                                                   # silu(x)
+    if not np.all(np.isfinite(xs)):
         raise TensorError("non-finite scan input")
     a_log, w_delta, delta_bias, w_b, w_c = (
         p[k] for k in ("a_log", "w_delta", "delta_bias", "w_b", "w_c"))
@@ -86,7 +98,6 @@ def scan_core(p, x: Tensor, z: Tensor, direction=ScanDirection.FORWARD):
     a = -np.exp(a_log.data.T, order="C")                      # [N,D]
     if not np.all(np.isfinite(a)):
         raise TensorError("exp overflow")
-    xs, zs = x.data, z.data
     pre = xs @ w_delta.data + delta_bias.data                  # [B,T,1]
     ds = np.maximum(pre, 0.0) + np.log1p(np.exp(-np.abs(pre)))  # overflow-safe softplus
     bs, cs = xs @ w_b.data, xs @ w_c.data                      # [B,T,N]
@@ -107,12 +118,13 @@ def scan_core(p, x: Tensor, z: Tensor, direction=ScanDirection.FORWARD):
         np.matmul(cs[:, t, None, :], h, out=y[:, t, None, :])
         if hs is not None:
             hs[t] = h
-    gate = tt._sigmoid(zs)
+    gate = _sigmoid(zs)
     gate *= zs                                                 # silu(z)
     out = Tensor(y * gate, _check=False)
 
     def backward(d_out):
-        s = tt._sigmoid(zs)  # the gate, recomputed rather than kept
+        s_x, s = _sigmoid(xp), _sigmoid(zs)  # recomputed rather than kept
+        xs = xp * s_x                                          # silu(x)
         gate = zs * s
         dy = d_out * gate
         gate *= 1.0 - s
@@ -142,11 +154,12 @@ def scan_core(p, x: Tensor, z: Tensor, direction=ScanDirection.FORWARD):
         d_delta[:, dst, 0] += (d_da @ a.reshape(-1)).reshape(-1, bsz).T
         d_a_log = (a * (ds[:, dst, 0].T.reshape(-1) @ d_da).reshape(a.shape)).T
         d_b = np.multiply(x_g, ds, out=x_g)
-        d_pre = d_delta * tt._sigmoid(pre)
+        d_pre = d_delta * _sigmoid(pre)
         dx = np.multiply(g_b, ds, out=g_b)
         dx += dc @ w_c.data.T
         dx += d_b @ w_b.data.T
         dx += d_pre * w_delta.data[:, 0]  # the one-wide d_pre @ w_delta.T
+        dx *= s_x + xs * (1.0 - s_x)                           # silu'(x)
         xt = np.swapaxes(xs, -1, -2)
         return (dx, dz, d_a_log, tt._unbroadcast(xt @ d_pre, w_delta.shape),
                 tt._unbroadcast(d_pre, delta_bias.shape),
@@ -156,8 +169,9 @@ def scan_core(p, x: Tensor, z: Tensor, direction=ScanDirection.FORWARD):
 
 
 def _direction_branch(p, normed: Tensor, direction: ScanDirection):
-    x = tt.silu(tt.matmul(normed, p["w_in"]))
-    y, inter = scan_core(p, x, tt.matmul(normed, p["w_gate"]), direction)
+    # passed straight in, the pre-silu x and z die before the out projection
+    y, inter = scan_core(p, tt.matmul(normed, p["w_in"]), tt.matmul(normed, p["w_gate"]),
+                         direction)
     return tt.matmul(y, p["w_out"]), inter
 
 

@@ -167,23 +167,6 @@ def scale(a, s):
     return record(out, (a,), lambda d: (d * s,))
 
 
-def _sigmoid(x):
-    # the tanh form is overflow-free and needs no masked indexing; one buffer
-    s = np.multiply(x, 0.5, out=np.empty_like(x))
-    np.tanh(s, out=s)
-    s += 1.0
-    s *= 0.5
-    return s
-
-
-def silu(a):
-    x = a.data
-    s = _sigmoid(x)
-    out = Tensor(x * s, _check=False)
-    y = out.data  # x * s * (1 - s) evaluates as (x * s) * (1 - s): the same bits
-    return record(out, (a,), lambda d: (d * (s + y * (1.0 - s)),))
-
-
 # ---------------------------------------------------------------------------
 # linear algebra and reductions
 

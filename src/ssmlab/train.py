@@ -158,7 +158,9 @@ def evaluate(model, dataset, batch_size=64) -> float:
 
 
 def retrain(model, dataset, cfg: TrainConfig, eval_dataset=None) -> TrainReport:
-    """Shuffled mini-batch training with gradient accumulation.
+    """Shuffled mini-batch training with gradient accumulation. Each loss is
+    scaled by 1 / (the micro-batches in its accumulation group): accum_steps,
+    or fewer in an epoch's last group.
 
     With subset_fraction < 1, trains on a stratified subset with epochs
     scaled by 1/fraction so the optimizer-step budget stays comparable.
@@ -201,7 +203,8 @@ def retrain(model, dataset, cfg: TrainConfig, eval_dataset=None) -> TrainReport:
                 logits, _ = mdl.forward(model, imgs, rng=np.random.default_rng(
                     cfg.seed * 1_000_003 + epoch * 4099 + b_idx))
                 loss = cross_entropy(logits, labels)
-                scaled = tt.scale(loss, 1.0 / cfg.accum_steps)
+                group = min(cfg.accum_steps, pending + micros_per_epoch - b_idx)
+                scaled = tt.scale(loss, 1.0 / group)
                 tape.backward(scaled)
             lv = loss.item()
             if not math.isfinite(lv):

@@ -31,7 +31,7 @@ from ssmlab.reduce import (
 from ssmlab.ssm import ScanDirection
 from ssmlab.tensor import GradTape, Tensor
 from test_reduce import slow_select
-from test_ssm import make_params, naive_scan, sigmoid
+from test_ssm import make_params, naive_scan, sigmoid, silu
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -67,7 +67,7 @@ def test_criterion_02_scan_oracle():
         x = rng.uniform(-1, 1, (1, t, d))
         z = rng.uniform(-2, 2, (1, t, d))
         y, _ = ssm.scan_core(p, Tensor(x), Tensor(z), ScanDirection.FORWARD)
-        assert np.abs(y.data - naive_scan(p, x) * z * sigmoid(z)).max() < 1e-12
+        assert np.abs(y.data - naive_scan(p, silu(x)) * z * sigmoid(z)).max() < 1e-12
 
 
 def test_criterion_03_full_model_gradients():

@@ -730,10 +730,6 @@ class TestShuffle:
         assert sorted(map(tuple, out.data[0])) == sorted(map(tuple, vals[0]))
         assert not np.array_equal(out.data, vals)
 
-    def test_bad_ratio(self):
-        with pytest.raises(ReduceError):
-            rd.shuffle_permutation(8, 1.5, np.random.default_rng(0))
-
 
 class TestConfigValidation:
     def test_negative_r(self):

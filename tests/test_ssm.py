@@ -86,6 +86,11 @@ def sigmoid(v):
     return 1.0 / (1.0 + np.exp(-v))
 
 
+def silu(v):
+    """The scan input scan_core forms from its pre-silu x."""
+    return v * sigmoid(v)
+
+
 def softplus(v):
     return np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v)))
 
@@ -97,8 +102,9 @@ def scan(params, x, z, direction=ScanDirection.FORWARD):
 
 def broadcast_scan(arrays, direction):
     """Untaped scan_core output from broadcast multiplies: per step
-    A_bar = exp(delta_t A) and u = (delta_t B_t) x_t, then h = A_bar h + u."""
-    xs, zs = arrays["x"], arrays["z"]
+    A_bar = exp(delta_t A) and u = (delta_t B_t) x_t, then h = A_bar h + u,
+    with x = silu of the pre-silu input, formed as scan_core forms it."""
+    xs, zs = arrays["x"] * ssm._sigmoid(arrays["x"]), arrays["z"]
     a = -np.exp(arrays["a_log"].T, order="C")
     ds = softplus(xs @ arrays["w_delta"] + arrays["delta_bias"])
     db, cs = ds * (xs @ arrays["w_b"]), xs @ arrays["w_c"]
@@ -108,7 +114,7 @@ def broadcast_scan(arrays, direction):
         h *= np.exp(ds[:, t, :, None] * a)
         h += db[:, t, :, None] * xs[:, t, None, :]
         np.matmul(cs[:, t, None, :], h, out=y[:, t, None, :])
-    return y * (zs * tt._sigmoid(zs))
+    return y * (zs * ssm._sigmoid(zs))
 
 
 def discretized(params, x):
@@ -171,10 +177,11 @@ class TestDiscretize:
 
     def test_rejects_nonfinite(self):
         p = make_params(np.random.default_rng(0), 4, 3, 2)
-        bad = Tensor(np.zeros((1, 2, 3)))
-        bad.data[0, 0, 0] = np.nan
-        with pytest.raises(TensorError):
-            ssm.scan_core(p, bad, Tensor(np.zeros((1, 2, 3))))
+        for value in (np.nan, np.inf, -np.inf):  # silu(-inf) is -inf * 0: NaN
+            bad = Tensor(np.zeros((1, 2, 3)))
+            bad.data[0, 0, 0] = value
+            with np.errstate(invalid="ignore"), pytest.raises(TensorError):
+                ssm.scan_core(p, bad, Tensor(np.zeros((1, 2, 3))))
 
     def test_softplus_at_zero(self):
         assert np.all(constant_step(0.0) == pytest.approx(math.log(2), abs=1e-15))
@@ -220,8 +227,9 @@ class TestSelectiveScan:
         z = rng.uniform(-1, 1, (2, 1, 3))
         y = scan(p, x.data, z)
         _, b_bar, _, _ = discretized(p, x)
-        c = x.data @ p["w_c"].data
-        expect = np.einsum("bdn,bn->bd", b_bar.data[:, 0] * x.data[:, 0][:, :, None], c[:, 0])
+        xs = silu(x.data)
+        c = xs @ p["w_c"].data
+        expect = np.einsum("bdn,bn->bd", b_bar.data[:, 0] * xs[:, 0][:, :, None], c[:, 0])
         assert np.allclose(y[:, 0], expect * z[:, 0] * sigmoid(z[:, 0]), atol=1e-14)
 
     def test_memoryless_permutation_equivariance(self):
@@ -243,7 +251,7 @@ class TestSelectiveScan:
         x = rng.uniform(-1, 1, (2, 6, 3))
         z = rng.uniform(-2, 2, (2, 6, 3))
         y = scan(p, x, z)
-        assert np.abs(y - naive_scan(p, x) * z * sigmoid(z)).max() < 1e-12
+        assert np.abs(y - naive_scan(p, silu(x)) * z * sigmoid(z)).max() < 1e-12
 
     def test_backward_direction_matches_reversed_naive(self):
         rng = np.random.default_rng(6)
@@ -251,7 +259,7 @@ class TestSelectiveScan:
         x = rng.uniform(-1, 1, (1, 5, 3))
         z = rng.uniform(-2, 2, (1, 5, 3))
         y = scan(p, x, z, ScanDirection.BACKWARD)
-        assert np.abs(y - naive_scan(p, x, reverse=True) * z * sigmoid(z)).max() < 1e-12
+        assert np.abs(y - naive_scan(p, silu(x), reverse=True) * z * sigmoid(z)).max() < 1e-12
 
     def test_causality(self):
         rng = np.random.default_rng(7)
@@ -294,7 +302,7 @@ class TestSelectiveScan:
             y, _ = ssm.scan_core(p, x, Tensor(z))
             tape.backward(tt.tsum(mul(y, Tensor(w))))
         g = finite_difference_grad(
-            lambda v: float((naive_scan(p, v) * z * sigmoid(z) * w).sum()), x0.copy())
+            lambda v: float((naive_scan(p, silu(v)) * z * sigmoid(z) * w).sum()), x0.copy())
         denom = np.abs(g).max()
         assert np.abs(g - x.grad.data).max() / denom < 1e-5
 
@@ -399,6 +407,65 @@ class TestScanCore:
         for name, g, w in zip(["y", *arrays], got, want):
             np.testing.assert_allclose(g, w, rtol=1e-13, atol=1e-15, err_msg=name)
 
+    def test_silu_at_zero(self):
+        # silu(0) = 0: a zero input reaches neither the state nor B and C
+        arrays = self.inputs(np.random.default_rng(23))
+        arrays["x"][:] = 0.0
+        y, feats = self.call({k: Tensor(v) for k, v in arrays.items()})
+        assert not np.any(y.data) and not np.any(feats["b"]) and not np.any(feats["c"])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_silu_large_input_safe(self, dtype):
+        # silu(1e4) = 1e4 and silu(-1e4) = 0, with silu' = 1 and 0, and
+        # nothing overflows in either pass; w_b = I makes B = silu(x)
+        rng = np.random.default_rng(24)
+        arrays = dict(self.inputs(rng, d=2, n=2), w_b=np.eye(2), w_delta=np.zeros((2, 1)))
+        arrays["x"][...] = [1e4, -1e4]
+        arrays = {k: v.astype(dtype) for k, v in arrays.items()}
+        with np.errstate(over="raise", invalid="raise"):
+            y, dx, *grads = self.run_taped(
+                arrays, rng.uniform(-1, 1, arrays["x"].shape).astype(dtype),
+                ScanDirection.FORWARD)
+            feats = self.call({k: Tensor(v) for k, v in arrays.items()})[1]
+        assert y.dtype == dtype and np.all(np.isfinite(y))
+        assert np.all(feats["b"][..., 0] == 1e4) and np.all(feats["b"][..., 1] == 0.0)
+        assert np.all(np.isfinite(dx)) and np.all(dx[..., 1] == 0.0)
+        assert all(np.all(np.isfinite(g)) for g in grads)
+
+    @given(st.lists(st.floats(-2, 2), min_size=1, max_size=12))
+    @settings(max_examples=40, deadline=None)
+    def test_silu_gradient_matches_finite_differences(self, vals):
+        # x enters pre-silu: its cotangent carries silu'(x) at every drawn
+        # value, put in one of three channels so B and C never all vanish
+        arrays = self.inputs(np.random.default_rng(25), bsz=1, t_len=len(vals))
+        arrays["x"][0, :, 0] = vals
+        w = np.random.default_rng(26).uniform(-1, 1, arrays["x"].shape)
+        x = Tensor(arrays["x"], requires_grad=True)
+        with GradTape() as tape:
+            y, _ = self.call(dict({k: Tensor(v) for k, v in arrays.items()}, x=x))
+            tape.backward(tt.tsum(mul(y, Tensor(w))))
+
+        def f(v):
+            return float((self.call({k: Tensor(v if k == "x" else a)
+                                     for k, a in arrays.items()})[0].data * w).sum())
+        g = finite_difference_grad(f, arrays["x"].copy())
+        assert np.abs(x.grad.data - g).max() / max(np.abs(g).max(), 1e-12) < 1e-4
+
+    def test_backward_keeps_x_not_its_silu(self):
+        # silu(x) and sigmoid(x) are recomputed: the [B,T,D] arrays the
+        # closure holds are x, z and the ungated readout y alone
+        arrays = self.inputs(np.random.default_rng(27))
+        tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
+        with GradTape() as tape:
+            out, _ = self.call(tensors)
+            backward = tape.entries[-1][2]
+        held = [c.cell_contents for c in backward.__closure__]
+        x, z = arrays["x"], arrays["z"]
+        rest = [a for a in held if isinstance(a, np.ndarray) and a.shape == x.shape
+                and a is not x and a is not z]
+        assert len(rest) == 1 and np.array_equal(rest[0] * (z * ssm._sigmoid(z)), out.data)
+        assert any(a is x for a in held) and any(a is z for a in held)
+
     @pytest.mark.parametrize("direction", list(ScanDirection))
     def test_leaves_inputs_untouched(self, direction):
         rng = np.random.default_rng(19)
@@ -496,23 +563,24 @@ class TestBidirectionalBlock:
         z = rng.uniform(-1, 1, (1, 64, 4))
         a_bar, b_bar, _, _ = discretized(p, x)
         y = scan(p, x.data, z)
+        xs = silu(x.data)
         a_max = a_bar.data.max()
-        u_max = np.abs(b_bar.data * x.data[..., None]).max()
-        c_max = np.abs(x.data @ p["w_c"].data).max()
+        u_max = np.abs(b_bar.data * xs[..., None]).max()
+        c_max = np.abs(xs @ p["w_c"].data).max()
         gate_max = np.abs(z * sigmoid(z)).max()
         n = p["a_log"].shape[1]
         h_bound = u_max / (1.0 - a_max)
         assert np.abs(y).max() <= n * c_max * h_bound * gate_max + 1e-9
 
-    def test_tapes_thirteen_ops(self):
-        # layer_norm, per direction the in projection, silu, the gate
-        # projection, scan_core and the out projection, and two residual adds
+    def test_tapes_eleven_ops(self):
+        # layer_norm, per direction the in and gate projections, scan_core
+        # (both silus inside) and the out projection, and two residual adds
         rng = np.random.default_rng(21)
         blk = init_block(rng, 6, 4, 2)
         with GradTape() as tape:
             x = Tensor(rng.uniform(-1, 1, (1, 5, 6)), requires_grad=True)
             ssm.bidirectional_block(*blk, x)
-            assert len(tape.entries) == 13
+            assert len(tape.entries) == 11
 
     def test_out_projection_outputs_die_while_tape_is_open(self, monkeypatch):
         # no backward pass reads them: only the residual adds use them

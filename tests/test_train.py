@@ -231,12 +231,14 @@ class TestRetrain:
     def test_accumulation_matches_single_batch(self):
         data = tiny_data()  # 12 items
         base = dict(epochs=1, lr_start=1e-3, lr_end=1e-4, seed=2)
-        ma = tiny_model(seed=3)
-        tr.retrain(ma, data, TrainConfig(batch_size=12, accum_steps=1, **base))
-        mb = tiny_model(seed=3)
-        tr.retrain(mb, data, TrainConfig(batch_size=6, accum_steps=2, **base))
-        for (na, ta), (_, tb) in zip(ma.named_params(), mb.named_params()):
-            assert np.abs(ta.data - tb.data).max() < 1e-10, na
+        # 2 micro-batches of 6 per step; then 3 of 4, the last group only one
+        for batch, accum in ((6, 2), (4, 2)):
+            ma = tiny_model(seed=3)
+            tr.retrain(ma, data, TrainConfig(batch_size=batch * accum, accum_steps=1, **base))
+            mb = tiny_model(seed=3)
+            tr.retrain(mb, data, TrainConfig(batch_size=batch, accum_steps=accum, **base))
+            for (na, ta), (_, tb) in zip(ma.named_params(), mb.named_params()):
+                assert np.abs(ta.data - tb.data).max() < 1e-10, (batch, na)
 
     def test_epochs_zero_is_training_free(self):
         model = tiny_model()
