@@ -11,8 +11,8 @@ primitive, scan_core, as Mamba's mamba_inner_fn does (Gu & Dao, arXiv
 2312.00752): both silus, the step, B and C projections, a step-by-step scan
 on a [B,N,D] state and the gate, with one hand-written backward pass for x,
 z and the five scan weights that walks time in reverse, recomputing A_bar_t.
-No [B,T,N,D] tensor reaches the tape. Each step's rank-1 products are einsum
-outer products, bit-identical to a broadcast multiply, which with its
+It keeps x, z, the ungated readout and the states. Its rank-1 step products
+are einsum outer products, bit-identical to a broadcast multiply, whose
 stride-0 operand costs about 1.5x as much per element at these shapes.
 """
 
@@ -73,15 +73,17 @@ def scan_core(p, x: Tensor, z: Tensor, direction=ScanDirection.FORWARD):
     products delta_t A, (delta_t B_t) xs_t and C_t dy_t are einsum outer
     products, cast same_kind as ufuncs cast: a broadcast multiply costs about
     1.5x as much here, and gives the same bits but for a zero's sign. The
-    forward pass keeps the states h_t only when taped. The backward pass
-    recomputes xs, sigmoid(x) and sigmoid(z), and carries g = dL/dh_t in
-    one [B,N,D] buffer: it adds dy_t C_t, takes the B and xs cotangents as
-    per-step matmuls of g, recomputes A_bar_t to carry g back one step, and
-    writes dL/d(delta_t A) = g A_bar_t h_prev over h_prev in the state
-    history, which the tape's single backward run no longer needs. The
-    delta and a_log terms are then one reduction each over that history.
-    x's cotangent sums its scan, C, B and delta terms in place and then
-    takes silu'(x) = s + xs (1 - s): the order, and bits, of separate ops.
+    forward pass frees its loop buffers and xs when the loop ends, gates y in
+    silu(z)'s buffer and keeps the states h_t only when taped; the closure
+    keeps x, z, y, the states and A. The backward pass recomputes xs, the
+    sigmoids, the step, B and C, and carries g = dL/dh_t in one [B,N,D] buffer:
+    it adds dy_t C_t, takes the B and xs cotangents as per-step matmuls of
+    g, recomputes A_bar_t to carry g back one step, and writes
+    dL/d(delta_t A) = g A_bar_t h_prev over h_prev in the state history,
+    which the tape's single backward run no longer needs. The delta and
+    a_log terms are then one reduction each over that history. x's
+    cotangent sums its scan, C, B and delta terms in place and then takes
+    silu'(x) = s + xs (1 - s): the order, and bits, of separate ops.
     """
     if x.data.ndim != 3:
         raise TensorError("scan_core expects [B, T, D]")
@@ -98,9 +100,12 @@ def scan_core(p, x: Tensor, z: Tensor, direction=ScanDirection.FORWARD):
     a = -np.exp(a_log.data.T, order="C")                      # [N,D]
     if not np.all(np.isfinite(a)):
         raise TensorError("exp overflow")
-    pre = xs @ w_delta.data + delta_bias.data                  # [B,T,1]
-    ds = np.maximum(pre, 0.0) + np.log1p(np.exp(-np.abs(pre)))  # overflow-safe softplus
-    bs, cs = xs @ w_b.data, xs @ w_c.data                      # [B,T,N]
+
+    def projections(xs):  # the step's pre-activation and step [B,T,1], B and C [B,T,N]
+        pre = xs @ w_delta.data + delta_bias.data
+        ds = np.maximum(pre, 0.0) + np.log1p(np.exp(-np.abs(pre)))  # overflow-safe softplus
+        return pre, ds, xs @ w_b.data, xs @ w_c.data
+    _, ds, bs, cs = projections(xs)
     bsz, t_len = xs.shape[:2]
     step = 1 if direction is ScanDirection.FORWARD else -1
     order = range(t_len)[::step]
@@ -118,13 +123,15 @@ def scan_core(p, x: Tensor, z: Tensor, direction=ScanDirection.FORWARD):
         np.matmul(cs[:, t, None, :], h, out=y[:, t, None, :])
         if hs is not None:
             hs[t] = h
+    del h, a_bar, u, db, xs
     gate = _sigmoid(zs)
     gate *= zs                                                 # silu(z)
-    out = Tensor(y * gate, _check=False)
+    out = Tensor(np.multiply(y, gate, out=gate), _check=False)
 
     def backward(d_out):
         s_x, s = _sigmoid(xp), _sigmoid(zs)  # recomputed rather than kept
         xs = xp * s_x                                          # silu(x)
+        pre, ds, bs, cs = projections(xs)                      # forward's own GEMMs
         gate = zs * s
         dy = d_out * gate
         gate *= 1.0 - s
@@ -168,10 +175,13 @@ def scan_core(p, x: Tensor, z: Tensor, direction=ScanDirection.FORWARD):
     return record(out, inputs, backward), {"b": bs, "c": cs, "delta": ds}
 
 
-def _direction_branch(p, normed: Tensor, direction: ScanDirection):
-    # passed straight in, the pre-silu x and z die before the out projection
-    y, inter = scan_core(p, tt.matmul(normed, p["w_in"]), tt.matmul(normed, p["w_gate"]),
-                         direction)
+def _direction_branch(p, normed, direction: ScanDirection):
+    # normed is a one-item list; BACKWARD, the second branch, empties it before its scan
+    x, z = tt.matmul(normed[0], p["w_in"]), tt.matmul(normed[0], p["w_gate"])
+    if direction is ScanDirection.BACKWARD:
+        normed.clear()
+    y, inter = scan_core(p, x, z, direction)
+    del x, z  # neither outlives its scan
     return tt.matmul(y, p["w_out"]), inter
 
 
@@ -184,9 +194,11 @@ def bidirectional_block(fwd, bwd, tokens: Tensor):
     per-token B/C projections, its one-wide step delta and the output x
     (detached numpy), the features a reduction step scores.
     """
-    normed = tt.layer_norm(tokens)
+    normed = [tt.layer_norm(tokens)]
     fwd_contrib, inter = _direction_branch(fwd, normed, ScanDirection.FORWARD)
     bwd_contrib, _ = _direction_branch(bwd, normed, ScanDirection.BACKWARD)
-    out = tt.add(tokens, tt.add(fwd_contrib, bwd_contrib))
+    contrib = tt.add(fwd_contrib, bwd_contrib)
+    del fwd_contrib, bwd_contrib
+    out = tt.add(tokens, contrib)
     inter["x"] = out.data  # the values a downstream reduction step merges
     return out, inter

@@ -52,17 +52,16 @@ class TrainConfig:
 
 @dataclass
 class AdamWState:
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    """AdamW's moments as two flat vectors, in ``named_params`` order and dtype."""
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
     def for_params(cls, named_params):
-        st = cls()
-        for name, p in named_params:
-            st.m[name] = np.zeros_like(p.data)
-            st.v[name] = np.zeros_like(p.data)
-        return st
+        size = sum(p.size for _, p in named_params)
+        dtype = np.result_type(*(p.data.dtype for _, p in named_params))
+        return cls(np.zeros(size, dtype), np.zeros(size, dtype))
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -95,25 +94,28 @@ def cosine_lr(step, total_steps, lr_start, lr_end):
 
 
 def adamw_step(named_params, state: AdamWState, lr, cfg: TrainConfig):
-    """Decoupled weight decay, then bias-corrected Adam. Mutates in place."""
-    b1, b2 = BETAS
-    state.step += 1
-    t = state.step
-    bc1 = 1.0 - b1 ** t
-    bc2 = 1.0 - b2 ** t
+    """Decoupled weight decay, then bias-corrected Adam: one pass over all parameters."""
     for name, p in named_params:
         if p.grad is None:
             raise ValueError(f"missing gradient for {name}")
-        g = p.grad.data
-        if cfg.weight_decay:
-            p.data -= lr * cfg.weight_decay * p.data
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+    sizes = [p.size for _, p in named_params]
+    if sum(sizes) != state.m.size:
+        raise ValueError(f"parameters do not match the optimizer's {state.m.size} moments")
+    b1, b2 = BETAS
+    state.step += 1
+    bc1, bc2 = 1.0 - b1 ** state.step, 1.0 - b2 ** state.step
+    w = np.concatenate([p.data.reshape(-1) for _, p in named_params])
+    g = np.concatenate([p.grad.data.reshape(-1) for _, p in named_params])
+    if cfg.weight_decay:
+        w -= lr * cfg.weight_decay * w
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * (g * g)
+    w -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+    for (_, p), part in zip(named_params, np.split(w, np.cumsum(sizes)[:-1])):
+        p.data[...] = part.reshape(p.shape)
 
 
 @dataclass
@@ -158,9 +160,10 @@ def evaluate(model, dataset, batch_size=64) -> float:
 
 
 def retrain(model, dataset, cfg: TrainConfig, eval_dataset=None) -> TrainReport:
-    """Shuffled mini-batch training with gradient accumulation. Each loss is
-    scaled by 1 / (the micro-batches in its accumulation group): accum_steps,
-    or fewer in an epoch's last group.
+    """Shuffled mini-batch training with gradient accumulation. Each
+    micro-batch's loss is scaled by its image count over its accumulation
+    group's (accum_steps micro-batches, or fewer in an epoch's last group),
+    so a group steps on the gradient of its mean loss per image.
 
     With subset_fraction < 1, trains on a stratified subset with epochs
     scaled by 1/fraction so the optimizer-step budget stays comparable.
@@ -203,8 +206,8 @@ def retrain(model, dataset, cfg: TrainConfig, eval_dataset=None) -> TrainReport:
                 logits, _ = mdl.forward(model, imgs, rng=np.random.default_rng(
                     cfg.seed * 1_000_003 + epoch * 4099 + b_idx))
                 loss = cross_entropy(logits, labels)
-                group = min(cfg.accum_steps, pending + micros_per_epoch - b_idx)
-                scaled = tt.scale(loss, 1.0 / group)
+                group = min(cfg.accum_steps * micro, n - (b_idx - pending) * micro)
+                scaled = tt.scale(loss, len(sel) / group)
                 tape.backward(scaled)
             lv = loss.item()
             if not math.isfinite(lv):

@@ -1,7 +1,10 @@
 import ssmlab  # first: it caps the BLAS threads, which numpy reads once at import
 
+import contextlib
+import gc
 import multiprocessing
 import os
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -41,6 +44,31 @@ def finite_difference_grad(f, x, eps=1e-5):
         flat[i] = orig
         gf[i] = (fp - fm) / (2.0 * eps)
     return g
+
+
+class MemoryTrace:
+    """What ``traced_memory`` measured, in bytes allocated inside its block."""
+    peak = None  # the most held at once, set when the block exits
+
+    @staticmethod
+    def live():
+        """Bytes allocated inside the block and still held, after a collection."""
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+
+@contextlib.contextmanager
+def traced_memory():
+    """Trace Python's allocations, numpy's buffers among them, from a
+    collected heap over the block; yields its ``MemoryTrace``."""
+    gc.collect()
+    tracemalloc.start()
+    trace = MemoryTrace()
+    try:
+        yield trace
+        trace.peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

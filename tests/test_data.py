@@ -1,9 +1,9 @@
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import traced_memory
 from ssmlab import data as ds
 from ssmlab.data import DataError, Dataset
 
@@ -148,13 +148,9 @@ class TestSynth:
         assert got.shape == want.shape and np.array_equal(got, want)
 
     def test_draws_into_one_image_buffer(self):
-        tracemalloc.start()
-        try:
+        with traced_memory() as mem:
             d = ds.synth_dataset(64, 10, 28, seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert d.size == 640 and peak <= 1.5 * d.images.nbytes
+        assert d.size == 640 and mem.peak <= 1.5 * d.images.nbytes
 
     def test_pixel_range_and_balance(self):
         d = ds.synth_dataset(4, 3, 10, seed=1)

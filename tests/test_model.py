@@ -1,7 +1,5 @@
-import gc
 import hashlib
 import struct
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_difference_grad, mul
+from conftest import finite_difference_grad, mul, traced_memory
 from ssmlab import model as mdl, reduce as rd, ssm, tensor as tt
 from ssmlab.model import Model, ModelConfig, ModelError
 from ssmlab.reduce import MergeOp, Mode, ReductionConfig
@@ -214,32 +212,39 @@ class TestForward:
         assert trace32 == trace64
         assert np.abs(got.data - ref.data).max() < 1e-4
 
+    def test_untaped_forward_frees_each_buffer_at_last_use(self):
+        # a default 64-image r=0 forward peaks at 7.9 MiB of arrays (11.0
+        # while the scan loop's buffers and silu(x) outlived the loop, the
+        # gated output took a buffer of its own, and the normed tokens lived
+        # through the backward branch's scan)
+        m = mdl.init_model(ModelConfig())
+        imgs = np.random.default_rng(1).uniform(0, 1, (64, 28, 28, 1))
+        with traced_memory() as mem:
+            logits, _ = mdl.forward(m, imgs)
+        assert logits.shape == (64, 10)
+        assert mem.peak <= 8.5 * 2**20
+
     def test_taped_forward_keeps_only_what_backward_reads(self):
-        # live arrays after a taped 32-image r=10 step's forward: 64.8 MiB
-        # (37.75 of it the scan state histories; 69.5 while a silu op of its
-        # own kept sigmoid(x) and silu(x), 75.2 while scan_core kept its gate,
-        # 106.4 while tape entries held every output and input). Backward
-        # frees each op once it has run, so the whole step peaks 1.7 MiB
-        # over that; with every closure kept to the end, 5.1 MiB.
+        # live arrays after a taped 32-image r=10 step's forward: 62.1 MiB
+        # (37.75 of it the scan state histories; 64.8 while scan_core's
+        # closure kept B, C, the step and its pre-activation, 69.5 while a
+        # silu op of its own kept sigmoid(x) and silu(x), 75.2 while scan_core
+        # kept its gate, 106.4 while tape entries held every output and
+        # input). Backward frees each op once it has run, so the whole step
+        # peaks 1.6 MiB over that; with every closure kept to the end, 5.1 MiB.
         m = mdl.init_model(ModelConfig(reduction=ReductionConfig(r=10, sites=(2, 4, 6))))
         imgs = np.random.default_rng(1).uniform(0, 1, (32, 28, 28, 1))
-        gc.collect()
-        tracemalloc.start()
-        try:
+        with traced_memory() as mem:
             with GradTape() as tape:
                 logits, _ = mdl.forward(m, imgs)
                 loss = tt.scale(cross_entropy(logits, np.arange(32) % 10), 1.0)
-                gc.collect()
-                live = tracemalloc.get_traced_memory()[0]
+                live = mem.live()
                 ops = len(tape.entries)
                 tape.backward(loss)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert logits.shape == (32, 10)
         assert ops == 99  # the taped ops of one re-training step
-        assert live < 67 * 2**20
-        assert peak - live <= 2 * 2**20
+        assert live < 63 * 2**20
+        assert mem.peak - live <= 2 * 2**20
 
     def test_wrong_image_shape(self):
         m = mdl.init_model(small_cfg(), seed=0)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_difference_grad, mul
+from conftest import finite_difference_grad, mul, traced_memory
 from ssmlab import ssm, tensor as tt
 from ssmlab.ssm import ScanDirection
 from ssmlab.tensor import GradTape, Tensor, TensorError
@@ -452,19 +452,29 @@ class TestScanCore:
         assert np.abs(x.grad.data - g).max() / max(np.abs(g).max(), 1e-12) < 1e-4
 
     def test_backward_keeps_x_not_its_silu(self):
-        # silu(x) and sigmoid(x) are recomputed: the [B,T,D] arrays the
-        # closure holds are x, z and the ungated readout y alone
-        arrays = self.inputs(np.random.default_rng(27))
+        # silu(x), sigmoid(x), the step, its pre-activation, B and C are
+        # recomputed: of the [B,T,*] arrays the closure holds only x, z and the
+        # ungated readout y, and beyond its inputs it keeps y, the state
+        # history and A alone (B, C and the step took 45 KiB more here)
+        arrays = self.inputs(np.random.default_rng(27), bsz=8, t_len=40, d=16, n=8)
         tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
-        with GradTape() as tape:
-            out, _ = self.call(tensors)
+        with GradTape() as tape, traced_memory() as mem:
+            out, inter = self.call(tensors)
             backward = tape.entries[-1][2]
-        held = [c.cell_contents for c in backward.__closure__]
+            held = [c.cell_contents for c in backward.__closure__]
+            gated = out.data
+            del out, inter
+            live = mem.live()
         x, z = arrays["x"], arrays["z"]
         rest = [a for a in held if isinstance(a, np.ndarray) and a.shape == x.shape
                 and a is not x and a is not z]
-        assert len(rest) == 1 and np.array_equal(rest[0] * (z * ssm._sigmoid(z)), out.data)
+        assert len(rest) == 1 and np.array_equal(rest[0] * (z * ssm._sigmoid(z)), gated)
         assert any(a is x for a in held) and any(a is z for a in held)
+        assert not [a for a in held if isinstance(a, np.ndarray)
+                    and a.shape in ((8, 40, 8), (8, 40, 1))]
+        kept = sum(a.nbytes for a in held if isinstance(a, np.ndarray) and a is not x
+                   and a is not z)
+        assert live - gated.nbytes < kept + 16 * 2**10
 
     @pytest.mark.parametrize("direction", list(ScanDirection))
     def test_leaves_inputs_untouched(self, direction):
@@ -581,6 +591,39 @@ class TestBidirectionalBlock:
             x = Tensor(rng.uniform(-1, 1, (1, 5, 6)), requires_grad=True)
             ssm.bidirectional_block(*blk, x)
             assert len(tape.entries) == 11
+
+    def test_untaped_block_frees_each_input_at_last_use(self, monkeypatch):
+        # the normed tokens die once the backward branch's in projections
+        # exist, and neither x nor z outlives its scan_core call
+        rng = np.random.default_rng(23)
+        blk = init_block(rng, 6, 4, 2)
+        normed, projections, layer_norm, matmul, scan_core = [], [], tt.layer_norm, \
+            tt.matmul, ssm.scan_core
+
+        def norm_spy(a):
+            out = layer_norm(a)
+            normed.append(weakref.ref(out.data))
+            return out
+
+        def matmul_spy(a, b):
+            out = matmul(a, b)
+            if any(b is side[k] for side in blk for k in ("w_in", "w_gate")):
+                projections.append(weakref.ref(out.data))
+            elif any(b is side["w_out"] for side in blk):
+                gc.collect()
+                assert all(r() is None for r in projections)
+            return out
+
+        def scan_spy(p, x, z, direction):
+            gc.collect()
+            assert (normed[0]() is None) == (direction is ScanDirection.BACKWARD)
+            return scan_core(p, x, z, direction)
+
+        monkeypatch.setattr(tt, "layer_norm", norm_spy)
+        monkeypatch.setattr(tt, "matmul", matmul_spy)
+        monkeypatch.setattr(ssm, "scan_core", scan_spy)
+        out, _ = ssm.bidirectional_block(*blk, Tensor(rng.uniform(-1, 1, (2, 5, 6))))
+        assert len(projections) == 4 and out.shape == (2, 5, 6)
 
     def test_out_projection_outputs_die_while_tape_is_open(self, monkeypatch):
         # no backward pass reads them: only the residual adds use them

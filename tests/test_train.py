@@ -146,6 +146,50 @@ class TestAdamW:
             tr.adamw_step([("p", p)], state, lr, cfg)
         assert np.allclose(p.data, ref, atol=1e-14)
 
+    def test_flat_pass_matches_per_parameter_formula_bit_exact(self):
+        # one pass over the concatenated parameters, the same expressions
+        cfg = TrainConfig(weight_decay=0.03)
+        b1, b2 = tr.BETAS
+        rng = np.random.default_rng(4)
+        starts = [rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, (5,))]
+        grads = [[rng.uniform(-1, 1, a.shape) for a in starts] for _ in range(4)]
+        lr = 2e-3
+        refs = [a.copy() for a in starts]
+        ms = [np.zeros_like(a) for a in starts]
+        vs = [np.zeros_like(a) for a in starts]
+        params = [(f"p{i}", Tensor(a.copy(), requires_grad=True)) for i, a in enumerate(starts)]
+        state = AdamWState.for_params(params)
+        for t, step_grads in enumerate(grads, 1):
+            for ref, m, v, g in zip(refs, ms, vs, step_grads):
+                ref -= lr * cfg.weight_decay * ref
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * (g * g)
+                ref -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + tr.EPS)
+            for (_, p), g in zip(params, step_grads):
+                p.grad = Tensor(g)
+            tr.adamw_step(params, state, lr, cfg)
+        for (_, p), ref in zip(params, refs):
+            assert p.data.tobytes() == ref.tobytes()
+        assert state.m.shape == state.v.shape == (17,)
+
+    def test_missing_grad_leaves_every_parameter_untouched(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(2), requires_grad=True)
+        a.grad = Tensor(np.full(3, 0.5))
+        state = AdamWState.for_params([("a", a), ("b", b)])
+        with pytest.raises(ValueError, match="missing gradient for b"):
+            tr.adamw_step([("a", a), ("b", b)], state, 1e-2, TrainConfig())
+        assert np.array_equal(a.data, np.ones(3)) and not state.m.any() and state.step == 0
+
+    def test_size_mismatch_rejected(self):
+        p = Tensor(np.zeros(3), requires_grad=True)
+        p.grad = Tensor(np.ones(3))
+        state = AdamWState.for_params([("p", Tensor(np.zeros(2)))])
+        with pytest.raises(ValueError):
+            tr.adamw_step([("p", p)], state, 1e-3, TrainConfig())
+
     def test_missing_grad_rejected(self):
         p = Tensor(np.zeros(2), requires_grad=True)
         state = AdamWState.for_params([("p", p)])
@@ -231,8 +275,9 @@ class TestRetrain:
     def test_accumulation_matches_single_batch(self):
         data = tiny_data()  # 12 items
         base = dict(epochs=1, lr_start=1e-3, lr_end=1e-4, seed=2)
-        # 2 micro-batches of 6 per step; then 3 of 4, the last group only one
-        for batch, accum in ((6, 2), (4, 2)):
+        # 2 micro-batches of 6 per step; then 3 of 4, the last group only one;
+        # then 5, 5 and 2 in one group, each weighted by its image count
+        for batch, accum in ((6, 2), (4, 2), (5, 3)):
             ma = tiny_model(seed=3)
             tr.retrain(ma, data, TrainConfig(batch_size=batch * accum, accum_steps=1, **base))
             mb = tiny_model(seed=3)
