@@ -597,8 +597,8 @@ class TestBidirectionalBlock:
         # exist, and neither x nor z outlives its scan_core call
         rng = np.random.default_rng(23)
         blk = init_block(rng, 6, 4, 2)
-        normed, projections, layer_norm, matmul, scan_core = [], [], tt.layer_norm, \
-            tt.matmul, ssm.scan_core
+        normed, projections = [], []
+        layer_norm, matmul, scan_core = tt.layer_norm, tt.matmul, ssm.scan_core
 
         def norm_spy(a):
             out = layer_norm(a)
