@@ -147,6 +147,7 @@ def forward(model: Model, images, rng=None):
     params = model.params
     patches = patchify(images, cfg).astype(params["patch_proj"].data.dtype, copy=False)
     x = tt.add(tt.matmul(Tensor(patches), params["patch_proj"]), params["pos_embed"])
+    del patches
     if rng is None:  # drawn from only by the random reduction options
         rng = np.random.default_rng(0)
     trace = []

@@ -11,9 +11,9 @@ primitive, scan_core, as Mamba's mamba_inner_fn does (Gu & Dao, arXiv
 2312.00752): both silus, the step, B and C projections, a step-by-step scan
 on a [B,N,D] state and the gate, with one hand-written backward pass for x,
 z and the five scan weights that walks time in reverse, recomputing A_bar_t.
-It keeps x, z, the ungated readout and the states. Its rank-1 step products
-are einsum outer products, bit-identical to a broadcast multiply, whose
-stride-0 operand costs about 1.5x as much per element at these shapes.
+It keeps x, z, the ungated readout and the states. Each of its loops writes
+a step's outputs over [B,T,*] slots that step has read, so the B=64 forward
+loop's working set (about 1.5 MiB in f64) fits a 2 MiB L2 cache.
 """
 
 from __future__ import annotations
@@ -67,23 +67,22 @@ def scan_core(p, x: Tensor, z: Tensor, direction=ScanDirection.FORWARD):
     over the same arrays. Returns (out [B,T,D], {"b", "c", "delta"}): the
     features a reduction step scores, as detached ndarrays.
 
-    The state is [B,N,D], so each step's products run along the D channels,
-    and both passes read inputs and write y and the cotangents as per-step
-    [:, t] views of the batch-major arrays, whatever their strides. The
-    products delta_t A, (delta_t B_t) xs_t and C_t dy_t are einsum outer
-    products, cast same_kind as ufuncs cast: a broadcast multiply costs about
-    1.5x as much here, and gives the same bits but for a zero's sign. The
-    forward pass frees its loop buffers and xs when the loop ends, gates y in
-    silu(z)'s buffer and keeps the states h_t only when taped; the closure
-    keeps x, z, y, the states and A. The backward pass recomputes xs, the
-    sigmoids, the step, B and C, and carries g = dL/dh_t in one [B,N,D] buffer:
-    it adds dy_t C_t, takes the B and xs cotangents as per-step matmuls of
-    g, recomputes A_bar_t to carry g back one step, and writes
-    dL/d(delta_t A) = g A_bar_t h_prev over h_prev in the state history,
-    which the tape's single backward run no longer needs. The delta and
-    a_log terms are then one reduction each over that history. x's
-    cotangent sums its scan, C, B and delta terms in place and then takes
-    silu'(x) = s + xs (1 - s): the order, and bits, of separate ops.
+    The state is [B,N,D], so each step's products run along the D channels, and
+    both passes work on per-step [:, t] views of the batch-major arrays,
+    whatever their strides. The products delta_t A, (delta_t B_t) xs_t and C_t
+    dy_t are einsum outer products, cast same_kind as ufuncs cast: a broadcast
+    multiply costs about 1.5x as much here, and gives the same bits but for a
+    zero's sign. A step writes its outputs over slots it has read: forward, y_t
+    over xs_t; backward, the B and xs cotangents (matmuls of g) over dy_t and
+    C_t. The forward pass gates y in silu(z)'s buffer and keeps the states only
+    when taped; the closure keeps x, z, y, the states and A. The backward pass
+    recomputes xs, the sigmoids, the step, B and C, builds dz in y, and carries
+    g = dL/dh_t in one [B,N,D] buffer, adding dy_t C_t and recomputing A_bar_t
+    to carry g back a step; it writes dL/d(delta_t A) = g A_bar_t h_prev over
+    h_prev in the state history, which the tape's one backward run no longer
+    needs, and takes the delta and a_log terms as one reduction each over that
+    history. x's cotangent sums its scan, C, B and delta terms in place, then
+    takes silu'(x) = s + xs (1 - s): the order, and bits, of separate ops.
     """
     if x.data.ndim != 3:
         raise TensorError("scan_core expects [B, T, D]")
@@ -112,8 +111,8 @@ def scan_core(p, x: Tensor, z: Tensor, direction=ScanDirection.FORWARD):
     db = ds * bs                                               # delta_t B_t
     h = np.zeros((bsz, *a.shape), dtype=xs.dtype)              # [B,N,D]
     hs = np.empty((t_len, *h.shape), dtype=h.dtype) if recording(inputs) else None
-    y = np.empty_like(xs)
     a_bar, u = np.empty_like(h), np.empty_like(h)
+    y = xs  # y_t goes over xs_t once u_t has read it
     for t in order:
         np.einsum("b,nd->bnd", ds[:, t, 0], a, out=a_bar, casting="same_kind")
         np.exp(a_bar, out=a_bar)
@@ -123,7 +122,7 @@ def scan_core(p, x: Tensor, z: Tensor, direction=ScanDirection.FORWARD):
         np.matmul(cs[:, t, None, :], h, out=y[:, t, None, :])
         if hs is not None:
             hs[t] = h
-    del h, a_bar, u, db, xs
+    del h, a_bar, u, db
     gate = _sigmoid(zs)
     gate *= zs                                                 # silu(z)
     out = Tensor(np.multiply(y, gate, out=gate), _check=False)
@@ -136,12 +135,12 @@ def scan_core(p, x: Tensor, z: Tensor, direction=ScanDirection.FORWARD):
         dy = d_out * gate
         gate *= 1.0 - s
         gate += s                                              # silu'(z)
-        dz = d_out * y
+        dz = np.multiply(d_out, y, out=y)                      # y's last read
         dz *= gate
         dc = np.matmul(hs.transpose(1, 0, 2, 3), dy[..., None])[..., 0]  # sum_d h dy
         g = np.zeros_like(hs[0])                               # dL/dh_t
         buf = np.empty_like(g)
-        g_b, x_g = np.empty_like(xs), np.empty_like(cs)        # sum_n B g, sum_d g x
+        g_b, x_g = dy, cs  # sum_n B g and sum_d g x, each over the slot its step read
         for t in order[::-1]:
             np.einsum("bn,bd->bnd", cs[:, t], dy[:, t], out=buf, casting="same_kind")
             g += buf
@@ -175,28 +174,28 @@ def scan_core(p, x: Tensor, z: Tensor, direction=ScanDirection.FORWARD):
     return record(out, inputs, backward), {"b": bs, "c": cs, "delta": ds}
 
 
-def _direction_branch(p, normed, direction: ScanDirection):
-    # normed is a one-item list; BACKWARD, the second branch, empties it before its scan
-    x, z = tt.matmul(normed[0], p["w_in"]), tt.matmul(normed[0], p["w_gate"])
-    if direction is ScanDirection.BACKWARD:
-        normed.clear()
-    y, inter = scan_core(p, x, z, direction)
-    del x, z  # neither outlives its scan
-    return tt.matmul(y, p["w_out"]), inter
-
-
 def bidirectional_block(fwd, bwd, tokens: Tensor):
     """Residual bidirectional block over [B, T, D_model] tokens, with
     independent forward and backward scans whose parameters are ``fwd`` and
-    ``bwd``, each a ``{field: Tensor}`` keyed as in ``scan_shapes``.
-
-    Returns (out, intermediates); intermediates hold the forward branch's
-    per-token B/C projections, its one-wide step delta and the output x
-    (detached numpy), the features a reduction step scores.
+    ``bwd``, each a ``{field: Tensor}`` keyed as in ``scan_shapes``. Both scans
+    run before either out projection, so the forward branch carries its D-wide
+    readout, not its D_model-wide output, through the backward scan. Returns
+    (out, intermediates): the forward branch's per-token B/C projections, its
+    one-wide step delta and the output x (detached numpy), the features a
+    reduction step scores.
     """
-    normed = [tt.layer_norm(tokens)]
-    fwd_contrib, inter = _direction_branch(fwd, normed, ScanDirection.FORWARD)
-    bwd_contrib, _ = _direction_branch(bwd, normed, ScanDirection.BACKWARD)
+    normed = tt.layer_norm(tokens)
+    fx, fz = tt.matmul(normed, fwd["w_in"]), tt.matmul(normed, fwd["w_gate"])
+    bx, bz = tt.matmul(normed, bwd["w_in"]), tt.matmul(normed, bwd["w_gate"])
+    del normed
+    fy, inter = scan_core(fwd, fx, fz, ScanDirection.FORWARD)
+    del fx, fz  # no x/z pair outlives its scan
+    by, _ = scan_core(bwd, bx, bz, ScanDirection.BACKWARD)
+    del bx, bz
+    fwd_contrib = tt.matmul(fy, fwd["w_out"])
+    del fy
+    bwd_contrib = tt.matmul(by, bwd["w_out"])
+    del by
     contrib = tt.add(fwd_contrib, bwd_contrib)
     del fwd_contrib, bwd_contrib
     out = tt.add(tokens, contrib)

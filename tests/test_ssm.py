@@ -477,6 +477,29 @@ class TestScanCore:
         assert live - gated.nbytes < kept + 16 * 2**10
 
     @pytest.mark.parametrize("direction", list(ScanDirection))
+    def test_loop_outputs_reuse_consumed_buffers(self, direction):
+        # y_t goes into silu(x)'s slot once u_t has read it, and backward
+        # writes the B and x cotangents over its recomputed dy and C and
+        # builds dz in y: an untaped call peaks at 3.6 x.nbytes (4.6 with a
+        # buffer of its own for y), one run of the closure at 10.5 (13.0 with
+        # fresh g_b, x_g and dz). The returned features keep their values.
+        arrays = self.inputs(np.random.default_rng(28), bsz=8, t_len=40, d=16, n=8)
+        dy = np.random.default_rng(29).uniform(-1, 1, arrays["x"].shape)
+        tensors = {k: Tensor(v) for k, v in arrays.items()}
+        with traced_memory() as mem:
+            self.call(tensors, direction)
+        assert mem.peak <= 4 * dy.nbytes
+        tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
+        with GradTape() as tape:
+            _, feats = self.call(tensors, direction)
+            before = {k: v.copy() for k, v in feats.items()}
+            backward = tape.entries[-1][2]
+            with traced_memory() as mem:
+                backward(dy)
+        assert mem.peak <= 11.5 * dy.nbytes
+        assert all(np.array_equal(feats[k], v) for k, v in before.items())
+
+    @pytest.mark.parametrize("direction", list(ScanDirection))
     def test_leaves_inputs_untouched(self, direction):
         rng = np.random.default_rng(19)
         arrays = self.inputs(rng, bsz=2, t_len=6)
@@ -582,6 +605,32 @@ class TestBidirectionalBlock:
         h_bound = u_max / (1.0 - a_max)
         assert np.abs(y).max() <= n * c_max * h_bound * gate_max + 1e-9
 
+    def test_matches_branch_by_branch_order_bit_for_bit(self):
+        # a reference that tapes each direction's in and gate projections,
+        # scan and out projection in turn: the block's schedule moves the out
+        # projections after both scans, but normed's cotangent must still sum
+        # its four terms in the same order, and every value and gradient match
+        def reference(fwd, bwd, tokens):
+            normed, contribs = tt.layer_norm(tokens), []
+            for p, direction in zip((fwd, bwd), ScanDirection):
+                y, _ = ssm.scan_core(p, tt.matmul(normed, p["w_in"]),
+                                     tt.matmul(normed, p["w_gate"]), direction)
+                contribs.append(tt.matmul(y, p["w_out"]))
+            return tt.add(tokens, tt.add(*contribs))
+
+        rng = np.random.default_rng(26)
+        x0, w = rng.uniform(-1, 1, (2, 9, 6)), rng.uniform(-1, 1, (2, 9, 6))
+        runs = []
+        for block in (lambda *a: ssm.bidirectional_block(*a)[0], reference):
+            blk = init_block(np.random.default_rng(27), 6, 4, 3)
+            x = Tensor(x0, requires_grad=True)
+            with GradTape() as tape:
+                out = block(*blk, x)
+                tape.backward(tt.tsum(mul(out, Tensor(w))))
+            runs.append([out.data, x.grad.data,
+                         *(t.grad.data for side in blk for t in side.values())])
+        assert all(np.array_equal(got, want) for got, want in zip(*runs))
+
     def test_tapes_eleven_ops(self):
         # layer_norm, per direction the in and gate projections, scan_core
         # (both silus inside) and the out projection, and two residual adds
@@ -593,11 +642,13 @@ class TestBidirectionalBlock:
             assert len(tape.entries) == 11
 
     def test_untaped_block_frees_each_input_at_last_use(self, monkeypatch):
-        # the normed tokens die once the backward branch's in projections
-        # exist, and neither x nor z outlives its scan_core call
+        # the normed tokens die once all four in projections exist, neither x
+        # nor z outlives its scan_core call, and both scans run before either
+        # out projection: the forward branch carries its D-wide readout, not
+        # its D_model-wide output, through the backward scan
         rng = np.random.default_rng(23)
         blk = init_block(rng, 6, 4, 2)
-        normed, projections = [], []
+        normed, projections, calls = [], [], []
         layer_norm, matmul, scan_core = tt.layer_norm, tt.matmul, ssm.scan_core
 
         def norm_spy(a):
@@ -612,18 +663,24 @@ class TestBidirectionalBlock:
             elif any(b is side["w_out"] for side in blk):
                 gc.collect()
                 assert all(r() is None for r in projections)
+                calls.append("w_out")
             return out
 
         def scan_spy(p, x, z, direction):
             gc.collect()
-            assert (normed[0]() is None) == (direction is ScanDirection.BACKWARD)
+            assert normed[0]() is None and len(projections) == 4
+            if direction is ScanDirection.BACKWARD:
+                # the forward scan's x and z are dead, and no out projection ran
+                assert calls == [ScanDirection.FORWARD]
+                assert projections[0]() is None and projections[1]() is None
+            calls.append(direction)
             return scan_core(p, x, z, direction)
 
         monkeypatch.setattr(tt, "layer_norm", norm_spy)
         monkeypatch.setattr(tt, "matmul", matmul_spy)
         monkeypatch.setattr(ssm, "scan_core", scan_spy)
         out, _ = ssm.bidirectional_block(*blk, Tensor(rng.uniform(-1, 1, (2, 5, 6))))
-        assert len(projections) == 4 and out.shape == (2, 5, 6)
+        assert calls == [*ScanDirection, "w_out", "w_out"] and out.shape == (2, 5, 6)
 
     def test_out_projection_outputs_die_while_tape_is_open(self, monkeypatch):
         # no backward pass reads them: only the residual adds use them
