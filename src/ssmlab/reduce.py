@@ -267,8 +267,7 @@ def _check_plan(pairs, b, t):
         raise ReduceError(f"plan of shape {pairs.shape} does not fit {b} rows")
     if np.any((pairs < 0) | (pairs >= t)):
         raise ReduceError("plan index out of range")
-    used = np.sort(pairs.reshape(b, 2 * pairs.shape[1]), axis=1)
-    if np.any(used[:, 1:] == used[:, :-1]):
+    if np.any(np.bincount((pairs + t * np.arange(b)[:, None, None]).ravel()) > 1):
         raise ReduceError("token used twice in plan")
     return pairs
 

@@ -6,38 +6,45 @@ decays; A_bar = exp(delta * A) (zero-order hold) and B_bar = delta * B_t
 (Euler), with one step size delta_t = softplus(x_t w_delta + delta_bias) per
 token shared by all channels. x and the gate z both pass through silu.
 
-Between its in, gate and out projections, a scan direction tapes one fused
-primitive, scan_core, as Mamba's mamba_inner_fn does (Gu & Dao, arXiv
-2312.00752): both silus, the step, B and C projections, a step-by-step scan
-on a [B,N,D] state and the gate, with one hand-written backward pass for x,
-z and the five scan weights that walks time in reverse, recomputing A_bar_t.
-It keeps x, z, the ungated readout and the states. Each of its loops writes
-a step's outputs over [B,T,*] slots that step has read, so the B=64 forward
-loop's working set (about 1.5 MiB in f64) fits a 2 MiB L2 cache.
+A block tapes both scan directions as one fused primitive, scan_core, as
+Mamba's mamba_inner_fn fuses one (Gu & Dao, arXiv 2312.00752) and Vision
+Mamba calls selective_scan_fn once per direction (Zhu et al., arXiv
+2401.09417). Its arrays stack the forward direction's half over the
+backward's, [2,B,T,*], and each loop runs T steps over both: in loop
+order, step s is time s of the forward half and T-1-s of the backward
+half, reversed once on the way into a loop and flipped back once on the
+way out. block_tail applies both out projections and the residual.
 """
 
 from __future__ import annotations
-
-import enum
 
 import numpy as np
 
 from . import tensor as tt
 from .tensor import Tensor, TensorError, record, recording
 
-
-class ScanDirection(enum.Enum):
-    FORWARD = "forward"
-    BACKWARD = "backward"  # processes indices T-1 ... 0
+_SCAN_FIELDS = ("a_log", "w_delta", "delta_bias", "w_b", "w_c")
+_ORDER = (slice(None), slice(None, None, -1))  # each half's time axis in loop order
 
 
-def _sigmoid(x):
+def _sigmoid(x, out=None):
     # the tanh form is overflow-free and needs no masked indexing; one buffer
-    s = np.multiply(x, 0.5, out=np.empty_like(x))
+    s = np.multiply(x, 0.5, out=out)
     np.tanh(s, out=s)
     s += 1.0
     s *= 0.5
     return s
+
+
+def _flip(a):
+    """Reverse a stacked [2,B,T,*] array's backward half in time, in place."""
+    a[1] = a[1, :, ::-1]
+    return a
+
+
+def _stacked(sides, key):
+    """Both directions' [D,K] field as one [2,1,D,K] right operand."""
+    return np.stack([p[key].data for p in sides])[:, None]
 
 
 def scan_shapes(d_model, d, n):
@@ -53,151 +60,190 @@ def scan_shapes(d_model, d, n):
             "delta_bias": (1,), "w_out": (d, d_model)}
 
 
-def scan_core(p, x: Tensor, z: Tensor, direction=ScanDirection.FORWARD):
-    """One scan direction as one taped primitive.
+def scan_core(fwd, bwd, xz):
+    """Both scan directions of a block as one taped primitive.
 
-    p: the direction's ``{field: Tensor}``, keyed as in ``scan_shapes``;
-    x: [B,T,D] pre-silu in projection; z: [B,T,D] pre-silu gate. With
-    xs = silu(x), forms the step delta = softplus(xs w_delta + delta_bias)
-    [B,T,1] and the projections B = xs w_b and C = xs w_c [B,T,N]. With
-    A = -exp(a_log), A_bar_t = exp(delta_t A^T) and u_t = (delta_t B_t) xs_t
-    (outer product over N and D), runs h_t = A_bar_t * h_prev + u_t from a
-    zero state, reads out y_t[d] = sum_n C_t[n] h_t[n,d] and returns
-    y * silu(z). FORWARD walks t = 0 .. T-1 and BACKWARD walks t = T-1 .. 0
-    over the same arrays. Returns (out [B,T,D], {"b", "c", "delta"}): the
+    fwd, bwd: each direction's ``{field: Tensor}``, keyed as in
+    ``scan_shapes``; xz: ``[fx, fz, bx, bz]``, each direction's [B,T,D]
+    pre-silu in projection x and gate z. Per direction, with xs = silu(x),
+    delta = softplus(xs w_delta + delta_bias) [B,T,1], B = xs w_b and
+    C = xs w_c [B,T,N], A = -exp(a_log), A_bar_t = exp(delta_t A^T) and
+    u_t = (delta_t B_t) xs_t, runs h_t = A_bar_t * h_prev + u_t from a zero
+    state (t = 0 .. T-1 forward, T-1 .. 0 backward) and reads out
+    y_t[d] = sum_n C_t[n] h_t[n,d]. Returns y * silu(z) [2,B,T,D], each half
+    in natural time, and the forward direction's {"b", "c", "delta"}: the
     features a reduction step scores, as detached ndarrays.
 
-    The state is [B,N,D], so each step's products run along the D channels, and
-    both passes work on per-step [:, t] views of the batch-major arrays,
-    whatever their strides. The products delta_t A, (delta_t B_t) xs_t and C_t
-    dy_t are einsum outer products, cast same_kind as ufuncs cast: a broadcast
-    multiply costs about 1.5x as much here, and gives the same bits but for a
-    zero's sign. A step writes its outputs over slots it has read: forward, y_t
-    over xs_t; backward, the B and xs cotangents (matmuls of g) over dy_t and
-    C_t. The forward pass gates y in silu(z)'s buffer and keeps the states only
-    when taped; the closure keeps x, z, y, the states and A. The backward pass
-    recomputes xs, the sigmoids, the step, B and C, builds dz in y, and carries
-    g = dL/dh_t in one [B,N,D] buffer, adding dy_t C_t and recomputing A_bar_t
-    to carry g back a step; it writes dL/d(delta_t A) = g A_bar_t h_prev over
-    h_prev in the state history, which the tape's one backward run no longer
-    needs, and takes the delta and a_log terms as one reduction each over that
-    history. x's cotangent sums its scan, C, B and delta terms in place, then
-    takes silu'(x) = s + xs (1 - s): the order, and bits, of separate ops.
+    Per step, the products delta_t A, (delta_t B_t) xs_t and C_t dy_t are
+    einsum outer products over [2,B,*] views, cast same_kind as ufuncs cast,
+    and outputs go over slots the step has read: y_t over xs_t; backward,
+    the B and xs cotangents over dy_t and C_t. Every matmul whose bits
+    depend on its row order (the one-wide step GEMV, each contraction over
+    T) reads natural time, so each half keeps the bits of its direction
+    scanned alone; B and C read loop order.
+
+    The closure keeps x, z, y (in loop order), A and the states, kept only
+    when taped, per half in natural time: [2,T,B,N,D]. Untaped, each x is
+    dropped once silu(x) is stacked, and dies there, as the block passes
+    ``xz`` as a temporary. The backward pass recomputes xs, the sigmoids,
+    the step, B and C, builds dz in sigmoid(z)'s buffer, and carries
+    g = dL/dh_t in one [2,B,N,D] buffer, recomputing A_bar_t to carry g back
+    a step. It writes dL/d(delta_t A) = g A_bar_t h_prev over h_prev in the
+    state history and takes each half's delta and a_log terms as one
+    reduction each over it. x's cotangent sums its scan, C, B and delta
+    terms in place, then takes silu'(x) = s + xs (1 - s): the order, and
+    bits, of separate ops.
     """
-    if x.data.ndim != 3:
+    sides = (fwd, bwd)
+    inputs = (*xz, *(p[k] for p in sides for k in _SCAN_FIELDS))
+    del xz
+    xp, zp = (inputs[0].data, inputs[2].data), (inputs[1].data, inputs[3].data)
+    if xp[0].ndim != 3:
         raise TensorError("scan_core expects [B, T, D]")
-    if x.shape[1] < 1:
+    if xp[0].shape[1] < 1:
         raise TensorError("empty sequence")
-    xp, zs = x.data, z.data
-    xs = _sigmoid(xp)
-    xs *= xp                                                   # silu(x)
+    xs = np.empty((2, *xp[0].shape), dtype=xp[0].dtype)
+    for half in range(2):
+        np.multiply(xp[half], _sigmoid(xp[half], out=xs[half]), out=xs[half])  # silu(x)
     if not np.all(np.isfinite(xs)):
         raise TensorError("non-finite scan input")
-    a_log, w_delta, delta_bias, w_b, w_c = (
-        p[k] for k in ("a_log", "w_delta", "delta_bias", "w_b", "w_c"))
-    inputs = (x, z, a_log, w_delta, delta_bias, w_b, w_c)
-    a = -np.exp(a_log.data.T, order="C")                      # [N,D]
+    if not recording(inputs):  # nothing reads the pre-silu x again
+        inputs = xp = None
+    a = -np.exp(np.stack([p["a_log"].data.T for p in sides]), order="C")  # [2,N,D]
     if not np.all(np.isfinite(a)):
         raise TensorError("exp overflow")
 
-    def projections(xs):  # the step's pre-activation and step [B,T,1], B and C [B,T,N]
-        pre = xs @ w_delta.data + delta_bias.data
+    def projections(xs):
+        """pre and the step [2,B,T,1] of natural-time xs; B, C of xs in loop order."""
+        pre = np.stack([xs[half] @ p["w_delta"].data + p["delta_bias"].data
+                        for half, p in enumerate(sides)])
         ds = np.maximum(pre, 0.0) + np.log1p(np.exp(-np.abs(pre)))  # overflow-safe softplus
-        return pre, ds, xs @ w_b.data, xs @ w_c.data
+        _flip(xs)
+        return pre, ds, xs @ _stacked(sides, "w_b"), xs @ _stacked(sides, "w_c")
     _, ds, bs, cs = projections(xs)
-    bsz, t_len = xs.shape[:2]
-    step = 1 if direction is ScanDirection.FORWARD else -1
-    order = range(t_len)[::step]
-    db = ds * bs                                               # delta_t B_t
-    h = np.zeros((bsz, *a.shape), dtype=xs.dtype)              # [B,N,D]
-    hs = np.empty((t_len, *h.shape), dtype=h.dtype) if recording(inputs) else None
+    feats = {"b": bs[0].copy(), "c": cs[0].copy(), "delta": ds[0]}  # half 0: natural time
+    ds = _flip(ds.copy())
+    t_len = xs.shape[2]
+    db = np.multiply(bs, ds, out=bs)                           # delta_t B_t
+    h = np.zeros((*xs.shape[:2], *a.shape[1:]), dtype=xs.dtype)  # [2,B,N,D]
+    hs = np.empty((2, t_len, *h.shape[1:]), dtype=h.dtype) if inputs else None
     a_bar, u = np.empty_like(h), np.empty_like(h)
-    y = xs  # y_t goes over xs_t once u_t has read it
-    for t in order:
-        np.einsum("b,nd->bnd", ds[:, t, 0], a, out=a_bar, casting="same_kind")
+    y = xs  # y_s goes over xs_s once u_s has read it
+    for s in range(t_len):
+        np.einsum("hb,hnd->hbnd", ds[:, :, s, 0], a, out=a_bar, casting="same_kind")
         np.exp(a_bar, out=a_bar)
-        np.einsum("bn,bd->bnd", db[:, t], xs[:, t], out=u, casting="same_kind")
+        np.einsum("hbn,hbd->hbnd", db[:, :, s], xs[:, :, s], out=u, casting="same_kind")
         h *= a_bar
         h += u
-        np.matmul(cs[:, t, None, :], h, out=y[:, t, None, :])
+        np.matmul(cs[:, :, s, None, :], h, out=y[:, :, s, None, :])
         if hs is not None:
-            hs[t] = h
-    del h, a_bar, u, db
-    gate = _sigmoid(zs)
-    gate *= zs                                                 # silu(z)
-    out = Tensor(np.multiply(y, gate, out=gate), _check=False)
+            hs[0, s], hs[1, t_len - 1 - s] = h
+    del h, a_bar, u, db, bs, cs, ds
+    gate = np.empty(y.shape, dtype=zp[0].dtype)
+    for half, o in enumerate(_ORDER):
+        np.multiply(zp[half], _sigmoid(zp[half], out=gate[half]), out=gate[half])  # silu(z)
+        gate[half] *= y[half, :, o]                            # flipped back
+    out = Tensor(gate, _check=False)
 
     def backward(d_out):
-        s_x, s = _sigmoid(xp), _sigmoid(zs)  # recomputed rather than kept
-        xs = xp * s_x                                          # silu(x)
+        s_x = np.empty(d_out.shape, xp[0].dtype)
+        xs = np.empty_like(s_x)
+        dy, dz = np.empty(d_out.shape, np.result_type(d_out, zp[0])), []  # dy in loop order
+        for half, o in enumerate(_ORDER):  # recomputed rather than kept
+            np.multiply(xp[half], _sigmoid(xp[half], out=s_x[half]), out=xs[half])
+            s_z = _sigmoid(zp[half])
+            gate = zp[half] * s_z
+            np.multiply(d_out[half, :, o], gate[:, o], out=dy[half])
+            gate *= 1.0 - s_z
+            gate += s_z                                        # silu'(z)
+            dz.append(np.multiply(d_out[half], y[half, :, o], out=s_z))
+            dz[half] *= gate
+        del s_z, gate
         pre, ds, bs, cs = projections(xs)                      # forward's own GEMMs
-        gate = zs * s
-        dy = d_out * gate
-        gate *= 1.0 - s
-        gate += s                                              # silu'(z)
-        dz = np.multiply(d_out, y, out=y)                      # y's last read
-        dz *= gate
-        dc = np.matmul(hs.transpose(1, 0, 2, 3), dy[..., None])[..., 0]  # sum_d h dy
-        g = np.zeros_like(hs[0])                               # dL/dh_t
+        bsz, t_len = d_out.shape[1:3]
+        dc = np.stack([np.matmul(hs[half].transpose(1, 0, 2, 3), dy[half, :, o, :, None])
+                       [..., 0] for half, o in enumerate(_ORDER)])  # sum_d h dy
+        ds_loop = _flip(ds.copy())[..., 0]
+        g = np.zeros_like(hs[:, 0])                            # dL/dh_t
         buf = np.empty_like(g)
         g_b, x_g = dy, cs  # sum_n B g and sum_d g x, each over the slot its step read
-        for t in order[::-1]:
-            np.einsum("bn,bd->bnd", cs[:, t], dy[:, t], out=buf, casting="same_kind")
+        for s in range(t_len - 1, -1, -1):
+            np.einsum("hbn,hbd->hbnd", cs[:, :, s], dy[:, :, s], out=buf, casting="same_kind")
             g += buf
-            np.matmul(bs[:, t, None, :], g, out=g_b[:, t, None, :])
-            np.matmul(g, xs[:, t, :, None], out=x_g[:, t, :, None])
-            if t == order[0]:
+            np.matmul(bs[:, :, s, None, :], g, out=g_b[:, :, s, None, :])
+            np.matmul(g, xs[:, :, s, :, None], out=x_g[:, :, s, :, None])
+            if s == 0:
                 break
-            np.einsum("b,nd->bnd", ds[:, t, 0], a, out=buf, casting="same_kind")
+            np.einsum("hb,hnd->hbnd", ds_loop[:, :, s], a, out=buf, casting="same_kind")
             np.exp(buf, out=buf)
             g *= buf
-            # dL/d(delta_t A) = g_t * A_bar_t * h_prev, over h_prev's slot
-            np.multiply(g, hs[t - step], out=hs[t - step])
-        # hs[src] now holds dL/d(delta A) of the steps at dst, in (t, b) row order
-        src, dst = (slice(0, -1), slice(1, None))[::step]
-        d_da = hs[src].reshape(-1, a.size)
+            # dL/d(delta A) = g * A_bar * h_prev, over h_prev's slot in each half
+            np.multiply(g[0], hs[0, s - 1], out=hs[0, s - 1])
+            np.multiply(g[1], hs[1, t_len - s], out=hs[1, t_len - s])
+        del g, buf, bs
+        _flip(g_b), _flip(x_g), _flip(xs)
         d_delta = (g_b * xs).sum(axis=-1, keepdims=True)
-        d_delta[:, dst, 0] += (d_da @ a.reshape(-1)).reshape(-1, bsz).T
-        d_a_log = (a * (ds[:, dst, 0].T.reshape(-1) @ d_da).reshape(a.shape)).T
+        grads = [[], []]
+        for half, step in enumerate((1, -1)):
+            # hs[half, src] holds dL/d(delta A) of the steps at dst, in (t, b) row order
+            src, dst = (slice(0, -1), slice(1, None))[::step]
+            d_da = hs[half, src].reshape(-1, a[half].size)
+            d_delta[half, :, dst, 0] += (d_da @ a[half].reshape(-1)).reshape(-1, bsz).T
+            grads[half].append((a[half] * (ds[half, :, dst, 0].T.reshape(-1) @ d_da)
+                                .reshape(a[half].shape)).T)
         d_b = np.multiply(x_g, ds, out=x_g)
         d_pre = d_delta * _sigmoid(pre)
         dx = np.multiply(g_b, ds, out=g_b)
-        dx += dc @ w_c.data.T
-        dx += d_b @ w_b.data.T
-        dx += d_pre * w_delta.data[:, 0]  # the one-wide d_pre @ w_delta.T
-        dx *= s_x + xs * (1.0 - s_x)                           # silu'(x)
+        dx += dc @ np.swapaxes(_stacked(sides, "w_c"), -1, -2)
+        dx += d_b @ np.swapaxes(_stacked(sides, "w_b"), -1, -2)
+        dx += d_pre * np.swapaxes(_stacked(sides, "w_delta"), -1, -2)  # d_pre @ w_delta.T
+        silu_d = np.subtract(1.0, s_x)
+        silu_d *= xs
+        silu_d += s_x
+        dx *= silu_d                                           # silu'(x)
+        del silu_d, s_x
         xt = np.swapaxes(xs, -1, -2)
-        return (dx, dz, d_a_log, tt._unbroadcast(xt @ d_pre, w_delta.shape),
-                tt._unbroadcast(d_pre, delta_bias.shape),
-                tt._unbroadcast(xt @ d_b, w_b.shape), tt._unbroadcast(xt @ dc, w_c.shape))
+        for half, p in enumerate(sides):
+            grads[half] += [tt._unbroadcast(w[half], p[k].shape) for w, k in
+                            zip((xt @ d_pre, d_pre, xt @ d_b, xt @ dc), _SCAN_FIELDS[1:])]
+        return (dx[0], dz[0], dx[1], dz[1], *grads[0], *grads[1])
 
-    return record(out, inputs, backward), {"b": bs, "c": cs, "delta": ds}
+    return record(out, inputs or (), backward), feats
+
+
+def block_tail(g: Tensor, w_fwd: Tensor, w_bwd: Tensor, tokens: Tensor):
+    """tokens + g[0] @ w_fwd + g[1] @ w_bwd as one taped op, for scan_core's
+    output g: summed in place in that order, the bits of tokens + (fwd + bwd).
+    The closure keeps g and the out projections [D,D_model]."""
+    gd, ws = g.data, (w_fwd, w_bwd)
+    out = gd[0] @ w_fwd.data
+    out += gd[1] @ w_bwd.data
+    out += tokens.data
+
+    def backward(d):
+        dg = np.empty(gd.shape, dtype=np.result_type(d, w_fwd.data))
+        for half, w in enumerate(ws):
+            np.matmul(d, w.data.T, out=dg[half])
+        return (dg, *(tt._unbroadcast(np.swapaxes(gd[half], -1, -2) @ d, w.data.shape)
+                      for half, w in enumerate(ws)), d)
+
+    return record(Tensor(out, _check=False), (g, w_fwd, w_bwd, tokens), backward)
+
+
+def _in_projections(fwd, bwd, normed):
+    """[fx, fz, bx, bz], taped in that order; the normed tokens die here."""
+    return [tt.matmul(normed, p[k]) for p in (fwd, bwd) for k in ("w_in", "w_gate")]
 
 
 def bidirectional_block(fwd, bwd, tokens: Tensor):
     """Residual bidirectional block over [B, T, D_model] tokens, with
     independent forward and backward scans whose parameters are ``fwd`` and
-    ``bwd``, each a ``{field: Tensor}`` keyed as in ``scan_shapes``. Both scans
-    run before either out projection, so the forward branch carries its D-wide
-    readout, not its D_model-wide output, through the backward scan. Returns
-    (out, intermediates): the forward branch's per-token B/C projections, its
-    one-wide step delta and the output x (detached numpy), the features a
-    reduction step scores.
+    ``bwd``, each a ``{field: Tensor}`` keyed as in ``scan_shapes``. Tapes
+    layer_norm, the four in and gate projections, scan_core and block_tail.
+    Returns (out, intermediates): the features a reduction step scores, the
+    forward direction's B/C projections and step delta and the output x.
     """
-    normed = tt.layer_norm(tokens)
-    fx, fz = tt.matmul(normed, fwd["w_in"]), tt.matmul(normed, fwd["w_gate"])
-    bx, bz = tt.matmul(normed, bwd["w_in"]), tt.matmul(normed, bwd["w_gate"])
-    del normed
-    fy, inter = scan_core(fwd, fx, fz, ScanDirection.FORWARD)
-    del fx, fz  # no x/z pair outlives its scan
-    by, _ = scan_core(bwd, bx, bz, ScanDirection.BACKWARD)
-    del bx, bz
-    fwd_contrib = tt.matmul(fy, fwd["w_out"])
-    del fy
-    bwd_contrib = tt.matmul(by, bwd["w_out"])
-    del by
-    contrib = tt.add(fwd_contrib, bwd_contrib)
-    del fwd_contrib, bwd_contrib
-    out = tt.add(tokens, contrib)
+    g, inter = scan_core(fwd, bwd, _in_projections(fwd, bwd, tt.layer_norm(tokens)))
+    out = block_tail(g, fwd["w_out"], bwd["w_out"], tokens)
     inter["x"] = out.data  # the values a downstream reduction step merges
     return out, inter

@@ -195,7 +195,7 @@ def retrain(model, dataset, cfg: TrainConfig, eval_dataset=None) -> TrainReport:
     for epoch in range(1, epochs + 1):
         t0 = time.perf_counter()
         order = rng.permutation(n)
-        losses = []
+        loss_sum = 0.0  # each micro-batch's mean loss times its image count
         pending = 0
         lr = cosine_lr(opt_step, total_opt_steps, cfg.lr_start, cfg.lr_end)
         for b_idx in range(micros_per_epoch):
@@ -212,7 +212,7 @@ def retrain(model, dataset, cfg: TrainConfig, eval_dataset=None) -> TrainReport:
             lv = loss.item()
             if not math.isfinite(lv):
                 raise NumericError("non-finite training loss")
-            losses.append(lv)
+            loss_sum += lv * len(sel)
             pending += 1
             if pending == cfg.accum_steps or b_idx == micros_per_epoch - 1:
                 adamw_step(params, state, lr, cfg)
@@ -222,6 +222,6 @@ def retrain(model, dataset, cfg: TrainConfig, eval_dataset=None) -> TrainReport:
                 pending = 0
                 lr = cosine_lr(opt_step, total_opt_steps, cfg.lr_start, cfg.lr_end)
         acc = evaluate(model, eval_dataset)
-        report.rows.append(EpochRow(epoch, lr, float(np.mean(losses)), acc,
+        report.rows.append(EpochRow(epoch, lr, loss_sum / n, acc,
                                     time.perf_counter() - t0))
     return report

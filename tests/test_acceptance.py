@@ -28,7 +28,6 @@ from ssmlab.reduce import (
     Mode,
     ReductionConfig,
 )
-from ssmlab.ssm import ScanDirection
 from ssmlab.tensor import GradTape, Tensor
 from test_reduce import slow_select
 from test_ssm import make_params, naive_scan, sigmoid, silu
@@ -63,11 +62,14 @@ def test_criterion_02_scan_oracle():
         t = int(rng.integers(1, 17))
         d = int(rng.integers(1, 5))
         n = int(rng.integers(1, 5))
-        p = make_params(rng, d, d, n)
-        x = rng.uniform(-1, 1, (1, t, d))
-        z = rng.uniform(-2, 2, (1, t, d))
-        y, _ = ssm.scan_core(p, Tensor(x), Tensor(z), ScanDirection.FORWARD)
-        assert np.abs(y.data - naive_scan(p, silu(x)) * z * sigmoid(z)).max() < 1e-12
+        fwd, bwd = make_params(rng, d, d, n), make_params(rng, d, d, n)
+        x, bx = rng.uniform(-1, 1, (2, 1, t, d))
+        z, bz = rng.uniform(-2, 2, (2, 1, t, d))
+        y, _ = ssm.scan_core(fwd, bwd, [Tensor(v) for v in (x, z, bx, bz)])
+        # each half against the per-step reference: forward, then reversed
+        assert np.abs(y.data[0] - naive_scan(fwd, silu(x)) * z * sigmoid(z)).max() < 1e-12
+        assert np.abs(y.data[1] - naive_scan(bwd, silu(bx), reverse=True)
+                      * bz * sigmoid(bz)).max() < 1e-12
 
 
 def test_criterion_03_full_model_gradients():

@@ -213,12 +213,13 @@ class TestForward:
         assert np.abs(got.data - ref.data).max() < 1e-4
 
     def test_untaped_forward_frees_each_buffer_at_last_use(self):
-        # a default 64-image r=0 forward peaks at 6.95 MiB of arrays (7.9
-        # while the scan readout had a buffer of its own and the forward
-        # branch carried its out projection through the backward scan; 11.0
-        # while the scan loop's buffers and silu(x) outlived the loop, the
-        # gated output took a buffer of its own, and the normed tokens lived
-        # through the backward branch's scan)
+        # a default 64-image r=0 forward peaks at 6.7 MiB of arrays (6.95
+        # while each direction ran its own scan; 7.9 while the scan readout
+        # had a buffer of its own and the forward branch carried its out
+        # projection through the backward scan; 11.0 while the scan loop's
+        # buffers and silu(x) outlived the loop, the gated output took a
+        # buffer of its own, and the normed tokens lived through the
+        # backward branch's scan)
         m = mdl.init_model(ModelConfig())
         imgs = np.random.default_rng(1).uniform(0, 1, (64, 28, 28, 1))
         with traced_memory() as mem:
@@ -233,7 +234,8 @@ class TestForward:
         # silu op of its own kept sigmoid(x) and silu(x), 75.2 while scan_core
         # kept its gate, 106.4 while tape entries held every output and
         # input). Backward frees each op once it has run, so the whole step
-        # peaks 1.6 MiB over that; with every closure kept to the end, 5.1 MiB.
+        # peaks 1.8 MiB over that (1.6 while each direction's scan ran its
+        # own backward pass).
         m = mdl.init_model(ModelConfig(reduction=ReductionConfig(r=10, sites=(2, 4, 6))))
         imgs = np.random.default_rng(1).uniform(0, 1, (32, 28, 28, 1))
         with traced_memory() as mem:
@@ -244,7 +246,7 @@ class TestForward:
                 ops = len(tape.entries)
                 tape.backward(loss)
         assert logits.shape == (32, 10)
-        assert ops == 99  # the taped ops of one re-training step
+        assert ops == 67  # the taped ops of one re-training step
         assert live < 63 * 2**20
         assert mem.peak - live <= 2 * 2**20
 

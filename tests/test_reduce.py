@@ -467,6 +467,26 @@ class TestMergePlanFormat:
         with pytest.raises(ReduceError):
             rd.merge(four_tokens(), np.array([[0, 1], [2, 1]]), None)
 
+    @pytest.mark.parametrize("plan", [[[0, 1], [0, 2]], [[0, 1], [2, 1]], [[0, 1], [1, 2]]],
+                             ids=["first-column", "second-column", "across-columns"])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_repeated_token_rejected(self, plan, rows):
+        # a [p, 2] plan is broadcast to every row, so each row repeats it
+        vals = Tensor(np.random.default_rng(0).uniform(-1, 1, (rows, 4, 2)))
+        with pytest.raises(ReduceError, match="token used twice in plan"):
+            rd.merge(vals, np.array(plan), MergeOp.SUM)
+
+    def test_rows_may_share_tokens(self):
+        # tokens are counted per row: every row may use the same indices,
+        # and one row's repeat is still caught
+        vals = Tensor(np.random.default_rng(0).uniform(-1, 1, (3, 4, 2)))
+        plan = np.array([[[0, 1], [2, 3]]] * 3)
+        out, _ = rd.merge(vals, plan, MergeOp.SUM)
+        assert out.shape == (3, 2, 2)
+        plan[2, 1] = [3, 1]
+        with pytest.raises(ReduceError, match="token used twice in plan"):
+            rd.merge(vals, plan, MergeOp.SUM)
+
     def test_plan_must_fit_batch(self):
         with pytest.raises(ReduceError):
             rd.merge(four_tokens(), np.zeros((2, 1, 2), dtype=int), MergeOp.SUM)

@@ -285,6 +285,18 @@ class TestRetrain:
             for (na, ta), (_, tb) in zip(ma.named_params(), mb.named_params()):
                 assert np.abs(ta.data - tb.data).max() < 1e-10, (batch, na)
 
+    def test_epoch_loss_is_the_mean_over_its_images(self):
+        # 10 images as micro-batches of 4, 4 and 2 in one accumulation group:
+        # every loss is taken at the initial weights, and the short last
+        # micro-batch counts for its 2 images, not as much as a full one
+        model, data = tiny_model(), tiny_data()
+        data = ds.Dataset(data.images[:10], data.labels[:10], data.num_classes)
+        logits, _ = mdl.forward(tiny_model(), data.images)
+        want = tr.cross_entropy(logits, data.labels).item()
+        report = tr.retrain(model, data, TrainConfig(epochs=1, batch_size=4, accum_steps=3,
+                                                     lr_start=1e-3, lr_end=1e-4))
+        assert abs(report.rows[0].train_loss - want) < 1e-12
+
     def test_epochs_zero_is_training_free(self):
         model = tiny_model()
         data = tiny_data()
