@@ -645,14 +645,18 @@ class TestScanCore:
                    and not any(a is b for b in acts))
         assert live - gated.nbytes < kept + 16 * 2**10
 
-    def test_loop_outputs_reuse_consumed_buffers(self):
+    @pytest.mark.parametrize("direction", list(ScanDirection))
+    def test_loop_outputs_reuse_consumed_buffers(self, direction):
         # y_s goes into silu(x)'s slot once u_s has read it, and backward
         # writes the B and x cotangents over its recomputed dy and C: with
         # dy the stacked cotangent, an untaped call peaks at 3.5 x
         # dy.nbytes and one run of the closure at 7.5. The returned features
-        # keep their values.
+        # keep their values. dy feeds ``direction``'s half alone, so the
+        # other direction's seven cotangents must stay exactly zero: no
+        # reused buffer carries one half's values into the other's.
         arrays = self.inputs(np.random.default_rng(28), bsz=8, t_len=40, d=16, n=8)
-        dy = np.random.default_rng(29).uniform(-1, 1, (2, *arrays["fwd.x"].shape))
+        dy = np.zeros((2, *arrays["fwd.x"].shape))
+        dy[direction.half] = np.random.default_rng(29).uniform(-1, 1, dy.shape[1:])
         tensors = {k: Tensor(v) for k, v in arrays.items()}
         with traced_memory() as mem:
             self.call(tensors)
@@ -663,9 +667,11 @@ class TestScanCore:
             before = {k: v.copy() for k, v in feats.items()}
             backward = tape.entries[-1][2]
             with traced_memory() as mem:
-                backward(dy)
+                grads = dict(zip(arrays, backward(dy)))
         assert mem.peak <= 11.5 * dy.nbytes
         assert all(np.array_equal(feats[k], v) for k, v in before.items())
+        for k, g in grads.items():
+            assert np.any(g) == k.startswith(direction.value + "."), k
 
     @pytest.mark.parametrize("direction", list(ScanDirection))
     def test_leaves_inputs_untouched(self, direction):
