@@ -157,10 +157,10 @@ def forward(model: Model, images, rng=None):
         x, inter = ssm.bidirectional_block(model.side(l, "fwd"),
                                            model.side(l, "bwd"), x)
         r_eff = rd.effective_r(t_cur, red.r, red.pair_rank) if l in red.sites else 0
-        if r_eff == 0:
-            del inter  # else its [B,T,N] projections live through the next block
-            continue
-        x, _ = rd.reduce_tokens(x, inter[red.feature.value], r_eff, red, rng)
+        if r_eff:
+            x = rd.reduce_tokens(x, inter[red.feature.value], r_eff, red, rng)[0]
+        # else the block's output and its [B,T,N] projections live through the next block
+        del inter
     pooled = tt.tmean(tt.layer_norm(x), axis=1)   # [B, d_model]
     logits = tt.matmul(pooled, params["head"])
     return logits, trace

@@ -13,7 +13,8 @@ Mamba calls selective_scan_fn once per direction (Zhu et al., arXiv
 backward's, [2,B,T,*], and each loop runs T steps over both: in loop
 order, step s is time s of the forward half and T-1-s of the backward
 half, reversed once on the way into a loop and flipped back once on the
-way out. block_tail applies both out projections and the residual.
+way out. block_tail gates the readout with silu(z), and applies both out
+projections and the residual.
 """
 
 from __future__ import annotations
@@ -60,44 +61,45 @@ def scan_shapes(d_model, d, n):
             "delta_bias": (1,), "w_out": (d, d_model)}
 
 
-def scan_core(fwd, bwd, xz):
+def scan_core(fwd, bwd, x):
     """Both scan directions of a block as one taped primitive.
 
     fwd, bwd: each direction's ``{field: Tensor}``, keyed as in
-    ``scan_shapes``; xz: ``[fx, fz, bx, bz]``, each direction's [B,T,D]
-    pre-silu in projection x and gate z. Per direction, with xs = silu(x),
+    ``scan_shapes``; x: ``[fx, bx]``, each direction's [B,T,D] pre-silu in
+    projection. Per direction, with xs = silu(x),
     delta = softplus(xs w_delta + delta_bias) [B,T,1], B = xs w_b and
     C = xs w_c [B,T,N], A = -exp(a_log), A_bar_t = exp(delta_t A^T) and
     u_t = (delta_t B_t) xs_t, runs h_t = A_bar_t * h_prev + u_t from a zero
     state (t = 0 .. T-1 forward, T-1 .. 0 backward) and reads out
-    y_t[d] = sum_n C_t[n] h_t[n,d]. Returns y * silu(z) [2,B,T,D], each half
-    in natural time, and the forward direction's {"b", "c", "delta"}: the
-    features a reduction step scores, as detached ndarrays.
+    y_t[d] = sum_n C_t[n] h_t[n,d]. Returns the ungated readout y [2,B,T,D]
+    in loop order (the backward half time-reversed), and the forward
+    direction's {"b", "c", "delta"}: the features a reduction step scores,
+    as detached ndarrays.
 
     Per step, the products delta_t A, (delta_t B_t) xs_t and C_t dy_t are
     einsum outer products over [2,B,*] views, cast same_kind as ufuncs cast,
     and outputs go over slots the step has read: y_t over xs_t; backward,
-    the B and xs cotangents over dy_t and C_t. Every matmul whose bits
-    depend on its row order (the one-wide step GEMV, each contraction over
-    T) reads natural time, so each half keeps the bits of its direction
-    scanned alone; B and C read loop order.
+    the x cotangent over C_t. Every matmul whose bits depend on its row
+    order (the one-wide step GEMV, each contraction over T) reads natural
+    time, so each half keeps the bits of its direction scanned alone; B and
+    C read loop order.
 
-    The closure keeps x, z, y (in loop order), A and the states, kept only
-    when taped, per half in natural time: [2,T,B,N,D]. Untaped, each x is
-    dropped once silu(x) is stacked, and dies there, as the block passes
-    ``xz`` as a temporary. The backward pass recomputes xs, the sigmoids,
-    the step, B and C, builds dz in sigmoid(z)'s buffer, and carries
-    g = dL/dh_t in one [2,B,N,D] buffer, recomputing A_bar_t to carry g back
-    a step. It writes dL/d(delta_t A) = g A_bar_t h_prev over h_prev in the
-    state history and takes each half's delta and a_log terms as one
-    reduction each over it. x's cotangent sums its scan, C, B and delta
-    terms in place, then takes silu'(x) = s + xs (1 - s): the order, and
-    bits, of separate ops.
+    The closure keeps x, A and the states, kept only when taped, per half
+    in natural time: [2,T,B,N,D]. Untaped, each x is dropped once silu(x)
+    is stacked, and dies there, as the block passes ``x`` as a temporary.
+    The backward pass takes dy in loop order and leaves it untouched. It
+    recomputes xs, sigmoid(x), the step, B and C, and carries g = dL/dh_t
+    in one [2,B,N,D] buffer, recomputing A_bar_t to carry g back a step. It
+    writes dL/d(delta_t A) = g A_bar_t h_prev over h_prev in the state
+    history and takes each half's delta and a_log terms as one reduction
+    each over it. x's cotangent sums its scan, C, B and delta terms in
+    place, then takes silu'(x) = s + xs (1 - s): the order, and bits, of
+    separate ops.
     """
     sides = (fwd, bwd)
-    inputs = (*xz, *(p[k] for p in sides for k in _SCAN_FIELDS))
-    del xz
-    xp, zp = (inputs[0].data, inputs[2].data), (inputs[1].data, inputs[3].data)
+    inputs = (*x, *(p[k] for p in sides for k in _SCAN_FIELDS))
+    del x
+    xp = (inputs[0].data, inputs[1].data)
     if xp[0].ndim != 3:
         raise TensorError("scan_core expects [B, T, D]")
     if xp[0].shape[1] < 1:
@@ -138,35 +140,21 @@ def scan_core(fwd, bwd, xz):
         np.matmul(cs[:, :, s, None, :], h, out=y[:, :, s, None, :])
         if hs is not None:
             hs[0, s], hs[1, t_len - 1 - s] = h
-    del h, a_bar, u, db, bs, cs, ds
-    gate = np.empty(y.shape, dtype=zp[0].dtype)
-    for half, o in enumerate(_ORDER):
-        np.multiply(zp[half], _sigmoid(zp[half], out=gate[half]), out=gate[half])  # silu(z)
-        gate[half] *= y[half, :, o]                            # flipped back
-    out = Tensor(gate, _check=False)
+    del h, a_bar, u, db, bs, cs, ds, xs
 
-    def backward(d_out):
-        s_x = np.empty(d_out.shape, xp[0].dtype)
+    def backward(dy):
+        s_x = np.empty(dy.shape, xp[0].dtype)
         xs = np.empty_like(s_x)
-        dy, dz = np.empty(d_out.shape, np.result_type(d_out, zp[0])), []  # dy in loop order
-        for half, o in enumerate(_ORDER):  # recomputed rather than kept
+        for half in range(2):  # recomputed rather than kept
             np.multiply(xp[half], _sigmoid(xp[half], out=s_x[half]), out=xs[half])
-            s_z = _sigmoid(zp[half])
-            gate = zp[half] * s_z
-            np.multiply(d_out[half, :, o], gate[:, o], out=dy[half])
-            gate *= 1.0 - s_z
-            gate += s_z                                        # silu'(z)
-            dz.append(np.multiply(d_out[half], y[half, :, o], out=s_z))
-            dz[half] *= gate
-        del s_z, gate
         pre, ds, bs, cs = projections(xs)                      # forward's own GEMMs
-        bsz, t_len = d_out.shape[1:3]
+        bsz, t_len = dy.shape[1:3]
         dc = np.stack([np.matmul(hs[half].transpose(1, 0, 2, 3), dy[half, :, o, :, None])
                        [..., 0] for half, o in enumerate(_ORDER)])  # sum_d h dy
         ds_loop = _flip(ds.copy())[..., 0]
         g = np.zeros_like(hs[:, 0])                            # dL/dh_t
         buf = np.empty_like(g)
-        g_b, x_g = dy, cs  # sum_n B g and sum_d g x, each over the slot its step read
+        g_b, x_g = np.empty_like(dy), cs  # sum_n B g; sum_d g x over the C slot its step read
         for s in range(t_len - 1, -1, -1):
             np.einsum("hbn,hbd->hbnd", cs[:, :, s], dy[:, :, s], out=buf, casting="same_kind")
             g += buf
@@ -206,28 +194,57 @@ def scan_core(fwd, bwd, xz):
         for half, p in enumerate(sides):
             grads[half] += [tt._unbroadcast(w[half], p[k].shape) for w, k in
                             zip((xt @ d_pre, d_pre, xt @ d_b, xt @ dc), _SCAN_FIELDS[1:])]
-        return (dx[0], dz[0], dx[1], dz[1], *grads[0], *grads[1])
+        return (dx[0], dx[1], *grads[0], *grads[1])
 
-    return record(out, inputs or (), backward), feats
+    return record(Tensor(y, _check=False), inputs or (), backward), feats
 
 
-def block_tail(g: Tensor, w_fwd: Tensor, w_bwd: Tensor, tokens: Tensor):
-    """tokens + g[0] @ w_fwd + g[1] @ w_bwd as one taped op, for scan_core's
-    output g: summed in place in that order, the bits of tokens + (fwd + bwd).
-    The closure keeps g and the out projections [D,D_model]."""
-    gd, ws = g.data, (w_fwd, w_bwd)
-    out = gd[0] @ w_fwd.data
-    out += gd[1] @ w_bwd.data
+def block_tail(yz, w_fwd: Tensor, w_bwd: Tensor, tokens: Tensor):
+    """tokens + g[0] @ w_fwd + g[1] @ w_bwd as one taped op, for the gated
+    readout g = silu(z) * y of scan_core's output y and each direction's
+    [B,T,D] gate z, with yz = ``[y, fz, bz]``. g is built in one buffer,
+    reading y's backward half reversed, and the projections are summed in
+    place in that order: the bits of tokens + (fwd + bwd). Untaped, y and
+    both z are dropped once g is built, and die there, as the block passes
+    ``yz`` as a temporary; g dies after the projections.
+
+    The closure keeps y, both z and the out projections [D,D_model]. The
+    backward pass recomputes sigmoid(z), silu(z) and g, and returns dy in
+    y's loop order and dz, each formed as separate ops would form it.
+    """
+    inputs = (*yz, w_fwd, w_bwd, tokens)
+    del yz
+    yd, zp = inputs[0].data, (inputs[1].data, inputs[2].data)
+    g = np.empty(yd.shape, dtype=zp[0].dtype)
+    for half, o in enumerate(_ORDER):
+        np.multiply(zp[half], _sigmoid(zp[half], out=g[half]), out=g[half])  # silu(z)
+        g[half] *= yd[half, :, o]                              # flipped back
+    if not recording(inputs):  # nothing reads y or z again
+        inputs = yd = zp = None
+    out = g[0] @ w_fwd.data
+    out += g[1] @ w_bwd.data
+    del g
     out += tokens.data
 
     def backward(d):
-        dg = np.empty(gd.shape, dtype=np.result_type(d, w_fwd.data))
-        for half, w in enumerate(ws):
-            np.matmul(d, w.data.T, out=dg[half])
-        return (dg, *(tt._unbroadcast(np.swapaxes(gd[half], -1, -2) @ d, w.data.shape)
-                      for half, w in enumerate(ws)), d)
+        dy = np.empty(yd.shape, np.result_type(d, w_fwd.data, zp[0]))  # loop order
+        dz, dw = [], []
+        for half, (o, w) in enumerate(zip(_ORDER, (w_fwd.data, w_bwd.data))):
+            s_z = _sigmoid(zp[half])                           # recomputed rather than kept
+            gate = zp[half] * s_z
+            g = gate.copy()
+            g *= yd[half, :, o]
+            dw.append(tt._unbroadcast(np.swapaxes(g, -1, -2) @ d, w.shape))
+            del g
+            dg = d @ w.T
+            np.multiply(dg[:, o], gate[:, o], out=dy[half])
+            gate *= 1.0 - s_z
+            gate += s_z                                        # silu'(z)
+            dz.append(np.multiply(dg, yd[half, :, o], out=s_z))
+            dz[half] *= gate
+        return (dy, *dz, *dw, d)
 
-    return record(Tensor(out, _check=False), (g, w_fwd, w_bwd, tokens), backward)
+    return record(Tensor(out, _check=False), inputs or (), backward)
 
 
 def _in_projections(fwd, bwd, normed):
@@ -235,15 +252,27 @@ def _in_projections(fwd, bwd, normed):
     return [tt.matmul(normed, p[k]) for p in (fwd, bwd) for k in ("w_in", "w_gate")]
 
 
+def _scanned(fwd, bwd, xz, inter):
+    """block_tail's ``[y, fz, bz]`` from the projections xz = [fx, fz, bx, bz]:
+    scan_core's readout of both x, which die in it, and both z. The features
+    scan_core returns go into ``inter``."""
+    y, feats = scan_core(fwd, bwd, [xz.pop(0), xz.pop(1)])    # xz keeps [fz, bz]
+    inter.update(feats)
+    return [y, *xz]
+
+
 def bidirectional_block(fwd, bwd, tokens: Tensor):
     """Residual bidirectional block over [B, T, D_model] tokens, with
     independent forward and backward scans whose parameters are ``fwd`` and
     ``bwd``, each a ``{field: Tensor}`` keyed as in ``scan_shapes``. Tapes
-    layer_norm, the four in and gate projections, scan_core and block_tail.
-    Returns (out, intermediates): the features a reduction step scores, the
-    forward direction's B/C projections and step delta and the output x.
+    layer_norm, the four in and gate projections, scan_core and block_tail;
+    each op's inputs are handed over as temporaries, so untaped they die in
+    the op that reads them last. Returns (out, intermediates): the features
+    a reduction step scores, the forward direction's B/C projections and
+    step delta and the output x.
     """
-    g, inter = scan_core(fwd, bwd, _in_projections(fwd, bwd, tt.layer_norm(tokens)))
-    out = block_tail(g, fwd["w_out"], bwd["w_out"], tokens)
+    inter = {}
+    out = block_tail(_scanned(fwd, bwd, _in_projections(fwd, bwd, tt.layer_norm(tokens)), inter),
+                     fwd["w_out"], bwd["w_out"], tokens)
     inter["x"] = out.data  # the values a downstream reduction step merges
     return out, inter

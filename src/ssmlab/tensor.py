@@ -108,6 +108,7 @@ class GradTape:
         self._consumed = True  # before any entry runs: a raising one cannot be rerun
         # cotangents keyed by an output's key, or by the leaf Tensor itself
         grads = {loss._key if loss._key in self._produced else loss: np.ones_like(loss.data)}
+        summed = set()  # refs whose cotangent is a sum this loop allocated
         while self.entries:  # popped, an entry's closure dies once it has run
             key, inputs, backward_fn = self.entries.pop()
             dout = grads.pop(key, None)
@@ -116,13 +117,25 @@ class GradTape:
             for ref, din in zip(inputs, backward_fn(dout)):
                 if din is None or isinstance(ref, Tensor) and not ref.requires_grad:
                     continue
-                grads[ref] = grads[ref] + din if ref in grads else din
+                if ref not in grads:  # a backward fn's own array: never written to
+                    grads[ref] = din
+                elif ref in summed and _fits(grads[ref], din):
+                    np.add(grads[ref], din, out=grads[ref])  # the bits of a + b
+                else:
+                    grads[ref] = grads[ref] + din
+                    summed.add(ref)
         # every produced key was popped by its entry: what is left are leaves
         for leaf, g in grads.items():
             if leaf.grad is None:
                 leaf.grad = Tensor(g, _check=False)
             else:
                 leaf.grad = Tensor(leaf.grad.data + g, _check=False)
+
+
+def _fits(a, b):
+    """Whether a + b has a's dtype and shape, so it can be formed in a."""
+    return (np.result_type(a, b) == a.dtype
+            and np.broadcast_shapes(a.shape, b.shape) == a.shape)
 
 
 def recording(inputs):
@@ -213,10 +226,16 @@ def layer_norm(a, eps=1e-6):
     y *= inv
     out = Tensor(y, _check=False)
 
-    def backward(d):
+    def backward(d):  # (d - dy_sum/n - y*dyy_sum/n) * inv, in that order, in two buffers
         dy_sum = d.sum(axis=-1, keepdims=True)
-        dyy_sum = (d * y).sum(axis=-1, keepdims=True)
-        return ((d - dy_sum / n - y * dyy_sum / n) * inv,)
+        t = d * y
+        dyy_sum = t.sum(axis=-1, keepdims=True)
+        dx = np.subtract(d, dy_sum / n, out=np.empty_like(t))
+        t = np.multiply(y, dyy_sum, out=t)
+        t /= n
+        dx -= t
+        dx *= inv
+        return (dx,)
 
     return record(out, (a,), backward)
 

@@ -65,11 +65,18 @@ def test_criterion_02_scan_oracle():
         fwd, bwd = make_params(rng, d, d, n), make_params(rng, d, d, n)
         x, bx = rng.uniform(-1, 1, (2, 1, t, d))
         z, bz = rng.uniform(-2, 2, (2, 1, t, d))
-        y, _ = ssm.scan_core(fwd, bwd, [Tensor(v) for v in (x, z, bx, bz)])
-        # each half against the per-step reference: forward, then reversed
-        assert np.abs(y.data[0] - naive_scan(fwd, silu(x)) * z * sigmoid(z)).max() < 1e-12
-        assert np.abs(y.data[1] - naive_scan(bwd, silu(bx), reverse=True)
-                      * bz * sigmoid(bz)).max() < 1e-12
+        y, _ = ssm.scan_core(fwd, bwd, [Tensor(x), Tensor(bx)])
+        want = naive_scan(fwd, silu(x)), naive_scan(bwd, silu(bx), reverse=True)
+        # each half of the readout against the per-step reference: forward,
+        # then the backward half, which the op leaves in loop order, reversed
+        assert np.abs(y.data[0] - want[0]).max() < 1e-12
+        assert np.abs(y.data[1, :, ::-1] - want[1]).max() < 1e-12
+        # and gated by the block's tail, one half at a time through an
+        # identity out projection
+        eye, zero = Tensor(np.eye(d)), Tensor(np.zeros((d, d)))
+        for ws, ref, gz in (((eye, zero), want[0], z), ((zero, eye), want[1], bz)):
+            out = ssm.block_tail([y, Tensor(z), Tensor(bz)], *ws, Tensor(np.zeros((1, t, d))))
+            assert np.abs(out.data - ref * gz * sigmoid(gz)).max() < 1e-12
 
 
 def test_criterion_03_full_model_gradients():

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import struct
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -228,14 +230,16 @@ class TestForward:
         assert mem.peak <= 7.5 * 2**20
 
     def test_taped_forward_keeps_only_what_backward_reads(self):
-        # live arrays after a taped 32-image r=10 step's forward: 62.1 MiB
-        # (37.75 of it the scan state histories; 64.8 while scan_core's
-        # closure kept B, C, the step and its pre-activation, 69.5 while a
-        # silu op of its own kept sigmoid(x) and silu(x), 75.2 while scan_core
-        # kept its gate, 106.4 while tape entries held every output and
-        # input). Backward frees each op once it has run, so the whole step
-        # peaks 1.8 MiB over that (1.6 while each direction's scan ran its
-        # own backward pass).
+        # live arrays after a taped 32-image r=10 step's forward: 57.35 MiB
+        # (37.75 of it the scan state histories; 62.1 while scan_core's
+        # closure kept the ungated readout and block_tail's the gated one,
+        # 64.8 while scan_core's closure kept B, C, the step and its
+        # pre-activation, 69.5 while a silu op of its own kept sigmoid(x)
+        # and silu(x), 75.2 while scan_core kept its gate, 106.4 while tape
+        # entries held every output and input). Backward frees each op once
+        # it has run, so the whole step peaks 1.55 MiB over that (1.8 while
+        # scan_core gated its readout, 1.6 while each direction's scan ran
+        # its own backward pass).
         m = mdl.init_model(ModelConfig(reduction=ReductionConfig(r=10, sites=(2, 4, 6))))
         imgs = np.random.default_rng(1).uniform(0, 1, (32, 28, 28, 1))
         with traced_memory() as mem:
@@ -247,8 +251,31 @@ class TestForward:
                 tape.backward(loss)
         assert logits.shape == (32, 10)
         assert ops == 67  # the taped ops of one re-training step
-        assert live < 63 * 2**20
+        assert live < 58 * 2**20
         assert mem.peak - live <= 2 * 2**20
+
+    def test_premerge_block_output_dies_before_the_next_block(self, monkeypatch):
+        # an untaped r=20 forward: when a block starts, everything the block
+        # before returned beside its output (the B, C and step features) is
+        # dead, and after a site's reduction the pre-merge output is too;
+        # 3.21 MiB were live entering block 3 while they lived on, against
+        # 1.54 entering the first three blocks
+        m = mdl.init_model(ModelConfig(reduction=ReductionConfig(r=20, sites=(2, 4, 6))))
+        block, returned, dead = ssm.bidirectional_block, [], []
+
+        def spy(fwd, bwd, tokens):
+            gc.collect()
+            dead.append({k: r() is None for k, r in returned[-1].items()} if returned else {})
+            out, inter = block(fwd, bwd, tokens)
+            returned.append({k: weakref.ref(v) for k, v in inter.items()})
+            return out, inter
+
+        monkeypatch.setattr(ssm, "bidirectional_block", spy)
+        imgs = np.random.default_rng(1).uniform(0, 1, (8, 28, 28, 1))
+        _, trace = mdl.forward(m, imgs)
+        assert trace == [49, 49, 49, 29, 29, 15, 15, 8]
+        for l, gone in enumerate(dead[1:], start=1):
+            assert gone == {"b": True, "c": True, "delta": True, "x": l - 1 in (2, 4, 6)}, l
 
     def test_wrong_image_shape(self):
         m = mdl.init_model(small_cfg(), seed=0)

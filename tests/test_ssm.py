@@ -56,20 +56,20 @@ def naive_scan(params, x, reverse=False):
     return y
 
 
-def direction_scan(p, x: Tensor, z: Tensor, direction=ScanDirection.FORWARD):
+def direction_scan(p, x: Tensor, direction=ScanDirection.FORWARD):
     """One scan direction as a taped primitive of its own: the per-step
     reference whose values and gradients ``ssm.scan_core`` must match bit
     for bit on each half. p: the direction's fields, keyed as in
-    ``ssm.scan_shapes``; x and z: [B,T,D] pre-silu in projection and gate.
-    Steps a [B,N,D] state through t = 0 .. T-1, or T-1 .. 0 for the
-    BACKWARD direction, with the products, the gate and the hand-written
-    backward pass formed as one direction's scan forms them. Returns the
-    gated [B,T,D] output."""
-    xp, zs = x.data, z.data
+    ``ssm.scan_shapes``; x: [B,T,D] pre-silu in projection. Steps a [B,N,D]
+    state through t = 0 .. T-1, or T-1 .. 0 for the BACKWARD direction,
+    with the products and the hand-written backward pass formed as one
+    direction's scan forms them. Returns the ungated [B,T,D] readout, in
+    natural time."""
+    xp = x.data
     xs = ssm._sigmoid(xp)
     xs *= xp                                                   # silu(x)
     a_log, w_delta, delta_bias, w_b, w_c = (p[k] for k in FIELDS)
-    inputs = (x, z, a_log, w_delta, delta_bias, w_b, w_c)
+    inputs = (x, a_log, w_delta, delta_bias, w_b, w_c)
     a = -np.exp(a_log.data.T, order="C")                      # [N,D]
 
     def projections(xs):
@@ -93,20 +93,11 @@ def direction_scan(p, x: Tensor, z: Tensor, direction=ScanDirection.FORWARD):
         h += u
         np.matmul(cs[:, t, None, :], h, out=y[:, t, None, :])
         hs[t] = h
-    gate = ssm._sigmoid(zs)
-    gate *= zs                                                 # silu(z)
-    out = Tensor(y * gate, _check=False)
 
-    def backward(d_out):
-        s_x, s = ssm._sigmoid(xp), ssm._sigmoid(zs)
+    def backward(dy):
+        s_x = ssm._sigmoid(xp)
         xs = xp * s_x
         pre, ds, bs, cs = projections(xs)
-        gate = zs * s
-        dy = d_out * gate
-        gate *= 1.0 - s
-        gate += s                                              # silu'(z)
-        dz = d_out * y
-        dz *= gate
         dc = np.matmul(hs.transpose(1, 0, 2, 3), dy[..., None])[..., 0]  # sum_d h dy
         g = np.zeros_like(hs[0])                               # dL/dh_t
         buf = np.empty_like(g)
@@ -135,11 +126,55 @@ def direction_scan(p, x: Tensor, z: Tensor, direction=ScanDirection.FORWARD):
         dx += d_pre * w_delta.data[:, 0]
         dx *= s_x + xs * (1.0 - s_x)                           # silu'(x)
         xt = np.swapaxes(xs, -1, -2)
-        return (dx, dz, d_a_log, tt._unbroadcast(xt @ d_pre, w_delta.shape),
+        return (dx, d_a_log, tt._unbroadcast(xt @ d_pre, w_delta.shape),
                 tt._unbroadcast(d_pre, delta_bias.shape),
                 tt._unbroadcast(xt @ d_b, w_b.shape), tt._unbroadcast(xt @ dc, w_c.shape))
 
-    return record(out, inputs, backward)
+    return record(Tensor(y, _check=False), inputs, backward)
+
+
+def gate(y: Tensor, z: Tensor):
+    """y * silu(z) as a taped op of its own, with the backward pass formed as
+    ``ssm.block_tail`` forms it: the gate between a direction's per-step
+    scan and its out projection in a branch-by-branch reference."""
+    zs = z.data
+    g = zs * ssm._sigmoid(zs)                                  # silu(z)
+    g *= y.data
+
+    def backward(d):
+        s = ssm._sigmoid(zs)
+        silu_d = zs * s
+        dy = d * silu_d
+        silu_d *= 1.0 - s
+        silu_d += s                                            # silu'(z)
+        dz = d * y.data
+        dz *= silu_d
+        return dy, dz
+
+    return record(Tensor(g, _check=False), (y, z), backward)
+
+
+def flipped(a):
+    """A stacked [2,B,T,*] array with its backward half reversed in time:
+    scan_core's loop order in natural time, and natural time in loop order."""
+    return np.stack([a[0], a[1, :, ::-1]])
+
+
+class ReadSpy(Tensor):
+    """A copy of Tensor ``t`` that calls ``on_read()`` each time its data is read."""
+
+    def __init__(self, t, on_read):
+        self.on_read = on_read
+        super().__init__(t.data, requires_grad=t.requires_grad)
+
+    @property
+    def data(self):
+        self.on_read()
+        return self.__dict__["array"]
+
+    @data.setter
+    def data(self, value):
+        self.__dict__["array"] = value
 
 
 def lti_scan(a, b, c, x):
@@ -187,7 +222,7 @@ def sigmoid(v):
 
 
 def silu(v):
-    """The scan input scan_core forms from its pre-silu x."""
+    """The scan input scan_core forms from its pre-silu x, and block_tail's gate."""
     return v * sigmoid(v)
 
 
@@ -201,26 +236,26 @@ def fresh(p):
     return {k: Tensor(v.data.copy(), requires_grad=v.requires_grad) for k, v in p.items()}
 
 
-def both_halves(params, x, z, **given):
-    """scan_core with ``params`` for both directions and x, z for both
-    halves: (out [2,B,T,D], features); ``given`` replaces any of the
-    Tensors ``fx``, ``fz``, ``bx``, ``bz``."""
-    xz = {**dict(fx=x, fz=z, bx=x, bz=z), **given}
-    xz = {k: v if isinstance(v, Tensor) else Tensor(v) for k, v in xz.items()}
-    return ssm.scan_core(params, fresh(params), [xz[k] for k in ("fx", "fz", "bx", "bz")])
+def both_halves(params, x, **given):
+    """scan_core with ``params`` for both directions and x for both halves:
+    (out [2,B,T,D] in loop order, features); ``given`` replaces either of
+    the Tensors ``fx``, ``bx``."""
+    xs = {**dict(fx=x, bx=x), **given}
+    xs = {k: v if isinstance(v, Tensor) else Tensor(v) for k, v in xs.items()}
+    return ssm.scan_core(params, fresh(params), [xs["fx"], xs["bx"]])
 
 
-def scan(params, x, z, direction=ScanDirection.FORWARD):
-    """One direction's gated output [B,T,D] as an ndarray: its half of
-    scan_core's output."""
-    return both_halves(params, x, z)[0].data[direction.half]
+def scan(params, x, direction=ScanDirection.FORWARD):
+    """One direction's readout [B,T,D] as an ndarray, in natural time: its
+    half of scan_core's output."""
+    return flipped(both_halves(params, x)[0].data)[direction.half]
 
 
 def broadcast_scan(arrays, direction):
-    """One direction's untaped output from broadcast multiplies: per step
+    """One direction's untaped readout from broadcast multiplies: per step
     A_bar = exp(delta_t A) and u = (delta_t B_t) x_t, then h = A_bar h + u,
     with x = silu of the pre-silu input, formed as scan_core forms it."""
-    xs, zs = arrays["x"] * ssm._sigmoid(arrays["x"]), arrays["z"]
+    xs = arrays["x"] * ssm._sigmoid(arrays["x"])
     a = -np.exp(arrays["a_log"].T, order="C")
     ds = softplus(xs @ arrays["w_delta"] + arrays["delta_bias"])
     db, cs = ds * (xs @ arrays["w_b"]), xs @ arrays["w_c"]
@@ -230,7 +265,7 @@ def broadcast_scan(arrays, direction):
         h *= np.exp(ds[:, t, :, None] * a)
         h += db[:, t, :, None] * xs[:, t, None, :]
         np.matmul(cs[:, t, None, :], h, out=y[:, t, None, :])
-    return y * (zs * ssm._sigmoid(zs))
+    return y
 
 
 def discretized(params, x):
@@ -240,7 +275,7 @@ def discretized(params, x):
     A_bar = exp(delta * -exp(a_log)) and B_bar = delta * B, as scan_core
     builds them inside its forward pass.
     """
-    _, feats = both_halves(params, x, np.zeros(x.shape))
+    _, feats = both_halves(params, x)
     bsz, t_len, d = x.shape
     n = params["a_log"].shape[1]
     step = feats["delta"][..., None]                    # [B,T,1,1]
@@ -256,7 +291,7 @@ def constant_step(bias, t_len=3):
     p["w_delta"].data[:] = 0.0
     p["delta_bias"].data[:] = bias
     x = Tensor(np.random.default_rng(1).uniform(-1, 1, (1, t_len, 3)))
-    return both_halves(p, x, np.zeros(x.shape))[1]["delta"]
+    return both_halves(p, x)[1]["delta"]
 
 
 class TestDiscretize:
@@ -297,7 +332,7 @@ class TestDiscretize:
             bad = Tensor(np.zeros((1, 2, 3)))  # silu(-inf) is -inf * 0: NaN
             bad.data[0, 0, 0] = value
             with np.errstate(invalid="ignore"), pytest.raises(TensorError):
-                both_halves(p, np.zeros((1, 2, 3)), np.zeros((1, 2, 3)), **{half: bad})
+                both_halves(p, np.zeros((1, 2, 3)), **{half: bad})
 
     def test_softplus_at_zero(self):
         assert np.all(constant_step(0.0) == pytest.approx(math.log(2), abs=1e-15))
@@ -317,19 +352,18 @@ class TestDiscretize:
         p = make_params(rng, 4, 3, 2)
         p["w_delta"].data[:] = 0.0
         x = rng.uniform(-1, 1, (1, 4, 3))
-        z = rng.uniform(-1, 1, (1, 4, 3))
         w = rng.uniform(-1, 1, (1, 4, 3))
         for v in vals:
             p["delta_bias"].data[:] = v
             p["delta_bias"].zero_grad()
             with GradTape() as tape:
-                y, feats = both_halves(p, x, z)
+                y, feats = both_halves(p, x)
                 tape.backward(tt.tsum(mul(y, Tensor(np.stack([w, 0 * w])))))
             assert np.array_equal(feats["delta"], np.full((1, 4, 1), softplus(v)))
 
             def f(bias):
                 q = dict(p, delta_bias=Tensor(bias))
-                return float((scan(q, x, z) * w).sum())
+                return float((scan(q, x) * w).sum())
             g = finite_difference_grad(f, np.array([v]))
             err = np.abs(p["delta_bias"].grad.data - g).max()
             assert err / max(np.abs(g).max(), 1e-12) < 1e-4
@@ -340,53 +374,48 @@ class TestSelectiveScan:
         rng = np.random.default_rng(3)
         p = make_params(rng, 4, 3, 2)
         x = Tensor(rng.uniform(-1, 1, (2, 1, 3)))
-        z = rng.uniform(-1, 1, (2, 1, 3))
-        y = scan(p, x.data, z)
+        y = scan(p, x.data)
         _, b_bar, _, _ = discretized(p, x)
         xs = silu(x.data)
         c = xs @ p["w_c"].data
         expect = np.einsum("bdn,bn->bd", b_bar.data[:, 0] * xs[:, 0][:, :, None], c[:, 0])
-        assert np.allclose(y[:, 0], expect * z[:, 0] * sigmoid(z[:, 0]), atol=1e-14)
+        assert np.allclose(y[:, 0], expect, atol=1e-14)
 
     def test_memoryless_permutation_equivariance(self):
-        # delta -> large surrogate: A_bar ~ 0, so y_t depends on x_t and z_t alone
+        # delta -> large surrogate: A_bar ~ 0, so y_t depends on x_t alone
         rng = np.random.default_rng(4)
         p = make_params(rng, 4, 3, 2)
         p["w_delta"].data[:] = 0.0
         p["delta_bias"].data[:] = 60.0
         x = rng.uniform(-1, 1, (1, 6, 3))
-        z = rng.uniform(-1, 1, (1, 6, 3))
         perm = rng.permutation(6)
-        y = scan(p, x, z)
-        y_perm = scan(p, x[:, perm], z[:, perm])
+        y = scan(p, x)
+        y_perm = scan(p, x[:, perm])
         assert np.allclose(y_perm, y[:, perm], atol=1e-18)
 
     def test_matches_naive_reference(self):
         rng = np.random.default_rng(5)
         p = make_params(rng, 4, 3, 4)
         x = rng.uniform(-1, 1, (2, 6, 3))
-        z = rng.uniform(-2, 2, (2, 6, 3))
-        y = scan(p, x, z)
-        assert np.abs(y - naive_scan(p, silu(x)) * z * sigmoid(z)).max() < 1e-12
+        y = scan(p, x)
+        assert np.abs(y - naive_scan(p, silu(x))).max() < 1e-12
 
     def test_backward_direction_matches_reversed_naive(self):
         rng = np.random.default_rng(6)
         p = make_params(rng, 4, 3, 2)
         x = rng.uniform(-1, 1, (1, 5, 3))
-        z = rng.uniform(-2, 2, (1, 5, 3))
-        y = scan(p, x, z, ScanDirection.BACKWARD)
-        assert np.abs(y - naive_scan(p, silu(x), reverse=True) * z * sigmoid(z)).max() < 1e-12
+        y = scan(p, x, ScanDirection.BACKWARD)
+        assert np.abs(y - naive_scan(p, silu(x), reverse=True)).max() < 1e-12
 
     def test_causality(self):
         rng = np.random.default_rng(7)
         p = make_params(rng, 4, 3, 2)
         x = rng.uniform(-1, 1, (1, 8, 3))
-        z = rng.uniform(-1, 1, (1, 8, 3))
-        y0 = scan(p, x, z)
+        y0 = scan(p, x)
         s = 5
         x2 = x.copy()
         x2[0, s] += 0.37
-        y1 = scan(p, x2, z)
+        y1 = scan(p, x2)
         assert np.array_equal(y0[:, :s], y1[:, :s])
         assert not np.allclose(y0[:, s:], y1[:, s:])
 
@@ -394,47 +423,42 @@ class TestSelectiveScan:
         rng = np.random.default_rng(8)
         p = make_params(rng, 4, 3, 2)
         x = rng.uniform(-1, 1, (1, 8, 3))
-        z = rng.uniform(-1, 1, (1, 8, 3))
-        y0 = scan(p, x, z, ScanDirection.BACKWARD)
+        y0 = scan(p, x, ScanDirection.BACKWARD)
         s = 3
         x2 = x.copy()
         x2[0, s] += 0.37
-        y1 = scan(p, x2, z, ScanDirection.BACKWARD)
+        y1 = scan(p, x2, ScanDirection.BACKWARD)
         assert np.array_equal(y0[:, s + 1:], y1[:, s + 1:])
 
     def test_empty_sequence_rejected(self):
         p = make_params(np.random.default_rng(0), 4, 3, 2)
         with pytest.raises(TensorError):
-            scan(p, np.zeros((1, 0, 3)), np.zeros((1, 0, 3)))
+            scan(p, np.zeros((1, 0, 3)))
 
     def test_scan_gradient(self):
         rng = np.random.default_rng(9)
         p = make_params(rng, 4, 3, 2)
         x0 = rng.uniform(-1, 1, (1, 5, 3))
-        z = rng.uniform(-1, 1, (1, 5, 3))
         w = rng.uniform(-1, 1, (1, 5, 3))
         x = Tensor(x0, requires_grad=True)
         with GradTape() as tape:
-            y, _ = both_halves(p, x, z, bx=x0)
+            y, _ = both_halves(p, x, bx=x0)
             tape.backward(tt.tsum(mul(y, Tensor(np.stack([w, w])))))
         g = finite_difference_grad(
-            lambda v: float((naive_scan(p, silu(v)) * z * sigmoid(z) * w).sum()), x0.copy())
+            lambda v: float((naive_scan(p, silu(v)) * w).sum()), x0.copy())
         denom = np.abs(g).max()
         assert np.abs(g - x.grad.data).max() / denom < 1e-5
 
 
 class TestScanCore:
-    """scan_core's 14 inputs and both halves of its output. A test
+    """scan_core's 12 inputs and both halves of its output. A test
     parametrized by direction checks that direction's inputs and half."""
 
     @staticmethod
     def inputs(rng, bsz=2, t_len=5, d=3, n=2):
-        """scan_core's 14 inputs, keyed ``<side>.<name>``: x and z of each
+        """scan_core's 12 inputs, keyed ``<side>.<name>``: x of each
         direction, then each direction's scan fields."""
-        arrays = {}
-        for side in ("fwd", "bwd"):
-            arrays[f"{side}.x"] = rng.uniform(-1, 1, (bsz, t_len, d))
-            arrays[f"{side}.z"] = rng.uniform(-2, 2, (bsz, t_len, d))
+        arrays = {f"{side}.x": rng.uniform(-1, 1, (bsz, t_len, d)) for side in ("fwd", "bwd")}
         for side in ("fwd", "bwd"):
             arrays.update({f"{side}.a_log": rng.uniform(-0.5, 0.5, (d, n)),
                            f"{side}.w_delta": rng.uniform(-0.5, 0.5, (d, 1)),
@@ -448,7 +472,7 @@ class TestScanCore:
         """scan_core on a dict of Tensors keyed as ``inputs``."""
         sides = ("fwd", "bwd")
         return ssm.scan_core(*({k: tensors[f"{side}.{k}"] for k in FIELDS} for side in sides),
-                             [tensors[f"{side}.{k}"] for side in sides for k in ("x", "z")])
+                             [tensors[f"{side}.x"] for side in sides])
 
     @staticmethod
     def side(arrays, direction):
@@ -457,7 +481,7 @@ class TestScanCore:
         return {k[len(pre):]: v for k, v in arrays.items() if k.startswith(pre)}
 
     def check_gradients(self, direction, **sizes):
-        """The cotangents of one direction's seven inputs against central
+        """The cotangents of one direction's six inputs against central
         differences; an input the output does not depend on must get an
         exactly zero one."""
         rng = np.random.default_rng(16)
@@ -467,7 +491,7 @@ class TestScanCore:
         with GradTape() as tape:
             y, _ = self.call(tensors)
             tape.backward(tt.tsum(mul(y, Tensor(w))))
-        for name in (f"{direction.value}.{k}" for k in ("x", "z", *FIELDS)):
+        for name in (f"{direction.value}.{k}" for k in ("x", *FIELDS)):
             def f(v, name=name):
                 args = {k: Tensor(v if k == name else a) for k, a in arrays.items()}
                 return float((self.call(args)[0].data * w).sum())
@@ -489,21 +513,22 @@ class TestScanCore:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("bsz, t_len", [(3, 1), (4, 9), (16, 49)])
     def test_matches_per_step_reference_bit_for_bit(self, dtype, bsz, t_len):
-        # each half's output and every cotangent equal those of its
-        # direction scanned on its own, step by step
+        # each half's readout and every cotangent equal those of its
+        # direction scanned on its own, step by step; the op holds the
+        # backward half, and takes its cotangent, in loop order
         rng = np.random.default_rng(30)
         arrays = {k: v.astype(dtype) for k, v in
                   self.inputs(rng, bsz=bsz, t_len=t_len, d=8, n=4).items()}
-        dy = rng.uniform(-1, 1, (2, bsz, t_len, 8)).astype(dtype)
-        got = dict(zip(["y", *arrays], self.run_taped(arrays, dy)))
+        dy = rng.uniform(-1, 1, (2, bsz, t_len, 8)).astype(dtype)  # natural time
+        got = dict(zip(["y", *arrays], self.run_taped(arrays, flipped(dy))))
         for direction in ScanDirection:
             tensors = {k: Tensor(v, requires_grad=True)
                        for k, v in self.side(arrays, direction).items()}
             with GradTape() as tape:
-                y = direction_scan(tensors, tensors["x"], tensors["z"], direction)
+                y = direction_scan(tensors, tensors["x"], direction)
                 want = [y.data, *tape.entries[-1][2](dy[direction.half])]
-            assert np.array_equal(got["y"][direction.half], want[0]), direction
-            for name, g in zip(("x", "z", *FIELDS), want[1:]):
+            assert np.array_equal(flipped(got["y"])[direction.half], want[0]), direction
+            for name, g in zip(("x", *FIELDS), want[1:]):
                 assert np.array_equal(got[f"{direction.value}.{name}"], g), name
 
     def test_float32_in_float32_out(self):
@@ -516,7 +541,7 @@ class TestScanCore:
     def test_float32_activations_with_float64_weights(self, direction):
         rng = np.random.default_rng(20)
         arrays = self.inputs(rng, bsz=3, t_len=9, d=4, n=3)
-        acts = [f"{side}.{k}" for side in ("fwd", "bwd") for k in ("x", "z")]
+        acts = [f"{side}.x" for side in ("fwd", "bwd")]
         mixed = dict(arrays, **{k: arrays[k].astype(np.float32) for k in acts})
         dy = rng.uniform(-1, 1, (2, 3, 9, 4)).astype(np.float32)
         y, *grads = self.run_taped(mixed, dy)
@@ -536,7 +561,7 @@ class TestScanCore:
             y = self.call({k: Tensor(v) for k, v in arrays.items()})[0].data
             assert y.dtype == dtype
             want = broadcast_scan(self.side(arrays, direction), direction)
-            assert np.array_equal(y[direction.half], want), dtype
+            assert np.array_equal(flipped(y)[direction.half], want), dtype
 
     def run_taped(self, arrays, dy):
         """scan_core's output and its backward pass applied to dy directly:
@@ -555,10 +580,10 @@ class TestScanCore:
         rng = np.random.default_rng(18)
         arrays = self.inputs(rng, bsz=3, t_len=7, d=4, n=3)
         dy = rng.uniform(-1, 1, (7, 2, 3, 4)).transpose(1, 2, 0, 3)
-        # time-reversed views of the direction's [B,T,D] inputs and
+        # a time-reversed view of the direction's [B,T,D] input and
         # transposed views of its [D,N] fields
         views = dict(arrays)
-        for name in ("x", "z", "a_log", "w_b", "w_c"):
+        for name in ("x", "a_log", "w_b", "w_c"):
             v = arrays[f"{direction.value}.{name}"]
             views[f"{direction.value}.{name}"] = v[:, ::-1] if v.ndim == 3 else v.T.copy().T
             assert not views[f"{direction.value}.{name}"].flags.c_contiguous
@@ -586,7 +611,7 @@ class TestScanCore:
             arrays[f"{side}.x"][...] = [1e4, -1e4]
         arrays = {k: v.astype(dtype) for k, v in arrays.items()}
         with np.errstate(over="raise", invalid="raise"):
-            y, dx, _, dbx, *grads = self.run_taped(
+            y, dx, dbx, *grads = self.run_taped(
                 arrays, rng.uniform(-1, 1, (2, *arrays["fwd.x"].shape)).astype(dtype))
             feats = self.call({k: Tensor(v) for k, v in arrays.items()})[1]
         assert y.dtype == dtype and np.all(np.isfinite(y))
@@ -617,10 +642,9 @@ class TestScanCore:
 
     def test_backward_keeps_x_not_its_silu(self):
         # silu(x), sigmoid(x), the step, its pre-activation, B and C are
-        # recomputed: of the [B,T,*] arrays the closure holds only each
-        # direction's x and z and the stacked ungated readout y (the
-        # backward half in loop order), and beyond its inputs it keeps y,
-        # the state history and A alone
+        # recomputed, and the readout is block_tail's to keep: of the
+        # [B,T,*] arrays the closure holds only each direction's x, and
+        # beyond its inputs it keeps the state history and A alone
         arrays = self.inputs(np.random.default_rng(27), bsz=8, t_len=40, d=16, n=8)
         tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
         with GradTape() as tape, traced_memory() as mem:
@@ -628,32 +652,24 @@ class TestScanCore:
             backward = tape.entries[-1][2]
             held = [c.cell_contents for c in backward.__closure__]
             held = [a for c in held for a in (c if isinstance(c, tuple) else (c,))]
-            gated = out.data
+            y = out.data
             del out, inter
             live = mem.live()
-        acts = [arrays[f"{side}.{k}"] for side in ("fwd", "bwd") for k in ("x", "z")]
+        acts = [arrays[f"{side}.x"] for side in ("fwd", "bwd")]
         assert all(any(a is b for b in held) for a in acts)
-        rest = [a for a in held if isinstance(a, np.ndarray) and a.shape == gated.shape]
-        assert len(rest) == 1
-        for direction in ScanDirection:
-            z = arrays[f"{direction.value}.z"]
-            y = rest[0][direction.half, :, ::1 - 2 * direction.half]
-            assert np.array_equal(y * (z * ssm._sigmoid(z)), gated[direction.half]), direction
-        assert not [a for a in held if isinstance(a, np.ndarray)
-                    and a.shape[-2:] in ((40, 8), (40, 1))]
-        kept = sum(a.nbytes for a in held if isinstance(a, np.ndarray)
-                   and not any(a is b for b in acts))
-        assert live - gated.nbytes < kept + 16 * 2**10
+        rest = [a for a in held if isinstance(a, np.ndarray) and not any(a is b for b in acts)]
+        assert not [a for a in rest if a.shape[-2:] in ((40, 16), (40, 8), (40, 1))]
+        assert live - y.nbytes < sum(a.nbytes for a in rest) + 16 * 2**10
 
     @pytest.mark.parametrize("direction", list(ScanDirection))
     def test_loop_outputs_reuse_consumed_buffers(self, direction):
         # y_s goes into silu(x)'s slot once u_s has read it, and backward
-        # writes the B and x cotangents over its recomputed dy and C: with
-        # dy the stacked cotangent, an untaped call peaks at 3.5 x
-        # dy.nbytes and one run of the closure at 7.5. The returned features
-        # keep their values. dy feeds ``direction``'s half alone, so the
-        # other direction's seven cotangents must stay exactly zero: no
-        # reused buffer carries one half's values into the other's.
+        # writes the x cotangent over its recomputed C: with dy the stacked
+        # cotangent, an untaped call peaks at 3.5 x dy.nbytes and one run of
+        # the closure at 6.5. The returned features keep their values. dy
+        # feeds ``direction``'s half alone, so the other direction's six
+        # cotangents must stay exactly zero: no reused buffer carries one
+        # half's values into the other's.
         arrays = self.inputs(np.random.default_rng(28), bsz=8, t_len=40, d=16, n=8)
         dy = np.zeros((2, *arrays["fwd.x"].shape))
         dy[direction.half] = np.random.default_rng(29).uniform(-1, 1, dy.shape[1:])
@@ -675,44 +691,94 @@ class TestScanCore:
 
     @pytest.mark.parametrize("direction", list(ScanDirection))
     def test_leaves_inputs_untouched(self, direction):
+        # and the backward pass leaves its cotangent untouched: it is the
+        # tape's, which may hand the same array to another op
         rng = np.random.default_rng(19)
         arrays = self.inputs(rng, bsz=2, t_len=6)
         mine = [k for k in arrays if k.startswith(direction.value + ".")]
         before = {k: arrays[k].tobytes() for k in mine}
         self.call({k: Tensor(v) for k, v in arrays.items()})
         assert {k: arrays[k].tobytes() for k in mine} == before
-        self.run_taped(arrays, rng.uniform(-1, 1, (2, *arrays["fwd.x"].shape)))
+        dy = rng.uniform(-1, 1, (2, *arrays["fwd.x"].shape))
+        dy_before = dy.tobytes()
+        self.run_taped(arrays, dy)
         assert {k: arrays[k].tobytes() for k in mine} == before
+        assert dy.tobytes() == dy_before
 
 
 class TestBlockTail:
+    """block_tail's six inputs: scan_core's readout y (backward half in loop
+    order), each direction's gate z, both out projections and the tokens."""
+
     @staticmethod
     def arrays(rng, bsz=2, t_len=5, d=3, d_model=4):
-        return {"g": rng.uniform(-1, 1, (2, bsz, t_len, d)),
+        return {"y": rng.uniform(-1, 1, (2, bsz, t_len, d)),
+                "fz": rng.uniform(-2, 2, (bsz, t_len, d)),
+                "bz": rng.uniform(-2, 2, (bsz, t_len, d)),
                 "w_fwd": rng.uniform(-1, 1, (d, d_model)),
                 "w_bwd": rng.uniform(-1, 1, (d, d_model)),
                 "tokens": rng.uniform(-1, 1, (bsz, t_len, d_model))}
 
+    @staticmethod
+    def call(t):
+        """block_tail on a dict of Tensors keyed as ``arrays``."""
+        return ssm.block_tail([t["y"], t["fz"], t["bz"]], t["w_fwd"], t["w_bwd"], t["tokens"])
+
     def test_same_bits_as_separate_ops(self):
         a = self.arrays(np.random.default_rng(40), bsz=4, t_len=9, d=8, d_model=16)
-        out = ssm.block_tail(*(Tensor(v) for v in a.values()))
-        want = a["tokens"] + (a["g"][0] @ a["w_fwd"] + a["g"][1] @ a["w_bwd"])
+        out = self.call({k: Tensor(v) for k, v in a.items()})
+        y = flipped(a["y"])
+        g = [a[k] * ssm._sigmoid(a[k]) * y[half] for half, k in enumerate(("fz", "bz"))]
+        want = a["tokens"] + (g[0] @ a["w_fwd"] + g[1] @ a["w_bwd"])
         assert np.array_equal(out.data, want)
 
     def test_gradient_all_inputs(self):
-        # all four cotangents against central differences
+        # all six cotangents against central differences
         rng = np.random.default_rng(41)
         arrays = self.arrays(rng)
         w = rng.uniform(-1, 1, arrays["tokens"].shape)
         tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
         with GradTape() as tape:
-            tape.backward(tt.tsum(mul(ssm.block_tail(*tensors.values()), Tensor(w))))
+            tape.backward(tt.tsum(mul(self.call(tensors), Tensor(w))))
         for name in arrays:
             def f(v, name=name):
-                args = [Tensor(v if k == name else a) for k, a in arrays.items()]
-                return float((ssm.block_tail(*args).data * w).sum())
+                args = {k: Tensor(v if k == name else a) for k, a in arrays.items()}
+                return float((self.call(args).data * w).sum())
             g = finite_difference_grad(f, arrays[name].copy())
             assert np.abs(g - tensors[name].grad.data).max() < 1e-8 * np.abs(g).max(), name
+
+    def test_closure_keeps_readout_and_gates_not_the_gated_readout(self):
+        # g = silu(z) * y is recomputed in backward: the closure holds y and
+        # both z, the inputs' own arrays, and no other [2,B,T,D] or
+        # [B,T,D] array, and nothing the op allocated outlives it but its
+        # output
+        arrays = self.arrays(np.random.default_rng(42), bsz=8, t_len=40, d=16, d_model=32)
+        tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
+        with GradTape() as tape, traced_memory() as mem:
+            out = self.call(tensors)
+            held = [c.cell_contents for c in tape.entries[-1][2].__closure__]
+            held = [a for c in held for a in (c if isinstance(c, tuple) else (c,))]
+            live = mem.live()
+        kept = [a for a in held if isinstance(a, np.ndarray)]
+        assert [[a is arrays[k] for a in kept] for k in ("y", "fz", "bz")] == \
+            [[True, False, False], [False, True, False], [False, False, True]]
+        assert live - out.data.nbytes < 16 * 2**10
+
+    def test_untaped_drops_readout_and_gates_before_projecting(self):
+        # handed over as a temporary, y and both z die once g is built:
+        # before the out projections read their first weight
+        arrays = self.arrays(np.random.default_rng(43))
+        handed = [Tensor(arrays.pop(k)) for k in ("y", "fz", "bz")]
+        refs = [weakref.ref(t.data) for t in handed]
+        reads = []
+
+        def on_read():
+            gc.collect()
+            reads.append([r() is None for r in refs])
+        out = ssm.block_tail([handed.pop(0), handed.pop(0), handed.pop(0)],
+                             ReadSpy(Tensor(arrays["w_fwd"]), on_read),
+                             Tensor(arrays["w_bwd"]), Tensor(arrays["tokens"]))
+        assert reads == [[True, True, True]] and out.shape == (2, 5, 4)
 
 
 class TestLtiScan:
@@ -798,30 +864,28 @@ class TestBidirectionalBlock:
         rng = np.random.default_rng(15)
         p = make_params(rng, 6, 4, 3)
         x = Tensor(rng.uniform(-1, 1, (1, 64, 4)))
-        z = rng.uniform(-1, 1, (1, 64, 4))
         a_bar, b_bar, _, _ = discretized(p, x)
-        y = scan(p, x.data, z)
+        y = scan(p, x.data)
         xs = silu(x.data)
         a_max = a_bar.data.max()
         u_max = np.abs(b_bar.data * xs[..., None]).max()
         c_max = np.abs(xs @ p["w_c"].data).max()
-        gate_max = np.abs(z * sigmoid(z)).max()
         n = p["a_log"].shape[1]
         h_bound = u_max / (1.0 - a_max)
-        assert np.abs(y).max() <= n * c_max * h_bound * gate_max + 1e-9
+        assert np.abs(y).max() <= n * c_max * h_bound + 1e-9
 
     def test_matches_branch_by_branch_order_bit_for_bit(self):
         # a reference that tapes each direction's in and gate projections,
-        # per-step scan and out projection in turn, then two residual adds:
-        # the block's two fused ops must give every value and gradient the
-        # same bits, and normed's cotangent must sum its four terms in the
-        # same order
+        # per-step scan, gate and out projection in turn, then two residual
+        # adds: the block's two fused ops must give every value and gradient
+        # the same bits, and normed's cotangent must sum its four terms in
+        # the same order
         def reference(fwd, bwd, tokens):
             normed, contribs = tt.layer_norm(tokens), []
             for p, direction in zip((fwd, bwd), ScanDirection):
-                y = direction_scan(p, tt.matmul(normed, p["w_in"]),
-                                   tt.matmul(normed, p["w_gate"]), direction)
-                contribs.append(tt.matmul(y, p["w_out"]))
+                x, z = tt.matmul(normed, p["w_in"]), tt.matmul(normed, p["w_gate"])
+                contribs.append(tt.matmul(gate(direction_scan(p, x, direction), z),
+                                          p["w_out"]))
             return tt.add(tokens, tt.add(*contribs))
 
         rng = np.random.default_rng(26)
@@ -843,8 +907,8 @@ class TestBidirectionalBlock:
 
     def test_tapes_seven_ops(self):
         # layer_norm, each direction's in and gate projections, scan_core
-        # (both directions, both silus inside) and block_tail (both out
-        # projections and the residual add)
+        # (both directions, silu(x) inside) and block_tail (the silu(z)
+        # gate, both out projections and the residual add)
         rng = np.random.default_rng(21)
         blk = init_block(rng, 6, 4, 2)
         with GradTape() as tape:
@@ -855,11 +919,12 @@ class TestBidirectionalBlock:
     def test_untaped_block_frees_each_input_at_last_use(self, monkeypatch):
         # the normed tokens die once all four in projections exist, and each
         # pre-silu x once silu(x) is stacked, before the scan runs; both z
-        # live until the gate, and all four are dead before the tail
+        # live until the gate, and they and the scan's readout are dead
+        # before the first out projection reads its weight
         rng = np.random.default_rng(23)
         blk = init_block(rng, 6, 4, 2)
         normed, projections, calls = [], [], []
-        layer_norm, matmul, flip, block_tail = tt.layer_norm, tt.matmul, ssm._flip, ssm.block_tail
+        layer_norm, matmul, flip, scan_core = tt.layer_norm, tt.matmul, ssm._flip, ssm.scan_core
 
         def norm_spy(a):
             out = layer_norm(a)
@@ -879,23 +944,28 @@ class TestBidirectionalBlock:
                 calls.append("scan")
             return flip(a)
 
-        def tail_spy(*args):
+        def scan_spy(fwd, bwd, x):
+            y, feats = scan_core(fwd, bwd, [x.pop(0), x.pop(0)])
+            projections.append(weakref.ref(y.data))
+            return y, feats
+
+        def on_read():
             gc.collect()
             assert all(r() is None for r in projections)
             calls.append("tail")
-            return block_tail(*args)
 
         monkeypatch.setattr(tt, "layer_norm", norm_spy)
         monkeypatch.setattr(tt, "matmul", matmul_spy)
         monkeypatch.setattr(ssm, "_flip", flip_spy)
-        monkeypatch.setattr(ssm, "block_tail", tail_spy)
+        monkeypatch.setattr(ssm, "scan_core", scan_spy)
+        blk[0]["w_out"] = ReadSpy(blk[0]["w_out"], on_read)
         out, _ = ssm.bidirectional_block(*blk, Tensor(rng.uniform(-1, 1, (2, 5, 6))))
         assert calls == ["scan", "tail"] and out.shape == (2, 5, 6)
 
     def test_out_projection_outputs_die_while_tape_is_open(self):
         # no backward pass reads them: block_tail forms both and sums them
-        # into its output, and its closure keeps scan_core's output and the
-        # weights, nothing D_model wide
+        # into its output, and its closure keeps scan_core's readout, both
+        # gates and the weights, nothing D_model wide
         rng = np.random.default_rng(22)
         blk = init_block(rng, 6, 4, 2)
         x = Tensor(rng.uniform(-1, 1, (2, 5, 6)), requires_grad=True)
@@ -904,6 +974,6 @@ class TestBidirectionalBlock:
             held = [c.cell_contents for c in tape.entries[-1][2].__closure__]
             held = [a for c in held for a in (c if isinstance(c, tuple) else (c,))]
             arrays = [a for a in held if isinstance(a, np.ndarray)]
-            assert [a.shape for a in arrays] == [(2, 2, 5, 4)]
+            assert [a.shape for a in arrays] == [(2, 2, 5, 4), (2, 5, 4), (2, 5, 4)]
             tape.backward(tt.tsum(out))
         assert all(side["w_out"].grad is not None for side in blk)

@@ -168,6 +168,37 @@ class TestBackward:
             tape.backward(tt.tsum(tt.add(mul(x, x), x)))
         assert x.grad.data[0] == pytest.approx(2 * 3.0 + 1.0)
 
+    def test_summed_cotangents_leave_returned_arrays_untouched(self):
+        # add returns the same d for both of its inputs, and every add below
+        # passes the loss's cotangent on: x's first cotangent is that shared
+        # array, and its later ones are summed in a buffer of the tape's
+        # own, so y's cotangent, the same array, keeps its value
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = Tensor(np.ones(3), requires_grad=True)
+        with GradTape() as tape:
+            s = tt.add(x, y)
+            tape.backward(tt.tsum(tt.add(tt.add(s, x), tt.add(x, x))))
+        assert np.array_equal(x.grad.data, np.full(3, 4.0))
+        assert np.array_equal(y.grad.data, np.ones(3))
+
+    @pytest.mark.parametrize("dtypes", [(np.float32, np.float32, np.float64, np.float32),
+                                        (np.float64, np.float32, np.float32, np.float32),
+                                        (np.float32,) * 4])
+    def test_cotangent_sum_keeps_the_bits_of_a_plus_b(self, dtypes):
+        # four cotangents of mixed width for one input: the sum is
+        # ((c0 + c1) + c2) + c3, widened where a + b widens, and none of
+        # the arrays the backward fn returned is written to
+        rng = np.random.default_rng(5)
+        parts = [rng.uniform(-1, 1, 6).astype(t) for t in dtypes]
+        before = [p.copy() for p in parts]
+        x = Tensor(np.zeros(6, np.float32), requires_grad=True)
+        with GradTape() as tape:
+            out = tt.record(Tensor(np.zeros(6, np.float32)), (x,) * 4, lambda d: parts)
+            tape.backward(tt.tsum(out))
+        want = ((before[0] + before[1]) + before[2]) + before[3]
+        assert x.grad.data.dtype == want.dtype and np.array_equal(x.grad.data, want)
+        assert all(np.array_equal(p, b) for p, b in zip(parts, before))
+
     def test_intermediate_output_dies_while_tape_is_open(self):
         # add's closure keeps its input shapes, and an entry keeps its output's key
         x = Tensor(np.ones((4, 5)), requires_grad=True)
@@ -257,3 +288,19 @@ class TestShapes:
             tape.backward(tt.tsum(mul(tt.layer_norm(x), Tensor(w))))
         g = finite_difference_grad(f, x0.copy())
         assert rel_err(x.grad.data, g) < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layer_norm_gradient_bits_of_the_one_line_formula(self, dtype):
+        rng = np.random.default_rng(13)
+        x = rng.uniform(-3, 3, (3, 5, 16)).astype(dtype)
+        d = rng.uniform(-1, 1, x.shape).astype(dtype)
+        t = Tensor(x, requires_grad=True)
+        with GradTape() as tape:
+            y = tt.layer_norm(t)
+            got = tape.entries[-1][2](d)[0]
+        yc = x - x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(np.einsum("...i,...i->...", yc, yc)[..., None] / 16 + 1e-6)
+        n, y = 16, y.data
+        want = (d - d.sum(axis=-1, keepdims=True) / n
+                - y * (d * y).sum(axis=-1, keepdims=True) / n) * inv
+        assert got.dtype == dtype and np.array_equal(got, want)
