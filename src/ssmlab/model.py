@@ -159,8 +159,7 @@ def forward(model: Model, images, rng=None):
         r_eff = rd.effective_r(t_cur, red.r, red.pair_rank) if l in red.sites else 0
         if r_eff:
             x = rd.reduce_tokens(x, inter[red.feature.value], r_eff, red, rng)[0]
-        # else the block's output and its [B,T,N] projections live through the next block
-        del inter
+        del inter  # else its features and a site's pre-merge x live into the next block
     pooled = tt.tmean(tt.layer_norm(x), axis=1)   # [B, d_model]
     logits = tt.matmul(pooled, params["head"])
     return logits, trace

@@ -13,8 +13,10 @@ Mamba calls selective_scan_fn once per direction (Zhu et al., arXiv
 backward's, [2,B,T,*], and each loop runs T steps over both: in loop
 order, step s is time s of the forward half and T-1-s of the backward
 half, reversed once on the way into a loop and flipped back once on the
-way out. block_tail gates the readout with silu(z), and applies both out
-projections and the residual.
+way out. block_tail gates the readout with silu(z), reading its backward
+half reversed, and applies both out projections and the residual; as in
+mamba_inner_fn, the gated readout is recomputed for the out projections'
+gradient rather than kept.
 """
 
 from __future__ import annotations
