@@ -9,12 +9,9 @@ token shared by all channels. x and the gate z both pass through silu.
 A block tapes both scan directions as one fused primitive, scan_core, as
 Mamba's mamba_inner_fn fuses one (Gu & Dao, arXiv 2312.00752) and Vision
 Mamba calls selective_scan_fn once per direction (Zhu et al., arXiv
-2401.09417). Its arrays stack the forward direction's half over the
-backward's, [2,B,T,*], and each loop runs T steps over both: in loop
-order, step s is time s of the forward half and T-1-s of the backward
-half, reversed once on the way into a loop and flipped back once on the
-way out. block_tail gates the readout with silu(z), reading its backward
-half reversed, and applies both out projections and the residual; as in
+2401.09417), and runs the backward direction as Vision Mamba does: as the
+forward scan of the time-reversed sequence. block_tail gates the readout
+with silu(z) and applies both out projections and the residual; as in
 mamba_inner_fn, the gated readout is recomputed for the out projections'
 gradient rather than kept.
 """
@@ -39,15 +36,9 @@ def _sigmoid(x, out=None):
     return s
 
 
-def _flip(a):
-    """Reverse a stacked [2,B,T,*] array's backward half in time, in place."""
-    a[1] = a[1, :, ::-1]
-    return a
-
-
 def _stacked(sides, key):
-    """Both directions' [D,K] field as one [2,1,D,K] right operand."""
-    return np.stack([p[key].data for p in sides])[:, None]
+    """Both directions' [D,K] (or [1]) field as one [2,1,D,K] right operand."""
+    return np.stack([np.atleast_2d(p[key].data) for p in sides])[:, None]
 
 
 def scan_shapes(d_model, d, n):
@@ -78,25 +69,22 @@ def scan_core(fwd, bwd, x):
     direction's {"b", "c", "delta"}: the features a reduction step scores,
     as detached ndarrays.
 
-    Per step, the products delta_t A, (delta_t B_t) xs_t and C_t dy_t are
-    einsum outer products over [2,B,*] views, cast same_kind as ufuncs cast,
-    and outputs go over slots the step has read: y_t over xs_t; backward,
-    the x cotangent over C_t. Every matmul whose bits depend on its row
-    order (the one-wide step GEMV, each contraction over T) reads natural
-    time, so each half keeps the bits of its direction scanned alone; B and
-    C read loop order.
+    bx is read reversed where silu(x) is built, and every array after that
+    is in loop order, so the backward half is, bit for bit, the forward scan
+    of the reversed sequence. Per step, delta_t A, (delta_t B_t) xs_t and
+    C_t dy_t are einsum outer products over [2,B,*] views, cast same_kind as
+    ufuncs cast; y_t goes over xs_t and, backward, the x cotangent over C_t.
 
-    The closure keeps x, A and the states, kept only when taped, per half
-    in natural time: [2,T,B,N,D]. Untaped, each x is dropped once silu(x)
-    is stacked, and dies there, as the block passes ``x`` as a temporary.
-    The backward pass takes dy in loop order and leaves it untouched. It
-    recomputes xs, sigmoid(x), the step, B and C, and carries g = dL/dh_t
-    in one [2,B,N,D] buffer, recomputing A_bar_t to carry g back a step. It
-    writes dL/d(delta_t A) = g A_bar_t h_prev over h_prev in the state
-    history and takes each half's delta and a_log terms as one reduction
-    each over it. x's cotangent sums its scan, C, B and delta terms in
-    place, then takes silu'(x) = s + xs (1 - s): the order, and bits, of
-    separate ops.
+    Taped, the closure keeps x, A and the states [2,T,B,N,D]; untaped, each
+    x dies once silu(x) is stacked, as the block passes ``x`` as a
+    temporary. The backward pass takes dy in loop order, leaves it
+    untouched, and recomputes xs, sigmoid(x), the step, B and C. It carries
+    g = dL/dh_t in one [2,B,N,D] buffer, recomputing A_bar_t to carry it
+    back a step, and writes dL/d(delta_t A) = g A_bar_t h_prev over h_prev
+    in the state history, which the delta and a_log terms each reduce in
+    one op. x's cotangent sums its scan, C, B and delta terms in place, then
+    takes silu'(x) = s + xs (1 - s), the bits of separate ops; bx's is
+    copied back to natural time.
     """
     sides = (fwd, bwd)
     inputs = (*x, *(p[k] for p in sides for k in _SCAN_FIELDS))
@@ -106,9 +94,14 @@ def scan_core(fwd, bwd, x):
         raise TensorError("scan_core expects [B, T, D]")
     if xp[0].shape[1] < 1:
         raise TensorError("empty sequence")
+
+    def silu(s_x, xs):
+        """sigmoid(x) into s_x and silu(x) into xs, [2,B,T,D] in loop order."""
+        for half, o in enumerate(_ORDER):
+            np.multiply(xp[half][:, o], _sigmoid(xp[half][:, o], out=s_x[half]), out=xs[half])
+        return xs
     xs = np.empty((2, *xp[0].shape), dtype=xp[0].dtype)
-    for half in range(2):
-        np.multiply(xp[half], _sigmoid(xp[half], out=xs[half]), out=xs[half])  # silu(x)
+    silu(xs, xs)
     if not np.all(np.isfinite(xs)):
         raise TensorError("non-finite scan input")
     if not recording(inputs):  # nothing reads the pre-silu x again
@@ -118,15 +111,12 @@ def scan_core(fwd, bwd, x):
         raise TensorError("exp overflow")
 
     def projections(xs):
-        """pre and the step [2,B,T,1] of natural-time xs; B, C of xs in loop order."""
-        pre = np.stack([xs[half] @ p["w_delta"].data + p["delta_bias"].data
-                        for half, p in enumerate(sides)])
+        """pre, the step [2,B,T,1], B and C of xs."""
+        pre = xs @ _stacked(sides, "w_delta") + _stacked(sides, "delta_bias")
         ds = np.maximum(pre, 0.0) + np.log1p(np.exp(-np.abs(pre)))  # overflow-safe softplus
-        _flip(xs)
         return pre, ds, xs @ _stacked(sides, "w_b"), xs @ _stacked(sides, "w_c")
     _, ds, bs, cs = projections(xs)
-    feats = {"b": bs[0].copy(), "c": cs[0].copy(), "delta": ds[0]}  # half 0: natural time
-    ds = _flip(ds.copy())
+    feats = {"b": bs[0].copy(), "c": cs[0].copy(), "delta": ds[0]}
     t_len = xs.shape[2]
     db = np.multiply(bs, ds, out=bs)                           # delta_t B_t
     h = np.zeros((*xs.shape[:2], *a.shape[1:]), dtype=xs.dtype)  # [2,B,N,D]
@@ -141,19 +131,15 @@ def scan_core(fwd, bwd, x):
         h += u
         np.matmul(cs[:, :, s, None, :], h, out=y[:, :, s, None, :])
         if hs is not None:
-            hs[0, s], hs[1, t_len - 1 - s] = h
+            hs[:, s] = h
     del h, a_bar, u, db, bs, cs, ds, xs
 
     def backward(dy):
         s_x = np.empty(dy.shape, xp[0].dtype)
-        xs = np.empty_like(s_x)
-        for half in range(2):  # recomputed rather than kept
-            np.multiply(xp[half], _sigmoid(xp[half], out=s_x[half]), out=xs[half])
+        xs = silu(s_x, np.empty_like(s_x))                     # recomputed rather than kept
         pre, ds, bs, cs = projections(xs)                      # forward's own GEMMs
         bsz, t_len = dy.shape[1:3]
-        dc = np.stack([np.matmul(hs[half].transpose(1, 0, 2, 3), dy[half, :, o, :, None])
-                       [..., 0] for half, o in enumerate(_ORDER)])  # sum_d h dy
-        ds_loop = _flip(ds.copy())[..., 0]
+        dc = np.matmul(hs.transpose(0, 2, 1, 3, 4), dy[..., None])[..., 0]  # sum_d h dy
         g = np.zeros_like(hs[:, 0])                            # dL/dh_t
         buf = np.empty_like(g)
         g_b, x_g = np.empty_like(dy), cs  # sum_n B g; sum_d g x over the C slot its step read
@@ -164,23 +150,16 @@ def scan_core(fwd, bwd, x):
             np.matmul(g, xs[:, :, s, :, None], out=x_g[:, :, s, :, None])
             if s == 0:
                 break
-            np.einsum("hb,hnd->hbnd", ds_loop[:, :, s], a, out=buf, casting="same_kind")
+            np.einsum("hb,hnd->hbnd", ds[:, :, s, 0], a, out=buf, casting="same_kind")
             np.exp(buf, out=buf)
             g *= buf
-            # dL/d(delta A) = g * A_bar * h_prev, over h_prev's slot in each half
-            np.multiply(g[0], hs[0, s - 1], out=hs[0, s - 1])
-            np.multiply(g[1], hs[1, t_len - s], out=hs[1, t_len - s])
+            np.multiply(g, hs[:, s - 1], out=hs[:, s - 1])     # dL/d(delta A) = g A_bar h_prev
         del g, buf, bs
-        _flip(g_b), _flip(x_g), _flip(xs)
+        d_da = hs[:, :-1].reshape(2, -1, a[0].size)            # steps 1 .. T-1, (t, b) rows
         d_delta = (g_b * xs).sum(axis=-1, keepdims=True)
-        grads = [[], []]
-        for half, step in enumerate((1, -1)):
-            # hs[half, src] holds dL/d(delta A) of the steps at dst, in (t, b) row order
-            src, dst = (slice(0, -1), slice(1, None))[::step]
-            d_da = hs[half, src].reshape(-1, a[half].size)
-            d_delta[half, :, dst, 0] += (d_da @ a[half].reshape(-1)).reshape(-1, bsz).T
-            grads[half].append((a[half] * (ds[half, :, dst, 0].T.reshape(-1) @ d_da)
-                                .reshape(a[half].shape)).T)
+        d_delta[:, :, 1:, 0] += (d_da @ a.reshape(2, -1, 1)).reshape(2, -1, bsz).transpose(0, 2, 1)
+        d_a_log = np.swapaxes(a * (ds[:, :, 1:, 0].transpose(0, 2, 1).reshape(2, 1, -1) @ d_da)
+                              .reshape(a.shape), -1, -2)
         d_b = np.multiply(x_g, ds, out=x_g)
         d_pre = d_delta * _sigmoid(pre)
         dx = np.multiply(g_b, ds, out=g_b)
@@ -193,10 +172,11 @@ def scan_core(fwd, bwd, x):
         dx *= silu_d                                           # silu'(x)
         del silu_d, s_x
         xt = np.swapaxes(xs, -1, -2)
-        for half, p in enumerate(sides):
-            grads[half] += [tt._unbroadcast(w[half], p[k].shape) for w, k in
-                            zip((xt @ d_pre, d_pre, xt @ d_b, xt @ dc), _SCAN_FIELDS[1:])]
-        return (dx[0], dx[1], *grads[0], *grads[1])
+        terms = (xt @ d_pre, d_pre, xt @ d_b, xt @ dc)         # w_delta, delta_bias, w_b, w_c
+        grads = [[d_a_log[half], *(tt._unbroadcast(w[half], p[k].shape)
+                                   for w, k in zip(terms, _SCAN_FIELDS[1:]))]
+                 for half, p in enumerate(sides)]
+        return (dx[0], dx[1, :, ::-1].copy(), *grads[0], *grads[1])
 
     return record(Tensor(y, _check=False), inputs or (), backward), feats
 

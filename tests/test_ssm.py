@@ -61,11 +61,13 @@ def direction_scan(p, x: Tensor, direction=ScanDirection.FORWARD):
     reference whose values and gradients ``ssm.scan_core`` must match bit
     for bit on each half. p: the direction's fields, keyed as in
     ``ssm.scan_shapes``; x: [B,T,D] pre-silu in projection. Steps a [B,N,D]
-    state through t = 0 .. T-1, or T-1 .. 0 for the BACKWARD direction,
-    with the products and the hand-written backward pass formed as one
-    direction's scan forms them. Returns the ungated [B,T,D] readout, in
+    state through t = 0 .. T-1, with the products and the hand-written
+    backward pass formed as one direction's scan forms them. The BACKWARD
+    direction is that scan of x reversed in time, with its readout and x
+    cotangent reversed back. Returns the ungated [B,T,D] readout, in
     natural time."""
-    xp = x.data
+    o = slice(None, None, -1) if direction is ScanDirection.BACKWARD else slice(None)
+    xp = x.data[:, o]
     xs = ssm._sigmoid(xp)
     xs *= xp                                                   # silu(x)
     a_log, w_delta, delta_bias, w_b, w_c = (p[k] for k in FIELDS)
@@ -78,14 +80,12 @@ def direction_scan(p, x: Tensor, direction=ScanDirection.FORWARD):
         return pre, ds, xs @ w_b.data, xs @ w_c.data
     _, ds, bs, cs = projections(xs)
     bsz, t_len = xs.shape[:2]
-    step = 1 if direction is ScanDirection.FORWARD else -1
-    order = range(t_len)[::step]
     db = ds * bs
     h = np.zeros((bsz, *a.shape), dtype=xs.dtype)              # [B,N,D]
     hs = np.empty((t_len, *h.shape), dtype=h.dtype)
     a_bar, u = np.empty_like(h), np.empty_like(h)
     y = np.empty_like(xs)
-    for t in order:
+    for t in range(t_len):
         np.einsum("b,nd->bnd", ds[:, t, 0], a, out=a_bar, casting="same_kind")
         np.exp(a_bar, out=a_bar)
         np.einsum("bn,bd->bnd", db[:, t], xs[:, t], out=u, casting="same_kind")
@@ -95,6 +95,7 @@ def direction_scan(p, x: Tensor, direction=ScanDirection.FORWARD):
         hs[t] = h
 
     def backward(dy):
+        dy = dy[:, o]
         s_x = ssm._sigmoid(xp)
         xs = xp * s_x
         pre, ds, bs, cs = projections(xs)
@@ -102,22 +103,21 @@ def direction_scan(p, x: Tensor, direction=ScanDirection.FORWARD):
         g = np.zeros_like(hs[0])                               # dL/dh_t
         buf = np.empty_like(g)
         g_b, x_g = np.empty_like(dy), np.empty_like(cs)
-        for t in order[::-1]:
+        for t in range(t_len - 1, -1, -1):
             np.einsum("bn,bd->bnd", cs[:, t], dy[:, t], out=buf, casting="same_kind")
             g += buf
             np.matmul(bs[:, t, None, :], g, out=g_b[:, t, None, :])
             np.matmul(g, xs[:, t, :, None], out=x_g[:, t, :, None])
-            if t == order[0]:
+            if t == 0:
                 break
             np.einsum("b,nd->bnd", ds[:, t, 0], a, out=buf, casting="same_kind")
             np.exp(buf, out=buf)
             g *= buf
-            np.multiply(g, hs[t - step], out=hs[t - step])     # dL/d(delta_t A)
-        src, dst = (slice(0, -1), slice(1, None))[::step]
-        d_da = hs[src].reshape(-1, a.size)                     # (t, b) row order
+            np.multiply(g, hs[t - 1], out=hs[t - 1])           # dL/d(delta_t A)
+        d_da = hs[:-1].reshape(-1, a.size)                     # (t, b) row order
         d_delta = (g_b * xs).sum(axis=-1, keepdims=True)
-        d_delta[:, dst, 0] += (d_da @ a.reshape(-1)).reshape(-1, bsz).T
-        d_a_log = (a * (ds[:, dst, 0].T.reshape(-1) @ d_da).reshape(a.shape)).T
+        d_delta[:, 1:, 0] += (d_da @ a.reshape(-1)).reshape(-1, bsz).T
+        d_a_log = (a * (ds[:, 1:, 0].T.reshape(-1) @ d_da).reshape(a.shape)).T
         d_b = x_g * ds
         d_pre = d_delta * ssm._sigmoid(pre)
         dx = g_b * ds
@@ -126,11 +126,11 @@ def direction_scan(p, x: Tensor, direction=ScanDirection.FORWARD):
         dx += d_pre * w_delta.data[:, 0]
         dx *= s_x + xs * (1.0 - s_x)                           # silu'(x)
         xt = np.swapaxes(xs, -1, -2)
-        return (dx, d_a_log, tt._unbroadcast(xt @ d_pre, w_delta.shape),
+        return (dx[:, o], d_a_log, tt._unbroadcast(xt @ d_pre, w_delta.shape),
                 tt._unbroadcast(d_pre, delta_bias.shape),
                 tt._unbroadcast(xt @ d_b, w_b.shape), tt._unbroadcast(xt @ dc, w_c.shape))
 
-    return record(Tensor(y, _check=False), inputs, backward)
+    return record(Tensor(y[:, o], _check=False), inputs, backward)
 
 
 def gate(y: Tensor, z: Tensor):
@@ -531,6 +531,27 @@ class TestScanCore:
             for name, g in zip(("x", *FIELDS), want[1:]):
                 assert np.array_equal(got[f"{direction.value}.{name}"], g), name
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("t_len", [1, 9, 49])
+    def test_backward_half_is_forward_scan_of_reversed_sequence(self, dtype, t_len):
+        # the backward half's readout (in loop order) and its six
+        # cotangents equal, bit for bit, what the forward half gives on the
+        # sequence reversed in time with the directions' parameters swapped;
+        # bx's cotangent comes back in natural time
+        rng = np.random.default_rng(31)
+        arrays = {k: v.astype(dtype) for k, v in
+                  self.inputs(rng, bsz=4, t_len=t_len, d=8, n=4).items()}
+        dy = rng.uniform(-1, 1, (2, 4, t_len, 8)).astype(dtype)  # loop order
+        got = dict(zip(["y", *arrays], self.run_taped(arrays, dy)))
+        swap = {"fwd": "bwd", "bwd": "fwd"}
+        mirror = {f"{swap[side]}.{name}": np.ascontiguousarray(v[:, ::-1]) if name == "x" else v
+                  for k, v in arrays.items() for side, name in [k.split(".")]}
+        want = dict(zip(["y", *mirror], self.run_taped(mirror, np.ascontiguousarray(dy[::-1]))))
+        assert np.array_equal(got["y"][1], want["y"][0])
+        assert np.array_equal(got["bwd.x"], want["fwd.x"][:, ::-1])
+        for name in FIELDS:
+            assert np.array_equal(got[f"bwd.{name}"], want[f"fwd.{name}"]), name
+
     def test_float32_in_float32_out(self):
         arrays = self.inputs(np.random.default_rng(17))
         y, feats = self.call({k: Tensor(v.astype(np.float32)) for k, v in arrays.items()})
@@ -918,13 +939,13 @@ class TestBidirectionalBlock:
 
     def test_untaped_block_frees_each_input_at_last_use(self, monkeypatch):
         # the normed tokens die once all four in projections exist, and each
-        # pre-silu x once silu(x) is stacked, before the scan runs; both z
-        # live until the gate, and they and the scan's readout are dead
-        # before the first out projection reads its weight
+        # pre-silu x once silu(x) is stacked, before the scan reads its A;
+        # both z live until the gate, and they and the scan's readout are
+        # dead before the first out projection reads its weight
         rng = np.random.default_rng(23)
         blk = init_block(rng, 6, 4, 2)
         normed, projections, calls = [], [], []
-        layer_norm, matmul, flip, scan_core = tt.layer_norm, tt.matmul, ssm._flip, ssm.scan_core
+        layer_norm, matmul, scan_core = tt.layer_norm, tt.matmul, ssm.scan_core
 
         def norm_spy(a):
             out = layer_norm(a)
@@ -936,29 +957,27 @@ class TestBidirectionalBlock:
             projections.append(weakref.ref(out.data))
             return out
 
-        def flip_spy(a):  # first called on silu(x), to put it in loop order
-            if not calls:
-                gc.collect()
-                assert normed[0]() is None and len(projections) == 4
-                assert [r() is None for r in projections] == [True, False, True, False]
-                calls.append("scan")
-            return flip(a)
+        def on_scan_read():  # a_log is read once silu(x) is stacked
+            gc.collect()
+            assert normed[0]() is None and len(projections) == 4
+            assert [r() is None for r in projections] == [True, False, True, False]
+            calls.append("scan")
 
         def scan_spy(fwd, bwd, x):
             y, feats = scan_core(fwd, bwd, [x.pop(0), x.pop(0)])
             projections.append(weakref.ref(y.data))
             return y, feats
 
-        def on_read():
+        def on_tail_read():
             gc.collect()
             assert all(r() is None for r in projections)
             calls.append("tail")
 
         monkeypatch.setattr(tt, "layer_norm", norm_spy)
         monkeypatch.setattr(tt, "matmul", matmul_spy)
-        monkeypatch.setattr(ssm, "_flip", flip_spy)
         monkeypatch.setattr(ssm, "scan_core", scan_spy)
-        blk[0]["w_out"] = ReadSpy(blk[0]["w_out"], on_read)
+        blk[0]["a_log"] = ReadSpy(blk[0]["a_log"], on_scan_read)
+        blk[0]["w_out"] = ReadSpy(blk[0]["w_out"], on_tail_read)
         out, _ = ssm.bidirectional_block(*blk, Tensor(rng.uniform(-1, 1, (2, 5, 6))))
         assert calls == ["scan", "tail"] and out.shape == (2, 5, 6)
 
