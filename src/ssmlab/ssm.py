@@ -83,8 +83,7 @@ def scan_core(fwd, bwd, x):
     back a step, and writes dL/d(delta_t A) = g A_bar_t h_prev over h_prev
     in the state history, which the delta and a_log terms each reduce in
     one op. x's cotangent sums its scan, C, B and delta terms in place, then
-    takes silu'(x) = s + xs (1 - s), the bits of separate ops; bx's is
-    copied back to natural time.
+    takes silu'(x) = (1 - s) xs + s; bx's is copied back to natural time.
     """
     sides = (fwd, bwd)
     inputs = (*x, *(p[k] for p in sides for k in _SCAN_FIELDS))
@@ -132,7 +131,6 @@ def scan_core(fwd, bwd, x):
         np.matmul(cs[:, :, s, None, :], h, out=y[:, :, s, None, :])
         if hs is not None:
             hs[:, s] = h
-    del h, a_bar, u, db, bs, cs, ds, xs
 
     def backward(dy):
         s_x = np.empty(dy.shape, xp[0].dtype)
@@ -166,11 +164,7 @@ def scan_core(fwd, bwd, x):
         dx += dc @ np.swapaxes(_stacked(sides, "w_c"), -1, -2)
         dx += d_b @ np.swapaxes(_stacked(sides, "w_b"), -1, -2)
         dx += d_pre * np.swapaxes(_stacked(sides, "w_delta"), -1, -2)  # d_pre @ w_delta.T
-        silu_d = np.subtract(1.0, s_x)
-        silu_d *= xs
-        silu_d += s_x
-        dx *= silu_d                                           # silu'(x)
-        del silu_d, s_x
+        dx *= (1.0 - s_x) * xs + s_x                           # silu'(x)
         xt = np.swapaxes(xs, -1, -2)
         terms = (xt @ d_pre, d_pre, xt @ d_b, xt @ dc)         # w_delta, delta_bias, w_b, w_c
         grads = [[d_a_log[half], *(tt._unbroadcast(w[half], p[k].shape)
@@ -205,7 +199,6 @@ def block_tail(yz, w_fwd: Tensor, w_bwd: Tensor, tokens: Tensor):
         inputs = yd = zp = None
     out = g[0] @ w_fwd.data
     out += g[1] @ w_bwd.data
-    del g
     out += tokens.data
 
     def backward(d):
@@ -213,17 +206,11 @@ def block_tail(yz, w_fwd: Tensor, w_bwd: Tensor, tokens: Tensor):
         dz, dw = [], []
         for half, (o, w) in enumerate(zip(_ORDER, (w_fwd.data, w_bwd.data))):
             s_z = _sigmoid(zp[half])                           # recomputed rather than kept
-            gate = zp[half] * s_z
-            g = gate.copy()
-            g *= yd[half, :, o]
-            dw.append(tt._unbroadcast(np.swapaxes(g, -1, -2) @ d, w.shape))
-            del g
+            gate, y = zp[half] * s_z, yd[half, :, o]
+            dw.append(tt._unbroadcast(np.swapaxes(gate * y, -1, -2) @ d, w.shape))
             dg = d @ w.T
-            np.multiply(dg[:, o], gate[:, o], out=dy[half])
-            gate *= 1.0 - s_z
-            gate += s_z                                        # silu'(z)
-            dz.append(np.multiply(dg, yd[half, :, o], out=s_z))
-            dz[half] *= gate
+            dy[half] = dg[:, o] * gate[:, o]
+            dz.append(dg * y * (gate * (1.0 - s_z) + s_z))     # silu'(z)
         return (dy, *dz, *dw, d)
 
     return record(Tensor(out, _check=False), inputs or (), backward)

@@ -237,9 +237,10 @@ class TestForward:
         # pre-activation, 69.5 while a silu op of its own kept sigmoid(x)
         # and silu(x), 75.2 while scan_core kept its gate, 106.4 while tape
         # entries held every output and input). Backward frees each op once
-        # it has run, so the whole step peaks 1.55 MiB over that (1.8 while
-        # scan_core gated its readout, 1.6 while each direction's scan ran
-        # its own backward pass).
+        # it has run, so the whole step peaks 1.54 MiB over that (1.55 while
+        # block_tail's backward reused its gate buffers, 1.8 while scan_core
+        # gated its readout, 1.6 while each direction's scan ran its own
+        # backward pass).
         m = mdl.init_model(ModelConfig(reduction=ReductionConfig(r=10, sites=(2, 4, 6))))
         imgs = np.random.default_rng(1).uniform(0, 1, (32, 28, 28, 1))
         with traced_memory() as mem:

@@ -768,6 +768,24 @@ class TestBlockTail:
             g = finite_difference_grad(f, arrays[name].copy())
             assert np.abs(g - tensors[name].grad.data).max() < 1e-8 * np.abs(g).max(), name
 
+    def test_backward_leaves_inputs_and_cotangent_untouched(self):
+        # the tape sums a repeated cotangent as a + b and hands d on as the
+        # tokens' cotangent, so the closure must write into neither its
+        # inputs nor d; run again, it returns the same cotangents
+        rng = np.random.default_rng(44)
+        arrays = self.arrays(rng, bsz=3, t_len=7, d=4, d_model=5)
+        before = {k: v.tobytes() for k, v in arrays.items()}
+        d = rng.uniform(-1, 1, arrays["tokens"].shape)
+        d_before = d.tobytes()
+        with GradTape() as tape:
+            self.call({k: Tensor(v, requires_grad=True) for k, v in arrays.items()})
+            backward = tape.entries[-1][2]
+            first = [g.copy() for g in backward(d)]
+            second = backward(d)
+        assert {k: v.tobytes() for k, v in arrays.items()} == before
+        assert d.tobytes() == d_before
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(first, second))
+
     def test_closure_keeps_readout_and_gates_not_the_gated_readout(self):
         # g = silu(z) * y is recomputed in backward: the closure holds y and
         # both z, the inputs' own arrays, and no other [2,B,T,D] or

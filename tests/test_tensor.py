@@ -304,3 +304,20 @@ class TestShapes:
         want = (d - d.sum(axis=-1, keepdims=True) / n
                 - y * (d * y).sum(axis=-1, keepdims=True) / n) * inv
         assert got.dtype == dtype and np.array_equal(got, want)
+
+    def test_layer_norm_backward_leaves_input_and_cotangent_untouched(self):
+        # the tape sums a repeated cotangent as a + b, so the closure must
+        # write into neither its input nor d; run again, it returns the same
+        rng = np.random.default_rng(14)
+        x = rng.uniform(-3, 3, (3, 5, 16))
+        d = rng.uniform(-1, 1, x.shape)
+        x_before, d_before = x.tobytes(), d.tobytes()
+        with GradTape() as tape:
+            y = tt.layer_norm(Tensor(x, requires_grad=True))
+            y_before = y.data.tobytes()
+            backward = tape.entries[-1][2]
+            first = backward(d)[0].copy()
+            second = backward(d)[0]
+        assert x.tobytes() == x_before and d.tobytes() == d_before
+        assert y.data.tobytes() == y_before
+        assert np.array_equal(first, second)
