@@ -214,7 +214,7 @@ def layer_norm(a, eps=1e-6):
     y *= inv
     out = Tensor(y, _check=False)
 
-    def backward(d):  # (d - mean(d) - y mean(d y)) / std, left to right
+    def backward(d):  # (d - mean(d) - y mean(d y)) / std
         return ((d - d.sum(axis=-1, keepdims=True) / n
                  - y * (d * y).sum(axis=-1, keepdims=True) / n) * inv,)
 
