@@ -13,7 +13,11 @@ Mamba calls selective_scan_fn once per direction (Zhu et al., arXiv
 forward scan of the time-reversed sequence. block_tail gates the readout
 with silu(z) and applies both out projections and the residual; as in
 mamba_inner_fn, the gated readout is recomputed for the out projections'
-gradient rather than kept.
+gradient rather than kept. Both ops keep the block's normed tokens rather
+than the in and gate projections x and z, and recompute x = normed @ w_in
+and z = normed @ w_gate in backward with the same GEMMs the projections
+ran: gradient checkpointing (Chen et al., arXiv 1604.06174) of
+activations one GEMM away from an array the tape keeps anyway.
 """
 
 from __future__ import annotations
@@ -54,17 +58,18 @@ def scan_shapes(d_model, d, n):
             "delta_bias": (1,), "w_out": (d, d_model)}
 
 
-def scan_core(fwd, bwd, x):
+def scan_core(fwd, bwd, x, normed):
     """Both scan directions of a block as one taped primitive.
 
     fwd, bwd: each direction's ``{field: Tensor}``, keyed as in
     ``scan_shapes``; x: ``[fx, bx]``, each direction's [B,T,D] pre-silu in
-    projection. Per direction, with xs = silu(x),
-    delta = softplus(xs w_delta + delta_bias) [B,T,1], B = xs w_b and
-    C = xs w_c [B,T,N], A = -exp(a_log), A_bar_t = exp(delta_t A^T) and
-    u_t = (delta_t B_t) xs_t, runs h_t = A_bar_t * h_prev + u_t from a zero
-    state (t = 0 .. T-1 forward, T-1 .. 0 backward) and reads out
-    y_t[d] = sum_n C_t[n] h_t[n,d]. Returns the ungated readout y [2,B,T,D]
+    projection ``normed.data @ w_in.data`` of the [B,T,D_model] normed
+    tokens (only backward reads them: untaped, None will do). Per
+    direction, with xs = silu(x), delta = softplus(xs w_delta + delta_bias)
+    [B,T,1], B = xs w_b and C = xs w_c [B,T,N], A = -exp(a_log),
+    A_bar_t = exp(delta_t A^T) and u_t = (delta_t B_t) xs_t, runs
+    h_t = A_bar_t * h_prev + u_t from a zero state (t = 0 .. T-1 forward,
+    T-1 .. 0 backward) and reads out y_t[d] = sum_n C_t[n] h_t[n,d]. Returns the ungated readout y [2,B,T,D]
     in loop order (the backward half time-reversed), and the forward
     direction's {"b", "c", "delta"}: the features a reduction step scores,
     as detached ndarrays.
@@ -75,14 +80,14 @@ def scan_core(fwd, bwd, x):
     C_t dy_t are einsum outer products over [2,B,*] views, cast same_kind as
     ufuncs cast; y_t goes over xs_t and, backward, the x cotangent over C_t.
 
-    Taped, the closure keeps x, A and the states [2,T,B,N,D]; untaped, each
-    x dies once silu(x) is stacked, as the block passes ``x`` as a
+    Taped, the closure keeps normed, A and the states [2,T,B,N,D]; each x
+    dies once silu(x) is stacked, as the block passes ``x`` as a
     temporary. The backward pass takes dy in loop order, leaves it
-    untouched, and recomputes xs, sigmoid(x), the step, B and C. It carries
-    g = dL/dh_t in one [2,B,N,D] buffer, recomputing A_bar_t to carry it
-    back a step, and writes dL/d(delta_t A) = g A_bar_t h_prev over h_prev
-    in the state history, which the delta and a_log terms each reduce in
-    one op. x's cotangent sums its scan, C, B and delta terms in place, then
+    untouched, and recomputes x with the in projections' own GEMM, then
+    xs, sigmoid(x), the step, B and C. It carries g = dL/dh_t in one
+    [2,B,N,D] buffer, recomputing A_bar_t to carry it back a step, and
+    writes dL/d(delta_t A) = g A_bar_t h_prev over h_prev in the state
+    history, which the delta and a_log terms each reduce in one op. x's cotangent sums its scan, C, B and delta terms in place, then
     takes silu'(x) = (1 - s) xs + s; bx's is copied back to natural time.
     """
     sides = (fwd, bwd)
@@ -94,17 +99,17 @@ def scan_core(fwd, bwd, x):
     if xp[0].shape[1] < 1:
         raise TensorError("empty sequence")
 
-    def silu(s_x, xs):
+    def silu(xp, s_x, xs):
         """sigmoid(x) into s_x and silu(x) into xs, [2,B,T,D] in loop order."""
         for half, o in enumerate(_ORDER):
             np.multiply(xp[half][:, o], _sigmoid(xp[half][:, o], out=s_x[half]), out=xs[half])
         return xs
     xs = np.empty((2, *xp[0].shape), dtype=xp[0].dtype)
-    silu(xs, xs)
+    silu(xp, xs, xs)
     if not np.all(np.isfinite(xs)):
         raise TensorError("non-finite scan input")
-    if not recording(inputs):  # nothing reads the pre-silu x again
-        inputs = xp = None
+    if not recording(inputs):  # nothing reads x or the normed tokens again
+        inputs = xp = normed = None
     a = -np.exp(np.stack([p["a_log"].data.T for p in sides]), order="C")  # [2,N,D]
     if not np.all(np.isfinite(a)):
         raise TensorError("exp overflow")
@@ -133,8 +138,10 @@ def scan_core(fwd, bwd, x):
             hs[:, s] = h
 
     def backward(dy):
+        xp = [normed.data @ p["w_in"].data for p in sides]    # x, as the in projections formed it
         s_x = np.empty(dy.shape, xp[0].dtype)
-        xs = silu(s_x, np.empty_like(s_x))                     # recomputed rather than kept
+        xs = silu(xp, s_x, np.empty_like(s_x))                 # recomputed rather than kept
+        del xp
         pre, ds, bs, cs = projections(xs)                      # forward's own GEMMs
         bsz, t_len = dy.shape[1:3]
         dc = np.matmul(hs.transpose(0, 2, 1, 3, 4), dy[..., None])[..., 0]  # sum_d h dy
@@ -175,19 +182,23 @@ def scan_core(fwd, bwd, x):
     return record(Tensor(y, _check=False), inputs or (), backward), feats
 
 
-def block_tail(yz, w_fwd: Tensor, w_bwd: Tensor, tokens: Tensor):
-    """tokens + g[0] @ w_fwd + g[1] @ w_bwd as one taped op, for the gated
-    readout g = silu(z) * y of scan_core's output y and each direction's
-    [B,T,D] gate z, with yz = ``[y, fz, bz]``. g is built in one buffer,
-    reading y's backward half reversed, and the projections are summed in
-    place in that order: the bits of tokens + (fwd + bwd). Untaped, y and
-    both z are dropped once g is built, and die there, as the block passes
-    ``yz`` as a temporary; g dies after the projections.
+def block_tail(yz, fwd, bwd, tokens: Tensor, normed):
+    """tokens + g[0] @ fwd["w_out"] + g[1] @ bwd["w_out"] as one taped op,
+    for the gated readout g = silu(z) * y of scan_core's output y and each
+    direction's [B,T,D] gate z = normed.data @ w_gate.data, with yz =
+    ``[y, fz, bz]``; as in scan_core, only backward reads ``normed``. g is
+    built in one buffer, reading y's backward half reversed, and the
+    projections are summed in place in that order: the bits of tokens +
+    (fwd + bwd). Untaped, y and both z are dropped once g is built, and die
+    there, as the block passes ``yz`` as a temporary; g dies after the
+    projections.
 
-    The closure keeps y, both z and the out projections [D,D_model]. The
-    backward pass recomputes sigmoid(z), silu(z) and g, and returns dy in
-    y's loop order and dz, each formed as separate ops would form it.
+    The closure keeps y, normed and the weights, and no z. The backward
+    pass recomputes z with the gate projection's own GEMM, then sigmoid(z),
+    silu(z) and g, and returns dy in y's loop order and dz, each formed as
+    separate ops would form it.
     """
+    w_fwd, w_bwd = fwd["w_out"], bwd["w_out"]
     inputs = (*yz, w_fwd, w_bwd, tokens)
     del yz
     yd, zp = inputs[0].data, (inputs[1].data, inputs[2].data)
@@ -195,18 +206,19 @@ def block_tail(yz, w_fwd: Tensor, w_bwd: Tensor, tokens: Tensor):
     for half, o in enumerate(_ORDER):
         np.multiply(zp[half], _sigmoid(zp[half], out=g[half]), out=g[half])  # silu(z)
         g[half] *= yd[half, :, o]                              # flipped back
-    if not recording(inputs):  # nothing reads y or z again
-        inputs = yd = zp = None
+    if not recording(inputs):  # nothing reads y or the normed tokens again
+        inputs = yd = zp = normed = None
     out = g[0] @ w_fwd.data
     out += g[1] @ w_bwd.data
     out += tokens.data
 
     def backward(d):
-        dy = np.empty(yd.shape, np.result_type(d, w_fwd.data, zp[0]))  # loop order
+        dy = np.empty(yd.shape, np.result_type(d, w_fwd.data, normed.data, fwd["w_gate"].data))
         dz, dw = [], []
-        for half, (o, w) in enumerate(zip(_ORDER, (w_fwd.data, w_bwd.data))):
-            s_z = _sigmoid(zp[half])                           # recomputed rather than kept
-            gate, y = zp[half] * s_z, yd[half, :, o]
+        for half, (o, p) in enumerate(zip(_ORDER, (fwd, bwd))):
+            z, w = normed.data @ p["w_gate"].data, p["w_out"].data  # as its projection formed it
+            s_z = _sigmoid(z)                                  # recomputed rather than kept
+            gate, y = z * s_z, yd[half, :, o]
             dw.append(tt._unbroadcast(np.swapaxes(gate * y, -1, -2) @ d, w.shape))
             dg = d @ w.T
             dy[half] = dg[:, o] * gate[:, o]
@@ -217,17 +229,17 @@ def block_tail(yz, w_fwd: Tensor, w_bwd: Tensor, tokens: Tensor):
 
 
 def _in_projections(fwd, bwd, normed):
-    """[fx, fz, bx, bz], taped in that order; the normed tokens die here."""
+    """[fx, fz, bx, bz], taped in that order."""
     return [tt.matmul(normed, p[k]) for p in (fwd, bwd) for k in ("w_in", "w_gate")]
 
 
-def _scanned(fwd, bwd, xz, inter):
-    """block_tail's ``[y, fz, bz]`` from the projections xz = [fx, fz, bx, bz]:
-    scan_core's readout of both x, which die in it, and both z. The features
-    scan_core returns go into ``inter``."""
-    y, feats = scan_core(fwd, bwd, [xz.pop(0), xz.pop(1)])    # xz keeps [fz, bz]
+def _scanned(fwd, bwd, xz, normed, inter):
+    """block_tail's ``[y, fz, bz]``, emptying the projections xz = [fx, fz,
+    bx, bz]: scan_core's readout of both x, which die in it, and both z. The
+    features scan_core returns go into ``inter``."""
+    y, feats = scan_core(fwd, bwd, [xz.pop(0), xz.pop(1)], normed)  # xz keeps [fz, bz]
     inter.update(feats)
-    return [y, *xz]
+    return [y, xz.pop(0), xz.pop(0)]
 
 
 def bidirectional_block(fwd, bwd, tokens: Tensor):
@@ -236,12 +248,15 @@ def bidirectional_block(fwd, bwd, tokens: Tensor):
     ``bwd``, each a ``{field: Tensor}`` keyed as in ``scan_shapes``. Tapes
     layer_norm, the four in and gate projections, scan_core and block_tail;
     each op's inputs are handed over as temporaries, so untaped they die in
-    the op that reads them last. Returns (out, intermediates): the features
-    a reduction step scores, the forward direction's B/C projections and
-    step delta and the output x.
+    the op that reads them last; the normed tokens, which scan_core and
+    block_tail keep when taped, die at the projections. Returns (out,
+    intermediates): the features a reduction step scores, the forward
+    direction's B/C projections and step delta and the output x.
     """
-    inter = {}
-    out = block_tail(_scanned(fwd, bwd, _in_projections(fwd, bwd, tt.layer_norm(tokens)), inter),
-                     fwd["w_out"], bwd["w_out"], tokens)
+    inter, normed = {}, tt.layer_norm(tokens)
+    xz = _in_projections(fwd, bwd, normed)
+    if not tt.recording((tokens, *fwd.values(), *bwd.values())):
+        normed = None  # no op of this block is taped
+    out = block_tail(_scanned(fwd, bwd, xz, normed, inter), fwd, bwd, tokens, normed)
     inter["x"] = out.data  # the values a downstream reduction step merges
     return out, inter

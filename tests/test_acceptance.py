@@ -30,7 +30,7 @@ from ssmlab.reduce import (
 )
 from ssmlab.tensor import GradTape, Tensor
 from test_reduce import slow_select
-from test_ssm import make_params, naive_scan, sigmoid, silu
+from test_ssm import make_params, naive_scan, selected, sigmoid, silu
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -65,7 +65,9 @@ def test_criterion_02_scan_oracle():
         fwd, bwd = make_params(rng, d, d, n), make_params(rng, d, d, n)
         x, bx = rng.uniform(-1, 1, (2, 1, t, d))
         z, bz = rng.uniform(-2, 2, (2, 1, t, d))
-        y, _ = ssm.scan_core(fwd, bwd, [Tensor(x), Tensor(bx)])
+        # one normed array that 0/1 in and gate projections pick x and z from
+        (fwd, bwd), normed = selected((fwd, bwd), w_in=(x, bx), w_gate=(z, bz))
+        y, _ = ssm.scan_core(fwd, bwd, [Tensor(x), Tensor(bx)], normed)
         want = naive_scan(fwd, silu(x)), naive_scan(bwd, silu(bx), reverse=True)
         # each half of the readout against the per-step reference: forward,
         # then the backward half, which the op leaves in loop order, reversed
@@ -75,7 +77,9 @@ def test_criterion_02_scan_oracle():
         # identity out projection
         eye, zero = Tensor(np.eye(d)), Tensor(np.zeros((d, d)))
         for ws, ref, gz in (((eye, zero), want[0], z), ((zero, eye), want[1], bz)):
-            out = ssm.block_tail([y, Tensor(z), Tensor(bz)], *ws, Tensor(np.zeros((1, t, d))))
+            out = ssm.block_tail([y, Tensor(z), Tensor(bz)],
+                                 *(dict(p, w_out=w) for p, w in zip((fwd, bwd), ws)),
+                                 Tensor(np.zeros((1, t, d))), normed)
             assert np.abs(out.data - ref * gz * sigmoid(gz)).max() < 1e-12
 
 

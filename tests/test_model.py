@@ -230,17 +230,18 @@ class TestForward:
         assert mem.peak <= 7.5 * 2**20
 
     def test_taped_forward_keeps_only_what_backward_reads(self):
-        # live arrays after a taped 32-image r=10 step's forward: 57.35 MiB
-        # (37.75 of it the scan state histories; 62.1 while scan_core's
-        # closure kept the ungated readout and block_tail's the gated one,
-        # 64.8 while scan_core's closure kept B, C, the step and its
-        # pre-activation, 69.5 while a silu op of its own kept sigmoid(x)
-        # and silu(x), 75.2 while scan_core kept its gate, 106.4 while tape
-        # entries held every output and input). Backward frees each op once
-        # it has run, so the whole step peaks 1.54 MiB over that (1.55 while
-        # block_tail's backward reused its gate buffers, 1.8 while scan_core
-        # gated its readout, 1.6 while each direction's scan ran its own
-        # backward pass).
+        # live arrays after a taped 32-image r=10 step's forward: 47.9 MiB
+        # (37.75 of it the scan state histories; 57.35 while the closures
+        # kept x and z, 62.1 while scan_core's closure kept the ungated
+        # readout and block_tail's the gated one, 64.8 while scan_core's
+        # closure kept B, C, the step and its pre-activation, 69.5 while a
+        # silu op of its own kept sigmoid(x) and silu(x), 75.2 while
+        # scan_core kept its gate, 106.4 while tape entries held every
+        # output and input). Backward frees each op once it has run, so the
+        # whole step peaks 1.82 MiB over that (1.54 while the closures kept
+        # x and z, 1.55 while block_tail's backward reused its gate buffers,
+        # 1.8 while scan_core gated its readout, 1.6 while each direction's
+        # scan ran its own backward pass).
         m = mdl.init_model(ModelConfig(reduction=ReductionConfig(r=10, sites=(2, 4, 6))))
         imgs = np.random.default_rng(1).uniform(0, 1, (32, 28, 28, 1))
         with traced_memory() as mem:
@@ -252,7 +253,7 @@ class TestForward:
                 tape.backward(loss)
         assert logits.shape == (32, 10)
         assert ops == 67  # the taped ops of one re-training step
-        assert live < 58 * 2**20
+        assert live < 49 * 2**20
         assert mem.peak - live <= 2 * 2**20
 
     def test_premerge_block_output_dies_before_the_next_block(self, monkeypatch):

@@ -236,13 +236,29 @@ def fresh(p):
     return {k: Tensor(v.data.copy(), requires_grad=v.requires_grad) for k, v in p.items()}
 
 
+def selected(sides, **arrays):
+    """``sides`` (each direction's fields) with each key of ``arrays`` set to
+    a 0/1 matrix, and the normed Tensor they project onto those arrays bit
+    for bit: ``normed.data @ sides[h][key].data`` is ``arrays[key][h]``, as
+    scan_core wants of x and block_tail of z. normed holds the arrays side
+    by side on its last axis; each matrix picks one back out."""
+    parts = [(k, h, a) for k, pair in arrays.items() for h, a in enumerate(pair)]
+    normed = np.concatenate([a for *_, a in parts], axis=-1)
+    eye, start, out = np.eye(normed.shape[-1], dtype=normed.dtype), 0, [dict(p) for p in sides]
+    for k, h, a in parts:
+        out[h][k] = Tensor(eye[:, start:start + a.shape[-1]])
+        start += a.shape[-1]
+    return out, Tensor(normed, _check=False)
+
+
 def both_halves(params, x, **given):
     """scan_core with ``params`` for both directions and x for both halves:
     (out [2,B,T,D] in loop order, features); ``given`` replaces either of
     the Tensors ``fx``, ``bx``."""
     xs = {**dict(fx=x, bx=x), **given}
-    xs = {k: v if isinstance(v, Tensor) else Tensor(v) for k, v in xs.items()}
-    return ssm.scan_core(params, fresh(params), [xs["fx"], xs["bx"]])
+    xs = [v if isinstance(v, Tensor) else Tensor(v) for v in (xs["fx"], xs["bx"])]
+    sides, normed = selected((params, fresh(params)), w_in=[v.data for v in xs])
+    return ssm.scan_core(*sides, xs, normed)
 
 
 def scan(params, x, direction=ScanDirection.FORWARD):
@@ -468,11 +484,18 @@ class TestScanCore:
         return arrays
 
     @staticmethod
-    def call(tensors):
+    def args(tensors):
+        """scan_core's arguments from a dict of Tensors keyed as ``inputs``,
+        each x projected from one normed array by a 0/1 w_in (``selected``)."""
+        x = [tensors[f"{side}.x"] for side in ("fwd", "bwd")]
+        sides, normed = selected([{k: tensors[f"{side}.{k}"] for k in FIELDS}
+                                  for side in ("fwd", "bwd")], w_in=[t.data for t in x])
+        return (*sides, x, normed)
+
+    @classmethod
+    def call(cls, tensors):
         """scan_core on a dict of Tensors keyed as ``inputs``."""
-        sides = ("fwd", "bwd")
-        return ssm.scan_core(*({k: tensors[f"{side}.{k}"] for k in FIELDS} for side in sides),
-                             [tensors[f"{side}.x"] for side in sides])
+        return ssm.scan_core(*cls.args(tensors))
 
     @staticmethod
     def side(arrays, direction):
@@ -661,25 +684,27 @@ class TestScanCore:
         g = finite_difference_grad(f, arrays["bwd.x"].copy())
         assert np.abs(x.grad.data - g).max() / max(np.abs(g).max(), 1e-12) < 1e-4
 
-    def test_backward_keeps_x_not_its_silu(self):
-        # silu(x), sigmoid(x), the step, its pre-activation, B and C are
-        # recomputed, and the readout is block_tail's to keep: of the
-        # [B,T,*] arrays the closure holds only each direction's x, and
-        # beyond its inputs it keeps the state history and A alone
+    def test_backward_keeps_normed_not_x(self):
+        # x is recomputed from the normed tokens, and silu(x), sigmoid(x),
+        # the step, its pre-activation, B and C from x; the readout is
+        # block_tail's to keep: the closure holds the normed Tensor the call
+        # was given, neither x, and of arrays the state history and A alone
         arrays = self.inputs(np.random.default_rng(27), bsz=8, t_len=40, d=16, n=8)
         tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
+        acts = [arrays[f"{side}.x"] for side in ("fwd", "bwd")]
+        *args, normed = self.args(tensors)
         with GradTape() as tape, traced_memory() as mem:
-            out, inter = self.call(tensors)
+            out, inter = ssm.scan_core(*args, normed)
             backward = tape.entries[-1][2]
             held = [c.cell_contents for c in backward.__closure__]
             held = [a for c in held for a in (c if isinstance(c, tuple) else (c,))]
             y = out.data
             del out, inter
             live = mem.live()
-        acts = [arrays[f"{side}.x"] for side in ("fwd", "bwd")]
-        assert all(any(a is b for b in held) for a in acts)
-        rest = [a for a in held if isinstance(a, np.ndarray) and not any(a is b for b in acts)]
-        assert not [a for a in rest if a.shape[-2:] in ((40, 16), (40, 8), (40, 1))]
+        assert any(a is normed for a in held)
+        assert not [a for a in held if any(a is b or getattr(a, "data", None) is b for b in acts)]
+        rest = [a for a in held if isinstance(a, np.ndarray)]
+        assert [a.shape for a in rest] == [(2, 8, 16), (2, 40, 8, 8, 16)]  # A, the states
         assert live - y.nbytes < sum(a.nbytes for a in rest) + 16 * 2**10
 
     @pytest.mark.parametrize("direction", list(ScanDirection))
@@ -694,9 +719,9 @@ class TestScanCore:
         arrays = self.inputs(np.random.default_rng(28), bsz=8, t_len=40, d=16, n=8)
         dy = np.zeros((2, *arrays["fwd.x"].shape))
         dy[direction.half] = np.random.default_rng(29).uniform(-1, 1, dy.shape[1:])
-        tensors = {k: Tensor(v) for k, v in arrays.items()}
+        args = self.args({k: Tensor(v) for k, v in arrays.items()})
         with traced_memory() as mem:
-            self.call(tensors)
+            ssm.scan_core(*args)
         assert mem.peak <= 4 * dy.nbytes
         tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
         with GradTape() as tape:
@@ -741,9 +766,15 @@ class TestBlockTail:
                 "tokens": rng.uniform(-1, 1, (bsz, t_len, d_model))}
 
     @staticmethod
-    def call(t):
-        """block_tail on a dict of Tensors keyed as ``arrays``."""
-        return ssm.block_tail([t["y"], t["fz"], t["bz"]], t["w_fwd"], t["w_bwd"], t["tokens"])
+    def call(t, normed=None):
+        """block_tail on a dict of Tensors keyed as ``arrays``, each z
+        projected from one normed array by a 0/1 w_gate (``selected``);
+        ``normed``, if given, is a list that gets that normed Tensor."""
+        sides, tokens = selected(({"w_out": t["w_fwd"]}, {"w_out": t["w_bwd"]}),
+                                 w_gate=(t["fz"].data, t["bz"].data))
+        if normed is not None:
+            normed.append(tokens)
+        return ssm.block_tail([t["y"], t["fz"], t["bz"]], *sides, t["tokens"], tokens)
 
     def test_same_bits_as_separate_ops(self):
         a = self.arrays(np.random.default_rng(40), bsz=4, t_len=9, d=8, d_model=16)
@@ -786,21 +817,23 @@ class TestBlockTail:
         assert d.tobytes() == d_before
         assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(first, second))
 
-    def test_closure_keeps_readout_and_gates_not_the_gated_readout(self):
-        # g = silu(z) * y is recomputed in backward: the closure holds y and
-        # both z, the inputs' own arrays, and no other [2,B,T,D] or
-        # [B,T,D] array, and nothing the op allocated outlives it but its
-        # output
+    def test_closure_keeps_readout_and_normed_not_the_gates(self):
+        # z is recomputed from the normed tokens, and g = silu(z) * y from
+        # z, in backward: the closure holds y, the input's own array, and
+        # the normed Tensor, neither z nor any other [2,B,T,D] or [B,T,D]
+        # array, and nothing the op allocated outlives it but its output
         arrays = self.arrays(np.random.default_rng(42), bsz=8, t_len=40, d=16, d_model=32)
         tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
+        normed = []
         with GradTape() as tape, traced_memory() as mem:
-            out = self.call(tensors)
+            out = self.call(tensors, normed)
             held = [c.cell_contents for c in tape.entries[-1][2].__closure__]
             held = [a for c in held for a in (c if isinstance(c, tuple) else (c,))]
-            live = mem.live()
-        kept = [a for a in held if isinstance(a, np.ndarray)]
-        assert [[a is arrays[k] for a in kept] for k in ("y", "fz", "bz")] == \
-            [[True, False, False], [False, True, False], [False, False, True]]
+            live = mem.live() - normed[0].data.nbytes  # built for the call, in the trace
+        assert [a for a in held if isinstance(a, np.ndarray)] == [arrays["y"]]
+        assert any(a is normed[0] for a in held)
+        assert not [a for a in held if any(getattr(a, "data", None) is arrays[k]
+                                           for k in ("fz", "bz"))]
         assert live - out.data.nbytes < 16 * 2**10
 
     def test_untaped_drops_readout_and_gates_before_projecting(self):
@@ -815,8 +848,8 @@ class TestBlockTail:
             gc.collect()
             reads.append([r() is None for r in refs])
         out = ssm.block_tail([handed.pop(0), handed.pop(0), handed.pop(0)],
-                             ReadSpy(Tensor(arrays["w_fwd"]), on_read),
-                             Tensor(arrays["w_bwd"]), Tensor(arrays["tokens"]))
+                             {"w_out": ReadSpy(Tensor(arrays["w_fwd"]), on_read)},
+                             {"w_out": Tensor(arrays["w_bwd"])}, Tensor(arrays["tokens"]), None)
         assert reads == [[True, True, True]] and out.shape == (2, 5, 4)
 
 
@@ -981,8 +1014,8 @@ class TestBidirectionalBlock:
             assert [r() is None for r in projections] == [True, False, True, False]
             calls.append("scan")
 
-        def scan_spy(fwd, bwd, x):
-            y, feats = scan_core(fwd, bwd, [x.pop(0), x.pop(0)])
+        def scan_spy(fwd, bwd, x, normed):
+            y, feats = scan_core(fwd, bwd, [x.pop(0), x.pop(0)], normed)
             projections.append(weakref.ref(y.data))
             return y, feats
 
@@ -1001,8 +1034,8 @@ class TestBidirectionalBlock:
 
     def test_out_projection_outputs_die_while_tape_is_open(self):
         # no backward pass reads them: block_tail forms both and sums them
-        # into its output, and its closure keeps scan_core's readout, both
-        # gates and the weights, nothing D_model wide
+        # into its output, and of arrays its closure keeps scan_core's
+        # readout alone, beside the normed tokens and the weights
         rng = np.random.default_rng(22)
         blk = init_block(rng, 6, 4, 2)
         x = Tensor(rng.uniform(-1, 1, (2, 5, 6)), requires_grad=True)
@@ -1011,6 +1044,37 @@ class TestBidirectionalBlock:
             held = [c.cell_contents for c in tape.entries[-1][2].__closure__]
             held = [a for c in held for a in (c if isinstance(c, tuple) else (c,))]
             arrays = [a for a in held if isinstance(a, np.ndarray)]
-            assert [a.shape for a in arrays] == [(2, 2, 5, 4), (2, 5, 4), (2, 5, 4)]
+            assert [a.shape for a in arrays] == [(2, 2, 5, 4)]
             tape.backward(tt.tsum(out))
         assert all(side["w_out"].grad is not None for side in blk)
+
+    def test_projection_outputs_die_while_tape_is_open(self, monkeypatch):
+        # scan_core and block_tail recompute x and z in backward from the
+        # normed tokens, which they hold as layer_norm returned them: all
+        # four in and gate projections are dead once the block has run
+        rng = np.random.default_rng(24)
+        blk = init_block(rng, 6, 4, 2)
+        normed, projections = [], []
+        layer_norm, matmul = tt.layer_norm, tt.matmul
+
+        def norm_spy(a):
+            normed.append(layer_norm(a))
+            return normed[-1]
+
+        def matmul_spy(a, b):
+            out = matmul(a, b)
+            projections.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(tt, "layer_norm", norm_spy)
+        monkeypatch.setattr(tt, "matmul", matmul_spy)
+        x = Tensor(rng.uniform(-1, 1, (2, 5, 6)), requires_grad=True)
+        with GradTape() as tape:
+            out, _ = ssm.bidirectional_block(*blk, x)
+            gc.collect()
+            assert len(projections) == 4 and all(r() is None for r in projections)
+            for _, _, backward in tape.entries[-2:]:  # scan_core, block_tail
+                held = [c.cell_contents for c in backward.__closure__]
+                assert any(a is normed[0] for a in held)
+            tape.backward(tt.tsum(out))
+        assert all(t.grad is not None for side in blk for t in side.values())
