@@ -69,10 +69,10 @@ def scan_core(fwd, bwd, x, normed):
     [B,T,1], B = xs w_b and C = xs w_c [B,T,N], A = -exp(a_log),
     A_bar_t = exp(delta_t A^T) and u_t = (delta_t B_t) xs_t, runs
     h_t = A_bar_t * h_prev + u_t from a zero state (t = 0 .. T-1 forward,
-    T-1 .. 0 backward) and reads out y_t[d] = sum_n C_t[n] h_t[n,d]. Returns the ungated readout y [2,B,T,D]
-    in loop order (the backward half time-reversed), and the forward
-    direction's {"b", "c", "delta"}: the features a reduction step scores,
-    as detached ndarrays.
+    T-1 .. 0 backward) and reads out y_t[d] = sum_n C_t[n] h_t[n,d].
+    Returns the ungated readout y [2,B,T,D] in loop order (the backward
+    half time-reversed), and the forward direction's {"b", "c", "delta"}:
+    the features a reduction step scores, as detached ndarrays.
 
     bx is read reversed where silu(x) is built, and every array after that
     is in loop order, so the backward half is, bit for bit, the forward scan
@@ -87,8 +87,9 @@ def scan_core(fwd, bwd, x, normed):
     xs, sigmoid(x), the step, B and C. It carries g = dL/dh_t in one
     [2,B,N,D] buffer, recomputing A_bar_t to carry it back a step, and
     writes dL/d(delta_t A) = g A_bar_t h_prev over h_prev in the state
-    history, which the delta and a_log terms each reduce in one op. x's cotangent sums its scan, C, B and delta terms in place, then
-    takes silu'(x) = (1 - s) xs + s; bx's is copied back to natural time.
+    history, which the delta and a_log terms each reduce in one op. x's
+    cotangent sums its scan, C, B and delta terms in place, then takes
+    silu'(x) = (1 - s) xs + s; bx's is copied back to natural time.
     """
     sides = (fwd, bwd)
     inputs = (*x, *(p[k] for p in sides for k in _SCAN_FIELDS))
@@ -228,11 +229,6 @@ def block_tail(yz, fwd, bwd, tokens: Tensor, normed):
     return record(Tensor(out, _check=False), inputs or (), backward)
 
 
-def _in_projections(fwd, bwd, normed):
-    """[fx, fz, bx, bz], taped in that order."""
-    return [tt.matmul(normed, p[k]) for p in (fwd, bwd) for k in ("w_in", "w_gate")]
-
-
 def _scanned(fwd, bwd, xz, normed, inter):
     """block_tail's ``[y, fz, bz]``, emptying the projections xz = [fx, fz,
     bx, bz]: scan_core's readout of both x, which die in it, and both z. The
@@ -248,13 +244,13 @@ def bidirectional_block(fwd, bwd, tokens: Tensor):
     ``bwd``, each a ``{field: Tensor}`` keyed as in ``scan_shapes``. Tapes
     layer_norm, the four in and gate projections, scan_core and block_tail;
     each op's inputs are handed over as temporaries, so untaped they die in
-    the op that reads them last; the normed tokens, which scan_core and
-    block_tail keep when taped, die at the projections. Returns (out,
-    intermediates): the features a reduction step scores, the forward
-    direction's B/C projections and step delta and the output x.
+    the op that reads them last: the normed tokens at the projections, as
+    only scan_core's and block_tail's backward passes read them again.
+    Returns (out, intermediates): the features a reduction step scores, the
+    forward direction's B/C projections and step delta and the output x.
     """
     inter, normed = {}, tt.layer_norm(tokens)
-    xz = _in_projections(fwd, bwd, normed)
+    xz = [tt.matmul(normed, p[k]) for p in (fwd, bwd) for k in ("w_in", "w_gate")]
     if not tt.recording((tokens, *fwd.values(), *bwd.values())):
         normed = None  # no op of this block is taped
     out = block_tail(_scanned(fwd, bwd, xz, normed, inter), fwd, bwd, tokens, normed)

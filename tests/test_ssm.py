@@ -766,15 +766,17 @@ class TestBlockTail:
                 "tokens": rng.uniform(-1, 1, (bsz, t_len, d_model))}
 
     @staticmethod
-    def call(t, normed=None):
-        """block_tail on a dict of Tensors keyed as ``arrays``, each z
-        projected from one normed array by a 0/1 w_gate (``selected``);
-        ``normed``, if given, is a list that gets that normed Tensor."""
-        sides, tokens = selected(({"w_out": t["w_fwd"]}, {"w_out": t["w_bwd"]}),
+    def args(t):
+        """block_tail's arguments from a dict of Tensors keyed as ``arrays``,
+        each z projected from one normed array by a 0/1 w_gate (``selected``)."""
+        sides, normed = selected(({"w_out": t["w_fwd"]}, {"w_out": t["w_bwd"]}),
                                  w_gate=(t["fz"].data, t["bz"].data))
-        if normed is not None:
-            normed.append(tokens)
-        return ssm.block_tail([t["y"], t["fz"], t["bz"]], *sides, t["tokens"], tokens)
+        return [t["y"], t["fz"], t["bz"]], *sides, t["tokens"], normed
+
+    @classmethod
+    def call(cls, t):
+        """block_tail on a dict of Tensors keyed as ``arrays``."""
+        return ssm.block_tail(*cls.args(t))
 
     def test_same_bits_as_separate_ops(self):
         a = self.arrays(np.random.default_rng(40), bsz=4, t_len=9, d=8, d_model=16)
@@ -823,15 +825,14 @@ class TestBlockTail:
         # the normed Tensor, neither z nor any other [2,B,T,D] or [B,T,D]
         # array, and nothing the op allocated outlives it but its output
         arrays = self.arrays(np.random.default_rng(42), bsz=8, t_len=40, d=16, d_model=32)
-        tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
-        normed = []
+        *args, normed = self.args({k: Tensor(v, requires_grad=True) for k, v in arrays.items()})
         with GradTape() as tape, traced_memory() as mem:
-            out = self.call(tensors, normed)
+            out = ssm.block_tail(*args, normed)
             held = [c.cell_contents for c in tape.entries[-1][2].__closure__]
             held = [a for c in held for a in (c if isinstance(c, tuple) else (c,))]
-            live = mem.live() - normed[0].data.nbytes  # built for the call, in the trace
+            live = mem.live()
         assert [a for a in held if isinstance(a, np.ndarray)] == [arrays["y"]]
-        assert any(a is normed[0] for a in held)
+        assert any(a is normed for a in held)
         assert not [a for a in held if any(getattr(a, "data", None) is arrays[k]
                                            for k in ("fz", "bz"))]
         assert live - out.data.nbytes < 16 * 2**10
