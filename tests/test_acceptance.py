@@ -65,22 +65,24 @@ def test_criterion_02_scan_oracle():
         fwd, bwd = make_params(rng, d, d, n), make_params(rng, d, d, n)
         x, bx = rng.uniform(-1, 1, (2, 1, t, d))
         z, bz = rng.uniform(-2, 2, (2, 1, t, d))
-        # one normed array that 0/1 in and gate projections pick x and z from
-        (fwd, bwd), normed = selected((fwd, bwd), w_in=(x, bx), w_gate=(z, bz))
-        y, _ = ssm.scan_core(fwd, bwd, [Tensor(x), Tensor(bx)], normed)
+        y, _, _ = ssm.scan_core((fwd, bwd), [x, bx], False)
         want = naive_scan(fwd, silu(x)), naive_scan(bwd, silu(bx), reverse=True)
         # each half of the readout against the per-step reference: forward,
-        # then the backward half, which the op leaves in loop order, reversed
-        assert np.abs(y.data[0] - want[0]).max() < 1e-12
-        assert np.abs(y.data[1, :, ::-1] - want[1]).max() < 1e-12
-        # and gated by the block's tail, one half at a time through an
-        # identity out projection
-        eye, zero = Tensor(np.eye(d)), Tensor(np.zeros((d, d)))
-        for ws, ref, gz in (((eye, zero), want[0], z), ((zero, eye), want[1], bz)):
-            out = ssm.block_tail([y, Tensor(z), Tensor(bz)],
-                                 *(dict(p, w_out=w) for p, w in zip((fwd, bwd), ws)),
-                                 Tensor(np.zeros((1, t, d))), normed)
-            assert np.abs(out.data - ref * gz * sigmoid(gz)).max() < 1e-12
+        # then the backward half, which the scan leaves in loop order, reversed
+        assert np.abs(y[0] - want[0]).max() < 1e-12
+        assert np.abs(y[1, :, ::-1] - want[1]).max() < 1e-12
+        # and gated by the block's mixer, whose 0/1 in and gate projections
+        # pick x and z from one normed array, and whose identity out
+        # projections put each half in columns of its own
+        (fwd, bwd), normed = selected((fwd, bwd), w_in=(x, bx), w_gate=(z, bz))
+        eye = np.eye(d, 4 * d)
+        out, _ = ssm.mixer(dict(fwd, w_out=Tensor(eye)),
+                           dict(bwd, w_out=Tensor(np.roll(eye, d, axis=1))),
+                           normed, Tensor(np.zeros((1, t, 4 * d))))
+        for half, (ref, gz) in enumerate(zip(want, (z, bz))):
+            assert np.abs(out.data[..., half * d:(half + 1) * d]
+                          - ref * gz * sigmoid(gz)).max() < 1e-12
+        assert not np.any(out.data[..., 2 * d:])
 
 
 def test_criterion_03_full_model_gradients():

@@ -215,8 +215,9 @@ class TestForward:
         assert np.abs(got.data - ref.data).max() < 1e-4
 
     def test_untaped_forward_frees_each_buffer_at_last_use(self):
-        # a default 64-image r=0 forward peaks at 6.7 MiB of arrays (6.95
-        # while each direction ran its own scan; 7.9 while the scan readout
+        # a default 64-image r=0 forward peaks at 6.61 MiB of arrays (6.63
+        # while both z lived until the gate buffer was filled, 6.95 while
+        # each direction ran its own scan; 7.9 while the scan readout
         # had a buffer of its own and the forward branch carried its out
         # projection through the backward scan; 11.0 while the scan loop's
         # buffers and silu(x) outlived the loop, the gated output took a
@@ -252,7 +253,8 @@ class TestForward:
                 ops = len(tape.entries)
                 tape.backward(loss)
         assert logits.shape == (32, 10)
-        assert ops == 67  # the taped ops of one re-training step
+        assert ops == 27  # a re-training step's taped ops, two per block (67
+        # while a block taped seven)
         assert live < 49 * 2**20
         assert mem.peak - live <= 2 * 2**20
 

@@ -135,8 +135,8 @@ def direction_scan(p, x: Tensor, direction=ScanDirection.FORWARD):
 
 def gate(y: Tensor, z: Tensor):
     """y * silu(z) as a taped op of its own, with the backward pass formed as
-    ``ssm.block_tail`` forms it: the gate between a direction's per-step
-    scan and its out projection in a branch-by-branch reference."""
+    ``ssm.mixer`` forms it: the gate between a direction's per-step scan and
+    its out projection in a branch-by-branch reference."""
     zs = z.data
     g = zs * ssm._sigmoid(zs)                                  # silu(z)
     g *= y.data
@@ -222,7 +222,7 @@ def sigmoid(v):
 
 
 def silu(v):
-    """The scan input scan_core forms from its pre-silu x, and block_tail's gate."""
+    """The scan input scan_core forms from its pre-silu x, and mixer's gate."""
     return v * sigmoid(v)
 
 
@@ -240,8 +240,8 @@ def selected(sides, **arrays):
     """``sides`` (each direction's fields) with each key of ``arrays`` set to
     a 0/1 matrix, and the normed Tensor they project onto those arrays bit
     for bit: ``normed.data @ sides[h][key].data`` is ``arrays[key][h]``, as
-    scan_core wants of x and block_tail of z. normed holds the arrays side
-    by side on its last axis; each matrix picks one back out."""
+    mixer forms x and z. normed holds the arrays side by side on its last
+    axis; each matrix picks one back out."""
     parts = [(k, h, a) for k, pair in arrays.items() for h, a in enumerate(pair)]
     normed = np.concatenate([a for *_, a in parts], axis=-1)
     eye, start, out = np.eye(normed.shape[-1], dtype=normed.dtype), 0, [dict(p) for p in sides]
@@ -251,14 +251,70 @@ def selected(sides, **arrays):
     return out, Tensor(normed, _check=False)
 
 
+def taped_scan(fwd, bwd, x):
+    """``ssm.scan_core`` as a taped op of its own, on each direction's scan
+    fields and x = ``[fx, bx]``, the pre-silu input Tensors; the op's inputs
+    are fx, bx, then each direction's ``FIELDS``. Returns (y [2,B,T,D] in
+    loop order, features)."""
+    inputs = (*x, *(p[k] for p in (fwd, bwd) for k in FIELDS))
+    y, feats, backward = ssm.scan_core((fwd, bwd), [t.data for t in x], tt.recording(inputs))
+
+    def taped(dy):
+        dx, grads = backward(dy, [t.data for t in x])
+        return (*dx, *(g[k] for g in grads for k in FIELDS))
+    return record(Tensor(y, _check=False), inputs, taped), feats
+
+
 def both_halves(params, x, **given):
     """scan_core with ``params`` for both directions and x for both halves:
     (out [2,B,T,D] in loop order, features); ``given`` replaces either of
     the Tensors ``fx``, ``bx``."""
     xs = {**dict(fx=x, bx=x), **given}
     xs = [v if isinstance(v, Tensor) else Tensor(v) for v in (xs["fx"], xs["bx"])]
-    sides, normed = selected((params, fresh(params)), w_in=[v.data for v in xs])
-    return ssm.scan_core(*sides, xs, normed)
+    return taped_scan(params, fresh(params), xs)
+
+
+def mixer_inputs(rng, bsz=2, t_len=5, d=3, d_model=4, n=2):
+    """mixer's inputs as arrays: the normed tokens, the tokens, then each
+    direction's fields keyed ``<side>.<field>`` in ``scan_shapes`` order."""
+    arrays = {"normed": rng.uniform(-1, 1, (bsz, t_len, d_model)),
+              "tokens": rng.uniform(-1, 1, (bsz, t_len, d_model))}
+    for side in ("fwd", "bwd"):
+        for k, shape in ssm.scan_shapes(d_model, d, n).items():
+            scale = 0.5 if k in ("a_log", "w_delta", "delta_bias") else 1.0  # as TestScanCore's
+            arrays[f"{side}.{k}"] = rng.uniform(-scale, scale, shape)
+    return arrays
+
+
+def mixer_args(t):
+    """mixer's arguments (fwd, bwd, normed, tokens) from a dict of Tensors
+    keyed as ``mixer_inputs``."""
+    return (*({k[4:]: v for k, v in t.items() if k.startswith(side + ".")}
+              for side in ("fwd", "bwd")), t["normed"], t["tokens"])
+
+
+def sigmoid_inputs(monkeypatch):
+    """A list that gets a weakref to the array behind each ``ssm._sigmoid``
+    input from now on: each x where scan_core builds silu(x), then each z
+    where mixer gates its readout."""
+    refs, sigmoid = [], ssm._sigmoid
+
+    def spy(v, out=None):
+        refs.append(weakref.ref(v if v.base is None else v.base))
+        return sigmoid(v, out)
+    monkeypatch.setattr(ssm, "_sigmoid", spy)
+    return refs
+
+
+def held(fn):
+    """The objects fn's closure holds, through the tuples and the closures of
+    the functions in it."""
+    out = []
+    for cell in fn.__closure__ or ():
+        items = cell.cell_contents
+        for a in items if isinstance(items, tuple) else (items,):
+            out += held(a) if hasattr(a, "__closure__") else [a]
+    return out
 
 
 def scan(params, x, direction=ScanDirection.FORWARD):
@@ -485,17 +541,15 @@ class TestScanCore:
 
     @staticmethod
     def args(tensors):
-        """scan_core's arguments from a dict of Tensors keyed as ``inputs``,
-        each x projected from one normed array by a 0/1 w_in (``selected``)."""
-        x = [tensors[f"{side}.x"] for side in ("fwd", "bwd")]
-        sides, normed = selected([{k: tensors[f"{side}.{k}"] for k in FIELDS}
-                                  for side in ("fwd", "bwd")], w_in=[t.data for t in x])
-        return (*sides, x, normed)
+        """``taped_scan``'s arguments from a dict of Tensors keyed as ``inputs``."""
+        return (*({k: tensors[f"{side}.{k}"] for k in FIELDS} for side in ("fwd", "bwd")),
+                [tensors[f"{side}.x"] for side in ("fwd", "bwd")])
 
     @classmethod
     def call(cls, tensors):
-        """scan_core on a dict of Tensors keyed as ``inputs``."""
-        return ssm.scan_core(*cls.args(tensors))
+        """scan_core, taped as ``taped_scan`` tapes it, on a dict of Tensors
+        keyed as ``inputs``."""
+        return taped_scan(*cls.args(tensors))
 
     @staticmethod
     def side(arrays, direction):
@@ -684,27 +738,29 @@ class TestScanCore:
         g = finite_difference_grad(f, arrays["bwd.x"].copy())
         assert np.abs(x.grad.data - g).max() / max(np.abs(g).max(), 1e-12) < 1e-4
 
-    def test_backward_keeps_normed_not_x(self):
-        # x is recomputed from the normed tokens, and silu(x), sigmoid(x),
-        # the step, its pre-activation, B and C from x; the readout is
-        # block_tail's to keep: the closure holds the normed Tensor the call
-        # was given, neither x, and of arrays the state history and A alone
-        arrays = self.inputs(np.random.default_rng(27), bsz=8, t_len=40, d=16, n=8)
+    def test_backward_keeps_normed_not_x(self, monkeypatch):
+        # taped inside mixer, x is recomputed from the normed tokens, and
+        # silu(x), sigmoid(x), the step, its pre-activation, B and C from
+        # x: the closure holds the normed Tensor the call was given, no x,
+        # and of arrays the readout, A and the state history alone
+        arrays = mixer_inputs(np.random.default_rng(27), bsz=8, t_len=40, d=16, d_model=32, n=8)
         tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
-        acts = [arrays[f"{side}.x"] for side in ("fwd", "bwd")]
-        *args, normed = self.args(tensors)
+        scan_core, acts = ssm.scan_core, []
+
+        def scan_spy(sides, x, keep):
+            acts.extend(weakref.ref(a) for a in x)
+            return scan_core(sides, [x.pop(0), x.pop(0)], keep)
+        monkeypatch.setattr(ssm, "scan_core", scan_spy)
         with GradTape() as tape, traced_memory() as mem:
-            out, inter = ssm.scan_core(*args, normed)
-            backward = tape.entries[-1][2]
-            held = [c.cell_contents for c in backward.__closure__]
-            held = [a for c in held for a in (c if isinstance(c, tuple) else (c,))]
+            out, inter = ssm.mixer(*mixer_args(tensors))
+            kept = held(tape.entries[-1][2])
             y = out.data
             del out, inter
             live = mem.live()
-        assert any(a is normed for a in held)
-        assert not [a for a in held if any(a is b or getattr(a, "data", None) is b for b in acts)]
-        rest = [a for a in held if isinstance(a, np.ndarray)]
-        assert [a.shape for a in rest] == [(2, 8, 16), (2, 40, 8, 8, 16)]  # A, the states
+        assert any(a is tensors["normed"] for a in kept)
+        assert len(acts) == 2 and not [r for r in acts if r() is not None]
+        rest = [a for a in kept if isinstance(a, np.ndarray)]
+        assert sorted(a.shape for a in rest) == [(2, 8, 16), (2, 8, 40, 16), (2, 40, 8, 8, 16)]
         assert live - y.nbytes < sum(a.nbytes for a in rest) + 16 * 2**10
 
     @pytest.mark.parametrize("direction", list(ScanDirection))
@@ -721,7 +777,7 @@ class TestScanCore:
         dy[direction.half] = np.random.default_rng(29).uniform(-1, 1, dy.shape[1:])
         args = self.args({k: Tensor(v) for k, v in arrays.items()})
         with traced_memory() as mem:
-            ssm.scan_core(*args)
+            taped_scan(*args)
         assert mem.peak <= 4 * dy.nbytes
         tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
         with GradTape() as tape:
@@ -753,43 +809,31 @@ class TestScanCore:
 
 
 class TestBlockTail:
-    """block_tail's six inputs: scan_core's readout y (backward half in loop
-    order), each direction's gate z, both out projections and the tokens."""
+    """The block's tail inside ``ssm.mixer``: each direction's silu(z) gate
+    on the scan readout y, both out projections and the residual, over
+    mixer's inputs as ``mixer_inputs`` draws them."""
 
     @staticmethod
-    def arrays(rng, bsz=2, t_len=5, d=3, d_model=4):
-        return {"y": rng.uniform(-1, 1, (2, bsz, t_len, d)),
-                "fz": rng.uniform(-2, 2, (bsz, t_len, d)),
-                "bz": rng.uniform(-2, 2, (bsz, t_len, d)),
-                "w_fwd": rng.uniform(-1, 1, (d, d_model)),
-                "w_bwd": rng.uniform(-1, 1, (d, d_model)),
-                "tokens": rng.uniform(-1, 1, (bsz, t_len, d_model))}
-
-    @staticmethod
-    def args(t):
-        """block_tail's arguments from a dict of Tensors keyed as ``arrays``,
-        each z projected from one normed array by a 0/1 w_gate (``selected``)."""
-        sides, normed = selected(({"w_out": t["w_fwd"]}, {"w_out": t["w_bwd"]}),
-                                 w_gate=(t["fz"].data, t["bz"].data))
-        return [t["y"], t["fz"], t["bz"]], *sides, t["tokens"], normed
-
-    @classmethod
-    def call(cls, t):
-        """block_tail on a dict of Tensors keyed as ``arrays``."""
-        return ssm.block_tail(*cls.args(t))
+    def call(t):
+        """mixer's output on a dict of Tensors keyed as ``mixer_inputs``."""
+        return ssm.mixer(*mixer_args(t))[0]
 
     def test_same_bits_as_separate_ops(self):
-        a = self.arrays(np.random.default_rng(40), bsz=4, t_len=9, d=8, d_model=16)
-        out = self.call({k: Tensor(v) for k, v in a.items()})
-        y = flipped(a["y"])
-        g = [a[k] * ssm._sigmoid(a[k]) * y[half] for half, k in enumerate(("fz", "bz"))]
-        want = a["tokens"] + (g[0] @ a["w_fwd"] + g[1] @ a["w_bwd"])
+        a = mixer_inputs(np.random.default_rng(40), bsz=4, t_len=9, d=8, d_model=16)
+        out, feats = ssm.mixer(*mixer_args({k: Tensor(v) for k, v in a.items()}))
+        sides = [{k: Tensor(a[f"{side}.{k}"]) for k in FIELDS} for side in ("fwd", "bwd")]
+        y, want_feats, _ = ssm.scan_core(
+            sides, [a["normed"] @ a[f"{side}.w_in"] for side in ("fwd", "bwd")], False)
+        z = [a["normed"] @ a[f"{side}.w_gate"] for side in ("fwd", "bwd")]
+        g = [z[half] * ssm._sigmoid(z[half]) * flipped(y)[half] for half in range(2)]
+        want = a["tokens"] + (g[0] @ a["fwd.w_out"] + g[1] @ a["bwd.w_out"])
         assert np.array_equal(out.data, want)
+        assert all(np.array_equal(feats[k], v) for k, v in want_feats.items())
 
     def test_gradient_all_inputs(self):
-        # all six cotangents against central differences
+        # all eighteen cotangents against central differences
         rng = np.random.default_rng(41)
-        arrays = self.arrays(rng)
+        arrays = mixer_inputs(rng)
         w = rng.uniform(-1, 1, arrays["tokens"].shape)
         tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
         with GradTape() as tape:
@@ -804,54 +848,59 @@ class TestBlockTail:
     def test_backward_leaves_inputs_and_cotangent_untouched(self):
         # the tape sums a repeated cotangent as a + b and hands d on as the
         # tokens' cotangent, so the closure must write into neither its
-        # inputs nor d; run again, it returns the same cotangents
+        # inputs nor d; a second taped call returns the same cotangents
         rng = np.random.default_rng(44)
-        arrays = self.arrays(rng, bsz=3, t_len=7, d=4, d_model=5)
+        arrays = mixer_inputs(rng, bsz=3, t_len=7, d=4, d_model=5)
         before = {k: v.tobytes() for k, v in arrays.items()}
         d = rng.uniform(-1, 1, arrays["tokens"].shape)
         d_before = d.tobytes()
-        with GradTape() as tape:
-            self.call({k: Tensor(v, requires_grad=True) for k, v in arrays.items()})
-            backward = tape.entries[-1][2]
-            first = [g.copy() for g in backward(d)]
-            second = backward(d)
+        runs = []
+        for _ in range(2):
+            with GradTape() as tape:
+                self.call({k: Tensor(v, requires_grad=True) for k, v in arrays.items()})
+                runs.append(tape.entries[-1][2](d))
         assert {k: v.tobytes() for k, v in arrays.items()} == before
         assert d.tobytes() == d_before
-        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(first, second))
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(*runs))
 
-    def test_closure_keeps_readout_and_normed_not_the_gates(self):
+    def test_closure_keeps_readout_and_normed_not_the_gates(self, monkeypatch):
         # z is recomputed from the normed tokens, and g = silu(z) * y from
-        # z, in backward: the closure holds y, the input's own array, and
-        # the normed Tensor, neither z nor any other [2,B,T,D] or [B,T,D]
-        # array, and nothing the op allocated outlives it but its output
-        arrays = self.arrays(np.random.default_rng(42), bsz=8, t_len=40, d=16, d_model=32)
-        *args, normed = self.args({k: Tensor(v, requires_grad=True) for k, v in arrays.items()})
+        # z, in backward: the closure holds the normed Tensor and, of
+        # arrays, the readout y, A and the state history, neither z nor
+        # any other [B,T,D] array, and nothing the op allocated outlives it
+        # but those and its output
+        arrays = mixer_inputs(np.random.default_rng(42), bsz=8, t_len=40, d=16, d_model=32)
+        tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
+        gates = sigmoid_inputs(monkeypatch)
         with GradTape() as tape, traced_memory() as mem:
-            out = ssm.block_tail(*args, normed)
-            held = [c.cell_contents for c in tape.entries[-1][2].__closure__]
-            held = [a for c in held for a in (c if isinstance(c, tuple) else (c,))]
+            out = ssm.mixer(*mixer_args(tensors))[0]
+            kept = held(tape.entries[-1][2])
             live = mem.live()
-        assert [a for a in held if isinstance(a, np.ndarray)] == [arrays["y"]]
-        assert any(a is normed for a in held)
-        assert not [a for a in held if any(getattr(a, "data", None) is arrays[k]
-                                           for k in ("fz", "bz"))]
-        assert live - out.data.nbytes < 16 * 2**10
+        rest = [a for a in kept if isinstance(a, np.ndarray)]
+        assert sorted(a.shape for a in rest) == [(2, 2, 16), (2, 8, 40, 16), (2, 40, 8, 2, 16)]
+        assert any(a is tensors["normed"] for a in kept)
+        assert len(gates) == 4 and all(r() is None for r in gates)  # x, then z, each side
+        assert live - out.data.nbytes < sum(a.nbytes for a in rest) + 16 * 2**10
 
-    def test_untaped_drops_readout_and_gates_before_projecting(self):
-        # handed over as a temporary, y and both z die once g is built:
-        # before the out projections read their first weight
-        arrays = self.arrays(np.random.default_rng(43))
-        handed = [Tensor(arrays.pop(k)) for k in ("y", "fz", "bz")]
-        refs = [weakref.ref(t.data) for t in handed]
-        reads = []
+    def test_untaped_drops_readout_and_gates_before_projecting(self, monkeypatch):
+        # untaped, y and both z die once g is built: before the out
+        # projections read their first weight
+        arrays = mixer_inputs(np.random.default_rng(43))
+        tensors = {k: Tensor(v) for k, v in arrays.items()}
+        refs, scan_core, reads = sigmoid_inputs(monkeypatch), ssm.scan_core, []
+
+        def scan_spy(*args):
+            y, feats, backward = scan_core(*args)
+            refs.append(weakref.ref(y))
+            return y, feats, backward
 
         def on_read():
             gc.collect()
             reads.append([r() is None for r in refs])
-        out = ssm.block_tail([handed.pop(0), handed.pop(0), handed.pop(0)],
-                             {"w_out": ReadSpy(Tensor(arrays["w_fwd"]), on_read)},
-                             {"w_out": Tensor(arrays["w_bwd"])}, Tensor(arrays["tokens"]), None)
-        assert reads == [[True, True, True]] and out.shape == (2, 5, 4)
+        monkeypatch.setattr(ssm, "scan_core", scan_spy)
+        tensors["fwd.w_out"] = ReadSpy(tensors["fwd.w_out"], on_read)
+        out = self.call(tensors)
+        assert reads == [[True] * 5] and out.shape == (2, 5, 4)
 
 
 class TestLtiScan:
@@ -950,7 +999,7 @@ class TestBidirectionalBlock:
     def test_matches_branch_by_branch_order_bit_for_bit(self):
         # a reference that tapes each direction's in and gate projections,
         # per-step scan, gate and out projection in turn, then two residual
-        # adds: the block's two fused ops must give every value and gradient
+        # adds: the block's mixer op must give every value and gradient
         # the same bits, and normed's cotangent must sum its four terms in
         # the same order
         def reference(fwd, bwd, tokens):
@@ -978,55 +1027,49 @@ class TestBidirectionalBlock:
                              *(t.grad.data for side in blk for t in side.values())])
             assert all(np.array_equal(got, want) for got, want in zip(*runs)), dtype
 
-    def test_tapes_seven_ops(self):
-        # layer_norm, each direction's in and gate projections, scan_core
-        # (both directions, silu(x) inside) and block_tail (the silu(z)
-        # gate, both out projections and the residual add)
+    def test_tapes_two_ops(self):
+        # layer_norm, then mixer: both directions' in and gate projections,
+        # the scan (silu(x) inside), the silu(z) gate, both out projections
+        # and the residual add
         rng = np.random.default_rng(21)
         blk = init_block(rng, 6, 4, 2)
         with GradTape() as tape:
             x = Tensor(rng.uniform(-1, 1, (1, 5, 6)), requires_grad=True)
             ssm.bidirectional_block(*blk, x)
-            assert len(tape.entries) == 7
+            assert len(tape.entries) == 2
 
     def test_untaped_block_frees_each_input_at_last_use(self, monkeypatch):
-        # the normed tokens die once all four in projections exist, and each
-        # pre-silu x once silu(x) is stacked, before the scan reads its A;
-        # both z live until the gate, and they and the scan's readout are
-        # dead before the first out projection reads its weight
+        # the normed tokens die once all four in and gate projections
+        # exist, and each pre-silu x once silu(x) is stacked, before the
+        # scan reads its A; both z and the scan's readout are dead before
+        # the first out projection reads its weight
         rng = np.random.default_rng(23)
         blk = init_block(rng, 6, 4, 2)
-        normed, projections, calls = [], [], []
-        layer_norm, matmul, scan_core = tt.layer_norm, tt.matmul, ssm.scan_core
+        normed, arrays, calls = [], sigmoid_inputs(monkeypatch), []
+        layer_norm, scan_core = tt.layer_norm, ssm.scan_core
 
         def norm_spy(a):
             out = layer_norm(a)
             normed.append(weakref.ref(out.data))
             return out
 
-        def matmul_spy(a, b):
-            out = matmul(a, b)
-            projections.append(weakref.ref(out.data))
-            return out
+        def scan_spy(sides, x, keep):
+            y, feats, backward = scan_core(sides, [x.pop(0), x.pop(0)], keep)
+            arrays.append(weakref.ref(y))
+            return y, feats, backward
 
         def on_scan_read():  # a_log is read once silu(x) is stacked
             gc.collect()
-            assert normed[0]() is None and len(projections) == 4
-            assert [r() is None for r in projections] == [True, False, True, False]
+            assert normed[0]() is None and len(arrays) == 2
+            assert all(r() is None for r in arrays)
             calls.append("scan")
-
-        def scan_spy(fwd, bwd, x, normed):
-            y, feats = scan_core(fwd, bwd, [x.pop(0), x.pop(0)], normed)
-            projections.append(weakref.ref(y.data))
-            return y, feats
 
         def on_tail_read():
             gc.collect()
-            assert all(r() is None for r in projections)
+            assert len(arrays) == 5 and all(r() is None for r in arrays)
             calls.append("tail")
 
         monkeypatch.setattr(tt, "layer_norm", norm_spy)
-        monkeypatch.setattr(tt, "matmul", matmul_spy)
         monkeypatch.setattr(ssm, "scan_core", scan_spy)
         blk[0]["a_log"] = ReadSpy(blk[0]["a_log"], on_scan_read)
         blk[0]["w_out"] = ReadSpy(blk[0]["w_out"], on_tail_read)
@@ -1034,48 +1077,38 @@ class TestBidirectionalBlock:
         assert calls == ["scan", "tail"] and out.shape == (2, 5, 6)
 
     def test_out_projection_outputs_die_while_tape_is_open(self):
-        # no backward pass reads them: block_tail forms both and sums them
-        # into its output, and of arrays its closure keeps scan_core's
-        # readout alone, beside the normed tokens and the weights
+        # no backward pass reads them: mixer forms both and sums them into
+        # its output, and of arrays its closure keeps the scan's readout,
+        # A and the state history alone, beside the normed tokens and the
+        # weights
         rng = np.random.default_rng(22)
         blk = init_block(rng, 6, 4, 2)
         x = Tensor(rng.uniform(-1, 1, (2, 5, 6)), requires_grad=True)
         with GradTape() as tape:
             out, _ = ssm.bidirectional_block(*blk, x)
-            held = [c.cell_contents for c in tape.entries[-1][2].__closure__]
-            held = [a for c in held for a in (c if isinstance(c, tuple) else (c,))]
-            arrays = [a for a in held if isinstance(a, np.ndarray)]
-            assert [a.shape for a in arrays] == [(2, 2, 5, 4)]
+            arrays = [a for a in held(tape.entries[-1][2]) if isinstance(a, np.ndarray)]
+            assert sorted(a.shape for a in arrays) == [(2, 2, 4), (2, 2, 5, 4), (2, 5, 2, 2, 4)]
             tape.backward(tt.tsum(out))
         assert all(side["w_out"].grad is not None for side in blk)
 
     def test_projection_outputs_die_while_tape_is_open(self, monkeypatch):
-        # scan_core and block_tail recompute x and z in backward from the
-        # normed tokens, which they hold as layer_norm returned them: all
-        # four in and gate projections are dead once the block has run
+        # mixer recomputes x and z in backward from the normed tokens, which
+        # it holds as layer_norm returned them: all four in and gate
+        # projections are dead once the block has run
         rng = np.random.default_rng(24)
         blk = init_block(rng, 6, 4, 2)
-        normed, projections = [], []
-        layer_norm, matmul = tt.layer_norm, tt.matmul
+        normed, projections, layer_norm = [], sigmoid_inputs(monkeypatch), tt.layer_norm
 
         def norm_spy(a):
             normed.append(layer_norm(a))
             return normed[-1]
 
-        def matmul_spy(a, b):
-            out = matmul(a, b)
-            projections.append(weakref.ref(out.data))
-            return out
-
         monkeypatch.setattr(tt, "layer_norm", norm_spy)
-        monkeypatch.setattr(tt, "matmul", matmul_spy)
         x = Tensor(rng.uniform(-1, 1, (2, 5, 6)), requires_grad=True)
         with GradTape() as tape:
             out, _ = ssm.bidirectional_block(*blk, x)
             gc.collect()
             assert len(projections) == 4 and all(r() is None for r in projections)
-            for _, _, backward in tape.entries[-2:]:  # scan_core, block_tail
-                held = [c.cell_contents for c in backward.__closure__]
-                assert any(a is normed[0] for a in held)
+            assert any(a is normed[0] for a in held(tape.entries[-1][2]))
             tape.backward(tt.tsum(out))
         assert all(t.grad is not None for side in blk for t in side.values())
