@@ -3,7 +3,6 @@ speedup relative to r=0 timed in the same rounds."""
 
 from __future__ import annotations
 
-import csv
 import enum
 import time
 from dataclasses import dataclass, replace
@@ -93,17 +92,3 @@ def sweep(model, bench: BenchConfig, dataset=None, seed=0):
                                    median / float(quartiles[0][1]),
                                    acc, mdl.count_flops(at_r.cfg)))
     return results
-
-
-def write_csv(results, path):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["r", "ratio", "imgs_per_sec", "imgs_per_sec_q1",
-                    "imgs_per_sec_q3", "speedup", "accuracy", "flops"])
-        for b in results:
-            w.writerow([b.r, f"{b.reduction_ratio:.6f}",
-                        f"{b.images_per_second:.3f}",
-                        f"{b.images_per_second_q1:.3f}",
-                        f"{b.images_per_second_q3:.3f}", f"{b.speedup:.4f}",
-                        "" if b.accuracy is None else f"{b.accuracy:.6f}",
-                        f"{b.flops:.0f}"])

@@ -70,12 +70,19 @@ def _build_model(run: RunOptions, model_cfg: mdl.ModelConfig):
     return mdl.init_model(model_cfg, seed=run.seed)
 
 
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as f:
+        csv.writer(f).writerows([header, *rows])
+
+
 def cmd_train(s: Settings, out):
     train_data, eval_data = _load_datasets(s.data, s.model)
     model = _build_model(s.run, s.model)
     report = tr.retrain(model, train_data, s.train, eval_data)
     mdl.save_checkpoint(model, out / "checkpoint.bin")
-    report.write_csv(out / "report.csv")
+    _write_csv(out / "report.csv", ["epoch", "lr", "train_loss", "eval_acc", "wall_seconds"],
+               [[r.epoch, r.lr, r.train_loss, r.eval_acc, f"{r.wall_seconds:.3f}"]
+                for r in report.rows])
     print(f"final accuracy {report.final_accuracy:.4f}")
     return 0
 
@@ -94,7 +101,12 @@ def cmd_bench(s: Settings, out):
     dataset = (_load_datasets(s.data, s.model)[1]
                if s.bench.dataset is bn.BenchData.EVAL else None)
     results = bn.sweep(model, s.bench, dataset, seed=s.run.seed)
-    bn.write_csv(results, out / "bench.csv")
+    _write_csv(out / "bench.csv", ["r", "ratio", "imgs_per_sec", "imgs_per_sec_q1",
+                                   "imgs_per_sec_q3", "speedup", "accuracy", "flops"],
+               [[b.r, f"{b.reduction_ratio:.6f}", f"{b.images_per_second:.3f}",
+                 f"{b.images_per_second_q1:.3f}", f"{b.images_per_second_q3:.3f}",
+                 f"{b.speedup:.4f}", "" if b.accuracy is None else f"{b.accuracy:.6f}",
+                 f"{b.flops:.0f}"] for b in results])
     for b in results:
         print(f"r={b.r} ratio={b.reduction_ratio:.2f} "
               f"imgs/s={b.images_per_second:.1f} "
@@ -133,16 +145,12 @@ def cmd_ablate(cfg: RunConfig, s: Settings, axis, out):
             cell.set("reduce.distance", rd.Distance.L1.value)  # cosine scores every delta pair 0
         model = _build_model(s.run, cell.model_config())
         training_free = tr.evaluate(model, eval_data)
-        report = tr.retrain(model, train_data, s.train, eval_data)
-        retrained = report.final_accuracy
-        rows.append((value, training_free, retrained))
+        retrained = tr.retrain(model, train_data, s.train, eval_data).final_accuracy
+        rows.append([value, f"{training_free:.6f}", f"{retrained:.6f}",
+                     f"{retrained - training_free:.6f}"])
         print(f"{axis}={value} training-free={training_free:.4f} "
               f"re-trained={retrained:.4f}")
-    with open(out / f"ablate_{axis}.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow([axis, "training_free", "retrained", "delta"])
-        for value, tf, rt in rows:
-            w.writerow([value, f"{tf:.6f}", f"{rt:.6f}", f"{rt - tf:.6f}"])
+    _write_csv(out / f"ablate_{axis}.csv", [axis, "training_free", "retrained", "delta"], rows)
     return 0
 
 

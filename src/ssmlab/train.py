@@ -3,7 +3,6 @@ accumulation, and the training-free evaluation path."""
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field
@@ -131,14 +130,6 @@ class EpochRow:
 class TrainReport:
     rows: list = field(default_factory=list)
 
-    def write_csv(self, path):
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["epoch", "lr", "train_loss", "eval_acc", "wall_seconds"])
-            for r in self.rows:
-                w.writerow([r.epoch, repr(r.lr), repr(r.train_loss),
-                            repr(r.eval_acc), f"{r.wall_seconds:.3f}"])
-
     @property
     def final_accuracy(self):
         return self.rows[-1].eval_acc if self.rows else float("nan")
@@ -160,9 +151,9 @@ def evaluate(model, dataset, batch_size=64) -> float:
 
 
 def retrain(model, dataset, cfg: TrainConfig, eval_dataset=None) -> TrainReport:
-    """Shuffled mini-batch training with gradient accumulation. Each
-    micro-batch's loss is scaled by its image count over its accumulation
-    group's (accum_steps micro-batches, or fewer in an epoch's last group),
+    """Shuffled mini-batch training, one optimizer step per accumulation
+    group: accum_steps micro-batches, or fewer in an epoch's last group.
+    Each micro-batch's loss is scaled by its image count over its group's,
     so a group steps on the gradient of its mean loss per image.
 
     With subset_fraction < 1, trains on a stratified subset with epochs
@@ -182,9 +173,8 @@ def retrain(model, dataset, cfg: TrainConfig, eval_dataset=None) -> TrainReport:
     report = TrainReport()
     n = dataset.size
     micro = cfg.batch_size
-    micros_per_epoch = math.ceil(n / micro)
-    # an epoch steps after every accum_steps micro-batches and after its last
-    total_opt_steps = epochs * math.ceil(micros_per_epoch / cfg.accum_steps)
+    group_size = cfg.accum_steps * micro
+    total_opt_steps = epochs * math.ceil(n / group_size)
 
     if epochs == 0:
         acc = evaluate(model, eval_dataset)
@@ -196,31 +186,25 @@ def retrain(model, dataset, cfg: TrainConfig, eval_dataset=None) -> TrainReport:
         t0 = time.perf_counter()
         order = rng.permutation(n)
         loss_sum = 0.0  # each micro-batch's mean loss times its image count
-        pending = 0
         lr = cosine_lr(opt_step, total_opt_steps, cfg.lr_start, cfg.lr_end)
-        for b_idx in range(micros_per_epoch):
-            sel = order[b_idx * micro:(b_idx + 1) * micro]
-            imgs = dataset.images[sel]
-            labels = dataset.labels[sel]
-            with GradTape() as tape:
-                logits, _ = mdl.forward(model, imgs, rng=np.random.default_rng(
-                    cfg.seed * 1_000_003 + epoch * 4099 + b_idx))
-                loss = cross_entropy(logits, labels)
-                group = min(cfg.accum_steps * micro, n - (b_idx - pending) * micro)
-                scaled = tt.scale(loss, len(sel) / group)
-                tape.backward(scaled)
-            lv = loss.item()
-            if not math.isfinite(lv):
-                raise NumericError("non-finite training loss")
-            loss_sum += lv * len(sel)
-            pending += 1
-            if pending == cfg.accum_steps or b_idx == micros_per_epoch - 1:
-                adamw_step(params, state, lr, cfg)
-                for _, p in params:
-                    p.zero_grad()
-                opt_step += 1
-                pending = 0
-                lr = cosine_lr(opt_step, total_opt_steps, cfg.lr_start, cfg.lr_end)
+        for g_lo in range(0, n, group_size):
+            group = order[g_lo:g_lo + group_size]
+            for lo in range(0, len(group), micro):
+                sel = group[lo:lo + micro]
+                with GradTape() as tape:
+                    logits, _ = mdl.forward(model, dataset.images[sel], rng=np.random.default_rng(
+                        cfg.seed * 1_000_003 + epoch * 4099 + (g_lo + lo) // micro))
+                    loss = cross_entropy(logits, dataset.labels[sel])
+                    tape.backward(tt.scale(loss, len(sel) / len(group)))
+                lv = loss.item()
+                if not math.isfinite(lv):
+                    raise NumericError("non-finite training loss")
+                loss_sum += lv * len(sel)
+            adamw_step(params, state, lr, cfg)
+            for _, p in params:
+                p.zero_grad()
+            opt_step += 1
+            lr = cosine_lr(opt_step, total_opt_steps, cfg.lr_start, cfg.lr_end)
         acc = evaluate(model, eval_dataset)
         report.rows.append(EpochRow(epoch, lr, loss_sum / n, acc,
                                     time.perf_counter() - t0))

@@ -75,13 +75,3 @@ class TestSweep:
     def test_empty_r_values(self):
         with pytest.raises(ValueError):
             BenchConfig(())
-
-    def test_csv_layout(self, tmp_path):
-        results = bn.sweep(bench_model(), BenchConfig((0, 1), batch=2, iters=2))
-        path = tmp_path / "bench.csv"
-        bn.write_csv(results, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == ("r,ratio,imgs_per_sec,imgs_per_sec_q1,imgs_per_sec_q3,"
-                            "speedup,accuracy,flops")
-        assert len(lines) == 3
-        assert lines[1].startswith("0,0.000000,")

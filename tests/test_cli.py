@@ -545,7 +545,9 @@ class TestTrainEval:
         rc = cli.main(["train", "--config", cfg, "--out", str(out)])
         assert rc == 0
         assert (out / "checkpoint.bin").exists()
-        assert (out / "report.csv").exists()
+        lines = (out / "report.csv").read_text().strip().splitlines()
+        assert lines[0] == "epoch,lr,train_loss,eval_acc,wall_seconds"
+        assert len(lines) == 2  # train.epochs=1
         assert (out / "resolved_config.txt").exists()
         assert "final accuracy" in capsys.readouterr().out
         # the resolved config reloads cleanly
@@ -603,6 +605,7 @@ class TestBench:
         assert lines[0] == ("r,ratio,imgs_per_sec,imgs_per_sec_q1,imgs_per_sec_q3,"
                             "speedup,accuracy,flops")
         assert len(lines) == 3
+        assert lines[1].startswith("0,0.000000,")
         assert "speedup" in capsys.readouterr().out
 
     def test_eval_dataset_adds_accuracy(self, tmp_path, capsys):

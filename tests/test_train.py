@@ -285,6 +285,34 @@ class TestRetrain:
             for (na, ta), (_, tb) in zip(ma.named_params(), mb.named_params()):
                 assert np.abs(ta.data - tb.data).max() < 1e-10, (batch, na)
 
+    def test_each_step_sees_its_groups_mean_gradient(self, monkeypatch):
+        # 12 images as micro-batches of 5, two to a group: a group of 10
+        # images, then one of 2. Before each step, every .grad must be the
+        # gradient of the group's mean loss per image, taken in one taped
+        # pass over the group's images at the weights the step starts from.
+        model, data = tiny_model(), tiny_data()
+        cfg = TrainConfig(epochs=1, batch_size=5, accum_steps=2, lr_start=1e-3, lr_end=1e-4)
+        order = np.random.default_rng(cfg.seed).permutation(data.size)
+        groups = [order[:10], order[10:]]
+        step, stepped = tr.adamw_step, []
+
+        def checked_step(params, state, lr, cfg):
+            sel = groups[len(stepped)]
+            ref = mdl.Model(model.cfg, {k: Tensor(t.data.copy(), requires_grad=True)
+                                        for k, t in params})
+            with GradTape() as tape:
+                logits, _ = mdl.forward(ref, data.images[sel])
+                tape.backward(tr.cross_entropy(logits, data.labels[sel]))
+            for (name, p), (_, q) in zip(params, ref.named_params()):
+                err = np.abs(p.grad.data - q.grad.data).max()
+                assert err <= 1e-12 * np.abs(q.grad.data).max(), (len(stepped), name)
+            stepped.append(len(sel))
+            step(params, state, lr, cfg)
+
+        monkeypatch.setattr(tr, "adamw_step", checked_step)
+        tr.retrain(model, data, cfg)
+        assert stepped == [10, 2]
+
     def test_epoch_loss_is_the_mean_over_its_images(self):
         # 10 images as micro-batches of 4, 4 and 2 in one accumulation group:
         # every loss is taken at the initial weights, and the short last
@@ -323,17 +351,6 @@ class TestRetrain:
         cfg = TrainConfig(epochs=3, batch_size=12, lr_start=1e12, lr_end=1e11)
         with pytest.raises((tr.NumericError, tt.TensorError)):
             tr.retrain(model, data, cfg)
-
-    def test_report_csv(self, tmp_path):
-        model = tiny_model()
-        data = tiny_data()
-        report = tr.retrain(model, data, TrainConfig(epochs=2, batch_size=12,
-                                                     lr_start=1e-3, lr_end=1e-4))
-        path = tmp_path / "report.csv"
-        report.write_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "epoch,lr,train_loss,eval_acc,wall_seconds"
-        assert len(lines) == 3
 
     def test_trains_through_reduction(self):
         model = tiny_model(r=1, sites=(1,))
