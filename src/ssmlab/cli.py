@@ -141,7 +141,8 @@ def cmd_ablate(cfg: RunConfig, s: Settings, axis, out):
                      ",".join(str(b) for b in range(k, s.model.depth, k)))
         else:
             cell.set(key, value)
-        if key == "reduce.feature" and value == rd.Feature.DELTA.value:
+        if (key == "reduce.feature" and value == rd.Feature.DELTA.value
+                and s.model.reduction.distance is rd.Distance.COSINE):
             cell.set("reduce.distance", rd.Distance.L1.value)  # cosine scores every delta pair 0
         model = _build_model(s.run, cell.model_config())
         training_free = tr.evaluate(model, eval_data)

@@ -42,6 +42,8 @@ class DataConfig:
                           ("seed", 0), ("noise_sigma", 0)):
             if not low <= getattr(self, name) < np.inf:  # NaN fails too
                 raise ValueError(f"data.{name} must be finite and >= {low}")
+        if bool(self.eval_images) != bool(self.eval_labels):
+            raise ValueError("data.eval_images and data.eval_labels must be set together")
 
 
 @dataclass

@@ -1,12 +1,12 @@
 """Token reduction: grouping, cross-group distances, disjoint pair selection,
 and merge/prune application, run as one step by ``reduce_tokens``.
 
-A reduction plan is one integer array of pairs (i, j) of sequence indices,
-[B, p, 2] for a batch or [p, 2] for one sequence; tokens in no pair pass
-through unchanged. ``merge`` is the one op that applies a plan, merging or
-pruning each pair, with any token shuffle folded into its indices: one
-gather forward, one scatter back. Its output keeps sequence order: each
-token sits at the earlier of its source indices.
+A reduction plan is one [B, p, 2] integer array: each batch row's p pairs
+(i, j) of sequence indices. Tokens in no pair pass through unchanged.
+``merge`` is the one op that applies a plan, merging or pruning each pair,
+with any token shuffle folded into its indices: one gather forward, one
+scatter back. Its output keeps sequence order: each token sits at the
+earlier of its source indices.
 
 Selection policy: each group-1 token's candidate partner is its pair_rank-th
 closest group-2 token; the r candidates with smallest distance win, and when
@@ -140,45 +140,40 @@ def pairwise_distance(g1, g2, metric: Distance):
 
 
 def select_pairs(dists, r, pair_rank=1, selection=Selection.TOP_R,
-                 pairing=Pairing.NEAREST, rng=None, g1=None, g2=None):
-    """Pick r disjoint cross-group pairs from a distance matrix.
+                 pairing=Pairing.NEAREST, rng=None, *, g1, g2):
+    """Pick r disjoint cross-group pairs in every row of a distance batch.
 
-    dists is one [m, n] matrix, which gives a [p, 2] plan, or a batch
-    [B, m, n], which gives a [B, p, 2] plan: each row's pairs (i, j) in the
-    order they were chosen, i from group 1 and j from group 2. A row picks
-    up to r pairs, exactly r when r <= n - pair_rank + 1; every row must
-    choose the same number p of pairs. RANDOM_R draws every row's visiting
-    order from the rng in one ``permuted`` call; RANDOM_PAIR then draws every
-    row's partner shuffle in one more. Indices are sequence indices
-    when g1/g2 slot arrays are given, otherwise group-local (g1 = rows,
-    g2 = columns numbered from m).
+    dists is [B, m, n]: each row's distances from the m group-1 tokens, at
+    sequence indices g1, to the n group-2 tokens, at g2. Returns the
+    [B, p, 2] plan: each row's pairs (i, j) of sequence indices in the order
+    they were chosen, i from group 1 and j from group 2. A row picks up to r
+    pairs, exactly r when r <= n - pair_rank + 1; every row must choose the
+    same number p of pairs. RANDOM_R draws every row's visiting order from
+    the rng in one ``permuted`` call; RANDOM_PAIR then draws every row's
+    partner shuffle in one more.
     """
     dists = np.asarray(dists, dtype=np.float64)
     if not np.all(np.isfinite(dists)):
         raise ReduceError("non-finite distance")
-    batch = dists[None] if dists.ndim == 2 else dists
-    bsz, m, n = batch.shape
+    bsz, m, n = dists.shape
     if r > min(m, n):
         raise ReduceError(f"r={r} exceeds available pairs min({m},{n})")
     if pair_rank < 1 or (r and pair_rank > n):  # no pairs need no partner
         raise ReduceError(f"pair_rank={pair_rank} outside [1, group-2 size {n}]")
-    cost = batch
+    cost = dists
     if selection is Selection.RANDOM_R:
         if rng is None:
             raise ReduceError("random selection needs an rng")
         # greedy on (row's place in a random order, column's rank in its row)
         order = rng.permuted(np.broadcast_to(np.arange(m), (bsz, m)), axis=1)
-        rank = np.argsort(np.argsort(batch, axis=2, kind="stable"), axis=2)
+        rank = np.argsort(np.argsort(dists, axis=2, kind="stable"), axis=2)
         cost = np.argsort(order, axis=1)[..., None] * float(n) + rank
     i, j = _top_r(cost, r, pair_rank)
     if pairing is Pairing.RANDOM_PAIR and j.shape[1] > 1:  # a single pair stays as it is
         if rng is None:
             raise ReduceError("random pairing needs an rng")
         j = rng.permuted(j, axis=1)
-    g1 = np.arange(m) if g1 is None else np.asarray(g1)
-    g2 = np.arange(m, m + n) if g2 is None else np.asarray(g2)
-    pairs = np.stack([g1[i], g2[j]], axis=-1)
-    return pairs[0] if dists.ndim == 2 else pairs
+    return np.stack([np.asarray(g1)[i], np.asarray(g2)[j]], axis=-1)
 
 
 def _top_r(dists, r, pair_rank):
@@ -255,14 +250,12 @@ def token_counts(t0, sites, r, total_blocks, pair_rank=1):
 
 
 def _check_plan(pairs, b, t):
-    """A [B, p, 2] or [p, 2] plan as a checked [B, p, 2] index array.
+    """A [B, p, 2] plan for b rows of t tokens as a checked index array.
 
     Every index must lie in [0, t) and no token may be used twice in a row,
     so each input token reaches at most one output slot.
     """
     pairs = np.asarray(pairs, dtype=np.intp)
-    if pairs.ndim == 2:
-        pairs = np.broadcast_to(pairs, (b,) + pairs.shape)
     if pairs.ndim != 3 or pairs.shape[0] != b or pairs.shape[2] != 2:
         raise ReduceError(f"plan of shape {pairs.shape} does not fit {b} rows")
     if np.any((pairs < 0) | (pairs >= t)):
@@ -277,12 +270,11 @@ def merge(values: Tensor, pairs, merge_op: MergeOp | None = None, perm=None):
     into one token at the earlier of i and j, or, with no ``merge_op``,
     drop its group-2 member j.
 
-    ``values`` is [B, T, D]; ``pairs`` is a [B, p, 2] plan, or a [p, 2] plan
-    for every row, indexing ``values[:, perm]`` when a slot permutation
-    ``perm`` is given: perm goes into the gather and scatter indices, so the
-    shuffled array is never built. Returns the [B, T - p, D] tokens and idx
-    [B, T - p], the earlier (shuffled) source index of each output token,
-    increasing along each row.
+    ``values`` is [B, T, D]; ``pairs`` is a [B, p, 2] plan indexing
+    ``values[:, perm]`` when a slot permutation ``perm`` is given: perm goes
+    into the gather and scatter indices, so the shuffled array is never
+    built. Returns the [B, T - p, D] tokens and idx [B, T - p], the earlier
+    (shuffled) source index of each output token, increasing along each row.
     """
     x = values.data
     b, t, _ = x.shape

@@ -15,7 +15,8 @@ The tape keeps only what backward passes read, as PyTorch's autograd does
 (Paszke et al., 2017): an entry names its output by a key, and an op's
 closure captures only the arrays or shapes its formula reads, so an
 intermediate output dies once the forward pass is done with it.
-``matmul``'s right operand is a 2-D weight matrix, as every layer passes.
+``matmul``'s right operand is a 2-D weight matrix, as every layer passes,
+and ``add``'s right operand broadcasts over the left's leading axes only.
 """
 
 from __future__ import annotations
@@ -141,25 +142,20 @@ def record(out, inputs, backward_fn):
 
 
 def _unbroadcast(grad, shape):
-    """Sum a broadcast cotangent back down to ``shape``."""
-    if grad.shape == shape:
-        return grad
+    """Sum a cotangent broadcast over leading axes back down to ``shape``."""
     extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
+    return grad.sum(axis=tuple(range(extra))) if extra else grad
 
 
 # ---------------------------------------------------------------------------
 # element-wise ops
 
 def add(a, b):
-    out = Tensor(a.data + b.data, _check=False)
     sa, sb = a.data.shape, b.data.shape
-    return record(out, (a, b), lambda d: (_unbroadcast(d, sa), _unbroadcast(d, sb)))
+    if sa[len(sa) - len(sb):] != sb:
+        raise TensorError(f"add broadcasts {sb} only over leading axes of {sa}")
+    out = Tensor(a.data + b.data, _check=False)
+    return record(out, (a, b), lambda d: (d, _unbroadcast(d, sb)))
 
 
 def scale(a, s):
@@ -205,12 +201,12 @@ def tmean(a, axis):
     return scale(tsum(a, axis=axis), 1.0 / a.data.shape[axis])
 
 
-def layer_norm(a, eps=1e-6):
-    """Parameter-free normalization over the last axis."""
+def layer_norm(a):
+    """Parameter-free normalization over the last axis; the variance gets 1e-6."""
     x = a.data
     n = x.shape[-1]
     y = x - x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(np.einsum("...i,...i->...", y, y)[..., None] / n + eps)
+    inv = 1.0 / np.sqrt(np.einsum("...i,...i->...", y, y)[..., None] / n + 1e-6)
     y *= inv
     out = Tensor(y, _check=False)
 

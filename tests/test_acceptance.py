@@ -29,7 +29,7 @@ from ssmlab.reduce import (
     ReductionConfig,
 )
 from ssmlab.tensor import GradTape, Tensor
-from test_reduce import slow_select
+from test_reduce import select_row, slow_select
 from test_ssm import make_params, naive_scan, selected, sigmoid, silu
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -125,16 +125,16 @@ def test_criterion_04_merge_invariants():
         vals = rng.uniform(-2, 2, (1, t, dim))
         g1, g2 = rd.grouping(t, Grouping.ODD_EVEN)
         dists = rd.pairwise_distance(vals[0][g1], vals[0][g2], Distance.L2)
-        pairs = rd.select_pairs(dists, r, g1=g1, g2=g2)
+        pairs = select_row(dists, r, g1=g1, g2=g2)
         used = [k for pair in pairs.tolist() for k in pair]
         assert len(set(used)) == len(used)                       # disjoint
-        out, idx = rd.merge(Tensor(vals), pairs, op)
+        out, idx = rd.merge(Tensor(vals), pairs[None], op)
         assert out.shape[1] == t - r                             # cardinality
         assert np.all(np.diff(idx[0]) > 0)                       # ordered
         if op is MergeOp.SUM:
             assert np.abs(out.data.sum(1) - vals.sum(1)).max() < 1e-12
         if case % 10 == 0:
-            again, _ = rd.merge(Tensor(vals), pairs, op)
+            again, _ = rd.merge(Tensor(vals), pairs[None], op)
             assert np.array_equal(again.data, out.data)
 
 
@@ -146,7 +146,7 @@ def test_criterion_05_pair_selection_oracle():
         r = int(rng.integers(0, min(3, m, n) + 1))
         pair_rank = int(rng.integers(1, min(3, n) + 1))
         dists = np.round(rng.uniform(0, 1, (m, n)), 2)
-        pairs = rd.select_pairs(dists, r, pair_rank=pair_rank)
+        pairs = select_row(dists, r, pair_rank=pair_rank)
         want = [[i, j + m] for i, j in slow_select(dists, r, pair_rank)]
         assert pairs.tolist() == want
 

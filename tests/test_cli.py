@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ssmlab
-from ssmlab import cli, data as ds, model as mdl, reduce as rd
+from ssmlab import cli, data as ds, model as mdl, reduce as rd, train as tr
 from ssmlab.bench import BenchConfig
 from ssmlab.config import ConfigError, RunConfig, RunOptions
 from ssmlab.data import DataConfig
@@ -313,6 +313,16 @@ def idx_with_no_images(tmp_path):
             f"data.labels={tmp_path}/l.idx\n")
 
 
+def idx_train_files_with(eval_key):
+    """A table entry: config lines for IDX train files of TINY's shape, and
+    one of the two eval file keys, naming a file that is not there."""
+    def lines(tmp_path):
+        ds.write_idx(ds.synth_dataset(2, 3, 8, 0), tmp_path / "i.idx", tmp_path / "l.idx")
+        return (f"data.source=idx\ndata.images={tmp_path}/i.idx\n"
+                f"data.labels={tmp_path}/l.idx\n{eval_key}={tmp_path}/absent.idx\n")
+    return lines
+
+
 def tiny_model():
     cfg = RunConfig()
     for line in TINY.split():
@@ -448,6 +458,8 @@ class TestExitCodes:
         ("eval", "model.d_state=1000000000000000000000\n", None, cli.EXIT_CONFIG),
         ("eval", "data.per_class=5000000000000000000\n", None, cli.EXIT_CONFIG),
         ("eval", "data.per_class=1000000000000000000000\n", None, cli.EXIT_CONFIG),
+        ("eval", idx_train_files_with("data.eval_labels"), None, cli.EXIT_CONFIG),
+        ("eval", idx_train_files_with("data.eval_images"), None, cli.EXIT_CONFIG),
     ], ids=["cosine-zero-vectors", "single-token", "bench-r-values",
             "bench-dtype", "label-past-num-classes", "checkpoint-not-utf8",
             "config-not-utf8", "eval-bad-train-key", "merge-demo-bad-train-key",
@@ -466,7 +478,8 @@ class TestExitCodes:
             "delta-feature-under-cosine", "d-model-unaddressable",
             "classes-unaddressable", "bench-batch-unaddressable",
             "image-size-unaddressable", "d-state-unaddressable",
-            "per-class-product-overflows", "per-class-past-int64"])
+            "per-class-product-overflows", "per-class-past-int64",
+            "eval-labels-without-images", "eval-images-without-labels"])
     @pytest.mark.filterwarnings("error")  # a numpy warning is a second line
     def test_bad_input_table(self, tmp_path, capsys, command, extra, tokens, code):
         if callable(extra):
@@ -483,6 +496,11 @@ class TestExitCodes:
         assert len(captured.err.strip().splitlines()) == 1
         assert "Traceback" not in captured.err
         assert "final accuracy" not in captured.out
+
+    @pytest.mark.parametrize("key", ["eval_images", "eval_labels"])
+    def test_eval_files_are_set_together(self, key):
+        with pytest.raises(ValueError, match="data.eval_images and data.eval_labels"):
+            DataConfig(**{key: "eval.idx"})
 
     @pytest.mark.parametrize("key", ["data.per_class", "data.eval_per_class"])
     def test_unaddressable_split_names_its_key(self, tmp_path, capsys, key):
@@ -588,6 +606,29 @@ class TestTrainEval:
         assert len(err.strip().splitlines()) == 1
         assert "d_inner" in err and "Traceback" not in err
 
+    def test_eval_files_are_scored(self, tmp_path):
+        """Train on one synth split's IDX files and score another's, written
+        from a different data seed."""
+        splits = []
+        for seed in (7, 8):
+            out = tmp_path / f"split{seed}"
+            cfg = write_cfg(tmp_path, extra=f"data.seed={seed}\n")
+            assert cli.main(["synth", "--config", cfg, "--out", str(out)]) == 0
+            splits.append((out / "images.idx3-ubyte", out / "labels.idx1-ubyte"))
+        (images, labels), (eval_images, eval_labels) = splits
+        idx = (f"data.source=idx\ndata.images={images}\ndata.labels={labels}\n"
+               f"data.eval_images={eval_images}\ndata.eval_labels={eval_labels}\n")
+        run = tmp_path / "run"
+        assert cli.main(["train", "--config", write_cfg(tmp_path, extra=idx),
+                         "--out", str(run)]) == 0
+        cfg = write_cfg(tmp_path, extra=idx + f"run.init_checkpoint={run}/checkpoint.bin\n")
+        assert cli.main(["eval", "--config", cfg, "--out", str(tmp_path / "eval")]) == 0
+        evald = ds.load_idx(eval_images, eval_labels)
+        assert not np.array_equal(evald.images, ds.load_idx(images, labels).images)
+        s = RunConfig.load(cfg).settings()
+        want = tr.evaluate(cli._build_model(s.run, s.model), evald)
+        assert (tmp_path / "eval" / "eval.txt").read_text() == f"accuracy={want:.6f}\n"
+
     def test_training_free_run(self, tmp_path):
         cfg = write_cfg(tmp_path, extra="train.epochs=0\n")
         out = tmp_path / "tf"
@@ -638,6 +679,22 @@ class TestAblate:
         assert rc == 0
         lines = (out / "ablate_feature.csv").read_text().strip().splitlines()
         assert [l.split(",")[0] for l in lines[1:]] == ["x", "c", "b", "delta"]
+
+    def test_feature_axis_keeps_a_configured_l2(self, tmp_path, monkeypatch):
+        # only cosine, which ReductionConfig rejects for delta, moves to l1
+        metrics = []
+        real = rd.pairwise_distance
+
+        def spy(g1, g2, metric):
+            metrics.append(metric)
+            return real(g1, g2, metric)
+
+        monkeypatch.setattr(rd, "pairwise_distance", spy)
+        cfg = write_cfg(tmp_path, extra="reduce.distance=l2\n")
+        rc = cli.main(["ablate", "--config", cfg, "--axis", "feature",
+                       "--out", str(tmp_path / "ab")])
+        assert rc == 0
+        assert metrics and set(metrics) == {rd.Distance.L2}
 
     def test_interval_axis_sets_sites(self, tmp_path):
         cfg = write_cfg(tmp_path, base=TINY.replace("model.depth=2",

@@ -19,6 +19,18 @@ from ssmlab.reduce import (
 from ssmlab.tensor import GradTape, Tensor
 
 
+def select_row(dists, r, *args, g1=None, g2=None, **kwargs):
+    """``rd.select_pairs`` on one [m, n] distance matrix, as a batch of one.
+
+    Group 1 sits at sequence indices 0 .. m-1 and group 2 at m .. m+n-1
+    unless g1 and g2 say otherwise. Returns the row's [p, 2] plan.
+    """
+    m, n = np.shape(dists)
+    return rd.select_pairs(np.asarray(dists)[None], r, *args,
+                           g1=np.arange(m) if g1 is None else g1,
+                           g2=np.arange(m, m + n) if g2 is None else g2, **kwargs)[0]
+
+
 def slow_select(dists, r, pair_rank):
     """Round-based reference for the greedy disjoint pair policy.
 
@@ -250,64 +262,64 @@ class TestSelectPairs:
     def test_simple_nearest(self):
         dists = np.array([[0.1, 0.9],
                           [0.8, 0.2]])
-        pairs = rd.select_pairs(dists, 2)
+        pairs = select_row(dists, 2)
         assert pairs.tolist() == [[0, 2], [1, 3]]
 
     def test_conflict_falls_back_to_next_best(self):
         # both rows prefer column 0; the closer row wins, the other takes col 1
         dists = np.array([[0.1, 0.7],
                           [0.2, 0.3]])
-        pairs = rd.select_pairs(dists, 2)
+        pairs = select_row(dists, 2)
         assert pairs.tolist() == [[0, 2], [1, 3]]
 
     def test_tie_breaks_deterministic(self):
         dists = np.array([[0.5, 0.5],
                           [0.5, 0.5]])
-        pairs = rd.select_pairs(dists, 2)
+        pairs = select_row(dists, 2)
         # equal everywhere: row 0 takes col 0, row 1 the remaining col
         assert pairs.tolist() == [[0, 2], [1, 3]]
 
     def test_pair_rank_skips_closest(self):
         dists = np.array([[0.1, 0.5, 0.9]])
-        pairs = rd.select_pairs(dists, 1, pair_rank=2)
+        pairs = select_row(dists, 1, pair_rank=2)
         assert pairs.tolist() == [[0, 2]]  # second-closest column
 
     def test_sequence_index_mapping(self):
         dists = np.array([[0.3]])
-        pairs = rd.select_pairs(dists, 1, g1=np.array([4]), g2=np.array([9]))
+        pairs = select_row(dists, 1, g1=np.array([4]), g2=np.array([9]))
         assert pairs.tolist() == [[4, 9]]
 
     def test_mismatched_plan_sizes_rejected(self):
         # at pair_rank 2 the first matrix has one pair to offer, the second two
         dists = np.array([[[0.0, 1.0], [0.0, 1.0]],
                           [[0.0, 1.0], [1.0, 0.0]]])
-        assert rd.select_pairs(dists[1], 2, pair_rank=2).shape == (2, 2)
-        assert rd.select_pairs(dists[0], 2, pair_rank=2).shape == (1, 2)
+        assert select_row(dists[1], 2, pair_rank=2).shape == (2, 2)
+        assert select_row(dists[0], 2, pair_rank=2).shape == (1, 2)
         with pytest.raises(ReduceError):
-            rd.select_pairs(dists, 2, pair_rank=2)
+            rd.select_pairs(dists, 2, pair_rank=2, g1=np.arange(2), g2=np.arange(2, 4))
 
     def test_r_too_large(self):
         with pytest.raises(ReduceError):
-            rd.select_pairs(np.ones((3, 2)), 3)
+            select_row(np.ones((3, 2)), 3)
 
     def test_pair_rank_too_large(self):
         with pytest.raises(ReduceError):
-            rd.select_pairs(np.ones((3, 2)), 1, pair_rank=3)
+            select_row(np.ones((3, 2)), 1, pair_rank=3)
 
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_non_finite_distance_rejected(self, value):
         dists = np.ones((2, 2))
         dists[1, 0] = value
         with pytest.raises(ReduceError):
-            rd.select_pairs(dists, 1)
+            select_row(dists, 1)
 
     def test_no_pairs_need_no_partner_rank(self):
         # a site whose pair rank passes the group-2 size takes no pairs
-        assert rd.select_pairs(np.ones((3, 2)), 0, pair_rank=3).shape == (0, 2)
+        assert select_row(np.ones((3, 2)), 0, pair_rank=3).shape == (0, 2)
 
     def test_pair_rank_zero_rejected(self):
         with pytest.raises(ReduceError):
-            rd.select_pairs(np.ones((3, 2)), 1, pair_rank=0)
+            select_row(np.ones((3, 2)), 1, pair_rank=0)
 
     @pytest.mark.parametrize("selection", list(Selection))
     @pytest.mark.parametrize("pairing", list(Pairing))
@@ -326,8 +338,8 @@ class TestSelectPairs:
         # random-r draws every row's order first, then every row's partner shuffle
         both_random = (selection, pairing) == (Selection.RANDOM_R, Pairing.RANDOM_PAIR)
         row_pairing = Pairing.NEAREST if both_random else pairing
-        want = [rd.select_pairs(d, r, pair_rank, selection, row_pairing, rng=ref_rng,
-                                g1=g1, g2=g2) for d in dists]
+        want = [select_row(d, r, pair_rank, selection, row_pairing, rng=ref_rng,
+                           g1=g1, g2=g2) for d in dists]
         if len({len(w) for w in want}) > 1:
             with pytest.raises(ReduceError, match="different numbers of pairs"):
                 rd.select_pairs(dists, r, pair_rank, selection, pairing, rng=rng,
@@ -348,31 +360,32 @@ class TestSelectPairs:
     def test_random_options_need_an_rng(self, selection, pairing, message):
         with pytest.raises(ReduceError, match=message):
             rd.select_pairs(np.ones((2, 3, 3)), 2, selection=selection,
-                            pairing=pairing)
+                            pairing=pairing, g1=np.arange(3), g2=np.arange(3, 6))
 
     @pytest.mark.parametrize("selection", list(Selection))
     def test_single_random_pair_draws_nothing(self, selection):
         # one pair has one order, so RANDOM_PAIR draws what NEAREST does
         dists = np.random.default_rng(2).uniform(0, 1, (3, 4, 4))
         rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        g1, g2 = np.arange(4), np.arange(4, 8)
         pairs = rd.select_pairs(dists, 1, selection=selection,
-                                pairing=Pairing.RANDOM_PAIR, rng=rng)
-        want = rd.select_pairs(dists, 1, selection=selection, rng=ref_rng)
+                                pairing=Pairing.RANDOM_PAIR, rng=rng, g1=g1, g2=g2)
+        want = rd.select_pairs(dists, 1, selection=selection, rng=ref_rng, g1=g1, g2=g2)
         assert np.array_equal(pairs, want)
         assert rng.integers(2 ** 62) == ref_rng.integers(2 ** 62)
 
     def test_random_selection_disjoint(self):
         rng = np.random.default_rng(4)
         dists = rng.uniform(0, 1, (6, 6))
-        pairs = rd.select_pairs(dists, 4, selection=Selection.RANDOM_R,
-                                rng=np.random.default_rng(0))
+        pairs = select_row(dists, 4, selection=Selection.RANDOM_R,
+                            rng=np.random.default_rng(0))
         assert pairs.shape == (4, 2) and len(set(pairs[:, 1])) == 4
 
     def test_random_pairing_keeps_partners_disjoint(self):
         rng = np.random.default_rng(5)
         dists = rng.uniform(0, 1, (6, 6))
-        pairs = rd.select_pairs(dists, 4, pairing=Pairing.RANDOM_PAIR,
-                                rng=np.random.default_rng(0))
+        pairs = select_row(dists, 4, pairing=Pairing.RANDOM_PAIR,
+                            rng=np.random.default_rng(0))
         is_, js = pairs.T
         assert len(set(is_)) == 4 and len(set(js)) == 4
         assert all(j >= 6 for j in js)
@@ -386,7 +399,7 @@ class TestSelectPairs:
         rng = np.random.default_rng(seed)
         dists = np.round(rng.uniform(0, 1, (m, n)), 2)  # coarse grid forces ties
         r = min(m, n)
-        pairs = rd.select_pairs(dists, r, pair_rank=pair_rank)
+        pairs = select_row(dists, r, pair_rank=pair_rank)
         want = [[i, j + m] for i, j in slow_select(dists, r, pair_rank)]
         assert pairs.tolist() == want
 
@@ -399,8 +412,7 @@ class TestSelectPairs:
         pair_rank, r = min(pair_rank, n), min(r, m, n)
         dists = np.random.default_rng(seed).integers(0, 3, (m, n)).astype(float)
         rng = np.random.default_rng(seed)
-        pairs = rd.select_pairs(dists, r, pair_rank, Selection.RANDOM_R, pairing,
-                                rng=rng)
+        pairs = select_row(dists, r, pair_rank, Selection.RANDOM_R, pairing, rng=rng)
         ref_rng = np.random.default_rng(seed)
         want = slow_random_select(dists, r, pair_rank, ref_rng,
                                   pairing is Pairing.RANDOM_PAIR)
@@ -461,20 +473,20 @@ def four_tokens():
 class TestMergePlanFormat:
     def test_overlap_rejected(self):
         with pytest.raises(ReduceError):
-            rd.merge(four_tokens(), np.array([[0, 1], [1, 2]]), MergeOp.SUM)
+            rd.merge(four_tokens(), np.array([[[0, 1], [1, 2]]]), MergeOp.SUM)
 
     def test_duplicate_dropped_index_rejected(self):
         with pytest.raises(ReduceError):
-            rd.merge(four_tokens(), np.array([[0, 1], [2, 1]]), None)
+            rd.merge(four_tokens(), np.array([[[0, 1], [2, 1]]]), None)
 
     @pytest.mark.parametrize("plan", [[[0, 1], [0, 2]], [[0, 1], [2, 1]], [[0, 1], [1, 2]]],
                              ids=["first-column", "second-column", "across-columns"])
     @pytest.mark.parametrize("rows", [1, 3])
     def test_repeated_token_rejected(self, plan, rows):
-        # a [p, 2] plan is broadcast to every row, so each row repeats it
+        # every row repeats the plan
         vals = Tensor(np.random.default_rng(0).uniform(-1, 1, (rows, 4, 2)))
         with pytest.raises(ReduceError, match="token used twice in plan"):
-            rd.merge(vals, np.array(plan), MergeOp.SUM)
+            rd.merge(vals, np.array([plan] * rows), MergeOp.SUM)
 
     def test_rows_may_share_tokens(self):
         # tokens are counted per row: every row may use the same indices,
@@ -487,6 +499,11 @@ class TestMergePlanFormat:
         with pytest.raises(ReduceError, match="token used twice in plan"):
             rd.merge(vals, plan, MergeOp.SUM)
 
+    def test_unbatched_plan_rejected(self):
+        # a [p, 2] plan is not broadcast over the batch
+        with pytest.raises(ReduceError, match="does not fit"):
+            rd.merge(four_tokens(), np.array([[0, 1]]), MergeOp.SUM)
+
     def test_plan_must_fit_batch(self):
         with pytest.raises(ReduceError):
             rd.merge(four_tokens(), np.zeros((2, 1, 2), dtype=int), MergeOp.SUM)
@@ -495,35 +512,35 @@ class TestMergePlanFormat:
     def test_perm_must_permute_the_slots(self, perm):
         # a repeated slot would reach two outputs, and the scatter keeps one
         with pytest.raises(ReduceError, match="not a permutation"):
-            rd.merge(four_tokens(), np.array([[0, 1]]), MergeOp.SUM, np.array(perm))
+            rd.merge(four_tokens(), np.array([[[0, 1]]]), MergeOp.SUM, np.array(perm))
 
 
 class TestMerge:
     def test_sum_example(self):
-        out, idx = rd.merge(four_tokens(), np.array([[0, 1]]), MergeOp.SUM)
+        out, idx = rd.merge(four_tokens(), np.array([[[0, 1]]]), MergeOp.SUM)
         assert np.array_equal(out.data[0],
                               [[11.0, 22.0], [3.0, -4.0], [5.0, 6.0]])
         assert list(idx[0]) == [0, 2, 3]
 
     def test_mean_halves(self):
-        out, _ = rd.merge(four_tokens(), np.array([[0, 1]]), MergeOp.MEAN)
+        out, _ = rd.merge(four_tokens(), np.array([[[0, 1]]]), MergeOp.MEAN)
         assert np.array_equal(out.data[0][0], [5.5, 11.0])
 
     def test_max_min_elementwise(self):
-        mx, _ = rd.merge(four_tokens(), np.array([[2, 3]]), MergeOp.MAX)
-        mn, _ = rd.merge(four_tokens(), np.array([[2, 3]]), MergeOp.MIN)
+        mx, _ = rd.merge(four_tokens(), np.array([[[2, 3]]]), MergeOp.MAX)
+        mn, _ = rd.merge(four_tokens(), np.array([[[2, 3]]]), MergeOp.MIN)
         assert np.array_equal(mx.data[0][2], [5.0, 6.0])
         assert np.array_equal(mn.data[0][2], [3.0, -4.0])
 
     def test_merged_position_is_min(self):
-        out, idx = rd.merge(four_tokens(), np.array([[3, 1]]), MergeOp.SUM)
+        out, idx = rd.merge(four_tokens(), np.array([[[3, 1]]]), MergeOp.SUM)
         assert list(idx[0]) == [0, 1, 2]
         assert np.array_equal(out.data[0][1], [15.0, 26.0])
 
     def test_sum_conserves_mass(self):
         rng = np.random.default_rng(6)
         vals = rng.uniform(-2, 2, (2, 8, 3))
-        out, _ = rd.merge(Tensor(vals), np.array([[0, 1], [4, 7]]), MergeOp.SUM)
+        out, _ = rd.merge(Tensor(vals), np.array([[[0, 1], [4, 7]]] * 2), MergeOp.SUM)
         assert np.allclose(out.data.sum(1), vals.sum(1), atol=1e-12)
 
     def test_per_batch_plans(self):
@@ -535,13 +552,13 @@ class TestMerge:
 
     def test_plan_index_out_of_range(self):
         with pytest.raises(ReduceError):
-            rd.merge(four_tokens(), np.array([[0, 9]]), MergeOp.SUM)
+            rd.merge(four_tokens(), np.array([[[0, 9]]]), MergeOp.SUM)
 
     def test_gradient_routing_sum_mean(self):
         for op, coeff in ((MergeOp.SUM, 1.0), (MergeOp.MEAN, 0.5)):
             x = Tensor(four_tokens().data, requires_grad=True)
             with GradTape() as tape:
-                out, _ = rd.merge(x, np.array([[0, 1]]), op)
+                out, _ = rd.merge(x, np.array([[[0, 1]]]), op)
                 tape.backward(tt.tsum(out))
             g = x.grad.data[0]
             assert np.allclose(g[0], coeff) and np.allclose(g[1], coeff)
@@ -550,7 +567,7 @@ class TestMerge:
     def test_gradient_routing_max_goes_to_winner(self):
         x = Tensor(four_tokens().data, requires_grad=True)
         with GradTape() as tape:
-            out, _ = rd.merge(x, np.array([[2, 3]]), MergeOp.MAX)
+            out, _ = rd.merge(x, np.array([[[2, 3]]]), MergeOp.MAX)
             tape.backward(tt.tsum(out))
         g = x.grad.data[0]
         # token 3 wins both coordinates (5>3, 6>-4)
@@ -566,33 +583,33 @@ class TestMerge:
         g1, g2 = rd.grouping(t, Grouping.ODD_EVEN)
         r = rd.effective_r(t, 2)
         dists = rd.pairwise_distance(vals[0][g1], vals[0][g2], Distance.L2)
-        pairs = rd.select_pairs(dists, r, g1=g1, g2=g2)
-        out, idx = rd.merge(Tensor(vals), pairs, op)
+        pairs = select_row(dists, r, g1=g1, g2=g2)
+        out, idx = rd.merge(Tensor(vals), pairs[None], op)
         assert out.shape == (1, t - r, dim)
         assert np.all(np.diff(idx[0]) > 0)
         assert set(idx[0]) <= set(range(t))
         if op is MergeOp.SUM:
             assert np.allclose(out.data.sum(1), vals.sum(1), atol=1e-12)
         # deterministic: same inputs, same result
-        again, _ = rd.merge(Tensor(vals), pairs, op)
+        again, _ = rd.merge(Tensor(vals), pairs[None], op)
         assert np.array_equal(again.data, out.data)
 
 
 class TestPrune:
     def test_drops_second_member(self):
-        out, idx = rd.merge(four_tokens(), np.array([[0, 1]]), None)
+        out, idx = rd.merge(four_tokens(), np.array([[[0, 1]]]), None)
         assert np.array_equal(out.data[0],
                               [[1.0, 2.0], [3.0, -4.0], [5.0, 6.0]])
         assert list(idx[0]) == [0, 2, 3]
 
     def test_kept_index_out_of_range(self):
         with pytest.raises(ReduceError):
-            rd.merge(four_tokens(), np.array([[9, 1]]), None)
+            rd.merge(four_tokens(), np.array([[[9, 1]]]), None)
 
     def test_gradient_zero_for_dropped(self):
         x = Tensor(four_tokens().data, requires_grad=True)
         with GradTape() as tape:
-            out, _ = rd.merge(x, np.array([[0, 1]]), None)
+            out, _ = rd.merge(x, np.array([[[0, 1]]]), None)
             tape.backward(tt.tsum(out))
         g = x.grad.data[0]
         assert np.array_equal(g[1], [0.0, 0.0])

@@ -177,28 +177,6 @@ class ReadSpy(Tensor):
         self.__dict__["array"] = value
 
 
-def lti_scan(a, b, c, x):
-    """Time-invariant diagonal-A reference recurrence; no gradients.
-
-    a: [N,N] diagonal; b: [N,1]; c: [1,N]; x: [T]. Returns y: [T].
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise TensorError("A must be square")
-    if np.any(a != np.diag(np.diag(a))):
-        raise TensorError("A must be diagonal")
-    diag = np.diag(a)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
-    c = np.asarray(c, dtype=np.float64).reshape(-1)
-    x = np.asarray(x, dtype=np.float64)
-    h = np.zeros_like(diag)
-    y = np.empty_like(x)
-    for t in range(x.shape[0]):
-        h = diag * h + b * x[t]
-        y[t] = c @ h
-    return y
-
-
 def make_params(rng, d_model, d, n):
     """One scan direction's ``{field: Tensor}``, drawn from ``rng`` in
     ``scan_shapes`` order as ``model.init_model`` draws a block's, with an
@@ -901,37 +879,6 @@ class TestBlockTail:
         tensors["fwd.w_out"] = ReadSpy(tensors["fwd.w_out"], on_read)
         out = self.call(tensors)
         assert reads == [[True] * 5] and out.shape == (2, 5, 4)
-
-
-class TestLtiScan:
-    def test_zero_a(self):
-        b = np.array([[1.0], [2.0]])
-        c = np.array([[3.0, 4.0]])
-        x = np.array([1.0, -1.0, 2.0])
-        y = lti_scan(np.zeros((2, 2)), b, c, x)
-        cb = (c @ b).item()
-        assert np.allclose(y, cb * x)
-
-    def test_running_sum(self):
-        y = lti_scan(np.eye(1), np.ones((1, 1)), np.ones((1, 1)), np.ones(5))
-        assert np.array_equal(y, [1, 2, 3, 4, 5])
-
-    def test_matches_convolution(self):
-        rng = np.random.default_rng(10)
-        diag = rng.uniform(-0.9, 0.9, 3)
-        b = rng.uniform(-1, 1, (3, 1))
-        c = rng.uniform(-1, 1, (1, 3))
-        x = rng.uniform(-1, 1, 7)
-        y = lti_scan(np.diag(diag), b, c, x)
-        t_len = x.shape[0]
-        kernel = np.array([(c @ np.diag(diag ** k) @ b).item() for k in range(t_len)])
-        expect = np.array([sum(kernel[k] * x[t - k] for k in range(t + 1))
-                           for t in range(t_len)])
-        assert np.allclose(y, expect, atol=1e-12)
-
-    def test_rejects_nondiagonal(self):
-        with pytest.raises(TensorError):
-            lti_scan(np.ones((2, 2)), np.ones((2, 1)), np.ones((1, 2)), np.ones(3))
 
 
 class TestBidirectionalBlock:

@@ -83,6 +83,11 @@ class TestElementwise:
             tape.backward(tt.tsum(mul(x, Tensor(3.0))))
         assert np.array_equal(x.grad.data, np.full((2, 3), 3.0))
 
+    @pytest.mark.parametrize("right", [(1, 3), (2, 1), (2, 2, 3), (2,)])
+    def test_add_rejects_a_right_operand_that_is_not_a_trailing_suffix(self, right):
+        with pytest.raises(TensorError, match="leading axes"):
+            tt.add(Tensor(np.ones((2, 3))), Tensor(np.ones(right)))
+
 
 class TestBackward:
     def test_sum_grad_is_ones(self):
