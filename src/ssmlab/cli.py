@@ -25,15 +25,6 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 
-def worker_cap():
-    """``MEETO_THREADS`` checked; importing ssmlab applies it to the BLAS pools."""
-    threads = thread_count()
-    if threads is None:
-        raise ConfigError("MEETO_THREADS must be an integer >= 1, "
-                          f"got {os.environ['MEETO_THREADS']!r}")
-    return threads
-
-
 def _load_datasets(data: ds.DataConfig, model_cfg: mdl.ModelConfig):
     """(train, eval) datasets; an empty dataset, or a label the model has no
     class for, is a DataError."""
@@ -130,6 +121,9 @@ ABLATION_AXES = {
 
 
 def cmd_ablate(cfg: RunConfig, s: Settings, axis, out):
+    """One row per value of ``axis``, set on the run config, scored training-free
+    and re-trained. A cell that ``model_config`` rejects (for its axis value: the
+    base was checked) is not run; its row has the error in ``skipped``."""
     key, values = ABLATION_AXES[axis]
     train_data, eval_data = _load_datasets(s.data, s.model)
     rows = []
@@ -137,21 +131,23 @@ def cmd_ablate(cfg: RunConfig, s: Settings, axis, out):
         cell = RunConfig(dict(cfg.values))
         if key == "interval":
             k = int(value)
-            cell.set("reduce.sites",
-                     ",".join(str(b) for b in range(k, s.model.depth, k)))
+            cell.set("reduce.sites", ",".join(str(b) for b in range(k, s.model.depth, k)))
         else:
             cell.set(key, value)
-        if (key == "reduce.feature" and value == rd.Feature.DELTA.value
-                and s.model.reduction.distance is rd.Distance.COSINE):
-            cell.set("reduce.distance", rd.Distance.L1.value)  # cosine scores every delta pair 0
-        model = _build_model(s.run, cell.model_config())
+        try:
+            model_cfg = cell.model_config()
+        except ConfigError as e:
+            rows.append([value, "", "", "", str(e)])
+            print(f"{axis}={value} skipped: {e}")
+            continue
+        model = _build_model(s.run, model_cfg)
         training_free = tr.evaluate(model, eval_data)
         retrained = tr.retrain(model, train_data, s.train, eval_data).final_accuracy
         rows.append([value, f"{training_free:.6f}", f"{retrained:.6f}",
-                     f"{retrained - training_free:.6f}"])
-        print(f"{axis}={value} training-free={training_free:.4f} "
-              f"re-trained={retrained:.4f}")
-    _write_csv(out / f"ablate_{axis}.csv", [axis, "training_free", "retrained", "delta"], rows)
+                     f"{retrained - training_free:.6f}", ""])
+        print(f"{axis}={value} training-free={training_free:.4f} re-trained={retrained:.4f}")
+    _write_csv(out / f"ablate_{axis}.csv",
+               [axis, "training_free", "retrained", "delta", "skipped"], rows)
     return 0
 
 
@@ -246,7 +242,9 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        worker_cap()
+        if thread_count() is None:  # importing ssmlab read it as 1 for the BLAS pools
+            raise ConfigError("MEETO_THREADS must be an integer >= 1, "
+                              f"got {os.environ['MEETO_THREADS']!r}")
         cfg = RunConfig.load(args.config)
         if args.seed is not None:
             cfg.set("run.seed", str(args.seed))

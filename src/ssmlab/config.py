@@ -6,8 +6,8 @@ Every key comes from a dataclass: the ``model.*``, ``reduce.*``,
 ``train.*``, ``data.*``, ``bench.*`` and ``run.*`` keys, their defaults and
 their parsing come from the fields of ``ModelConfig``, ``ReductionConfig``,
 ``TrainConfig``, ``DataConfig``, ``BenchConfig`` and ``RunOptions``. Only
-``reduce.sites`` differs: it defaults to ``even``, and ``even``, ``odd`` and
-``none`` name site lists that depend on the depth.
+``reduce.sites`` differs: it defaults to ``even`` (2, 4, ...), and ``even``,
+``odd`` (1, 3, ...) and ``none`` name site lists below the model's depth.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .bench import BenchConfig
 from .data import DataConfig, Source, text_lines
-from .model import ModelConfig, config_from_text, config_text, default_sites
+from .model import ModelConfig, config_from_text, config_text
 from .reduce import ReductionConfig
 from .train import TrainConfig
 
@@ -105,7 +105,7 @@ class RunConfig:
 
     def reduction_config(self) -> ReductionConfig:
         depth = self._typed(ModelConfig, "model.", reduction=ReductionConfig()).depth
-        spelled = {"even": default_sites(depth), "odd": tuple(range(1, depth, 2)),
+        spelled = {"even": tuple(range(2, depth, 2)), "odd": tuple(range(1, depth, 2)),
                    "none": ()}.get(self.values["reduce.sites"])
         given = {} if spelled is None else {"sites": spelled}
         return self._typed(ReductionConfig, "reduce.", **given)

@@ -55,11 +55,6 @@ class ModelConfig:
         return self.patch_size * self.patch_size * self.in_channels
 
 
-def default_sites(depth):
-    """Even block indices except 0: the default reduction schedule."""
-    return tuple(b for b in range(2, depth, 2))
-
-
 @dataclass
 class Model:
     """A config and its parameter table: ``{name: Tensor}`` in

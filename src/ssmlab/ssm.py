@@ -36,11 +36,6 @@ def _sigmoid(x, out=None):
     return s
 
 
-def _stacked(sides, key):
-    """Both directions' [D,K] (or [1]) field as one [2,1,D,K] right operand."""
-    return np.stack([np.atleast_2d(p[key].data) for p in sides])[:, None]
-
-
 def scan_shapes(d_model, d, n):
     """``{field: shape}`` of one scan direction's parameters, in table order.
 
@@ -77,14 +72,16 @@ def scan_core(sides, x, keep):
     C_t dy_t are einsum outer products over [2,B,*] views, cast same_kind as
     ufuncs cast; y_t goes over xs_t and, backward, the x cotangent over C_t.
 
-    The closure keeps A and the states [2,T,B,N,D]. The backward pass
-    leaves dy untouched and recomputes xs, sigmoid(x), the step, B and C
-    from x. It carries g = dL/dh_t in one [2,B,N,D] buffer, recomputing
-    A_bar_t to carry it back a step, and writes dL/d(delta_t A) =
-    g A_bar_t h_prev over h_prev in the state history, which the delta and
-    a_log terms each reduce in one op. x's cotangent sums its scan, C, B
-    and delta terms in place, then takes silu'(x) = (1 - s) xs + s; bx's
-    is copied back to natural time.
+    The closure keeps A, the states [2,T,B,N,D] and w: both directions'
+    w_delta, delta_bias, w_b and w_c, stacked once per call as [2,1,D,K]
+    operands that the projections, their recompute and x's cotangent read.
+    The backward pass leaves dy untouched and recomputes xs, sigmoid(x),
+    the step, B and C from x. It carries g = dL/dh_t in one [2,B,N,D]
+    buffer, recomputing A_bar_t to carry it back a step, and writes
+    dL/d(delta_t A) = g A_bar_t h_prev over h_prev in the state history,
+    which the delta and a_log terms each reduce in one op. x's cotangent
+    sums its scan, C, B and delta terms in place, then takes
+    silu'(x) = (1 - s) xs + s; bx's is copied back to natural time.
     """
     if x[0].ndim != 3:
         raise TensorError("scan_core expects [B, T, D]")
@@ -104,12 +101,13 @@ def scan_core(sides, x, keep):
     a = -np.exp(np.stack([p["a_log"].data.T for p in sides]), order="C")  # [2,N,D]
     if not np.all(np.isfinite(a)):
         raise TensorError("exp overflow")
+    w = {k: np.stack([np.atleast_2d(p[k].data) for p in sides])[:, None] for k in _SCAN_FIELDS[1:]}
 
     def projections(xs):
         """pre, the step [2,B,T,1], B and C of xs."""
-        pre = xs @ _stacked(sides, "w_delta") + _stacked(sides, "delta_bias")
+        pre = xs @ w["w_delta"] + w["delta_bias"]
         ds = np.maximum(pre, 0.0) + np.log1p(np.exp(-np.abs(pre)))  # overflow-safe softplus
-        return pre, ds, xs @ _stacked(sides, "w_b"), xs @ _stacked(sides, "w_c")
+        return pre, ds, xs @ w["w_b"], xs @ w["w_c"]
     _, ds, bs, cs = projections(xs)
     feats = {"b": bs[0].copy(), "c": cs[0].copy(), "delta": ds[0]}
     t_len = xs.shape[2]
@@ -158,14 +156,14 @@ def scan_core(sides, x, keep):
         d_b = np.multiply(x_g, ds, out=x_g)
         d_pre = d_delta * _sigmoid(pre)
         dx = np.multiply(g_b, ds, out=g_b)
-        dx += dc @ np.swapaxes(_stacked(sides, "w_c"), -1, -2)
-        dx += d_b @ np.swapaxes(_stacked(sides, "w_b"), -1, -2)
-        dx += d_pre * np.swapaxes(_stacked(sides, "w_delta"), -1, -2)  # d_pre @ w_delta.T
+        dx += dc @ np.swapaxes(w["w_c"], -1, -2)
+        dx += d_b @ np.swapaxes(w["w_b"], -1, -2)
+        dx += d_pre * np.swapaxes(w["w_delta"], -1, -2)        # d_pre @ w_delta.T
         dx *= (1.0 - s_x) * xs + s_x                           # silu'(x)
         xt = np.swapaxes(xs, -1, -2)
         terms = (xt @ d_pre, d_pre, xt @ d_b, xt @ dc)         # w_delta, delta_bias, w_b, w_c
-        grads = [{"a_log": d_a_log[half], **{k: tt._unbroadcast(w[half], p[k].shape)
-                                             for w, k in zip(terms, _SCAN_FIELDS[1:])}}
+        grads = [{"a_log": d_a_log[half], **{k: tt._unbroadcast(t[half], p[k].shape)
+                                             for t, k in zip(terms, _SCAN_FIELDS[1:])}}
                  for half, p in enumerate(sides)]
         return [dx[0], dx[1, :, ::-1].copy()], grads
 

@@ -129,6 +129,7 @@ _CRITERIA = [
 ]
 
 _outcomes = {}
+_measured = {}  # prefix: the (name, value) pairs the test recorded
 
 
 def pytest_runtest_logreport(report):
@@ -140,8 +141,19 @@ def pytest_runtest_logreport(report):
             prev = _outcomes.get(prefix)
             if report.when == "call":
                 _outcomes[prefix] = report.outcome
+                _measured[prefix] = list(report.user_properties)
             elif report.when == "setup" and report.outcome != "passed" and prev is None:
                 _outcomes[prefix] = report.outcome
+
+
+def _measured_text(props):
+    """`` (measured v; name v, ...)``: the first value, the one the bound
+    reads, then the rest by name; empty if the test recorded none."""
+    if not props:
+        return ""
+    text = [f"{v:.5g}" if isinstance(v, float) else str(v) for _, v in props]
+    rest = ", ".join(f"{k} {v}" for (k, _), v in zip(props[1:], text[1:]))
+    return f" (measured {text[0]}{'; ' + rest if rest else ''})"
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -154,4 +166,5 @@ def pytest_terminal_summary(terminalreporter):
         if outcome is None:
             continue
         verdict = "PASS" if outcome == "passed" else "FAIL"
-        terminalreporter.write_line(f"  criterion {i:2d} [{verdict}] {desc}")
+        terminalreporter.write_line(f"  criterion {i:2d} [{verdict}] {desc}"
+                                    + _measured_text(_measured.get(prefix)))

@@ -1,8 +1,9 @@
 """End-to-end acceptance checks for the desk-scale model.
 
 Each criterion prints one PASS/FAIL line in the terminal summary (see
-conftest). The trend checks (6-8) share the five trained baseline models
-from the session fixture.
+conftest), with the values it recorded through ``record_property`` before
+its asserts, the first of them the one its bound reads. The trend checks
+(6-8) share the five trained baseline models from the session fixture.
 """
 
 from dataclasses import replace
@@ -48,12 +49,13 @@ def clone_model(model: Model) -> Model:
     return out
 
 
-def test_criterion_01_ratio_table():
+def test_criterion_01_ratio_table(record_property):
     sites = tuple(range(2, 24, 2))
     table = {5: 0.14, 10: 0.28, 11: 0.31, 13: 0.36, 15: 0.42, 20: 0.54}
+    got = {r: rd.reduction_ratio(197, sites, r, 24) for r in table}
+    record_property("largest error", max(abs(got[r] - want) for r, want in table.items()))
     for r, want in table.items():
-        got = rd.reduction_ratio(197, sites, r, 24)
-        assert abs(got - want) <= 0.02, (r, got, want)
+        assert abs(got[r] - want) <= 0.02, (r, got[r], want)
 
 
 def test_criterion_02_scan_oracle():
@@ -85,13 +87,14 @@ def test_criterion_02_scan_oracle():
         assert not np.any(out.data[..., 2 * d:])
 
 
-def test_criterion_03_full_model_gradients():
+def test_criterion_03_full_model_gradients(record_property):
     cfg = ModelConfig(image_size=8, patch_size=4, in_channels=1, depth=3,
                       d_model=6, d_inner=4, d_state=2, num_classes=3,
                       reduction=ReductionConfig(r=1, sites=(1,),
                                                 merge_op=MergeOp.SUM))
     model = mdl.init_model(cfg, seed=0)
     rng = np.random.default_rng(1)
+    errors = []  # (name, relative error) of every parameter in every case
     for _ in range(3):
         imgs = rng.uniform(0, 1, (2, 8, 8, 1))
         labels = rng.integers(0, 3, 2)
@@ -108,10 +111,12 @@ def test_criterion_03_full_model_gradients():
 
             fd = finite_difference_grad(f, p.data.copy())
             denom = max(np.abs(fd).max(), 1e-8)
-            rel = np.abs(fd - p.grad.data).max() / denom
-            assert rel < 1e-4, (name, rel)
+            errors.append((name, np.abs(fd - p.grad.data).max() / denom))
         for _, p in model.named_params():
             p.zero_grad()
+    record_property("worst relative error", max(rel for _, rel in errors))
+    for name, rel in errors:
+        assert rel < 1e-4, (name, rel)
 
 
 def test_criterion_04_merge_invariants():
@@ -154,25 +159,30 @@ def test_criterion_05_pair_selection_oracle():
 REDUCED_SITES = (2, 4, 6)
 
 
-def test_criterion_06_merging_beats_pruning(trained_baselines, desk_eval_data):
+def test_criterion_06_merging_beats_pruning(trained_baselines, desk_eval_data,
+                                            record_property):
     merge_accs, prune_accs = [], []
     for seed in SEEDS:
-        model, base_acc = trained_baselines[seed]
-        assert base_acc >= 0.90, f"baseline seed {seed} undertrained: {base_acc}"
+        model, _ = trained_baselines[seed]
         merged = with_reduction(model, r=20, sites=REDUCED_SITES,
                                 mode=Mode.MERGE, merge_op=MergeOp.SUM)
         pruned = with_reduction(model, r=20, sites=REDUCED_SITES,
                                 mode=Mode.PRUNE)
         merge_accs.append(tr.evaluate(merged, desk_eval_data))
         prune_accs.append(tr.evaluate(pruned, desk_eval_data))
+    record_property("merge mean", np.mean(merge_accs))
+    record_property("prune mean", np.mean(prune_accs))
+    for seed in SEEDS:
+        base_acc = trained_baselines[seed][1]
+        assert base_acc >= 0.90, f"baseline seed {seed} undertrained: {base_acc}"
     ratio = rd.reduction_ratio(49, REDUCED_SITES, 20, 8)
     assert 0.4 <= ratio <= 0.6
     assert np.mean(merge_accs) >= np.mean(prune_accs), (merge_accs, prune_accs)
 
 
 def test_criterion_07_retraining_recovers(trained_baselines, desk_train_data,
-                                          desk_eval_data):
-    recoveries = []
+                                          desk_eval_data, record_property):
+    accs, recoveries = [], []  # (training-free, re-trained) and recovery per seed
     for seed in SEEDS:
         model, base_acc = trained_baselines[seed]
         reduced = with_reduction(clone_model(model), r=10, sites=REDUCED_SITES,
@@ -182,15 +192,19 @@ def test_criterion_07_retraining_recovers(trained_baselines, desk_train_data,
                              lr_end=1e-4, weight_decay=5e-2, seed=seed)
         tr.retrain(reduced, desk_train_data, cfg, desk_eval_data)
         rt_acc = tr.evaluate(reduced, desk_eval_data)
-        assert rt_acc > tf_acc, (seed, tf_acc, rt_acc)
+        accs.append((tf_acc, rt_acc))
         gap = base_acc - tf_acc
         recoveries.append(1.0 if gap <= 0 else (rt_acc - tf_acc) / gap)
+    record_property("mean recovery", np.mean(recoveries))
+    record_property("smallest seed", min(recoveries))
+    for seed, (tf_acc, rt_acc) in zip(SEEDS, accs):
+        assert rt_acc > tf_acc, (seed, tf_acc, rt_acc)
     ratio = rd.reduction_ratio(49, REDUCED_SITES, 10, 8)
     assert 0.2 <= ratio <= 0.4
     assert np.mean(recoveries) >= 0.5, recoveries
 
 
-def test_criterion_08_shuffle_degrades(trained_baselines, desk_eval_data):
+def test_criterion_08_shuffle_degrades(trained_baselines, desk_eval_data, record_property):
     ratios = (0.0, 0.3, 0.7, 1.0)
     means = []
     for ratio in ratios:
@@ -203,15 +217,20 @@ def test_criterion_08_shuffle_degrades(trained_baselines, desk_eval_data):
             accs.append(tr.evaluate(shuffled, desk_eval_data))
         means.append(float(np.mean(accs)))
     inversions = sum(1 for a, b in zip(means, means[1:]) if b > a + 1e-12)
+    record_property("inversions", inversions)
+    for ratio, mean in zip(ratios, means):
+        record_property(f"shuffle {ratio}", mean)
     assert inversions <= 1, means
     assert means[0] > means[-1], means
 
 
-def test_criterion_09_throughput():
+def test_criterion_09_throughput(record_property):
     model = mdl.init_model(ModelConfig(
-        reduction=ReductionConfig(sites=mdl.default_sites(8))), seed=0)
+        reduction=ReductionConfig(sites=(2, 4, 6))), seed=0)
     results = sweep(model, BenchConfig((0, 5, 11, 20), batch=16, warmup=3, iters=10,
                                        dtype=Dtype.FLOAT32), seed=0)
+    for b in results[-1:] + results[:-1]:  # r=20 first: the speedup the bound reads
+        record_property(f"r={b.r}", b.speedup)
     assert results[0].speedup == 1.0
     assert results[-1].speedup >= 1.15, [b.speedup for b in results]
 

@@ -104,6 +104,10 @@ class TestRunConfig:
         cfg.set("reduce.sites", "x,y")
         with pytest.raises(ConfigError):
             cfg.reduction_config()
+        cfg.set("reduce.sites", "even")
+        for depth, sites in (("3", (2,)), ("2", ())):
+            cfg.set("model.depth", depth)
+            assert cfg.reduction_config().sites == sites
 
     def test_bad_enum_value(self):
         cfg = RunConfig()
@@ -176,11 +180,11 @@ class TestRunConfig:
 class TestThreadCap:
     def test_default(self, monkeypatch):
         monkeypatch.delenv("MEETO_THREADS", raising=False)
-        assert cli.worker_cap() == 1
+        assert ssmlab.thread_count() == 1
 
     def test_explicit(self, monkeypatch):
         monkeypatch.setenv("MEETO_THREADS", "4")
-        assert cli.worker_cap() == 4
+        assert ssmlab.thread_count() == 4
 
     def test_bad_value_exits_config(self, monkeypatch, tmp_path):
         monkeypatch.setenv("MEETO_THREADS", "lots")
@@ -188,10 +192,11 @@ class TestThreadCap:
         assert cli.main(["eval", "--config", cfg,
                          "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
 
-    def test_zero_rejected(self, monkeypatch):
+    def test_zero_rejected(self, monkeypatch, tmp_path):
         monkeypatch.setenv("MEETO_THREADS", "0")
-        with pytest.raises(ConfigError):
-            cli.worker_cap()
+        cfg = write_cfg(tmp_path)
+        assert cli.main(["eval", "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
 
     def test_import_sets_unset_thread_variables(self):
         out = run_python(PRINT_THREAD_VARIABLES, MEETO_THREADS="2",
@@ -659,6 +664,10 @@ class TestBench:
         assert all(0.0 <= float(row["accuracy"]) <= 1.0 for row in rows)
 
 
+DELTA_L1 = "reduce.feature=delta\nreduce.distance=l1\n"
+DELTA_COSINE = "feature delta needs distance l1 or l2, not cosine"
+
+
 class TestAblate:
     def test_distance_axis(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
@@ -667,21 +676,50 @@ class TestAblate:
                        "--out", str(out)])
         assert rc == 0
         lines = (out / "ablate_distance.csv").read_text().strip().splitlines()
-        assert lines[0] == "distance,training_free,retrained,delta"
+        assert lines[0] == "distance,training_free,retrained,delta,skipped"
         assert len(lines) == 4
         assert [l.split(",")[0] for l in lines[1:]] == ["cosine", "l1", "l2"]
 
-    def test_feature_axis_scores_delta_under_l1(self, tmp_path, capsys):
+    def test_distance_axis_runs_on_delta(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, extra=DELTA_L1)
+        out = tmp_path / "ab"
+        rc = cli.main(["ablate", "--config", cfg, "--axis", "distance",
+                       "--out", str(out)])
+        assert rc == 0
+        with open(out / "ablate_distance.csv", newline="") as f:
+            rows = {row["distance"]: row for row in csv.DictReader(f)}
+        assert list(rows) == ["cosine", "l1", "l2"]
+        for name in ("l1", "l2"):
+            assert 0.0 <= float(rows[name]["training_free"]) <= 1.0
+            assert rows[name]["skipped"] == ""
+        assert rows["cosine"]["skipped"] == DELTA_COSINE
+        assert not any(rows["cosine"][k] for k in ("training_free", "retrained", "delta"))
+        assert f"distance=cosine skipped: {DELTA_COSINE}" in capsys.readouterr().out
+
+    def test_feature_axis_skips_delta_under_cosine(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         out = tmp_path / "ab"
         rc = cli.main(["ablate", "--config", cfg, "--axis", "feature",
                        "--out", str(out)])
         assert rc == 0
-        lines = (out / "ablate_feature.csv").read_text().strip().splitlines()
-        assert [l.split(",")[0] for l in lines[1:]] == ["x", "c", "b", "delta"]
+        with open(out / "ablate_feature.csv", newline="") as f:
+            rows = {row["feature"]: row for row in csv.DictReader(f)}
+        assert list(rows) == ["x", "c", "b", "delta"]
+        assert all(rows[k]["skipped"] == "" and rows[k]["retrained"] for k in "xcb")
+        assert rows["delta"]["skipped"] == DELTA_COSINE
+        assert rows["delta"]["training_free"] == ""
+
+    @pytest.mark.parametrize("axis", sorted(cli.ABLATION_AXES))
+    def test_every_axis_runs_on_delta(self, tmp_path, capsys, axis):
+        cfg = write_cfg(tmp_path, extra=DELTA_L1)
+        out = tmp_path / "ab"
+        rc = cli.main(["ablate", "--config", cfg, "--axis", axis, "--out", str(out)])
+        assert rc == 0
+        lines = (out / f"ablate_{axis}.csv").read_text().strip().splitlines()
+        assert len(lines) == 1 + len(cli.ABLATION_AXES[axis][1])
 
     def test_feature_axis_keeps_a_configured_l2(self, tmp_path, monkeypatch):
-        # only cosine, which ReductionConfig rejects for delta, moves to l1
+        # every cell, the delta one too, runs under the configured distance
         metrics = []
         real = rd.pairwise_distance
 

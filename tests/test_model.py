@@ -34,11 +34,6 @@ class TestConfig:
         cfg = ModelConfig()
         assert cfg.tokens0 == 49 and cfg.patch_dim == 16
 
-    def test_default_sites(self):
-        assert mdl.default_sites(8) == (2, 4, 6)
-        assert mdl.default_sites(3) == (2,)
-        assert mdl.default_sites(2) == ()
-
     def test_indivisible_patch(self):
         with pytest.raises(ModelError):
             ModelConfig(image_size=28, patch_size=5)
@@ -360,12 +355,12 @@ class TestGradients:
 class TestFlops:
     def test_monotone_decreasing_in_r(self):
         vals = [mdl.count_flops(ModelConfig(
-            reduction=ReductionConfig(r=r, sites=mdl.default_sites(8))))
+            reduction=ReductionConfig(r=r, sites=(2, 4, 6))))
             for r in (0, 5, 11, 20)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_difference_tracks_token_counts(self):
-        sites = mdl.default_sites(8)
+        sites = (2, 4, 6)
         cfgs = {r: ModelConfig(reduction=ReductionConfig(r=r, sites=sites))
                 for r in (0, 5, 11)}
         f = {r: mdl.count_flops(c) for r, c in cfgs.items()}
