@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import finite_difference_grad, mul, traced_memory
 from ssmlab import model as mdl, reduce as rd, ssm, tensor as tt
+from ssmlab.config import RunConfig
 from ssmlab.model import Model, ModelConfig, ModelError
 from ssmlab.reduce import MergeOp, Mode, ReductionConfig
 from ssmlab.tensor import GradTape, Tensor
@@ -33,6 +34,12 @@ class TestConfig:
     def test_token_and_patch_dims(self):
         cfg = ModelConfig()
         assert cfg.tokens0 == 49 and cfg.patch_dim == 16
+
+    def test_default_sites(self):
+        cfg = RunConfig()
+        for depth, sites in (("8", (2, 4, 6)), ("3", (2,)), ("2", ())):
+            cfg.set("model.depth", depth)
+            assert cfg.model_config().reduction.sites == sites
 
     def test_indivisible_patch(self):
         with pytest.raises(ModelError):
