@@ -1,12 +1,12 @@
 """Token reduction: grouping, cross-group distances, disjoint pair selection,
 and merge/prune application, run as one step by ``reduce_tokens``.
 
-A reduction plan is one [B, p, 2] integer array: each batch row's p pairs
-(i, j) of sequence indices. Tokens in no pair pass through unchanged.
-``merge`` is the one op that applies a plan, merging or pruning each pair,
-with any token shuffle folded into its indices: one gather forward, one
-scatter back. Its output keeps sequence order: each token sits at the
-earlier of its source indices.
+A step reads ``x`` and the features where they lie, with the shuffle and
+the groups as index arrays. A reduction plan is one [B, p, 2] integer
+array: each batch row's p pairs (i, j) of sequence indices; tokens in no
+pair pass through unchanged. ``merge``, the one op that applies a plan,
+merges or prunes each pair by one gather forward and one scatter back;
+its output keeps sequence order, each token at its earlier source index.
 
 Selection policy: each group-1 token's candidate partner is its pair_rank-th
 closest group-2 token; the r candidates with smallest distance win, and when
@@ -123,17 +123,17 @@ def grouping(t_len, strategy: Grouping, rng=None):
     return np.sort(perm[:half]), np.sort(perm[half:])
 
 
-def pairwise_distance(g1, g2, metric: Distance):
-    """All cross-group distances; g1: [..., m, D], g2: [..., n, D] -> [..., m, n]."""
-    g1 = np.asarray(g1, dtype=np.float64)
-    g2 = np.asarray(g2, dtype=np.float64)
+def pairwise_distance(feat, g1, g2, metric: Distance):
+    """Distances from the tokens of ``feat`` [..., T, D] at indices g1 to those
+    at g2 -> [..., m, n]; under cosine every token of feat must be non-zero."""
+    feat = np.asarray(feat, dtype=np.float64)
     if metric is Distance.COSINE:
-        n1 = np.linalg.norm(g1, axis=-1)
-        n2 = np.linalg.norm(g2, axis=-1)
-        if np.any(n1 == 0.0) or np.any(n2 == 0.0):
+        norm = np.linalg.norm(feat, axis=-1, keepdims=True)
+        if np.any(norm == 0.0):
             raise ReduceError("zero vector under cosine distance")
-        return 1.0 - (g1 / n1[..., None]) @ np.swapaxes(g2 / n2[..., None], -1, -2)
-    diff = g1[..., :, None, :] - g2[..., None, :, :]
+        unit = feat / norm
+        return 1.0 - unit[..., g1, :] @ np.swapaxes(unit[..., g2, :], -1, -2)
+    diff = feat[..., g1, None, :] - feat[..., None, g2, :]
     if metric is Distance.L1:
         return np.abs(diff).sum(axis=-1)
     return np.sqrt((diff * diff).sum(axis=-1))  # Distance.L2
@@ -352,10 +352,9 @@ def reduce_tokens(x: Tensor, feat, r, cfg: ReductionConfig, rng):
     order. Returns the reduced Tensor and its ``Step``."""
     t_len = x.shape[1]
     perm = shuffle_permutation(t_len, cfg.shuffle_ratio, rng)
-    if perm is not None:
-        feat = feat[:, perm]
     g1, g2 = grouping(t_len, cfg.grouping, rng)
-    dists = pairwise_distance(feat[:, g1], feat[:, g2], cfg.distance)
+    src = (g1, g2) if perm is None else (perm[g1], perm[g2])  # feat's slots
+    dists = pairwise_distance(feat, *src, cfg.distance)
     pairs = select_pairs(dists, r, cfg.pair_rank, cfg.selection, cfg.pairing,
                          rng=rng, g1=g1, g2=g2)
     x, idx = merge(x, pairs, cfg.merge_op if cfg.mode is Mode.MERGE else None, perm)

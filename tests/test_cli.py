@@ -723,9 +723,9 @@ class TestAblate:
         metrics = []
         real = rd.pairwise_distance
 
-        def spy(g1, g2, metric):
+        def spy(feat, g1, g2, metric):
             metrics.append(metric)
-            return real(g1, g2, metric)
+            return real(feat, g1, g2, metric)
 
         monkeypatch.setattr(rd, "pairwise_distance", spy)
         cfg = write_cfg(tmp_path, extra="reduce.distance=l2\n")

@@ -31,6 +31,14 @@ def select_row(dists, r, *args, g1=None, g2=None, **kwargs):
                            g2=np.arange(m, m + n) if g2 is None else g2, **kwargs)[0]
 
 
+def cross_distance(a, b, metric):
+    """``rd.pairwise_distance`` from the tokens of a [..., m, D] to those of
+    b [..., n, D], scored as the two groups of one site: [..., m, n]."""
+    m, n = a.shape[-2], b.shape[-2]
+    return rd.pairwise_distance(np.concatenate([a, b], axis=-2), np.arange(m),
+                                np.arange(m, m + n), metric)
+
+
 def slow_select(dists, r, pair_rank):
     """Round-based reference for the greedy disjoint pair policy.
 
@@ -211,34 +219,34 @@ class TestDistance:
         same = np.array([[2.0, 0.0]])
         orth = np.array([[0.0, 3.0]])
         opp = np.array([[-1.0, 0.0]])
-        assert rd.pairwise_distance(v, same, Distance.COSINE)[0, 0] == pytest.approx(0.0)
-        assert rd.pairwise_distance(v, orth, Distance.COSINE)[0, 0] == pytest.approx(1.0)
-        assert rd.pairwise_distance(v, opp, Distance.COSINE)[0, 0] == pytest.approx(2.0)
+        assert cross_distance(v, same, Distance.COSINE)[0, 0] == pytest.approx(0.0)
+        assert cross_distance(v, orth, Distance.COSINE)[0, 0] == pytest.approx(1.0)
+        assert cross_distance(v, opp, Distance.COSINE)[0, 0] == pytest.approx(2.0)
 
     def test_cosine_scale_invariant(self):
         rng = np.random.default_rng(1)
         a = rng.uniform(-1, 1, (3, 5))
         b = rng.uniform(-1, 1, (4, 5))
-        d0 = rd.pairwise_distance(a, b, Distance.COSINE)
-        d1 = rd.pairwise_distance(7.0 * a, 0.1 * b, Distance.COSINE)
+        d0 = cross_distance(a, b, Distance.COSINE)
+        d1 = cross_distance(7.0 * a, 0.1 * b, Distance.COSINE)
         assert np.allclose(d0, d1, atol=1e-12)
 
     def test_cosine_zero_vector_rejected(self):
         with pytest.raises(ReduceError):
-            rd.pairwise_distance(np.zeros((1, 2)), np.ones((1, 2)), Distance.COSINE)
+            cross_distance(np.zeros((1, 2)), np.ones((1, 2)), Distance.COSINE)
 
     def test_l1_l2_hand_values(self):
         a = np.array([[0.0, 0.0]])
         b = np.array([[3.0, 4.0]])
-        assert rd.pairwise_distance(a, b, Distance.L1)[0, 0] == pytest.approx(7.0)
-        assert rd.pairwise_distance(a, b, Distance.L2)[0, 0] == pytest.approx(5.0)
+        assert cross_distance(a, b, Distance.L1)[0, 0] == pytest.approx(7.0)
+        assert cross_distance(a, b, Distance.L2)[0, 0] == pytest.approx(5.0)
 
     def test_matches_elementwise_loops(self):
         rng = np.random.default_rng(2)
         a = rng.uniform(-2, 2, (4, 3))
         b = rng.uniform(-2, 2, (5, 3))
         for metric in Distance:
-            got = rd.pairwise_distance(a, b, metric)
+            got = cross_distance(a, b, metric)
             for i in range(4):
                 for j in range(5):
                     if metric is Distance.L1:
@@ -254,8 +262,8 @@ class TestDistance:
     def test_batch_equals_rows(self, metric):
         rng = np.random.default_rng(7)
         a, b = rng.normal(size=(3, 5, 4)), rng.normal(size=(3, 6, 4))
-        rows = [rd.pairwise_distance(x, y, metric) for x, y in zip(a, b)]
-        assert np.array_equal(rd.pairwise_distance(a, b, metric), np.stack(rows))
+        rows = [cross_distance(x, y, metric) for x, y in zip(a, b)]
+        assert np.array_equal(cross_distance(a, b, metric), np.stack(rows))
 
 
 class TestSelectPairs:
@@ -582,7 +590,7 @@ class TestMerge:
         vals = rng.uniform(-2, 2, (1, t, dim))
         g1, g2 = rd.grouping(t, Grouping.ODD_EVEN)
         r = rd.effective_r(t, 2)
-        dists = rd.pairwise_distance(vals[0][g1], vals[0][g2], Distance.L2)
+        dists = rd.pairwise_distance(vals[0], g1, g2, Distance.L2)
         pairs = select_row(dists, r, g1=g1, g2=g2)
         out, idx = rd.merge(Tensor(vals), pairs[None], op)
         assert out.shape == (1, t - r, dim)
@@ -676,31 +684,37 @@ class TestReduceTokens:
     @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize("shuffle_ratio", [0.0, 0.5])
     def test_runs_the_stages_in_order_on_one_rng(self, mode, shuffle_ratio):
-        cfg = ReductionConfig(distance=Distance.L2, grouping=Grouping.RANDOM,
-                              selection=Selection.RANDOM_R,
-                              pairing=Pairing.RANDOM_PAIR,
-                              shuffle_ratio=shuffle_ratio, mode=mode)
+        # the reference scores a shuffled feature copy, one copy per group;
+        # the step reads feat through the composed indices, with equal bits
         data = np.random.default_rng(3)
-        vals, feat = data.normal(size=(3, 9, 2)), data.normal(size=(3, 9, 4))
-        out, step = rd.reduce_tokens(Tensor(vals), feat, 3, cfg,
-                                     np.random.default_rng(11))
-        rng = np.random.default_rng(11)
-        x, perm = Tensor(vals), None
-        if shuffle_ratio:
-            perm = rd.shuffle_permutation(9, shuffle_ratio, rng)
-            x, feat = permute_slots(x, perm), feat[:, perm]
-        g1, g2 = rd.grouping(9, Grouping.RANDOM, rng)
-        dists = rd.pairwise_distance(feat[:, g1], feat[:, g2], Distance.L2)
-        pairs = rd.select_pairs(dists, 3, 1, Selection.RANDOM_R,
-                                Pairing.RANDOM_PAIR, rng=rng, g1=g1, g2=g2)
-        want, idx = rd.merge(x, pairs, MergeOp.SUM if mode is Mode.MERGE else None)
-        assert (step.perm is None) == (shuffle_ratio == 0)
-        if perm is not None:
-            assert np.array_equal(step.perm, perm)
-        for got, ref in ((step.g1, g1), (step.g2, g2), (step.dists, dists),
-                         (step.pairs, pairs), (step.idx, idx), (out.data, want.data)):
-            assert np.array_equal(got, ref)
-        assert out.shape == (3, 6, 2) and step.pairs.shape == (3, 3, 2)
+        vals, feat64 = data.normal(size=(3, 9, 2)), data.normal(size=(3, 9, 4))
+        for distance in (Distance.L2, Distance.COSINE):
+            for feat in (feat64, feat64.astype(np.float32)):
+                cfg = ReductionConfig(distance=distance, grouping=Grouping.RANDOM,
+                                      selection=Selection.RANDOM_R,
+                                      pairing=Pairing.RANDOM_PAIR,
+                                      shuffle_ratio=shuffle_ratio, mode=mode)
+                out, step = rd.reduce_tokens(Tensor(vals), feat, 3, cfg,
+                                             np.random.default_rng(11))
+                rng = np.random.default_rng(11)
+                x, perm = Tensor(vals), None
+                if shuffle_ratio:
+                    perm = rd.shuffle_permutation(9, shuffle_ratio, rng)
+                    x, feat = permute_slots(x, perm), feat[:, perm]
+                g1, g2 = rd.grouping(9, Grouping.RANDOM, rng)
+                dists = cross_distance(feat[:, g1], feat[:, g2], distance)
+                pairs = rd.select_pairs(dists, 3, 1, Selection.RANDOM_R,
+                                        Pairing.RANDOM_PAIR, rng=rng, g1=g1, g2=g2)
+                want, idx = rd.merge(x, pairs,
+                                     MergeOp.SUM if mode is Mode.MERGE else None)
+                assert (step.perm is None) == (shuffle_ratio == 0)
+                if perm is not None:
+                    assert np.array_equal(step.perm, perm)
+                for got, ref in ((step.g1, g1), (step.g2, g2), (step.dists, dists),
+                                 (step.pairs, pairs), (step.idx, idx),
+                                 (out.data, want.data)):
+                    assert np.array_equal(got, ref)
+                assert out.shape == (3, 6, 2) and step.pairs.shape == (3, 3, 2)
 
     @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize("shuffle_ratio", [0.0, 0.5, 1.0])
